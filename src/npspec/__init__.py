@@ -33,7 +33,6 @@ from .elasticity import (
     LameParams,
     kelvin_matrix,
     np_kernel,
-    single_layer_kernel,
     np_principal_symbol,
     single_layer_symbol,
     lambda_projector,
@@ -65,7 +64,6 @@ from .asymptotics import (
     counting_to_sequence,
 )
 from .spectral import (
-    SpectralSample,
     assemble_np_matrix,
     assemble_single_layer_matrix,
     spectrum,
@@ -89,7 +87,6 @@ __all__ = [
     "LameParams",
     "kelvin_matrix",
     "np_kernel",
-    "single_layer_kernel",
     "np_principal_symbol",
     "single_layer_symbol",
     "lambda_projector",
@@ -113,7 +110,6 @@ __all__ = [
     "signed_power_trace",
     "coefficient_integral",
     "counting_to_sequence",
-    "SpectralSample",
     "assemble_np_matrix",
     "assemble_single_layer_matrix",
     "spectrum",

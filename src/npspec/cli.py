@@ -42,9 +42,8 @@ DEFAULT_CONFIG = {
                 "harmonics": []},
     "material": {"lambda": 1.0, "mu": 1.0},
     "mesh": {"n": 12},
-    "chart": {"radius": None},
     "extract": {"eps_ladder": None, "angles": 64},
-    "windows": {"policy": "midpoint", "guard": 0.05, "n_tau": 24},
+    "windows": {"guard": 0.05, "n_tau": 24},
     "out": {"dir": "."},
 }
 
@@ -190,20 +189,21 @@ def cmd_fit(cfg, counting_path=None, prune=True):
     if counting_path is None:
         counting_path = os.path.join(d, "counting.csv")
     records = npio.read_counting_csv(counting_path)
-    reports = []
+    reports, skipped = [], []
     for rec in records:
-        for side, key in ((+1, "n_plus"), (-1, "n_minus")):
+        for side, key in (("plus", "n_plus"), ("minus", "n_minus")):
             tau, counts = rec["tau"], rec[key]
             if prune:
                 tau, counts = prune_counting_samples(tau, counts)
             try:
                 fit = fit_power_law(tau, counts)
-            except ValueError:
+            except ValueError as exc:
+                skipped.append({"root": rec["root"], "side": side, "reason": str(exc)})
                 continue
             reports.append(
                 AsymptoticReport(
                     root=rec["root"],
-                    side="plus" if side > 0 else "minus",
+                    side=side,
                     c=fit.c,
                     d=fit.h,
                     route="counting",
@@ -211,7 +211,7 @@ def cmd_fit(cfg, counting_path=None, prune=True):
                 )
             )
     path = os.path.join(d, "fit.json")
-    npio.write_report_json(path, reports)
+    npio.write_fit_json(path, reports, skipped)
     print(json.dumps({"reports": len(reports), "file": path}, sort_keys=True))
     return 0
 
@@ -251,9 +251,10 @@ def _verify_checks(cfg):
     def check(name, fn):
         try:
             ok = bool(fn())
-        except Exception:
-            ok = False
-        checks.append((name, ok))
+            why = "" if ok else "returned False"
+        except Exception as exc:
+            ok, why = False, "%s: %s" % (type(exc).__name__, exc)
+        checks.append((name, ok, why))
 
     def composition_value():
         a = TwoTermSymbol(
@@ -321,8 +322,8 @@ def _verify_checks(cfg):
 def cmd_verify(cfg):
     checks = _verify_checks(cfg)
     failed = 0
-    for name, ok in checks:
-        print("%s %s" % ("ok" if ok else "FAIL", name))
+    for name, ok, why in checks:
+        print("ok %s" % name if ok else "FAIL %s: %s" % (name, why))
         failed += 0 if ok else 1
     print("%d/%d checks passed" % (len(checks) - failed, len(checks)))
     return 1 if failed else 0

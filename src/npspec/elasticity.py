@@ -62,22 +62,26 @@ class LameParams:
         return (self.lam + self.mu) / (2.0 * (self.lam + 2.0 * self.mu))
 
 
+def _offsets(x, y):
+    """d = x - y of shape (..., 3) and |d| of shape (..., 1, 1), the
+    shape that scales 3x3 blocks; coincident points are rejected."""
+    d = np.asarray(x, dtype=float) - np.asarray(y, dtype=float)
+    r = np.linalg.norm(d, axis=-1)
+    if np.any(r == 0.0):
+        raise ValueError("coincident points")
+    return d, r[..., None, None]
+
+
 def kelvin_matrix(params, x, y):
     """Fundamental solution of the Lame system.
 
     R_pq = lam' d_pq / |x-y| + mu' (x-y)_p (x-y)_q / |x-y|^3; symmetric
-    in (p, q) and in (x, y), homogeneous of degree -1.
+    in (p, q) and in (x, y), homogeneous of degree -1.  x and y
+    broadcast over leading axes; the result has shape (..., 3, 3).
     """
-    d = np.asarray(x, dtype=float) - np.asarray(y, dtype=float)
-    r = np.linalg.norm(d)
-    if r == 0.0:
-        raise ValueError("coincident points")
-    return params.lam_prime * np.eye(3) / r + params.mu_prime * np.outer(d, d) / r**3
-
-
-def single_layer_kernel(params, x, y):
-    """Kernel of the single layer potential; the Kelvin matrix itself."""
-    return kelvin_matrix(params, x, y)
+    d, r = _offsets(x, y)
+    dd = d[..., :, None] * d[..., None, :]
+    return params.lam_prime * np.eye(3) / r + params.mu_prime * dd / r**3
 
 
 def np_kernel(params, x, y, nu_y):
@@ -92,18 +96,18 @@ def np_kernel(params, x, y, nu_y):
     The first group is antisymmetric in (p, q) and odd in d of degree
     -2; on a surface nu . d = O(|d|^2), so the second group is weakly
     singular there.  The overall 1/2 makes constants on the unit
-    sphere eigenfunctions with eigenvalue 1/2.
+    sphere eigenfunctions with eigenvalue 1/2.  x, y and nu_y
+    broadcast over leading axes; the result has shape (..., 3, 3).
     """
-    d = np.asarray(x, dtype=float) - np.asarray(y, dtype=float)
-    r = np.linalg.norm(d)
-    if r == 0.0:
-        raise ValueError("coincident points")
+    d, r = _offsets(x, y)
     nu = np.asarray(nu_y, dtype=float)
     mu = params.mu
     dlm = params.lam_prime - params.mu_prime
-    anti = np.outer(nu, d) - np.outer(d, nu)
-    sym = (-mu * dlm) * np.eye(3) - 6.0 * mu * params.mu_prime * np.outer(d, d) / r**2
-    return 0.5 * (mu * dlm * anti + sym * float(nu @ d)) / r**3
+    anti = nu[..., :, None] * d[..., None, :] - d[..., :, None] * nu[..., None, :]
+    dd = d[..., :, None] * d[..., None, :]
+    sym = (-mu * dlm) * np.eye(3) - 6.0 * mu * params.mu_prime * dd / r**2
+    nd = np.sum(nu * d, axis=-1)[..., None, None]
+    return 0.5 * (mu * dlm * anti + sym * nd) / r**3
 
 
 def np_principal_symbol(params, xi):

@@ -14,6 +14,7 @@ flat-boundary form at every node.
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -30,25 +31,22 @@ from .symbols import (
 def chart_kernel(params, chart, z):
     """Double layer kernel in chart coordinates, with area factor.
 
-    For planar offset z (the chart coordinates of x minus those of y,
-    x fixed at the chart origin), evaluates K(x, y(-z)) nu-contracted
-    as a 3x3 matrix in the chart frame times the chart area element
-    sqrt(1 + |grad F|^2), so that integrals against chart coordinates
-    reproduce surface integrals.
+    For planar offsets z of shape (..., 2) (the chart coordinates of x
+    minus those of y, x fixed at the chart origin), evaluates
+    K(x, y(-z)) nu-contracted as 3x3 matrices in the chart frame times
+    the chart area element sqrt(1 + |grad F|^2), so that integrals
+    against chart coordinates reproduce surface integrals.  Returns
+    shape (..., 3, 3).
     """
-    z = np.asarray(z, dtype=float)
-    w = -z
-    surface = chart.surface
-    q = chart.surface_point(w)
-    g = surface.implicit_gradient(q)
+    q = chart.surface_point(-np.asarray(z, dtype=float))
+    g = chart.surface.implicit_gradient(q)
     gn = g @ chart.n
-    if gn <= 0.0:
+    if np.any(gn <= 0.0):
         raise ValueError("chart point beyond the horizon of the chart")
-    nu = g / np.linalg.norm(g)
-    area = np.linalg.norm(g) / gn
-    k_lab = np_kernel(params, chart.origin, q, nu)
+    g_norm = np.linalg.norm(g, axis=-1)
+    k_lab = np_kernel(params, chart.origin, q, g / g_norm[..., None])
     frame = np.column_stack([chart.e1, chart.e2, chart.n])
-    return area * (frame.T @ k_lab @ frame)
+    return (g_norm / gn)[..., None, None] * (frame.T @ k_lab @ frame)
 
 
 @dataclass(frozen=True)
@@ -80,23 +78,34 @@ class HomogeneousKernelPart:
         ph = np.exp(-1j * n * self.angles)
         return np.tensordot(ph, self.samples, axes=(0, 0)) / m
 
+    @cached_property
+    def _interpolator(self):
+        return _TrigInterpolator(self.samples)
+
     def __call__(self, theta):
-        return _trig_interp(self.samples, theta).real
+        return self._interpolator(theta).real
 
 
-def _trig_interp(samples, theta):
-    """Evaluate equispaced angular samples at theta by trig interpolation."""
-    m = samples.shape[0]
-    coeffs = np.fft.fft(samples, axis=0) / m
-    ns = np.fft.fftfreq(m, 1.0 / m)
-    val = np.zeros(samples.shape[1:], dtype=complex)
-    for k in range(m):
-        n = ns[k]
-        if abs(n) == m / 2:
-            val += coeffs[k] * math.cos(n * theta)
-        else:
-            val += coeffs[k] * np.exp(1j * n * theta)
-    return val
+class _TrigInterpolator:
+    """Trigonometric interpolation of samples over equispaced angles.
+
+    samples has shape (M, ...) at angles 2 pi j / M.  The FFT is taken
+    once; a call evaluates an array of angles of any shape and returns
+    shape angles.shape + samples.shape[1:].  The Nyquist mode enters as
+    a cosine, so real samples interpolate to real values.
+    """
+
+    def __init__(self, samples):
+        samples = np.asarray(samples)
+        m = samples.shape[0]
+        self._coeffs = np.fft.fft(samples, axis=0) / m
+        self._ns = np.fft.fftfreq(m, 1.0 / m)
+        self._nyquist = np.abs(self._ns) == m / 2
+
+    def __call__(self, theta):
+        arg = self._ns * np.asarray(theta, dtype=float)[..., None]
+        phase = np.where(self._nyquist, np.cos(arg), np.exp(1j * arg))
+        return np.tensordot(phase, self._coeffs, axes=(-1, 0))
 
 
 def _default_ladder():
@@ -106,12 +115,13 @@ def _default_ladder():
 def homogeneous_parts(kernel_fn, angles=64, eps_ladder=None, odd_tol=1e-5):
     """Split a chart kernel into degree -2 and -1 homogeneous parts.
 
-    kernel_fn maps a planar offset z (2,) to a 3x3 matrix.  Along each
-    of `angles` equispaced directions the scaled values
-    eps^2 kernel_fn(eps u) are fitted by a polynomial in eps over the
-    extrapolation ladder; the constant and linear coefficients are the
-    degree -2 and -1 angular samples.  The degree -2 part must be odd
-    under u -> -u to the relative tolerance odd_tol.
+    kernel_fn maps planar offsets z (..., 2) to 3x3 matrices
+    (..., 3, 3); it is called once, on the whole direction-by-ladder
+    block.  Along each of `angles` equispaced directions the scaled
+    values eps^2 kernel_fn(eps u) are fitted by a polynomial in eps over
+    the extrapolation ladder; the constant and linear coefficients are
+    the degree -2 and -1 angular samples.  The degree -2 part must be
+    odd under u -> -u to the relative tolerance odd_tol.
 
     Returns (part_m2, part_m1, diagnostics).
     """
@@ -125,21 +135,15 @@ def homogeneous_parts(kernel_fn, angles=64, eps_ladder=None, odd_tol=1e-5):
     s = ladder.max()
     design = np.vander(ladder / s, deg + 1, increasing=True)
     thetas = 2.0 * np.pi * np.arange(angles) / angles
-    k0 = np.empty((angles, 3, 3))
-    k1 = np.empty((angles, 3, 3))
-    resid = 0.0
-    drift = 0.0
-    for j, th in enumerate(thetas):
-        u = np.array([math.cos(th), math.sin(th)])
-        vals = np.array([e**2 * kernel_fn(e * u) for e in ladder])
-        flat = vals.reshape(ladder.size, 9)
-        coef, res, _, _ = np.linalg.lstsq(design, flat, rcond=None)
-        k0[j] = coef[0].reshape(3, 3)
-        k1[j] = (coef[1] / s).reshape(3, 3)
-        if res.size:
-            resid = max(resid, math.sqrt(res.max() / ladder.size))
-        short = np.linalg.lstsq(design[:-2], flat[:-2], rcond=None)[0]
-        drift = max(drift, np.abs(short[0] - coef[0]).max())
+    u = np.column_stack([np.cos(thetas), np.sin(thetas)])
+    vals = ladder[:, None, None, None] ** 2 * kernel_fn(ladder[:, None, None] * u)
+    flat = vals.reshape(ladder.size, angles * 9)
+    coef, res, _, _ = np.linalg.lstsq(design, flat, rcond=None)
+    k0 = coef[0].reshape(angles, 3, 3)
+    k1 = (coef[1] / s).reshape(angles, 3, 3)
+    resid = math.sqrt(res.max() / ladder.size) if res.size else 0.0
+    short = np.linalg.lstsq(design[:-2], flat[:-2], rcond=None)[0]
+    drift = np.abs(short[0] - coef[0]).max()
     scale = max(np.abs(k0).max(), 1e-30)
     half = angles // 2
     odd_defect = np.abs(k0 + np.roll(k0, half, axis=0)).max()
@@ -257,33 +261,6 @@ def _principal_xi_derivative(params, xi):
     return out
 
 
-class _TableEvaluator:
-    """Trigonometric interpolation of matrices tabulated over angles.
-
-    samples has shape (M, ...) over equispaced angles; evaluation at
-    the direction angle of xi interpolates each trailing entry.
-    """
-
-    def __init__(self, samples):
-        self.samples = np.asarray(samples)
-        m = self.samples.shape[0]
-        self._coeffs = np.fft.fft(self.samples, axis=0) / m
-        self._ns = np.fft.fftfreq(m, 1.0 / m)
-
-    def __call__(self, xi):
-        xi = np.asarray(xi, dtype=float)
-        theta = math.atan2(xi[1], xi[0])
-        m = self.samples.shape[0]
-        val = np.zeros(self.samples.shape[1:], dtype=complex)
-        for k in range(m):
-            n = self._ns[k]
-            if abs(n) == m / 2:
-                val += self._coeffs[k] * math.cos(n * theta)
-            else:
-                val += self._coeffs[k] * np.exp(1j * n * theta)
-        return val
-
-
 @dataclass(frozen=True)
 class SymbolField:
     """Extracted two-term boundary symbol data over surface nodes.
@@ -394,12 +371,13 @@ def np_symbol_field(
                 % (err, i)
             )
         dx_table = _dxk0_table(params, surface, chart, angles, offsets)
-        dx_eval = _TableEvaluator(samples=np.transpose(dx_table, (1, 0, 2, 3)))
+        dx_interp = _TrigInterpolator(np.transpose(dx_table, (1, 0, 2, 3)))
+        dx_eval = lambda xi, f=dx_interp: f(math.atan2(xi[1], xi[0]))
         two_term = TwoTermSymbol(
             dim=3,
             a0=lambda x, xi: np_principal_symbol(params, xi),
             a_m1=lambda x, xi, f=km1: f(xi),
-            dx_a0=lambda x, xi, f=dx_eval: np.asarray(f(xi)),
+            dx_a0=lambda x, xi, f=dx_eval: f(xi),
             dxi_a0=lambda x, xi: _principal_xi_derivative(params, xi),
         )
         node_m = []

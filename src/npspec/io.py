@@ -105,12 +105,23 @@ def read_counting_csv(path):
     return records
 
 
-def write_report_json(path, reports):
-    """Asymptotics reports as a deterministic JSON document."""
-    payload = {"reports": [r.to_dict() for r in reports]}
+def _write_json(path, payload):
     with open(path, "w") as f:
         json.dump(payload, f, indent=2, sort_keys=True)
         f.write("\n")
+
+
+def write_report_json(path, reports):
+    """Asymptotics reports as a deterministic JSON document."""
+    _write_json(path, {"reports": [r.to_dict() for r in reports]})
+
+
+def write_fit_json(path, reports, skipped):
+    """Counting-route fit reports plus the sides that could not be
+    fitted, each skipped entry a dict {root, side, reason}."""
+    _write_json(
+        path, {"reports": [r.to_dict() for r in reports], "skipped": list(skipped)}
+    )
 
 
 def read_report_json(path):

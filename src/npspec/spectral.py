@@ -8,7 +8,9 @@ coordinates, where even angular sampling cancels the odd degree -2
 kernel component in the principal value sense.  The patch has a fixed
 physical size (a fraction of the chart radius), so the cutoff stays
 resolved by the global rule as the grid refines; its polar quadrature
-grows with the patch-to-mesh ratio to keep the density resolved.  The
+grows with the patch-to-mesh ratio to keep the density resolved.
+Patch points, normals and area factors come from one batched chart
+solve per target node, the same path on every surface kind.  The
 near-field density is coupled back to grid values through a local
 tensor barycentric interpolation stencil (with pole reflection),
 applied in transpose so the result is a matrix acting on grid data.
@@ -19,11 +21,12 @@ fits of counting data, and polynomial compactness diagnostics.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
+from .elasticity import kelvin_matrix, np_kernel
 from .surfaces import c_chart
 from .symbols import SpectralPolynomial, matrix_polynomial
 
@@ -130,46 +133,6 @@ def _batch_stencil(grid, thetas, phis, order):
     return idx.reshape(m, p * p), wgt.reshape(m, p * p)
 
 
-def _interp_stencil(grid, theta, phi, order):
-    """Single-point form of _batch_stencil."""
-    idx, wgt = _batch_stencil(grid, [theta], [phi], order)
-    return idx[0], wgt[0]
-
-
-def _kernel_row(params, x, pts, normals, kind, skip=None):
-    """Vectorized operator kernel blocks at (x, y_j) as (N, 3, 3).
-
-    For the double layer the density pairs against the transpose of
-    the traction-of-Kelvin matrix; this is the pairing under which
-    rigid motions are 1/2-eigenfunctions (checked against principal
-    value reference integrals on the sphere).  skip marks one index
-    whose (zero-distance) block is left as garbage for the caller to
-    zero out.
-    """
-    d = x[None, :] - pts
-    r = np.linalg.norm(d, axis=1)
-    if skip is not None:
-        r = r.copy()
-        r[skip] = 1.0
-    if np.any(r == 0.0):
-        raise ValueError("coincident points in far field row")
-    if kind == "single":
-        lp, mp = params.lam_prime, params.mu_prime
-        eye = np.eye(3)[None, :, :]
-        dd = d[:, :, None] * d[:, None, :]
-        return -0.5 * (lp * eye / r[:, None, None] + mp * dd / r[:, None, None] ** 3)
-    mu = params.mu
-    dlm = params.lam_prime - params.mu_prime
-    nu = normals
-    nd = np.einsum("ij,ij->i", nu, d)
-    anti = d[:, :, None] * nu[:, None, :] - nu[:, :, None] * d[:, None, :]
-    dd = d[:, :, None] * d[:, None, :]
-    sym = (-mu * dlm) * np.eye(3)[None, :, :] - 6.0 * mu * params.mu_prime * dd / (
-        r[:, None, None] ** 2
-    )
-    return 0.5 * (mu * dlm * anti + sym * nd[:, None, None]) / r[:, None, None] ** 3
-
-
 def _patch_points(chart, r1, r2, n_radial, n_angular):
     """Polar patch rule in chart coordinates: points, weights, cutoff.
 
@@ -195,36 +158,15 @@ def _patch_points(chart, r1, r2, n_radial, n_angular):
 
 def _patch_geometry(surface, chart, w12):
     """Surface points, unit normals and chart area factors at patch
-    coordinates; closed form on spheres, chart Newton otherwise."""
-    if surface.kind == "sphere":
-        rad = float(surface.params["radius"])
-        d = rad * rad - np.einsum("ij,ij->i", w12, w12)
-        if d.min() <= 0.0:
-            raise ValueError("patch point outside the sphere chart")
-        t = np.sqrt(d) - rad
-        q = (
-            chart.origin[None, :]
-            + w12[:, :1] * chart.e1[None, :]
-            + w12[:, 1:] * chart.e2[None, :]
-            + t[:, None] * chart.n[None, :]
-        )
-        rq = np.linalg.norm(q, axis=1)
-        nu = q / rq[:, None]
-        area = rq / (q @ chart.n)
-        return q, nu, area
-    q = np.empty((len(w12), 3))
-    nu = np.empty_like(q)
-    area = np.empty(len(w12))
-    for k, w in enumerate(w12):
-        q[k] = chart.surface_point(w)
-        g = surface.implicit_gradient(q[k])
-        gn = np.linalg.norm(g)
-        nu[k] = g / gn
-        area[k] = gn / (g @ chart.n)
-    return q, nu, area
+    coordinates w12 (M, 2), from one batched chart solve."""
+    q = chart.surface_point(w12)
+    g = surface.implicit_gradient(q)
+    gn = np.linalg.norm(g, axis=1)
+    return q, g / gn[:, None], gn / (g @ chart.n)
 
 
-def _assemble(surface, params, quad, kind, patch):
+def _assemble(surface, quad, kernel, patch):
+    """Nystrom matrix of kernel(x, y, nu_y) -> (..., 3, 3) blocks."""
     grid = _GridInfo(quad)
     n_nodes = quad.size
     mat = np.zeros((3 * n_nodes, 3 * n_nodes))
@@ -240,9 +182,10 @@ def _assemble(surface, params, quad, kind, patch):
         n_radial = patch.n_radial or max(10, int(math.ceil(1.6 * r2 / h)) + 2)
         n_angular = patch.n_angular or max(16, 2 * int(math.ceil(2.1 * r2 / h)))
         x = pts[i]
-        row = _kernel_row(params, x, pts, nrms, kind, skip=i)
+        others = np.arange(n_nodes) != i
+        row = np.zeros((n_nodes, 3, 3))
+        row[others] = kernel(x, pts[others], nrms[others])
         factors = wts.copy()
-        factors[i] = 0.0
         d3 = pts - x[None, :]
         dist = np.linalg.norm(d3, axis=1)
         near = (dist < 1.5 * r2) & (dist > 0.0)
@@ -255,8 +198,7 @@ def _assemble(surface, params, quad, kind, patch):
         mat[3 * i : 3 * i + 3, :] = np.transpose(block, (1, 0, 2)).reshape(3, -1)
         w12, wr, chi = _patch_points(chart, r1, r2, n_radial, n_angular)
         q, nu, area = _patch_geometry(surface, chart, w12)
-        kmats = _kernel_row(params, x, q, nu, kind)
-        contrib = (wr * chi * area)[:, None, None] * kmats
+        contrib = (wr * chi * area)[:, None, None] * kernel(x, q, nu)
         rq = np.linalg.norm(q, axis=1)
         tq = np.arccos(np.clip(q[:, 2] / rq, -1.0, 1.0))
         pq = np.arctan2(q[:, 1], q[:, 0])
@@ -273,7 +215,13 @@ def _assemble(surface, params, quad, kind, patch):
 
 def assemble_np_matrix(surface, params, quad, patch=None):
     """Dense Nystrom matrix of the double layer operator."""
-    return _assemble(surface, params, quad, "double", patch or PatchParams())
+    # the density pairs against the transposed traction-of-Kelvin
+    # matrix, the pairing under which rigid motions are
+    # 1/2-eigenfunctions
+    def kernel(x, y, nu):
+        return np.swapaxes(np_kernel(params, x, y, nu), -1, -2)
+
+    return _assemble(surface, quad, kernel, patch or PatchParams())
 
 
 def assemble_single_layer_matrix(surface, params, quad, patch=None):
@@ -287,7 +235,10 @@ def assemble_single_layer_matrix(surface, params, quad, patch=None):
     rows with unequal weights and spoils definiteness on refinement.
     -S should be positive definite at adequate resolution.
     """
-    mat = _assemble(surface, params, quad, "single", patch or PatchParams())
+    def kernel(x, y, nu):
+        return -0.5 * kelvin_matrix(params, x, y)
+
+    mat = _assemble(surface, quad, kernel, patch or PatchParams())
     sw = np.repeat(np.sqrt(quad.weights), 3)
     tilde = sw[:, None] * mat / sw[None, :]
     return (0.5 * (tilde + tilde.T)) * sw[None, :] / sw[:, None]
@@ -357,15 +308,6 @@ def symmetrize(k_mat, s_mat, weights=None, floor=1e-3, indefinite_tol=1e-2):
         "clipped_modes": clipped,
         "p_min_ratio": float(vals.min() / vmax),
     }
-
-
-@dataclass(frozen=True)
-class SpectralSample:
-    """Eigenvalues of one discretized operator with provenance data."""
-
-    eigenvalues: np.ndarray
-    resolution: int
-    meta: dict = field(default_factory=dict)
 
 
 def cluster_windows(roots, guard=0.05):

@@ -10,6 +10,10 @@ derivatives.  Supported kinds:
     ellipsoid     rho = (sum_i (u_i / a_i)^2)^(-1/2)
     radial_graph  rho = 1 + sum c_lm Y_lm(theta, phi)
 
+The geometry is array native: angles, points (..., 3) and chart
+coordinates (..., 2) may carry any leading shape, and a single point is
+the case with no leading axes.  Every surface kind takes the same path.
+
 Charts: a curvature-aligned tangent chart at a surface point carries
 an orthonormal frame (e1, e2, n) with e1, e2 principal directions
 (kappa1 <= kappa2) and n the outward normal; the surface is locally
@@ -32,17 +36,19 @@ _POLE_EPS = 1e-12
 def _real_sph_harm_jet(l, m, theta, phi):
     """Real spherical harmonic Y_lm and its theta/phi derivatives.
 
-    Returns (Y, Yt, Yp, Ytt, Ytp, Ypp).  Real convention: m > 0 pairs
-    with cos(m phi), m < 0 with sin(|m| phi), Condon-Shortley phase as
-    in scipy's associated Legendre functions.
+    Returns (Y, Yt, Yp, Ytt, Ytp, Ypp), each broadcast over theta and
+    phi.  Real convention: m > 0 pairs with cos(m phi), m < 0 with
+    sin(|m| phi), Condon-Shortley phase as in scipy's associated
+    Legendre functions.
     """
+    theta, phi = np.broadcast_arrays(np.asarray(theta, float), np.asarray(phi, float))
     am = abs(m)
-    t = math.cos(theta)
-    st = math.sin(theta)
+    t = np.cos(theta)
+    st = np.sin(theta)
     table = assoc_legendre_p_all(l, am, t, diff_n=1)
     p = table[0][l, am]
     p1 = table[1][l, am]
-    one_mt2 = max(1.0 - t * t, _POLE_EPS)
+    one_mt2 = np.maximum(1.0 - t * t, _POLE_EPS)
     # associated Legendre equation gives the second x-derivative
     p2 = (2.0 * t * p1 - (l * (l + 1) - am * am / one_mt2) * p) / one_mt2
     pt = -st * p1
@@ -51,13 +57,13 @@ def _real_sph_harm_jet(l, m, theta, phi):
         (2 * l + 1) / (4.0 * math.pi) * math.factorial(l - am) / math.factorial(l + am)
     )
     if m == 0:
-        f, fp, fpp = 1.0, 0.0, 0.0
+        f, fp, fpp = np.ones_like(phi), np.zeros_like(phi), np.zeros_like(phi)
         nrm_f = nrm
     elif m > 0:
-        f, fp, fpp = math.cos(m * phi), -m * math.sin(m * phi), -m * m * math.cos(m * phi)
+        f, fp, fpp = np.cos(m * phi), -m * np.sin(m * phi), -m * m * np.cos(m * phi)
         nrm_f = nrm * math.sqrt(2.0)
     else:
-        f, fp, fpp = math.sin(am * phi), am * math.cos(am * phi), -am * am * math.sin(am * phi)
+        f, fp, fpp = np.sin(am * phi), am * np.cos(am * phi), -am * am * np.sin(am * phi)
         nrm_f = nrm * math.sqrt(2.0)
     return (
         nrm_f * p * f,
@@ -70,16 +76,24 @@ def _real_sph_harm_jet(l, m, theta, phi):
 
 
 def _radial_direction_jet(theta, phi):
-    """Unit direction u(theta, phi) with first and second derivatives."""
-    st, ct = math.sin(theta), math.cos(theta)
-    sp, cp = math.sin(phi), math.cos(phi)
-    u = np.array([st * cp, st * sp, ct])
-    ut = np.array([ct * cp, ct * sp, -st])
-    up = np.array([-st * sp, st * cp, 0.0])
+    """Unit direction u(theta, phi) with first and second derivatives,
+    each of shape (..., 3)."""
+    theta, phi = np.broadcast_arrays(np.asarray(theta, float), np.asarray(phi, float))
+    st, ct = np.sin(theta), np.cos(theta)
+    sp, cp = np.sin(phi), np.cos(phi)
+    zero = np.zeros_like(st)
+    u = np.stack([st * cp, st * sp, ct], axis=-1)
+    ut = np.stack([ct * cp, ct * sp, -st], axis=-1)
+    up = np.stack([-st * sp, st * cp, zero], axis=-1)
     utt = -u
-    utp = np.array([-ct * sp, ct * cp, 0.0])
-    upp = np.array([-st * cp, -st * sp, 0.0])
+    utp = np.stack([-ct * sp, ct * cp, zero], axis=-1)
+    upp = np.stack([-st * cp, -st * sp, zero], axis=-1)
     return u, ut, up, utt, utp, upp
+
+
+def _angles(p, r):
+    """Polar and azimuthal angles of points p (..., 3) with norms r."""
+    return np.arccos(np.clip(p[..., 2] / r, -1.0, 1.0)), np.arctan2(p[..., 1], p[..., 0])
 
 
 @dataclass(frozen=True)
@@ -90,38 +104,35 @@ class ParametrizedSurface:
     params: dict = field(default_factory=dict)
 
     def rho_jet(self, theta, phi):
-        """rho and its angular derivatives (r, rt, rp, rtt, rtp, rpp)."""
+        """rho and its angular derivatives (r, rt, rp, rtt, rtp, rpp),
+        each broadcast over theta and phi."""
+        theta, phi = np.broadcast_arrays(np.asarray(theta, float), np.asarray(phi, float))
         if self.kind == "sphere":
-            r = float(self.params.get("radius", 1.0))
-            return r, 0.0, 0.0, 0.0, 0.0, 0.0
+            zero = np.zeros(theta.shape)
+            return zero + float(self.params.get("radius", 1.0)), zero, zero, zero, zero, zero
         if self.kind == "ellipsoid":
             a, b, c = (float(self.params[k]) for k in ("a", "b", "c"))
-            st, ct = math.sin(theta), math.cos(theta)
-            sp, cp = math.sin(phi), math.cos(phi)
+            st, ct = np.sin(theta), np.cos(theta)
+            sp, cp = np.sin(phi), np.cos(phi)
             ia2, ib2, ic2 = 1.0 / a**2, 1.0 / b**2, 1.0 / c**2
             aa = cp * cp * ia2 + sp * sp * ib2
-            aa_p = math.sin(2.0 * phi) * (ib2 - ia2)
-            aa_pp = 2.0 * math.cos(2.0 * phi) * (ib2 - ia2)
+            aa_p = np.sin(2.0 * phi) * (ib2 - ia2)
+            aa_pp = 2.0 * np.cos(2.0 * phi) * (ib2 - ia2)
             g = st * st * aa + ct * ct * ic2
-            g_t = math.sin(2.0 * theta) * (aa - ic2)
+            g_t = np.sin(2.0 * theta) * (aa - ic2)
             g_p = st * st * aa_p
-            g_tt = 2.0 * math.cos(2.0 * theta) * (aa - ic2)
-            g_tp = math.sin(2.0 * theta) * aa_p
+            g_tt = 2.0 * np.cos(2.0 * theta) * (aa - ic2)
+            g_tp = np.sin(2.0 * theta) * aa_p
             g_pp = st * st * aa_pp
             return _inverse_sqrt_jet(g, g_t, g_p, g_tt, g_tp, g_pp)
         if self.kind == "radial_graph":
-            r, rt, rp, rtt, rtp, rpp = 1.0, 0.0, 0.0, 0.0, 0.0, 0.0
+            jet = [np.ones(theta.shape)] + [np.zeros(theta.shape) for _ in range(5)]
             for (l, m), c in self._harmonics():
-                y = _real_sph_harm_jet(l, m, theta, phi)
-                r += c * y[0]
-                rt += c * y[1]
-                rp += c * y[2]
-                rtt += c * y[3]
-                rtp += c * y[4]
-                rpp += c * y[5]
-            if r <= 0.0:
+                for acc, y in zip(jet, _real_sph_harm_jet(l, m, theta, phi)):
+                    acc += c * y
+            if np.any(jet[0] <= 0.0):
                 raise ValueError("radial graph not star shaped at this point")
-            return r, rt, rp, rtt, rtp, rpp
+            return tuple(jet)
         raise ValueError("unknown surface kind: %r" % self.kind)
 
     def _harmonics(self):
@@ -133,7 +144,7 @@ class ParametrizedSurface:
     def position(self, theta, phi):
         r = self.rho_jet(theta, phi)[0]
         u = _radial_direction_jet(theta, phi)[0]
-        return r * u
+        return np.expand_dims(r, -1) * u
 
     def jet(self, theta, phi):
         """Position, tangent and second derivative vectors, normal, I, II.
@@ -171,32 +182,28 @@ class ParametrizedSurface:
     def implicit_value(self, point):
         """g(p) = |p| - rho(p direction); zero exactly on the surface."""
         p = np.asarray(point, dtype=float)
-        r = np.linalg.norm(p)
-        if r == 0.0:
+        r = np.linalg.norm(p, axis=-1)
+        if np.any(r == 0.0):
             raise ValueError("origin has no radial direction")
-        theta = math.acos(max(-1.0, min(1.0, p[2] / r)))
-        phi = math.atan2(p[1], p[0])
-        return r - self.rho_jet(theta, phi)[0]
+        return r - self.rho_jet(*_angles(p, r))[0]
 
     def implicit_gradient(self, point):
         """Gradient of g; points outward, normalizes to the unit normal."""
         p = np.asarray(point, dtype=float)
-        r = np.linalg.norm(p)
-        theta = math.acos(max(-1.0, min(1.0, p[2] / r)))
-        phi = math.atan2(p[1], p[0])
+        r = np.linalg.norm(p, axis=-1)
+        theta, phi = _angles(p, r)
         _, rt, rp, _, _, _ = self.rho_jet(theta, phi)
-        st = max(math.sin(theta), _POLE_EPS)
-        s = p / r
-        that = np.array(
-            [math.cos(theta) * math.cos(phi), math.cos(theta) * math.sin(phi), -st]
-        )
-        phat = np.array([-math.sin(phi), math.cos(phi), 0.0])
-        grad_s2 = rt * that + (rp / st) * phat
-        return s - grad_s2 / r
+        st = np.maximum(np.sin(theta), _POLE_EPS)
+        ct, sp, cp = np.cos(theta), np.sin(phi), np.cos(phi)
+        that = np.stack([ct * cp, ct * sp, -st], axis=-1)
+        phat = np.stack([-sp, cp, np.zeros_like(sp)], axis=-1)
+        grad_s2 = np.expand_dims(rt, -1) * that + np.expand_dims(rp / st, -1) * phat
+        r = np.expand_dims(r, -1)
+        return p / r - grad_s2 / r
 
     def normal(self, point):
         g = self.implicit_gradient(point)
-        return g / np.linalg.norm(g)
+        return g / np.linalg.norm(g, axis=-1, keepdims=True)
 
 
 def _inverse_sqrt_jet(g, gt, gp, gtt, gtp, gpp):
@@ -271,27 +278,44 @@ class CCoordinateChart:
     radius: float
     aligned: bool = True
 
+    def _plane_point(self, w):
+        return self.origin + w[..., :1] * self.e1 + w[..., 1:] * self.e2
+
     def height(self, w):
+        """F(w) for chart coordinates w of shape (..., 2).
+
+        One Newton solve along n runs over all points at once; points
+        where it stalls or fails to converge fall back to bracketed
+        root finding.
+        """
         w = np.asarray(w, dtype=float)
-        if np.linalg.norm(w) > self.radius:
+        if np.any(np.linalg.norm(w, axis=-1) > self.radius):
             raise ValueError("chart coordinates outside chart radius")
-        base = self.origin + w[0] * self.e1 + w[1] * self.e2
-        t = -0.5 * (self.kappa1 * w[0] ** 2 + self.kappa2 * w[1] ** 2)
+        base = self._plane_point(w).reshape(-1, 3)
+        flat = w.reshape(-1, 2)
+        t = -0.5 * (self.kappa1 * flat[:, 0] ** 2 + self.kappa2 * flat[:, 1] ** 2)
         scale = np.linalg.norm(self.origin)
+        todo = np.arange(t.size)
+        stalled = []
         for _ in range(60):
-            p = base + t * self.n
-            g = self.surface.implicit_value(p)
-            if abs(g) < 1e-14 * max(1.0, scale):
-                return t
-            dg = self.surface.implicit_gradient(p) @ self.n
-            if dg <= 0.0:
+            if not todo.size:
                 break
-            t -= g / dg
-        return self._height_bisect(base, scale)
+            p = base[todo] + t[todo, None] * self.n
+            g = self.surface.implicit_value(p)
+            live = np.abs(g) >= 1e-14 * max(1.0, scale)
+            todo, p, g = todo[live], p[live], g[live]
+            dg = self.surface.implicit_gradient(p) @ self.n
+            ok = dg > 0.0
+            stalled.append(todo[~ok])
+            todo = todo[ok]
+            t[todo] -= g[ok] / dg[ok]
+        for k in np.concatenate(stalled + [todo]):
+            t[k] = self._height_bisect(base[k], scale)
+        return t.reshape(w.shape[:-1])[()]
 
     def _height_bisect(self, base, scale):
         span = 0.9 * max(1.0, scale)
-        f = lambda t: self.surface.implicit_value(base + t * self.n)
+        f = lambda t: float(self.surface.implicit_value(base + t * self.n))
         lo, hi = -span, span
         if f(lo) * f(hi) > 0.0:
             raise ValueError("chart ray does not cross the surface")
@@ -299,14 +323,13 @@ class CCoordinateChart:
 
     def surface_point(self, w):
         w = np.asarray(w, dtype=float)
-        return self.origin + w[0] * self.e1 + w[1] * self.e2 + self.height(w) * self.n
+        return self._plane_point(w) + np.expand_dims(self.height(w), -1) * self.n
 
     def height_gradient(self, w):
         """grad F(w) from the implicit surface function."""
-        q = self.surface_point(w)
-        g = self.surface.implicit_gradient(q)
-        gn = g @ self.n
-        return -np.array([g @ self.e1, g @ self.e2]) / gn
+        g = self.surface.implicit_gradient(self.surface_point(w))
+        gn = np.expand_dims(g @ self.n, -1)
+        return -np.stack([g @ self.e1, g @ self.e2], axis=-1) / gn
 
     def normal_at(self, w):
         return self.surface.normal(self.surface_point(w))
@@ -371,9 +394,7 @@ def consistent_chart(surface, base, w):
     r_base = np.column_stack([base.e1, base.e2, base.n])
     r_new = np.column_stack([f1, f2, n_new])
     u = r_base.T @ r_new
-    theta = math.acos(max(-1.0, min(1.0, q[2] / np.linalg.norm(q))))
-    phi = math.atan2(q[1], q[0])
-    k1, k2, _, _, _ = principal_curvatures(surface, theta, phi)
+    k1, k2, _, _, _ = principal_curvatures(surface, *_angles(q, np.linalg.norm(q)))
     chart = CCoordinateChart(
         surface=surface,
         origin=q,

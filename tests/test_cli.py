@@ -10,6 +10,7 @@ import json
 import numpy as np
 import pytest
 
+from npspec import cli
 from npspec import io as npio
 from npspec.cli import load_config, main
 
@@ -98,6 +99,33 @@ class TestPipeline:
         assert code == 0
         rep = npio.read_report_json(tmp_path / "fit.json")
         assert all(r["route"] == "counting" for r in rep["reports"])
+        assert len(rep["reports"]) + len(rep["skipped"]) == 6
+
+    def test_fit_records_skipped_sides(self, capsys, tmp_path):
+        # n_plus has too few nonzero samples to fit; n_minus fits
+        tau = np.geomspace(1e-3, 1e-1, 24)
+        record = {
+            "root": 0.0,
+            "tau": tau,
+            "n_plus": np.where(np.arange(24) < 3, 5, 0),
+            "n_minus": np.round(10.0 * tau**-2.0).astype(int),
+        }
+        path = tmp_path / "counting.csv"
+        npio.write_counting_csv(path, [record])
+        code, out = run(
+            capsys, "fit", "--no-prune", "--counting", str(path),
+            "--out.dir", str(tmp_path),
+        )
+        assert code == 0
+        rep = npio.read_report_json(tmp_path / "fit.json")
+        assert [r["side"] for r in rep["reports"]] == ["minus"]
+        assert rep["skipped"] == [
+            {
+                "root": 0.0,
+                "side": "plus",
+                "reason": "too few nonzero counting samples: 3",
+            }
+        ]
 
     def test_spectrum_from_matrix_file(self, capsys, tmp_path):
         mat = np.diag([0.4, -0.1, 0.25])
@@ -130,3 +158,19 @@ class TestVerify:
         lines = out.strip().splitlines()
         assert all(line.startswith("ok ") for line in lines[:-1])
         assert lines[-1].endswith("checks passed")
+
+    def test_failure_is_explicit(self, capsys, monkeypatch):
+        def broken(params, xi):
+            raise ValueError("inverse identity violated")
+
+        monkeypatch.setattr(cli, "symmetrizer_symbols", broken)
+        monkeypatch.setattr(cli, "sphere_exact_eigenvalues", lambda p, k: ([0.0] * 2,) * 3)
+        code, out = run(capsys, "verify")
+        assert code == 1
+        lines = out.strip().splitlines()
+        assert (
+            "FAIL symmetrizer_identities: ValueError: inverse identity violated"
+            in lines
+        )
+        assert "FAIL sphere_first_modes: returned False" in lines
+        assert lines[-1] == "6/8 checks passed"

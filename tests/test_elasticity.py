@@ -17,7 +17,6 @@ from npspec.elasticity import (
     lambda_projector,
     np_kernel,
     np_principal_symbol,
-    single_layer_kernel,
     single_layer_symbol,
     sphere_exact_eigenvalues,
     symmetrizer_symbols,
@@ -68,7 +67,6 @@ class TestKelvin:
         assert np.allclose(r, r.T)
         assert np.allclose(r, kelvin_matrix(P11, y, x))
         assert np.allclose(kelvin_matrix(P11, 3 * x, 3 * y), r / 3.0)
-        assert np.allclose(single_layer_kernel(P11, x, y), r)
 
     def test_coincident_points_rejected(self):
         with pytest.raises(ValueError):
@@ -105,16 +103,18 @@ class TestNpKernel:
         assert k[0, 2] - k[2, 0] == pytest.approx(want, rel=1e-13)
 
     def test_traction_oracle(self):
-        # K(x, y) = -(1/2) T(d_y, nu) R(y - x), verified pointwise
-        for _ in range(5):
-            x = RNG.normal(size=3)
-            y = x + RNG.normal(size=3)
-            nu = RNG.normal(size=3)
-            nu /= np.linalg.norm(nu)
-            for p in (P11, LameParams(lam=2.0, mu=0.5)):
-                w = _traction_of_kelvin_columns(p, x, y, nu)
-                k = np_kernel(p, x, y, nu)
-                assert np.abs(k + 0.5 * w).max() < 1e-8 * max(np.abs(w).max(), 1.0)
+        # K(x, y) = -(1/2) T(d_y, nu) R(y - x), verified row by row on
+        # one batched call over y and nu
+        x = RNG.normal(size=3)
+        y = x + RNG.normal(size=(5, 3))
+        nu = RNG.normal(size=(5, 3))
+        nu /= np.linalg.norm(nu, axis=1)[:, None]
+        for p in (P11, LameParams(lam=2.0, mu=0.5)):
+            k = np_kernel(p, x, y, nu)
+            assert k.shape == (5, 3, 3)
+            for j in range(5):
+                w = _traction_of_kelvin_columns(p, x, y[j], nu[j])
+                assert np.abs(k[j] + 0.5 * w).max() < 1e-8 * max(np.abs(w).max(), 1.0)
 
     def test_homogeneity(self):
         x, y = np.array([0.3, -0.1, 0.8]), np.array([-0.5, 0.4, 0.2])

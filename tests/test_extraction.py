@@ -94,32 +94,52 @@ M3 = np.array([[1.0, 0.0, 2.0], [0.0, -1.0, 0.0], [2.0, 0.0, 0.0]])
 M4 = 0.7 * np.eye(3)
 
 
+def _polar(z):
+    """|z| and the direction angle of offsets (..., 2), shaped to scale
+    3x3 blocks."""
+    z = np.asarray(z)
+    r = np.hypot(z[..., 0], z[..., 1])
+    th = np.arctan2(z[..., 1], z[..., 0])
+    return r[..., None, None], th[..., None, None]
+
+
 def _synthetic_kernel(z):
-    r = np.hypot(*z)
-    th = math.atan2(z[1], z[0])
-    part2 = math.cos(th) * M1 + math.sin(3.0 * th) * M2
-    part1 = math.cos(2.0 * th) * M3 + M4
+    r, th = _polar(z)
+    part2 = np.cos(th) * M1 + np.sin(3.0 * th) * M2
+    part1 = np.cos(2.0 * th) * M3 + M4
     return part2 / r**2 + part1 / r
 
 
 class TestHomogeneousSplit:
     def test_synthetic_kernel_split_is_exact(self):
-        p2, p1, diag = homogeneous_parts(_synthetic_kernel)
+        shapes = []
+
+        def kernel(z):
+            shapes.append(np.shape(z))
+            return _synthetic_kernel(z)
+
+        p2, p1, diag = homogeneous_parts(kernel)
+        # one call on the whole ladder x direction block
+        assert shapes == [(8, 64, 2)]
         assert p2.degree == -2 and p1.degree == -1
         for th in (0.0, 0.9, 2.0, 4.4):
             want2 = math.cos(th) * M1 + math.sin(3.0 * th) * M2
             want1 = math.cos(2.0 * th) * M3 + M4
             assert np.abs(p2(th) - want2).max() < 1e-10
             assert np.abs(p1(th) - want1).max() < 1e-9
+        # an array of angles evaluates in one call, entry by entry
+        ths = np.array([[0.0, 0.9], [2.0, 4.4]])
+        assert p2(ths).shape == (2, 2, 3, 3)
+        for idx in np.ndindex(ths.shape):
+            assert np.abs(p2(ths)[idx] - p2(ths[idx])).max() < 1e-15
         assert diag["fit_residual"] < 1e-10
         assert diag["ladder_drift"] < 1e-10
         assert diag["odd_defect"] < 1e-12
 
     def test_small_even_contamination_is_projected_out(self):
         def kernel(z):
-            r = np.hypot(*z)
-            th = math.atan2(z[1], z[0])
-            return _synthetic_kernel(z) + 1e-8 * math.cos(2.0 * th) / r**2 * np.eye(3)
+            r, th = _polar(z)
+            return _synthetic_kernel(z) + 1e-8 * np.cos(2.0 * th) / r**2 * np.eye(3)
 
         p2, _, _ = homogeneous_parts(kernel)
         half = p2.angle_count // 2
@@ -127,9 +147,8 @@ class TestHomogeneousSplit:
 
     def test_even_degree_minus_two_kernel_rejected(self):
         def kernel(z):
-            r = np.hypot(*z)
-            th = math.atan2(z[1], z[0])
-            return math.cos(2.0 * th) / r**2 * np.eye(3)
+            r, th = _polar(z)
+            return np.cos(2.0 * th) / r**2 * np.eye(3)
 
         with pytest.raises(ValueError):
             homogeneous_parts(kernel)

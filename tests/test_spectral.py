@@ -26,8 +26,8 @@ from npspec.spectral import (
     PatchParams,
     _GridInfo,
     _batch_stencil,
-    _interp_stencil,
-    _kernel_row,
+    _patch_geometry,
+    _patch_points,
     _smoothstep,
     assemble_np_matrix,
     assemble_single_layer_matrix,
@@ -41,7 +41,7 @@ from npspec.spectral import (
     spectrum,
     symmetrize,
 )
-from npspec.surfaces import make_surface, surface_quadrature
+from npspec.surfaces import c_chart, make_surface, surface_quadrature
 
 P11 = LameParams(1.0, 1.0)
 SPHERE = make_surface("sphere", radius=1.0)
@@ -111,12 +111,13 @@ class TestInterpolationStencil:
     def test_exact_at_grid_nodes(self):
         quad = surface_quadrature(SPHERE, 10)
         grid = _GridInfo(quad)
-        for i in (0, 57, quad.size - 3):
-            th, ph = quad.params[i]
-            idx, wgt = _interp_stencil(grid, th, ph, 8)
-            vals = dict(zip(idx.tolist(), wgt.tolist()))
+        nodes = [0, 57, quad.size - 3]
+        th, ph = quad.params[nodes].T
+        idx, wgt = _batch_stencil(grid, th, ph, 8)
+        for i, row_idx, row_wgt in zip(nodes, idx, wgt):
+            vals = dict(zip(row_idx.tolist(), row_wgt.tolist()))
             assert abs(vals.get(i, 0.0) - 1.0) < 1e-12
-            assert abs(np.abs(wgt).sum() - 1.0) < 1e-12
+            assert abs(np.abs(row_wgt).sum() - 1.0) < 1e-12
 
     def test_smooth_function_accuracy(self):
         # order-8 tensor stencil on the n=12 grid: measured error ~1e-5
@@ -153,6 +154,8 @@ class TestInterpolationStencil:
 
 
 class TestKernelRow:
+    """The kernels the assembly evaluates, batched over y and nu."""
+
     def _geometry(self):
         rng = np.random.default_rng(11)
         x = np.array([0.2, -0.4, 1.1])
@@ -163,14 +166,14 @@ class TestKernelRow:
 
     def test_double_is_transposed_np_kernel(self):
         x, pts, nus = self._geometry()
-        rows = _kernel_row(P11, x, pts, nus, "double")
+        rows = np.swapaxes(np_kernel(P11, x, pts, nus), -1, -2)
         for j in range(len(pts)):
             ref = np_kernel(P11, x, pts[j], nus[j]).T
             assert np.abs(rows[j] - ref).max() < 1e-13
 
     def test_single_is_scaled_kelvin(self):
-        x, pts, nus = self._geometry()
-        rows = _kernel_row(P11, x, pts, nus, "single")
+        x, pts, _ = self._geometry()
+        rows = -0.5 * kelvin_matrix(P11, x, pts)
         for j in range(len(pts)):
             ref = -0.5 * kelvin_matrix(P11, x, pts[j])
             assert np.abs(rows[j] - ref).max() < 1e-13
@@ -179,13 +182,31 @@ class TestKernelRow:
         x, pts, nus = self._geometry()
         pts[2] = x
         with pytest.raises(ValueError):
-            _kernel_row(P11, x, pts, nus, "double")
+            np_kernel(P11, x, pts, nus)
+        with pytest.raises(ValueError):
+            kelvin_matrix(P11, x, pts)
 
-    def test_skip_masks_the_diagonal(self):
-        x, pts, nus = self._geometry()
-        pts[2] = x
-        rows = _kernel_row(P11, x, pts, nus, "double", skip=2)
-        assert np.all(np.isfinite(rows[[0, 1, 3, 4, 5]]))
+
+class TestPatchGeometry:
+    def test_sphere_matches_closed_form(self):
+        # the closed form the chart solve replaced: height
+        # sqrt(R^2 - |w|^2) - R, normal q / |q|, area |q| / (q . n)
+        for radius in (1.0, 2.5):
+            surf = make_surface("sphere", radius=radius)
+            chart = c_chart(surf, 1.1, 0.6)
+            w12, _, _ = _patch_points(chart, 0.1 * radius, 0.3 * radius, 12, 32)
+            q, nu, area = _patch_geometry(surf, chart, w12)
+            t = np.sqrt(radius**2 - np.einsum("ij,ij->i", w12, w12)) - radius
+            q_ref = (
+                chart.origin
+                + w12[:, :1] * chart.e1
+                + w12[:, 1:] * chart.e2
+                + t[:, None] * chart.n
+            )
+            rq = np.linalg.norm(q_ref, axis=1)
+            assert np.abs(q - q_ref).max() < 1e-13
+            assert np.abs(nu - q_ref / rq[:, None]).max() < 1e-13
+            assert np.abs(area - rq / (q_ref @ chart.n)).max() < 1e-13
 
 
 class TestAssembly:

@@ -163,6 +163,38 @@ class TestCharts:
         with pytest.raises(ValueError):
             chart.height((1.5 * chart.radius, 0.0))
 
+    @pytest.mark.parametrize(
+        "surface",
+        [
+            SPHERE,
+            make_surface("ellipsoid", a=1.0, b=1.2, c=0.8),
+            make_surface("radial_graph", harmonics=[[2, 0, -0.6]]),
+        ],
+    )
+    def test_batch_matches_rows(self, surface):
+        # one batched Newton solve gives the row-by-row values
+        chart = c_chart(surface, 0.4, 1.3)
+        rng = np.random.default_rng(3)
+        w = rng.uniform(-0.6, 0.6, size=(40, 2)) * chart.radius
+        heights = chart.height(w)
+        points = chart.surface_point(w)
+        assert heights.shape == (40,) and points.shape == (40, 3)
+        for k in range(len(w)):
+            assert abs(heights[k] - chart.height(w[k])) < 1e-13
+            assert np.abs(points[k] - chart.surface_point(w[k])).max() < 1e-13
+        assert np.abs(surface.implicit_value(points)).max() < 1e-12
+        grid = w.reshape(5, 8, 2)
+        assert np.abs(chart.surface_point(grid) - points.reshape(5, 8, 3)).max() == 0.0
+
+    def test_batch_outside_radius_rejected(self):
+        chart = c_chart(ELLIPSOID, 1.1, 0.7)
+        w = np.zeros((5, 2))
+        w[3] = (0.0, 1.5 * chart.radius)
+        with pytest.raises(ValueError):
+            chart.height(w)
+        with pytest.raises(ValueError):
+            chart.surface_point(w)
+
     def test_frame(self):
         chart = c_chart(BUMPY, 1.4, 3.0)
         frame = np.column_stack([chart.e1, chart.e2, chart.n])
