@@ -24,28 +24,34 @@ import numpy as np
 def signed_power_trace(mat, d, sign, imag_tol=1e-6, zero_tol=1e-12, scale=None):
     """Tr of the d-th power of the positive or negative part of mat.
 
-    mat must have a real spectrum up to imag_tol relative to its
-    spectral radius (error otherwise).  Eigenvalues within zero_tol
-    relative of zero belong to neither part.  sign is +1 or -1; the
-    negative part uses |lambda|^d, so both traces are nonnegative.
-    scale, when given, is an external magnitude reference: both
-    tolerance tests are relative to max(radius, scale), so matrices
-    negligible against it pass with a negligible contribution.
+    mat is one matrix or a stack (..., N, N); the result is one trace
+    per matrix, a float for a single matrix.  Each matrix must have a
+    real spectrum up to imag_tol relative to its own spectral radius
+    (error otherwise).  Eigenvalues within zero_tol relative of zero
+    belong to neither part.  sign is +1 or -1; the negative part uses
+    |lambda|^d, so both traces are nonnegative.  scale, when given, is
+    an external magnitude reference: both tolerance tests are relative
+    to max(radius, scale), so matrices negligible against it pass with
+    a negligible contribution.
     """
     if sign not in (+1, -1):
         raise ValueError("sign must be +1 or -1")
     vals = np.linalg.eigvals(np.asarray(mat))
-    rho = np.abs(vals).max()
-    ref = max(rho, scale if scale is not None else 0.0, 1e-300)
-    worst = np.abs(vals.imag).max()
-    if worst > imag_tol * ref:
+    rho = np.abs(vals).max(axis=-1)
+    ref = np.maximum(np.maximum(rho, scale if scale is not None else 0.0), 1e-300)
+    worst = np.abs(vals.imag).max(axis=-1)
+    bad = worst > imag_tol * ref
+    if np.any(bad):
+        k = np.argmax(bad)
         raise ValueError(
             "spectrum not real: max imaginary part %.3e vs radius %.3e"
-            % (worst, rho)
+            % (worst.flat[k], rho.flat[k])
         )
     re = vals.real
-    keep = re > zero_tol * ref if sign > 0 else re < -zero_tol * ref
-    return float(np.sum(np.abs(re[keep]) ** d))
+    cut = zero_tol * ref[..., None]
+    keep = re > cut if sign > 0 else re < -cut
+    out = np.sum(np.where(keep, np.abs(re) ** d, 0.0), axis=-1)
+    return float(out) if out.ndim == 0 else out
 
 
 def coefficient_integral(field, iota, d=2, angles=None, imag_tol=1e-4):
@@ -53,10 +59,13 @@ def coefficient_integral(field, iota, d=2, angles=None, imag_tol=1e-4):
 
     field is an extracted SymbolField; iota indexes its spectral
     roots.  The frequency integral runs over `angles` equispaced unit
-    directions (default: the field's native angular resolution) and
-    the surface integral over the field's quadrature weights.  The
-    returned info dict reports the drift when the angle count is
-    halved, an internal convergence check.
+    directions (default 64, whatever the field's angular resolution:
+    its evaluators interpolate between their own grid angles) and the
+    surface integral over the field's quadrature weights.  Each node's
+    cluster symbol is evaluated once, on the whole direction stack.
+    The returned info dict reports the drift when the angle count is
+    halved, an internal convergence check; the half grid is every
+    second direction of the full one, with its own magnitude reference.
     """
     roots = field.roots.roots
     if not 0 <= iota < len(roots):
@@ -65,29 +74,19 @@ def coefficient_integral(field, iota, d=2, angles=None, imag_tol=1e-4):
         angles = 64
     if angles % 4:
         raise ValueError("angle count must be divisible by 4")
-
-    def run(m_angles):
-        thetas = 2.0 * np.pi * np.arange(m_angles) / m_angles
-        xis = np.column_stack([np.cos(thetas), np.sin(thetas)])
-        c_plus = 0.0
-        c_minus = 0.0
-        for i in range(field.node_count):
-            m_eval = field.m_hat[i][iota]
-            mats = [m_eval(xi) for xi in xis]
-            ref = max(np.abs(m).max() for m in mats)
-            tp = 0.0
-            tm = 0.0
-            for mm in mats:
-                tp += signed_power_trace(mm, d, +1, imag_tol=imag_tol, scale=ref)
-                tm += signed_power_trace(mm, d, -1, imag_tol=imag_tol, scale=ref)
-            w = field.weights[i] * (2.0 * np.pi / m_angles)
-            c_plus += w * tp
-            c_minus += w * tm
-        norm = (2.0 * np.pi) ** (-d) / d
-        return norm * c_plus, norm * c_minus
-
-    cp, cm = run(angles)
-    cp_h, cm_h = run(angles // 2)
+    thetas = 2.0 * np.pi * np.arange(angles) / angles
+    xis = np.column_stack([np.cos(thetas), np.sin(thetas)])
+    # rows: full grid, half grid; columns: plus, minus
+    sums = np.zeros((2, 2))
+    for i in range(field.node_count):
+        mats = np.asarray(field.m_hat[i][iota](xis))
+        for k, sub in enumerate((mats, mats[::2])):
+            ref = np.abs(sub).max()
+            w = field.weights[i] * (2.0 * np.pi / len(sub))
+            for s, sign in enumerate((+1, -1)):
+                traces = signed_power_trace(sub, d, sign, imag_tol=imag_tol, scale=ref)
+                sums[k, s] += w * traces.sum()
+    (cp, cm), (cp_h, cm_h) = (2.0 * np.pi) ** (-d) / d * sums
     scale = max(abs(cp), abs(cm), 1e-30)
     info = {
         "angle_drift": max(abs(cp - cp_h), abs(cm - cm_h)) / scale,

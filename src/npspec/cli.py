@@ -228,8 +228,10 @@ def cmd_coeff(cfg):
         eps_ladder=None if ladder in (None, []) else np.asarray(ladder, float),
     )
     reports = []
+    drift = 0.0
     for idx, root in enumerate(field.roots.roots):
         cp, cm, info = coefficient_integral(field, idx)
+        drift = max(drift, float(info["angle_drift"]))
         for side, c in (("plus", cp), ("minus", cm)):
             reports.append(
                 AsymptoticReport(
@@ -240,7 +242,10 @@ def cmd_coeff(cfg):
     d = _outdir(cfg)
     path = os.path.join(d, "coeff.json")
     npio.write_report_json(path, reports)
-    print(json.dumps({"reports": len(reports), "file": path}, sort_keys=True))
+    summary = dict(
+        field.diagnostics, reports=len(reports), file=path, angle_drift=drift
+    )
+    print(json.dumps(summary, sort_keys=True))
     return 0
 
 

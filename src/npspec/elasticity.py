@@ -115,20 +115,18 @@ def np_principal_symbol(params, xi):
 
     (i pi mu (lam'-mu') / |xi|) [[0,0,-xi1],[0,0,-xi2],[xi1,xi2,0]];
     i times an antisymmetric real matrix, hence Hermitian, with
-    eigenvalues {0, +kk, -kk} independent of xi.
+    eigenvalues {0, +kk, -kk} independent of xi.  xi has shape (..., 2);
+    the result has shape (..., 3, 3).
     """
     xi = np.asarray(xi, dtype=float)
-    r = np.linalg.norm(xi)
-    if r == 0.0:
+    r = np.linalg.norm(xi, axis=-1)
+    if np.any(r == 0.0):
         raise ValueError("xi = 0 rejected")
-    a = np.array(
-        [
-            [0.0, 0.0, -xi[0]],
-            [0.0, 0.0, -xi[1]],
-            [xi[0], xi[1], 0.0],
-        ]
-    )
-    return 1j * np.pi * params.mu * (params.lam_prime - params.mu_prime) * a / r
+    a = np.zeros(xi.shape[:-1] + (3, 3))
+    a[..., :2, 2] = -xi
+    a[..., 2, :2] = xi
+    c = 1j * np.pi * params.mu * (params.lam_prime - params.mu_prime)
+    return c * a / r[..., None, None]
 
 
 def lambda_projector(xi):

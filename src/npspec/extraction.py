@@ -67,17 +67,6 @@ class HomogeneousKernelPart:
     def angle_count(self):
         return self.samples.shape[0]
 
-    @property
-    def angles(self):
-        m = self.angle_count
-        return 2.0 * np.pi * np.arange(m) / m
-
-    def fourier(self, n):
-        """Two-sided angular Fourier coefficient c_n (3x3 complex)."""
-        m = self.angle_count
-        ph = np.exp(-1j * n * self.angles)
-        return np.tensordot(ph, self.samples, axes=(0, 0)) / m
-
     @cached_property
     def _interpolator(self):
         return _TrigInterpolator(self.samples)
@@ -188,22 +177,27 @@ class AngularSymbol:
     """Homogeneous matrix symbol stored by angular Fourier modes.
 
     Evaluates sum_n modes[n] exp(i n phi(xi)) |xi|^degree at nonzero
-    planar frequencies xi.
+    planar frequencies xi of shape (..., 2); the result has shape
+    (..., 3, 3).
     """
 
     degree: int
     modes: dict
 
+    @cached_property
+    def _table(self):
+        ns = np.array(list(self.modes), dtype=float)
+        return ns, np.array(list(self.modes.values())).reshape(-1, 3, 3)
+
     def __call__(self, xi):
         xi = np.asarray(xi, dtype=float)
-        r = np.linalg.norm(xi)
-        if r == 0.0:
+        r = np.linalg.norm(xi, axis=-1)
+        if np.any(r == 0.0):
             raise ValueError("xi = 0 rejected")
-        phi = math.atan2(xi[1], xi[0])
-        val = np.zeros((3, 3), dtype=complex)
-        for n, c in self.modes.items():
-            val += c * np.exp(1j * n * phi)
-        return val * r**self.degree
+        phi = np.arctan2(xi[..., 1], xi[..., 0])
+        ns, coeffs = self._table
+        val = np.tensordot(np.exp(1j * ns * phi[..., None]), coeffs, axes=(-1, 0))
+        return val * r[..., None, None] ** self.degree
 
 
 def angular_fourier_symbol(part, even_tol=1e-8):
@@ -211,54 +205,41 @@ def angular_fourier_symbol(part, even_tol=1e-8):
 
     part.degree = -2 gives a degree 0 symbol (odd modes only; even
     mode content beyond even_tol relative is an error), part.degree =
-    -1 gives a degree -1 symbol.
+    -1 gives a degree -1 symbol.  The two-sided angular Fourier
+    coefficients c_n, |n| < M/2, all come from one FFT of the samples.
     """
     a = -part.degree
     m = part.angle_count
     scale = max(np.abs(part.samples).max(), 1e-30)
-    modes = {}
-    bad_even = 0.0
-    for n in range(-(m // 2 - 1), m // 2):
-        c = part.fourier(n)
-        mag = np.abs(c).max()
-        if a == 2 and n % 2 == 0:
-            bad_even = max(bad_even, mag)
-            continue
-        if mag < 1e-13 * scale:
-            continue
-        modes[n] = fourier_multiplier(n, a) * c
-    if a == 2 and bad_even > even_tol * scale:
+    coeffs = np.fft.fft(part.samples, axis=0) / m
+    ns = np.arange(-(m // 2 - 1), m // 2)
+    mags = np.abs(coeffs[ns]).max(axis=(1, 2))
+    even = (ns % 2 == 0) & (a == 2)
+    bad_even = mags[even].max(initial=0.0)
+    if bad_even > even_tol * scale:
         raise ValueError(
             "even angular content %.3e in a degree -2 kernel part" % (bad_even / scale)
         )
+    modes = {
+        int(n): fourier_multiplier(n, a) * coeffs[n]
+        for n, mag, skip in zip(ns, mags, even)
+        if not skip and mag >= 1e-13 * scale
+    }
     return AngularSymbol(degree=a - 2, modes=modes)
 
 
 def _principal_xi_derivative(params, xi):
-    """Analytic xi gradient of the flat principal symbol."""
+    """Analytic xi gradient of the flat principal symbol, (..., 2, 3, 3).
+
+    The symbol is c g(xi) / |xi| with g linear, and np_principal_symbol
+    at the unit vector e_al is c g(e_al), so the gradient is
+    (c g(e_al) - xi_al c g(xi) / |xi|^2) / |xi|.
+    """
     xi = np.asarray(xi, dtype=float)
-    r = np.linalg.norm(xi)
-    c = 1j * np.pi * params.mu * (params.lam_prime - params.mu_prime)
-    base = np.array(
-        [
-            [0.0, 0.0, -xi[0]],
-            [0.0, 0.0, -xi[1]],
-            [xi[0], xi[1], 0.0],
-        ]
-    )
-    out = np.empty((2, 3, 3), dtype=complex)
-    for al in range(2):
-        e = np.zeros(3)
-        e[al] = 1.0
-        unit = np.array(
-            [
-                [0.0, 0.0, -e[0]],
-                [0.0, 0.0, -e[1]],
-                [e[0], e[1], 0.0],
-            ]
-        )
-        out[al] = c * (unit / r - xi[al] * base / r**3)
-    return out
+    r = np.linalg.norm(xi, axis=-1)[..., None, None, None]
+    unit = np_principal_symbol(params, np.eye(2))
+    sym = np_principal_symbol(params, xi)[..., None, :, :]
+    return unit / r - xi[..., :, None, None] * sym / r**2
 
 
 @dataclass(frozen=True)
@@ -269,7 +250,9 @@ class SymbolField:
     evaluators, the tangential x-derivative of the degree 0 symbol
     (indexed by chart direction), and per spectral root the normalized
     cluster symbol evaluator m_hat whose signed d-th power traces feed
-    the counting coefficient integral.
+    the counting coefficient integral.  Every evaluator takes a stack
+    of frequencies xi of shape (..., 2) and returns (..., 3, 3); dxk0
+    returns (..., 2, 3, 3).
     """
 
     surface: object
@@ -292,37 +275,33 @@ class SymbolField:
 def _transported_k0(params, surface, chart, w):
     """Degree 0 symbol at the nearby point, pulled back to the base chart."""
     near, dz, u = consistent_chart(surface, chart, w)
-    dzi_t = np.linalg.inv(dz).T
+    dzi = np.linalg.inv(dz)
 
     def value(xi):
-        eta = dzi_t @ np.asarray(xi, dtype=float)
+        eta = np.asarray(xi, dtype=float) @ dzi
         return u @ np_principal_symbol(params, eta) @ u.T
 
     return value
 
 
 def _dxk0_table(params, surface, chart, angles, offsets):
-    """Central difference with Richardson step halving, per direction."""
+    """Central difference with Richardson step halving, (angles, 2, 3, 3)."""
     h1, h2 = offsets
     if not math.isclose(h2, 2.0 * h1, rel_tol=1e-9):
         raise ValueError("offsets must be (h, 2h) for the step refinement")
     thetas = 2.0 * np.pi * np.arange(angles) / angles
     xis = np.column_stack([np.cos(thetas), np.sin(thetas)])
-    table = np.zeros((2, angles, 3, 3), dtype=complex)
+    table = []
     for al in range(2):
-        w = np.zeros(2)
         diffs = []
         for h in (h1, h2):
-            w_plus, w_minus = w.copy(), w.copy()
-            w_plus[al] = h
-            w_minus[al] = -h
-            up = _transported_k0(params, surface, chart, w_plus)
-            dn = _transported_k0(params, surface, chart, w_minus)
-            diffs.append(
-                np.array([(up(xi) - dn(xi)) / (2.0 * h) for xi in xis])
-            )
-        table[al] = (4.0 * diffs[0] - diffs[1]) / 3.0
-    return table
+            w = np.zeros(2)
+            w[al] = h
+            up = _transported_k0(params, surface, chart, w)
+            dn = _transported_k0(params, surface, chart, -w)
+            diffs.append((up(xis) - dn(xis)) / (2.0 * h))
+        table.append((4.0 * diffs[0] - diffs[1]) / 3.0)
+    return np.stack(table, axis=1)
 
 
 def np_symbol_field(
@@ -353,6 +332,7 @@ def np_symbol_field(
     fit_resid = 0.0
     thetas = 2.0 * np.pi * np.arange(angles) / angles
     xis = np.column_stack([np.cos(thetas), np.sin(thetas)])
+    k0_flat = np_principal_symbol(params, xis)
     for i in range(quad.size):
         th, ph = quad.params[i]
         chart = c_chart(surface, th, ph)
@@ -361,9 +341,7 @@ def np_symbol_field(
         fit_resid = max(fit_resid, diag["ladder_drift"])
         k0 = angular_fourier_symbol(p2)
         km1 = angular_fourier_symbol(p1)
-        err = max(
-            np.abs(k0(xi) - np_principal_symbol(params, xi)).max() for xi in xis
-        )
+        err = np.abs(k0(xis) - k0_flat).max()
         k0_err = max(k0_err, err)
         if err > k0_tol:
             raise ValueError(
@@ -371,8 +349,8 @@ def np_symbol_field(
                 % (err, i)
             )
         dx_table = _dxk0_table(params, surface, chart, angles, offsets)
-        dx_interp = _TrigInterpolator(np.transpose(dx_table, (1, 0, 2, 3)))
-        dx_eval = lambda xi, f=dx_interp: f(math.atan2(xi[1], xi[0]))
+        dx_interp = _TrigInterpolator(dx_table)
+        dx_eval = lambda xi, f=dx_interp: f(np.arctan2(xi[..., 1], xi[..., 0]))
         two_term = TwoTermSymbol(
             dim=3,
             a0=lambda x, xi: np_principal_symbol(params, xi),

@@ -2,8 +2,11 @@
 
 A classical zero order symbol is tracked through its two leading
 homogeneous terms: a0 of degree 0 and a_m1 of degree -1 in the covector
-xi.  All evaluators map a chart point x in R^2 and a covector
-xi in R^2 \\ {0} to an N x N complex matrix.
+xi.  All evaluators map chart points x of shape (..., 2) and covectors
+xi of shape (..., 2), nonzero, to N x N complex matrices of shape
+(..., N, N); the leading axes broadcast, so a stack of frequencies is
+evaluated in one call and a single point is the case with no leading
+axes.
 
 Composition convention.  The first order composition correction is
 the standard one,
@@ -24,8 +27,8 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 MatrixEvaluator = Callable[[np.ndarray, np.ndarray], np.ndarray]
-# derivative evaluators return an array of shape (2, N, N): one matrix
-# per coordinate direction
+# derivative evaluators return an array of shape (..., 2, N, N): one
+# matrix per coordinate direction, indexed as [..., al, :, :]
 DerivativeEvaluator = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
@@ -34,10 +37,12 @@ class TwoTermSymbol:
     """Two leading homogeneous terms of a classical symbol.
 
     dim is the fiber dimension N (the base is always the 2-plane).
-    a0 is positively homogeneous of degree 0, a_m1 of degree -1.
-    dx_a0 / dxi_a0 optionally supply analytic first derivatives of a0;
-    when absent, central finite differences are used (tangential on the
-    xi sphere, so degree 0 homogeneity is respected exactly).
+    a0 is positively homogeneous of degree 0, a_m1 of degree -1; both
+    map (x, xi) of shape (..., 2) to (..., dim, dim).  dx_a0 / dxi_a0
+    optionally supply analytic first derivatives of a0 with shape
+    (..., 2, dim, dim); when absent, central finite differences are used
+    (tangential on the xi sphere, so degree 0 homogeneity is respected
+    exactly).
     """
 
     dim: int
@@ -47,13 +52,13 @@ class TwoTermSymbol:
     dxi_a0: Optional[DerivativeEvaluator] = None
 
     def x_derivative(self, x, xi):
-        """d a0 / dx as an array of shape (2, dim, dim)."""
+        """d a0 / dx as an array of shape (..., 2, dim, dim)."""
         if self.dx_a0 is not None:
             return np.asarray(self.dx_a0(x, xi))
         return _fd_x_derivative(self.a0, x, xi, self.dim)
 
     def xi_derivative(self, x, xi):
-        """d a0 / dxi as an array of shape (2, dim, dim)."""
+        """d a0 / dxi as an array of shape (..., 2, dim, dim)."""
         if self.dxi_a0 is not None:
             return np.asarray(self.dxi_a0(x, xi))
         return _fd_xi_derivative(self.a0, x, xi, self.dim)
@@ -92,26 +97,29 @@ class SpectralPolynomial:
 def _check_fiber(arr, dim):
     # broadcasting a misdeclared fiber size would silently double
     # derivative contractions, so the shape is enforced here
-    if arr.shape != (dim, dim):
+    if arr.shape[-2:] != (dim, dim):
         raise ValueError(
-            "symbol evaluator returned shape %r, expected (%d, %d)"
+            "symbol evaluator returned shape %r, expected (..., %d, %d)"
             % (arr.shape, dim, dim)
         )
     return arr
 
 
-def _fd_x_derivative(f, x, xi, dim, h=None):
+def _x_step(x):
+    """Finite difference step in x, shape (..., 1): relative to |x|."""
+    return 1e-5 * np.maximum(1.0, np.linalg.norm(x, axis=-1))[..., None]
+
+
+def _fd_x_derivative(f, x, xi, dim):
     x = np.asarray(x, dtype=float)
-    if h is None:
-        h = 1e-5 * max(1.0, float(np.linalg.norm(x)))
-    out = np.empty((2, dim, dim), dtype=complex)
-    for a in range(2):
-        e = np.zeros(2)
-        e[a] = h
+    h = _x_step(x)
+    out = []
+    for al in range(2):
+        e = h * np.eye(2)[al]
         fp = _check_fiber(np.asarray(f(x + e, xi)), dim)
         fm = _check_fiber(np.asarray(f(x - e, xi)), dim)
-        out[a] = (fp - fm) / (2 * h)
-    return out
+        out.append((fp - fm) / (2 * h[..., None]))
+    return np.stack(out, axis=-3).astype(complex)
 
 
 def _fd_xi_derivative(f, x, xi, dim, h=1e-5):
@@ -119,33 +127,43 @@ def _fd_xi_derivative(f, x, xi, dim, h=1e-5):
     # and the gradient is purely tangential; differencing along the
     # circle direction preserves this exactly.
     xi = np.asarray(xi, dtype=float)
-    r = np.linalg.norm(xi)
-    if r == 0.0:
+    r = np.linalg.norm(xi, axis=-1)[..., None]
+    if np.any(r == 0.0):
         raise ValueError("xi = 0 rejected")
-    tang = np.array([-xi[1], xi[0]]) / r
+    tang = np.stack([-xi[..., 1], xi[..., 0]], axis=-1) / r
     phi = h
     fp = _check_fiber(np.asarray(f(x, np.cos(phi) * xi + np.sin(phi) * r * tang)), dim)
     fm = _check_fiber(np.asarray(f(x, np.cos(phi) * xi - np.sin(phi) * r * tang)), dim)
     dphi = (fp - fm) / (2 * phi)
-    out = np.empty((2, dim, dim), dtype=complex)
     # grad = (dphi / r) * tangent direction
-    out[0] = dphi * tang[0] / r
-    out[1] = dphi * tang[1] / r
-    return out
+    out = dphi[..., None, :, :] * tang[..., :, None, None] / r[..., None, None]
+    return out.astype(complex)
+
+
+def _lead_shape(x, xi):
+    return np.broadcast_shapes(np.shape(x)[:-1], np.shape(xi)[:-1])
 
 
 def identity_symbol(dim):
     """Symbol of the identity operator on a dim-vector fiber."""
     eye = np.eye(dim, dtype=complex)
-    zero = np.zeros((dim, dim), dtype=complex)
     zder = np.zeros((2, dim, dim), dtype=complex)
+
+    def const(m):
+        return lambda x, xi: np.broadcast_to(m, _lead_shape(x, xi) + m.shape).copy()
+
     return TwoTermSymbol(
         dim=dim,
-        a0=lambda x, xi: eye.copy(),
-        a_m1=lambda x, xi: zero.copy(),
-        dx_a0=lambda x, xi: zder.copy(),
-        dxi_a0=lambda x, xi: zder.copy(),
+        a0=const(eye),
+        a_m1=const(0.0 * eye),
+        dx_a0=const(zder),
+        dxi_a0=const(zder),
     )
+
+
+def _axis(d, al):
+    """Matrices of derivative direction al from a (..., 2, N, N) array."""
+    return d[..., al, :, :]
 
 
 def compose(a, b):
@@ -171,22 +189,19 @@ def compose(a, b):
         dxi_a = a.xi_derivative(x, xi)
         dx_b = b.x_derivative(x, xi)
         for al in range(2):
-            val = val - 1j * dxi_a[al] @ dx_b[al]
+            val = val - 1j * _axis(dxi_a, al) @ _axis(dx_b, al)
         return val
 
+    def product_rule(da, db, x, xi):
+        a0 = np.asarray(a.a0(x, xi))[..., None, :, :]
+        b0 = np.asarray(b.a0(x, xi))[..., None, :, :]
+        return da @ b0 + a0 @ db
+
     def dx_c0(x, xi):
-        a0 = np.asarray(a.a0(x, xi))
-        b0 = np.asarray(b.a0(x, xi))
-        da = a.x_derivative(x, xi)
-        db = b.x_derivative(x, xi)
-        return np.stack([da[al] @ b0 + a0 @ db[al] for al in range(2)])
+        return product_rule(a.x_derivative(x, xi), b.x_derivative(x, xi), x, xi)
 
     def dxi_c0(x, xi):
-        a0 = np.asarray(a.a0(x, xi))
-        b0 = np.asarray(b.a0(x, xi))
-        da = a.xi_derivative(x, xi)
-        db = b.xi_derivative(x, xi)
-        return np.stack([da[al] @ b0 + a0 @ db[al] for al in range(2)])
+        return product_rule(a.xi_derivative(x, xi), b.xi_derivative(x, xi), x, xi)
 
     return TwoTermSymbol(dim=dim, a0=c0, a_m1=c_m1, dx_a0=dx_c0, dxi_a0=dxi_c0)
 
@@ -203,8 +218,8 @@ def shift(a, omega):
         dim=a.dim,
         a0=s0,
         a_m1=a.a_m1,
-        dx_a0=a.dx_a0 if a.dx_a0 is not None else (lambda x, xi: a.x_derivative(x, xi)),
-        dxi_a0=a.dxi_a0 if a.dxi_a0 is not None else (lambda x, xi: a.xi_derivative(x, xi)),
+        dx_a0=a.x_derivative,
+        dxi_a0=a.xi_derivative,
     )
 
 
@@ -269,14 +284,13 @@ def subprincipal(a):
 
     def a_sub(x, xi):
         x = np.asarray(x, dtype=float)
-        h = 1e-5 * max(1.0, float(np.linalg.norm(x)))
-        val = np.asarray(a.a_m1(x, xi), dtype=complex).copy()
+        h = _x_step(x)
+        val = np.asarray(a.a_m1(x, xi), dtype=complex)
         for al in range(2):
-            e = np.zeros(2)
-            e[al] = h
-            dp = a.xi_derivative(x + e, xi)[al]
-            dm = a.xi_derivative(x - e, xi)[al]
-            val -= 0.5j * (dp - dm) / (2 * h)
+            e = h * np.eye(2)[al]
+            dp = _axis(a.xi_derivative(x + e, xi), al)
+            dm = _axis(a.xi_derivative(x - e, xi), al)
+            val = val - 0.5j * (dp - dm) / (2 * h[..., None])
         return val
 
     return a_sub
@@ -292,10 +306,10 @@ def build_bi_symbol(a, p, iota, order0_tol=1e-6):
 
     The nominal order 0 part (a0 - w_iota) y0 = p_iota(a0) must vanish;
     it is evaluated alongside and a ValueError is raised when its norm
-    exceeds order0_tol (the input is then not polynomially compact with
-    the given roots).  The returned TwoTermSymbol stores that residual
-    as its a0 slot and b_m1 as its a_m1 slot, so the leading live term
-    has degree -1.
+    exceeds order0_tol at any evaluated point (the input is then not
+    polynomially compact with the given roots).  The returned
+    TwoTermSymbol stores that residual as its a0 slot and b_m1 as its
+    a_m1 slot, so the leading live term has degree -1.
     """
     roots = _poly_roots(p)
     if not 0 <= iota < len(roots):
@@ -316,41 +330,37 @@ def build_bi_symbol(a, p, iota, order0_tol=1e-6):
 
         # u carries the internal xi-x contraction of one squared factor;
         # v/w keep the derivative direction open for cross contractions
-        u = np.zeros((dim, dim), dtype=complex)
-        for al in range(2):
-            u -= 1j * dxi[al] @ dx[al]
-        v = [[dxi[al] @ q[j] + q[j] @ dxi[al] for j in range(n)] for al in range(2)]
-        wd = [[dx[al] @ q[j] + q[j] @ dx[al] for j in range(n)] for al in range(2)]
+        u = -1j * _axis(dxi, 0) @ _axis(dx, 0) - 1j * _axis(dxi, 1) @ _axis(dx, 1)
+        v = [[_axis(dxi, al) @ m + m @ _axis(dxi, al) for m in q] for al in range(2)]
+        wd = [[_axis(dx, al) @ m + m @ _axis(dx, al) for m in q] for al in range(2)]
 
         def prod(mats):
-            out = eye.copy()
+            out = eye
             for m in mats:
                 out = out @ m
             return out
 
         y0 = prod(q2)
 
-        y_m1 = np.zeros((dim, dim), dtype=complex)
+        y_m1 = np.zeros_like(a0)
         for j in range(n):
             mid = u + q[j] @ am1 + am1 @ q[j]
-            y_m1 += prod(q2[:j]) @ mid @ prod(q2[j + 1:])
+            y_m1 = y_m1 + prod(q2[:j]) @ mid @ prod(q2[j + 1:])
         for j in range(n):
             for l in range(j + 1, n):
                 for al in range(2):
-                    y_m1 -= 1j * (
+                    y_m1 = y_m1 - 1j * (
                         prod(q2[:j]) @ v[al][j] @ prod(q2[j + 1:l])
                         @ wd[al][l] @ prod(q2[l + 1:])
                     )
 
-        dxy0 = np.zeros((2, dim, dim), dtype=complex)
-        for al in range(2):
-            for j in range(n):
-                dxy0[al] += prod(q2[:j]) @ wd[al][j] @ prod(q2[j + 1:])
-
         residual = (a0 - w_i * eye) @ y0
         b = (a0 - w_i * eye) @ y_m1 + am1 @ y0
         for al in range(2):
-            b -= 1j * dxi[al] @ dxy0[al]
+            dxy0 = np.zeros_like(_axis(dx, al))
+            for j in range(n):
+                dxy0 = dxy0 + prod(q2[:j]) @ wd[al][j] @ prod(q2[j + 1:])
+            b = b - 1j * _axis(dxi, al) @ dxy0
         return residual, b
 
     def residual0(x, xi):
@@ -358,7 +368,7 @@ def build_bi_symbol(a, p, iota, order0_tol=1e-6):
 
     def b_m1(x, xi):
         residual, b = pieces(x, xi)
-        res = np.linalg.norm(residual, 2)
+        res = np.linalg.norm(residual, 2, axis=(-2, -1)).max()
         if res > order0_tol:
             raise ValueError(
                 "order 0 residual %.3e exceeds %.1e: principal symbol "

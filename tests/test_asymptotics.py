@@ -57,6 +57,27 @@ class TestSignedPowerTrace:
         with pytest.raises(ValueError):
             signed_power_trace(rot, 2, +1)
 
+    def test_stack_gives_one_trace_per_matrix(self):
+        rng = np.random.default_rng(5)
+        mats = []
+        for _ in range(6):
+            s = np.eye(3) + 0.4 * rng.normal(size=(3, 3))
+            lam = rng.uniform(-1.0, 1.0, 3)
+            mats.append(s @ np.diag(lam) @ np.linalg.inv(s))
+        mats.append(np.diag([1e-3, 0.0, -2e-3]))
+        stack = np.array(mats)
+        for sign in (+1, -1):
+            got = signed_power_trace(stack, 2, sign)
+            want = [signed_power_trace(m, 2, sign) for m in mats]
+            assert got.shape == (7,)
+            assert np.allclose(got, want, rtol=1e-13, atol=0.0)
+
+    def test_complex_matrix_in_a_stack_rejected(self):
+        rot = np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 0.5]])
+        stack = np.array([np.diag([0.3, -0.2, 0.1]), rot, np.eye(3)])
+        with pytest.raises(ValueError):
+            signed_power_trace(stack, 2, +1)
+
     def test_external_scale_admits_negligible_matrices(self):
         noise = 1e-14 * np.array([[0.0, 1.0], [-1.0, 0.0]])
         with pytest.raises(ValueError):
@@ -89,7 +110,9 @@ class TestCoefficientIntegral:
         # C_pm = (2 pi)^-2 / 2 * 4 pi * 2 pi * value^2 = value^2
         m = np.diag([0.4, -0.3, 0.0])
         field = _constant_field(
-            [lambda xi: m], weights=np.full(8, 4.0 * np.pi / 8.0), roots=(0.0,)
+            [lambda xi: np.broadcast_to(m, xi.shape[:-1] + (3, 3))],
+            weights=np.full(8, 4.0 * np.pi / 8.0),
+            roots=(0.0,),
         )
         cp, cm, info = coefficient_integral(field, 0)
         assert cp == pytest.approx(0.16, rel=1e-12)
@@ -100,9 +123,9 @@ class TestCoefficientIntegral:
     def test_angular_profile_moment(self):
         # m = cos^2(phi) e11: angular mean of cos^4 is 3/8, so C_+ = 3/8
         def m_eval(xi):
-            c2 = xi[0] ** 2 / (xi @ xi)
-            out = np.zeros((3, 3))
-            out[0, 0] = c2
+            c2 = xi[..., 0] ** 2 / np.sum(xi * xi, axis=-1)
+            out = np.zeros(xi.shape[:-1] + (3, 3))
+            out[..., 0, 0] = c2
             return out
 
         field = _constant_field(
@@ -116,8 +139,8 @@ class TestCoefficientIntegral:
         # d = 1 with the cos^2 profile: norm (2 pi)^-1, angular mean 1/2,
         # C_+ = (2 pi)^-1 * 4 pi * 2 pi * 1/2 = 2 pi
         def m_eval(xi):
-            out = np.zeros((3, 3))
-            out[0, 0] = xi[0] ** 2 / (xi @ xi)
+            out = np.zeros(xi.shape[:-1] + (3, 3))
+            out[..., 0, 0] = xi[..., 0] ** 2 / np.sum(xi * xi, axis=-1)
             return out
 
         field = _constant_field(
@@ -125,6 +148,21 @@ class TestCoefficientIntegral:
         )
         cp, _, _ = coefficient_integral(field, 0, d=1)
         assert cp == pytest.approx(2.0 * np.pi, rel=1e-12)
+
+    def test_drift_reads_the_even_directions(self):
+        # cos^20(phi) e11: its square has angular mode 40, which 32
+        # directions alias and 64 resolve
+        def m_eval(xi):
+            out = np.zeros(xi.shape[:-1] + (3, 3))
+            out[..., 0, 0] = (xi[..., 0] / np.linalg.norm(xi, axis=-1)) ** 20
+            return out
+
+        field = _constant_field([m_eval], np.full(4, np.pi), roots=(0.0,))
+        cp, cm, info = coefficient_integral(field, 0, angles=64)
+        cp_h, cm_h, _ = coefficient_integral(field, 0, angles=32)
+        rel = max(abs(cp - cp_h), abs(cm - cm_h)) / max(abs(cp), abs(cm))
+        assert info["angle_drift"] == pytest.approx(rel, rel=1e-12)
+        assert info["angle_drift"] > 1e-7
 
     def test_root_index_validated(self):
         field = _constant_field([lambda xi: np.eye(3)], [1.0], roots=(0.0,))

@@ -151,6 +151,33 @@ class TestPipeline:
         ).read_bytes()
 
 
+class TestCoeff:
+    def test_sphere_coefficients_and_rerun(self, capsys, tmp_path):
+        # C+ = kk^2 = 1/36 at +-kk and 9/16 at 0 from the exact ball
+        # spectrum; C- vanishes
+        kk = 1.0 / 6.0
+        a, b = tmp_path / "a", tmp_path / "b"
+        for d in (a, b):
+            code, out = run(capsys, "coeff", "--mesh.n", "4", "--out.dir", str(d))
+            assert code == 0
+            summary = json.loads(out)
+            assert summary["reports"] == 6
+            assert summary["k0_max_err"] < 1e-12
+            assert summary["ladder_drift"] < 1e-10
+            assert 0.0 <= summary["angle_drift"] < 1e-8
+        reps = npio.read_report_json(a / "coeff.json")["reports"]
+        assert len(reps) == 6
+        want = ((-kk, kk**2), (0.0, 9.0 / 16.0), (kk, kk**2))
+        for j, (root, c_plus) in enumerate(want):
+            plus, minus = reps[2 * j], reps[2 * j + 1]
+            assert (plus["side"], minus["side"]) == ("plus", "minus")
+            assert plus["root"] == minus["root"] == pytest.approx(root, abs=1e-15)
+            assert plus["route"] == minus["route"] == "symbol"
+            assert plus["C"] == pytest.approx(c_plus, rel=1e-6)
+            assert abs(minus["C"]) < 1e-9
+        assert (a / "coeff.json").read_bytes() == (b / "coeff.json").read_bytes()
+
+
 class TestVerify:
     def test_exit_zero_and_all_ok(self, capsys):
         code, out = run(capsys, "verify")

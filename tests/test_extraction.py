@@ -18,6 +18,7 @@ from npspec.elasticity import LameParams, np_principal_symbol
 from npspec.extraction import (
     AngularSymbol,
     HomogeneousKernelPart,
+    _principal_xi_derivative,
     angular_fourier_symbol,
     chart_kernel,
     fourier_multiplier,
@@ -335,3 +336,47 @@ class TestSymbolField:
         m_a = f.m_hat[0][1](xi)
         m_b = sphere_field.m_hat[0][1](xi)
         assert np.abs(m_a - m_b).max() < 1e-12
+
+
+@pytest.fixture(scope="module")
+def dent_field():
+    surf = make_surface("radial_graph", harmonics=[[2, 0, -0.6]])
+    return np_symbol_field(surf, P11, surface_quadrature(surf, 4))
+
+
+def _direction_stack(count=64, seed=3):
+    rng = np.random.default_rng(seed)
+    phi = rng.uniform(0.0, 2.0 * np.pi, count)
+    r = rng.uniform(0.5, 2.0, count)
+    return np.column_stack([r * np.cos(phi), r * np.sin(phi)])
+
+
+def _stack_vs_rows(fn, xis):
+    """max |fn(stack) - [fn(row) ...]| relative to the largest entry."""
+    stacked = np.asarray(fn(xis))
+    rows = np.array([fn(xi) for xi in xis])
+    assert stacked.shape == rows.shape
+    return np.abs(stacked - rows).max() / np.abs(rows).max()
+
+
+class TestStackEvaluation:
+    """A (64, 2) frequency stack evaluates to the row-by-row values."""
+
+    def test_flat_symbol_and_its_gradient(self):
+        xis = _direction_stack()
+        assert _stack_vs_rows(lambda xi: np_principal_symbol(P11, xi), xis) < 1e-13
+        assert _stack_vs_rows(lambda xi: _principal_xi_derivative(P11, xi), xis) < 1e-13
+        assert _principal_xi_derivative(P11, xis).shape == (64, 2, 3, 3)
+
+    @pytest.mark.parametrize("name", ["sphere_field", "dent_field"])
+    def test_field_evaluators(self, name, request):
+        field = request.getfixturevalue(name)
+        xis = _direction_stack()
+        for i in range(field.node_count):
+            assert _stack_vs_rows(field.k0[i], xis) < 1e-13
+            assert _stack_vs_rows(field.km1[i], xis) < 1e-13
+            for m_eval in field.m_hat[i]:
+                assert _stack_vs_rows(m_eval, xis) < 1e-13
+            # the central difference with step 1e-3 magnifies last-bit
+            # rounding about a thousand times
+            assert _stack_vs_rows(field.dxk0[i], xis) < 1e-12

@@ -157,6 +157,39 @@ class TestComposition:
             bad.xi_derivative(np.zeros(2), np.array([1.0, 0.0]))
 
 
+def _batched_symbol(seed):
+    """2x2 symbol whose closures take (..., 2) points and frequencies;
+    no derivative evaluators, so compositions take the finite
+    difference path."""
+    c = np.random.default_rng(seed).normal(size=(2, 2, 4))
+
+    def a0(x, xi):
+        r = np.linalg.norm(xi, axis=-1)[..., None, None]
+        lin = c[..., 2] * xi[..., 0, None, None] + c[..., 3] * xi[..., 1, None, None]
+        wave = np.sin(x[..., 0] + 0.2 * x[..., 1])[..., None, None]
+        return c[..., 0] + c[..., 1] * wave + lin / r
+
+    def a_m1(x, xi):
+        r = np.linalg.norm(xi, axis=-1)[..., None, None]
+        return (c[..., 1] * np.cos(x[..., 1])[..., None, None] + c[..., 2]) / r
+
+    return TwoTermSymbol(dim=2, a0=a0, a_m1=a_m1)
+
+
+class TestStackEvaluation:
+    def test_composition_on_a_frequency_stack(self):
+        c = compose(_batched_symbol(1), _batched_symbol(2))
+        x = np.array([0.3, -0.4])
+        phi = np.random.default_rng(11).uniform(0.0, 2.0 * np.pi, 64)
+        xis = np.column_stack([np.cos(phi), 1.7 * np.sin(phi)])
+        for fn in (c.a0, c.a_m1):
+            stacked = fn(x, xis)
+            rows = np.array([fn(x, xi) for xi in xis])
+            assert stacked.shape == (64, 2, 2)
+            assert np.abs(stacked - rows).max() < 1e-13 * np.abs(rows).max()
+        assert c.x_derivative(x, xis).shape == (64, 2, 2, 2)
+
+
 class TestShiftAndSubprincipal:
     def test_shift_moves_order_zero_only(self):
         f = lambda x, xi: xi[0] / np.hypot(*xi)
