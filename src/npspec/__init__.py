@@ -64,8 +64,7 @@ from .asymptotics import (
     counting_to_sequence,
 )
 from .spectral import (
-    assemble_np_matrix,
-    assemble_single_layer_matrix,
+    assemble_operators,
     spectrum,
     symmetrize,
     cluster_and_count,
@@ -110,8 +109,7 @@ __all__ = [
     "signed_power_trace",
     "coefficient_integral",
     "counting_to_sequence",
-    "assemble_np_matrix",
-    "assemble_single_layer_matrix",
+    "assemble_operators",
     "spectrum",
     "symmetrize",
     "cluster_and_count",

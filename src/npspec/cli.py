@@ -26,8 +26,7 @@ from .elasticity import (
 )
 from .extraction import fourier_multiplier, np_symbol_field
 from .spectral import (
-    assemble_np_matrix,
-    assemble_single_layer_matrix,
+    assemble_operators,
     cluster_and_count,
     fit_power_law,
     prune_counting_samples,
@@ -137,8 +136,7 @@ def cmd_assemble(cfg):
     surface = _surface(cfg)
     params = _material(cfg)
     quad = surface_quadrature(surface, int(cfg["mesh"]["n"]))
-    k_mat = assemble_np_matrix(surface, params, quad)
-    s_mat = assemble_single_layer_matrix(surface, params, quad)
+    k_mat, s_mat = assemble_operators(surface, params, quad)
     d = _outdir(cfg)
     kp = os.path.join(d, "np_matrix.npmat")
     sp = os.path.join(d, "single_layer.npmat")
@@ -152,18 +150,17 @@ def cmd_spectrum(cfg, matrix=None):
     d = _outdir(cfg)
     if matrix:
         k_mat = npio.read_npmat(matrix)
-        vals = spectrum(k_mat)
+        vals, info = spectrum(k_mat), {}
     else:
         surface = _surface(cfg)
         params = _material(cfg)
         quad = surface_quadrature(surface, int(cfg["mesh"]["n"]))
-        k_mat = assemble_np_matrix(surface, params, quad)
-        s_mat = assemble_single_layer_matrix(surface, params, quad)
-        sym, _ = symmetrize(k_mat, s_mat, weights=quad.weights)
+        k_mat, s_mat = assemble_operators(surface, params, quad)
+        sym, info = symmetrize(k_mat, s_mat, weights=quad.weights)
         vals = np.sort(np.linalg.eigvalsh(sym))
     path = os.path.join(d, "eigenvalues.csv")
     npio.write_eigenvalues_csv(path, vals)
-    print(json.dumps({"count": int(vals.size), "file": path}, sort_keys=True))
+    print(json.dumps(dict(info, count=int(vals.size), file=path), sort_keys=True))
     return 0
 
 

@@ -22,17 +22,14 @@ def write_npmat(path, mat):
     if mat.ndim != 2:
         raise ValueError("NPMAT stores matrices only")
     kind = "complex" if np.iscomplexobj(mat) else "real"
+    rows = mat
+    if kind == "complex":
+        rows = np.stack([mat.real, mat.imag], axis=-1).reshape(mat.shape[0], -1)
+    line = " ".join([_FMT] * rows.shape[1]) + "\n"
     with open(path, "w") as f:
         f.write("NPMAT v1 %d %d %s\n" % (mat.shape[0], mat.shape[1], kind))
-        for row in mat:
-            if kind == "complex":
-                toks = []
-                for v in row:
-                    toks.append(_FMT % v.real)
-                    toks.append(_FMT % v.imag)
-            else:
-                toks = [_FMT % v for v in row]
-            f.write(" ".join(toks) + "\n")
+        for row in rows:
+            f.write(line % tuple(row))
 
 
 def read_npmat(path):

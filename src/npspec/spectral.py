@@ -14,6 +14,7 @@ solve per target node, the same path on every surface kind.  The
 near-field density is coupled back to grid values through a local
 tensor barycentric interpolation stencil (with pole reflection),
 applied in transpose so the result is a matrix acting on grid data.
+One pass over the target nodes serves the double and single layer.
 
 Downstream utilities: eigenvalue extraction with a reality check,
 single layer symmetrization, cluster counting functions, power-law
@@ -91,13 +92,12 @@ def _batch_stencil(grid, thetas, phis, order):
     p = order
     ts = grid.thetas[::-1]
     n = grid.n_lat
-    ext_t = np.concatenate([-ts[:p][::-1], ts, 2.0 * math.pi - ts[-p:][::-1]])
+    r = min(p, n)  # reflected rows per pole; a grid has only n to reflect
+    ext_t = np.concatenate([-ts[:r][::-1], ts, 2.0 * math.pi - ts[-r:][::-1]])
     ext_lat = np.concatenate(
-        [np.arange(p - 1, -1, -1), np.arange(n), np.arange(n - 1, n - p - 1, -1)]
+        [np.arange(r - 1, -1, -1), np.arange(n), np.arange(n - 1, n - r - 1, -1)]
     )
-    ext_shift = np.concatenate(
-        [np.ones(p, dtype=bool), np.zeros(n, dtype=bool), np.ones(p, dtype=bool)]
-    )
+    ext_shift = np.concatenate([np.ones(r, bool), np.zeros(n, bool), np.ones(r, bool)])
     thetas = np.asarray(thetas, dtype=float)
     phis = np.asarray(phis, dtype=float)
     lo = np.searchsorted(ext_t, thetas) - p // 2
@@ -133,6 +133,13 @@ def _batch_stencil(grid, thetas, phis, order):
     return idx.reshape(m, p * p), wgt.reshape(m, p * p)
 
 
+def _interp_matrix(idx, wgt, n_nodes):
+    """Dense (npts, n_nodes) stencil weights, repeated nodes summed."""
+    npts = len(idx)
+    flat = (np.arange(npts)[:, None] * n_nodes + idx).ravel()
+    return np.bincount(flat, wgt.ravel(), npts * n_nodes).reshape(npts, n_nodes)
+
+
 def _patch_points(chart, r1, r2, n_radial, n_angular):
     """Polar patch rule in chart coordinates: points, weights, cutoff.
 
@@ -165,11 +172,13 @@ def _patch_geometry(surface, chart, w12):
     return q, g / gn[:, None], gn / (g @ chart.n)
 
 
-def _assemble(surface, quad, kernel, patch):
-    """Nystrom matrix of kernel(x, y, nu_y) -> (..., 3, 3) blocks."""
+def _assemble(surface, quad, kernels, patch):
+    """Nystrom matrices of kernel(x, y, nu_y) -> (..., 3, 3), one per
+    kernel; each node's chart, patch geometry, cutoff and interpolation
+    matrix are computed once for all kernels."""
     grid = _GridInfo(quad)
     n_nodes = quad.size
-    mat = np.zeros((3 * n_nodes, 3 * n_nodes))
+    mats = [np.zeros((3 * n_nodes, 3 * n_nodes)) for _ in kernels]
     pts = quad.points
     nrms = quad.normals
     wts = quad.weights
@@ -183,8 +192,6 @@ def _assemble(surface, quad, kernel, patch):
         n_angular = patch.n_angular or max(16, 2 * int(math.ceil(2.1 * r2 / h)))
         x = pts[i]
         others = np.arange(n_nodes) != i
-        row = np.zeros((n_nodes, 3, 3))
-        row[others] = kernel(x, pts[others], nrms[others])
         factors = wts.copy()
         d3 = pts - x[None, :]
         dist = np.linalg.norm(d3, axis=1)
@@ -194,54 +201,54 @@ def _assemble(surface, quad, kernel, patch):
             factors[near] *= 1.0 - _smoothstep(
                 np.linalg.norm(wj, axis=1), r1, r2
             )
-        block = row * factors[:, None, None]
-        mat[3 * i : 3 * i + 3, :] = np.transpose(block, (1, 0, 2)).reshape(3, -1)
         w12, wr, chi = _patch_points(chart, r1, r2, n_radial, n_angular)
         q, nu, area = _patch_geometry(surface, chart, w12)
-        contrib = (wr * chi * area)[:, None, None] * kernel(x, q, nu)
-        rq = np.linalg.norm(q, axis=1)
-        tq = np.arccos(np.clip(q[:, 2] / rq, -1.0, 1.0))
+        tq = np.arccos(np.clip(q[:, 2] / np.linalg.norm(q, axis=1), -1.0, 1.0))
         pq = np.arctan2(q[:, 1], q[:, 0])
         idx, wgt = _batch_stencil(grid, tq, pq, patch.interp_order)
-        acc = np.zeros((n_nodes, 3, 3))
-        np.add.at(
-            acc,
-            idx.ravel(),
-            (wgt[:, :, None, None] * contrib[:, None, :, :]).reshape(-1, 3, 3),
-        )
-        mat[3 * i : 3 * i + 3, :] += np.transpose(acc, (1, 0, 2)).reshape(3, -1)
-    return mat
+        interp = _interp_matrix(idx, wgt, n_nodes)
+        qw = (wr * chi * area)[:, None, None]
+        for mat, kernel in zip(mats, kernels):
+            block = np.zeros((n_nodes, 3, 3))
+            block[others] = kernel(x, pts[others], nrms[others])
+            block *= factors[:, None, None]
+            contrib = qw * kernel(x, q, nu)
+            block += (interp.T @ contrib.reshape(-1, 9)).reshape(n_nodes, 3, 3)
+            mat[3 * i : 3 * i + 3, :] = np.transpose(block, (1, 0, 2)).reshape(3, -1)
+    return mats
 
 
-def assemble_np_matrix(surface, params, quad, patch=None):
-    """Dense Nystrom matrix of the double layer operator."""
-    # the density pairs against the transposed traction-of-Kelvin
-    # matrix, the pairing under which rigid motions are
-    # 1/2-eigenfunctions
-    def kernel(x, y, nu):
+def assemble_operators(surface, params, quad, patch=None):
+    """Dense Nystrom matrices (K, S) of the double and single layer
+    operators from one pass over the target nodes.
+
+    K pairs the density against the transposed traction-of-Kelvin
+    matrix, under which rigid motions are 1/2-eigenfunctions.  S is
+    normalized so its flat-boundary symbol is single_layer_symbol
+    (negative definite), and averaged with its adjoint in the
+    quadrature inner product (sqrt-weight frame), where the continuous
+    operator is symmetric; a flat (M + M^T)/2 mixes rows with unequal
+    weights and spoils definiteness on refinement.  -S should be
+    positive definite at adequate resolution.
+    """
+    def double_layer(x, y, nu):
         return np.swapaxes(np_kernel(params, x, y, nu), -1, -2)
 
-    return _assemble(surface, quad, kernel, patch or PatchParams())
-
-
-def assemble_single_layer_matrix(surface, params, quad, patch=None):
-    """Dense Nystrom matrix of the single layer operator.
-
-    Normalized so the flat-boundary symbol is single_layer_symbol
-    (negative definite).  The raw matrix is averaged with its adjoint
-    in the quadrature inner product (scale by sqrt-weights, average
-    with the transpose, scale back), which is the frame where the
-    continuous operator is symmetric; a flat (M + M^T)/2 would mix
-    rows with unequal weights and spoils definiteness on refinement.
-    -S should be positive definite at adequate resolution.
-    """
-    def kernel(x, y, nu):
+    def single_layer(x, y, nu):
         return -0.5 * kelvin_matrix(params, x, y)
 
-    mat = _assemble(surface, quad, kernel, patch or PatchParams())
+    k_mat, s_mat = _assemble(
+        surface, quad, (double_layer, single_layer), patch or PatchParams()
+    )
+    # in place, so no second N x N copy of S outlives the average
     sw = np.repeat(np.sqrt(quad.weights), 3)
-    tilde = sw[:, None] * mat / sw[None, :]
-    return (0.5 * (tilde + tilde.T)) * sw[None, :] / sw[:, None]
+    s_mat *= sw[:, None]
+    s_mat /= sw[None, :]
+    s_mat += s_mat.T
+    s_mat *= 0.5
+    s_mat *= sw[None, :]
+    s_mat /= sw[:, None]
+    return k_mat, s_mat
 
 
 def spectrum(mat, imag_tol=1e-6):

@@ -24,8 +24,7 @@ from npspec.elasticity import (
 )
 from npspec.extraction import np_symbol_field
 from npspec.spectral import (
-    assemble_np_matrix,
-    assemble_single_layer_matrix,
+    assemble_operators,
     certified_multiplicities,
     cluster_windows,
     compactness_check,
@@ -48,8 +47,7 @@ EXACT_TAUS = np.geomspace(1e-3, 5e-2, 32)
 
 def _sphere_pipeline(n):
     quad = surface_quadrature(SPHERE, n)
-    k = assemble_np_matrix(SPHERE, P11, quad)
-    s = assemble_single_layer_matrix(SPHERE, P11, quad)
+    k, s = assemble_operators(SPHERE, P11, quad)
     a, _ = symmetrize(k, s, weights=quad.weights)
     return quad, a
 

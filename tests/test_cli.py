@@ -85,6 +85,12 @@ class TestPipeline:
 
         code, out = run(capsys, "spectrum", *out_args)
         assert code == 0
+        summary = json.loads(out)
+        assert summary["count"] == 384
+        for key in ("plemelj_residual", "symmetry_defect", "clipped_modes",
+                    "p_min_ratio"):
+            assert key in summary
+        assert summary["p_min_ratio"] > 0.0
         vals = npio.read_eigenvalues_csv(tmp_path / "eigenvalues.csv")
         assert vals.size == 384
         # head of the exact table: 0.5 with multiplicity 6

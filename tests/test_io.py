@@ -42,6 +42,27 @@ class TestNpmat:
         write_npmat(p2, mat.copy())
         assert p1.read_bytes() == p2.read_bytes()
 
+    def test_bytes_match_per_entry_formatting(self, tmp_path):
+        def per_entry(mat):
+            lines = ["NPMAT v1 %d %d %s" % (mat.shape + (
+                "complex" if np.iscomplexobj(mat) else "real",))]
+            for row in mat:
+                if np.iscomplexobj(mat):
+                    toks = [
+                        t for v in row for t in ("%.17g" % v.real, "%.17g" % v.imag)
+                    ]
+                else:
+                    toks = ["%.17g" % v for v in row]
+                lines.append(" ".join(toks))
+            return ("\n".join(lines) + "\n").encode()
+
+        real = np.array([[-0.0, 1e-300, 1e300], [3.0, -7.0, -2.5e-8]])
+        cplx = np.array([[1.0 - 0.0j, -1e-300 + 2.0j], [1e300j, -3.25 + 4.0j]])
+        for mat in (real, cplx, np.asfortranarray(cplx)):
+            path = tmp_path / "m.npmat"
+            write_npmat(path, mat)
+            assert path.read_bytes() == per_entry(mat)
+
     def test_header_line(self, tmp_path):
         path = tmp_path / "m.npmat"
         write_npmat(path, np.eye(2))

@@ -4,7 +4,9 @@ Assembly accuracy is pinned by the exact unit sphere table: rigid
 motions (translations and rotations) are 1/2-eigenfunctions of the
 double layer for any material, the dilation field x has eigenvalue
 -1/18 at lambda = mu = 1, and the symmetrized matrix reproduces the
-leading exact levels with measured margins.  Counting, fitting and
+leading exact levels with measured margins.  On an ellipsoid and a
+radial graph the translation residual max |K r - r/2| falls with the
+grid size.  Counting, fitting and
 compactness utilities are exercised on synthetic sequences with known
 exponents before they see operator data.
 """
@@ -25,12 +27,13 @@ from npspec.elasticity import (
 from npspec.spectral import (
     PatchParams,
     _GridInfo,
+    _assemble,
     _batch_stencil,
+    _interp_matrix,
     _patch_geometry,
     _patch_points,
     _smoothstep,
-    assemble_np_matrix,
-    assemble_single_layer_matrix,
+    assemble_operators,
     certified_multiplicities,
     cluster_and_count,
     cluster_windows,
@@ -50,8 +53,7 @@ KK = P11.kk
 
 def _pipeline(n):
     quad = surface_quadrature(SPHERE, n)
-    k_mat = assemble_np_matrix(SPHERE, P11, quad)
-    s_mat = assemble_single_layer_matrix(SPHERE, P11, quad)
+    k_mat, s_mat = assemble_operators(SPHERE, P11, quad)
     sym, info = symmetrize(k_mat, s_mat, weights=quad.weights)
     ev = np.linalg.eigvalsh(sym)
     return SimpleNamespace(quad=quad, k=k_mat, s=s_mat, a=sym, info=info, ev=ev)
@@ -152,6 +154,106 @@ class TestInterpolationStencil:
         got = (fv[idx] * wgt).sum(axis=1)
         assert np.abs(got - f(ths, phs)).max() < 5e-4
 
+    @pytest.mark.parametrize("n, tol", [(4, 1e-1), (6, 1.5e-2)])
+    def test_grid_with_fewer_latitudes_than_order(self, n, tol):
+        # the order-8 window then reflects every latitude at each pole;
+        # measured errors 6.4e-2 (n=4) and 7.5e-3 (n=6)
+        quad = surface_quadrature(SPHERE, n)
+        grid = _GridInfo(quad)
+
+        def f(th, ph):
+            x = np.sin(th) * np.cos(ph)
+            return np.exp(0.7 * x) * np.sin(1.3 * np.cos(th) + 0.2)
+
+        fv = f(quad.params[:, 0], quad.params[:, 1])
+        rng = np.random.default_rng(5)
+        ths = rng.uniform(0.0, np.pi, 200)
+        phs = rng.uniform(0.0, 2.0 * np.pi, 200)
+        idx, wgt = _batch_stencil(grid, ths, phs, 8)
+        assert idx.min() >= 0 and idx.max() < quad.size
+        got = (fv[idx] * wgt).sum(axis=1)
+        assert np.abs(got - f(ths, phs)).max() < tol
+
+
+class TestInterpolationMatrix:
+    @pytest.mark.parametrize("n", [4, 10])
+    def test_product_matches_scatter(self, n):
+        # one pole node's patch stencil; at n=4 the reflected and direct
+        # longitude windows share nodes, so repeated weights must sum
+        quad = surface_quadrature(SPHERE, n)
+        grid = _GridInfo(quad)
+        chart = c_chart(SPHERE, *quad.params[0])
+        r2 = 0.8 * chart.radius
+        w12, _, _ = _patch_points(chart, 0.5 * r2, r2, 10, 16)
+        q, _, _ = _patch_geometry(SPHERE, chart, w12)
+        tq = np.arccos(np.clip(q[:, 2], -1.0, 1.0))
+        idx, wgt = _batch_stencil(grid, tq, np.arctan2(q[:, 1], q[:, 0]), 8)
+        repeats = max(idx.shape[1] - np.unique(row).size for row in idx)
+        assert (repeats > 0) == (n == 4)
+        contrib = np.random.default_rng(2).normal(size=(len(q), 3, 3))
+        oracle = np.zeros((quad.size, 3, 3))
+        np.add.at(
+            oracle,
+            idx.ravel(),
+            (wgt[:, :, None, None] * contrib[:, None, :, :]).reshape(-1, 3, 3),
+        )
+        interp = _interp_matrix(idx, wgt, quad.size)
+        got = (interp.T @ contrib.reshape(len(q), 9)).reshape(-1, 3, 3)
+        assert np.abs(got - oracle).max() < 1e-15 * np.abs(oracle).max()
+
+
+class TestFusedPass:
+    @staticmethod
+    def _kernels():
+        def double_layer(x, y, nu):
+            return np.swapaxes(np_kernel(P11, x, y, nu), -1, -2)
+
+        def single_layer(x, y, nu):
+            return -0.5 * kelvin_matrix(P11, x, y)
+
+        return double_layer, single_layer
+
+    @pytest.mark.parametrize(
+        "surface",
+        [SPHERE, make_surface("ellipsoid", a=1.0, b=1.2, c=0.8)],
+        ids=["sphere", "ellipsoid"],
+    )
+    def test_both_kernels_equal_each_alone(self, surface):
+        quad = surface_quadrature(surface, 6)
+        kernels = self._kernels()
+        both = _assemble(surface, quad, kernels, PatchParams())
+        for mat, kernel in zip(both, kernels):
+            (alone,) = _assemble(surface, quad, (kernel,), PatchParams())
+            assert np.array_equal(mat, alone)
+
+
+class TestRigidMotions:
+    # max |K r - r/2| over the unit translations at n = 6, 8, 10, as
+    # measured; the sphere is left out, its residual is not monotone
+    LEVELS = {
+        "ellipsoid": (
+            make_surface("ellipsoid", a=1.0, b=1.2, c=0.8),
+            (8.03e-2, 5.30e-2, 3.38e-2),
+        ),
+        "radial_graph": (
+            make_surface("radial_graph", harmonics=[[2, 0, -0.3]]),
+            (5.03e-2, 2.38e-2, 1.34e-2),
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(LEVELS))
+    def test_translation_residual_falls_with_n(self, name):
+        surface, levels = self.LEVELS[name]
+        res = []
+        for n in (6, 8, 10):
+            quad = surface_quadrature(surface, n)
+            k, _ = assemble_operators(surface, P11, quad)
+            r = np.tile(np.eye(3), quad.size)
+            res.append(np.abs(k @ r.T - 0.5 * r.T).max())
+        assert res[0] > res[1] > res[2]
+        for got, level in zip(res, levels):
+            assert got <= 1.1 * level
+
 
 class TestKernelRow:
     """The kernels the assembly evaluates, batched over y and nu."""
@@ -240,8 +342,8 @@ class TestAssembly:
     def test_single_layer_scaling(self):
         # kernel degree -1: S on radius R equals R times S on radius 1
         big = make_surface("sphere", radius=2.0)
-        s1 = assemble_single_layer_matrix(SPHERE, P11, surface_quadrature(SPHERE, 6))
-        s2 = assemble_single_layer_matrix(big, P11, surface_quadrature(big, 6))
+        _, s1 = assemble_operators(SPHERE, P11, surface_quadrature(SPHERE, 6))
+        _, s2 = assemble_operators(big, P11, surface_quadrature(big, 6))
         assert np.linalg.norm(s2 - 2.0 * s1) / np.linalg.norm(s2) < 1e-12
 
     def test_negative_single_layer_positive_definite(self, sphere8, sphere16):
@@ -257,20 +359,20 @@ class TestAssembly:
             params=quad.params, size=quad.size,
         )
         with pytest.raises(ValueError):
-            assemble_np_matrix(SPHERE, P11, fake)
+            assemble_operators(SPHERE, P11, fake)
 
     def test_patch_stays_inside_chart(self):
         # an oversized patch cap would step off the sphere chart
         quad = surface_quadrature(SPHERE, 4)
         bad = PatchParams(outer_cap=5.0)
         with pytest.raises(ValueError):
-            assemble_np_matrix(SPHERE, P11, quad, patch=bad)
+            assemble_operators(SPHERE, P11, quad, patch=bad)
 
     def test_action_self_convergence(self):
         # fixed smooth field, grid functionals drift < 2% from n to 2n
         def functionals(n):
             q = surface_quadrature(SPHERE, n)
-            k = assemble_np_matrix(SPHERE, P11, q)
+            k, _ = assemble_operators(SPHERE, P11, q)
             p = q.points
             u = np.stack(
                 [np.sin(p[:, 0] + 0.3 * p[:, 2]), np.cos(p[:, 1]), p[:, 2] ** 2],
