@@ -37,6 +37,13 @@ def signed_power_trace(mat, d, sign, imag_tol=1e-6, zero_tol=1e-12, scale=None):
     if sign not in (+1, -1):
         raise ValueError("sign must be +1 or -1")
     vals = np.linalg.eigvals(np.asarray(mat))
+    out = _signed_traces(vals, d, imag_tol, zero_tol, scale)[0 if sign > 0 else 1]
+    return float(out) if out.ndim == 0 else out
+
+
+def _signed_traces(vals, d, imag_tol, zero_tol, scale):
+    """(plus, minus) signed power traces from eigenvalues vals (..., N),
+    with the tolerance tests of signed_power_trace."""
     rho = np.abs(vals).max(axis=-1)
     ref = np.maximum(np.maximum(rho, scale if scale is not None else 0.0), 1e-300)
     worst = np.abs(vals.imag).max(axis=-1)
@@ -49,9 +56,8 @@ def signed_power_trace(mat, d, sign, imag_tol=1e-6, zero_tol=1e-12, scale=None):
         )
     re = vals.real
     cut = zero_tol * ref[..., None]
-    keep = re > cut if sign > 0 else re < -cut
-    out = np.sum(np.where(keep, np.abs(re) ** d, 0.0), axis=-1)
-    return float(out) if out.ndim == 0 else out
+    power = np.abs(re) ** d
+    return tuple(np.sum(np.where(keep, power, 0.0), axis=-1) for keep in (re > cut, re < -cut))
 
 
 def coefficient_integral(field, iota, d=2, angles=None, imag_tol=1e-4):
@@ -80,12 +86,12 @@ def coefficient_integral(field, iota, d=2, angles=None, imag_tol=1e-4):
     sums = np.zeros((2, 2))
     for i in range(field.node_count):
         mats = np.asarray(field.m_hat[i][iota](xis))
-        for k, sub in enumerate((mats, mats[::2])):
-            ref = np.abs(sub).max()
-            w = field.weights[i] * (2.0 * np.pi / len(sub))
-            for s, sign in enumerate((+1, -1)):
-                traces = signed_power_trace(sub, d, sign, imag_tol=imag_tol, scale=ref)
-                sums[k, s] += w * traces.sum()
+        vals = np.linalg.eigvals(mats)
+        for k, step in enumerate((1, 2)):
+            ref = np.abs(mats[::step]).max()
+            w = field.weights[i] * (2.0 * np.pi / (angles // step))
+            traces = _signed_traces(vals[::step], d, imag_tol, zero_tol=1e-12, scale=ref)
+            sums[k] += [w * t.sum() for t in traces]
     (cp, cm), (cp_h, cm_h) = (2.0 * np.pi) ** (-d) / d * sums
     scale = max(abs(cp), abs(cm), 1e-30)
     info = {

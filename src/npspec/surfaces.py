@@ -26,11 +26,26 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.linalg import eigh
-from scipy.optimize import brentq
-from scipy.special import assoc_legendre_p_all
 
 _POLE_EPS = 1e-12
+
+
+def _legendre(l, m, t):
+    """Associated Legendre function P_l^m(t), 0 <= m <= l, and dP/dt.
+
+    Condon-Shortley phase: P_m^m = (-1)^m (2m - 1)!! (1 - t^2)^(m/2),
+    then the three-term recurrence in l and its t-derivative.
+    """
+    s = np.sqrt(1.0 - t * t)
+    c = (-1.0) ** m * math.prod(range(1, 2 * m, 2))
+    p = c * s**m
+    dp = -m * c * t * s ** (m - 2) if m else np.zeros_like(t)
+    p_prev = dp_prev = np.zeros_like(t)
+    for k in range(m + 1, l + 1):
+        f0, f1 = -(k + m - 1) / (k - m), (2 * k - 1) / (k - m)
+        p, p_prev = f0 * p_prev + f1 * t * p, p
+        dp, dp_prev = f0 * dp_prev + (f1 * t * dp + f1 * p_prev), dp
+    return p, dp
 
 
 def _real_sph_harm_jet(l, m, theta, phi):
@@ -38,16 +53,14 @@ def _real_sph_harm_jet(l, m, theta, phi):
 
     Returns (Y, Yt, Yp, Ytt, Ytp, Ypp), each broadcast over theta and
     phi.  Real convention: m > 0 pairs with cos(m phi), m < 0 with
-    sin(|m| phi), Condon-Shortley phase as in scipy's associated
-    Legendre functions.
+    sin(|m| phi), and the associated Legendre factor carries the
+    Condon-Shortley phase (-1)^m.
     """
     theta, phi = np.broadcast_arrays(np.asarray(theta, float), np.asarray(phi, float))
     am = abs(m)
     t = np.cos(theta)
     st = np.sin(theta)
-    table = assoc_legendre_p_all(l, am, t, diff_n=1)
-    p = table[0][l, am]
-    p1 = table[1][l, am]
+    p, p1 = _legendre(l, am, t)
     one_mt2 = np.maximum(1.0 - t * t, _POLE_EPS)
     # associated Legendre equation gives the second x-derivative
     p2 = (2.0 * t * p1 - (l * (l + 1) - am * am / one_mt2) * p) / one_mt2
@@ -246,11 +259,19 @@ def principal_curvatures(surface, theta, phi):
     Returns (kappa1, kappa2, e1, e2, normal) with kappa1 <= kappa2,
     e1, e2 orthonormal tangent vectors along the principal directions
     and (e1, e2, normal) right handed.  Curvature sign follows the
-    outward normal: the unit sphere gives kappa = -1.
+    outward normal: the unit sphere gives kappa = -1.  At umbilic
+    points (kappa1 = kappa2) e1 is the unit theta tangent.
     """
     jet = surface.jet(theta, phi)
-    vals, vecs = eigh(jet["II"], jet["I"])
-    e1 = vecs[0, 0] * jet["xt"] + vecs[1, 0] * jet["xp"]
+    # II v = kappa I v with I = L L^T: W = L^-1 II L^-T, v = L^-T y
+    inv = np.linalg.inv(np.linalg.cholesky(jet["I"]))
+    w = inv @ jet["II"] @ inv.T
+    vals, y = np.linalg.eigh(w)
+    # at an umbilic every tangent is principal: pin e1 to the theta
+    # tangent rather than let eigensolver rounding pick it
+    umbilic = abs(w[0, 1]) + abs(w[0, 0] - w[1, 1]) <= 1e-12 * max(1.0, np.abs(w).max())
+    v = (1.0, 0.0) if umbilic else inv.T @ y[:, 0]
+    e1 = v[0] * jet["xt"] + v[1] * jet["xp"]
     e1 /= np.linalg.norm(e1)
     e2 = np.cross(jet["normal"], e1)
     return vals[0], vals[1], e1, e2, jet["normal"]
@@ -309,17 +330,29 @@ class CCoordinateChart:
             stalled.append(todo[~ok])
             todo = todo[ok]
             t[todo] -= g[ok] / dg[ok]
-        for k in np.concatenate(stalled + [todo]):
-            t[k] = self._height_bisect(base[k], scale)
+        stalled = np.concatenate(stalled + [todo])
+        if stalled.size:
+            t[stalled] = self._height_bisect(base[stalled], scale)
         return t.reshape(w.shape[:-1])[()]
 
     def _height_bisect(self, base, scale):
+        """Heights along n for chart-plane points base (k, 3): one
+        bisection over all of them, each stopping at width
+        1e-15 + 8.9e-16 |t|."""
         span = 0.9 * max(1.0, scale)
-        f = lambda t: float(self.surface.implicit_value(base + t * self.n))
-        lo, hi = -span, span
-        if f(lo) * f(hi) > 0.0:
+        f = lambda t: self.surface.implicit_value(base + t[:, None] * self.n)
+        lo, hi = np.full(len(base), -span), np.full(len(base), span)
+        f_lo = f(lo)
+        if np.any(f_lo * f(hi) > 0.0):
             raise ValueError("chart ray does not cross the surface")
-        return brentq(f, lo, hi, xtol=1e-15, rtol=8.9e-16)
+        while True:
+            mid = 0.5 * (lo + hi)
+            live = np.abs(hi - lo) > 1e-15 + 8.9e-16 * np.abs(mid)
+            if not live.any():
+                return mid
+            up = f(mid) * f_lo > 0.0
+            lo = np.where(live & up, mid, lo)
+            hi = np.where(live & ~up, mid, hi)
 
     def surface_point(self, w):
         w = np.asarray(w, dtype=float)

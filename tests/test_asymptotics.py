@@ -164,6 +164,33 @@ class TestCoefficientIntegral:
         assert info["angle_drift"] == pytest.approx(rel, rel=1e-12)
         assert info["angle_drift"] > 1e-7
 
+    def test_one_eigensolve_equals_four_trace_calls(self):
+        # reference: one signed_power_trace per sign on the full grid and
+        # on its even rows, each with its own magnitude reference
+        rng = np.random.default_rng(8)
+        q = rng.normal(size=(3, 3))
+        q_inv = np.linalg.inv(q)
+
+        def m_eval(xi):
+            x, y = xi[..., 0], xi[..., 1]
+            spec = np.stack([x, y * y - 0.3, 0.2 * x * y], axis=-1)
+            return q @ (spec[..., :, None] * q_inv)
+
+        weights = rng.uniform(0.5, 1.5, size=5)
+        field = _constant_field([m_eval], weights, roots=(0.0,))
+        thetas = 2.0 * np.pi * np.arange(64) / 64
+        mats = m_eval(np.column_stack([np.cos(thetas), np.sin(thetas)]))
+        sums = np.zeros((2, 2))
+        for w in weights:
+            for k, sub in enumerate((mats, mats[::2])):
+                for s, sign in enumerate((+1, -1)):
+                    tr = signed_power_trace(sub, 2, sign, imag_tol=1e-4, scale=np.abs(sub).max())
+                    sums[k, s] += w * (2.0 * np.pi / len(sub)) * tr.sum()
+        (cp, cm), (cp_h, cm_h) = (2.0 * np.pi) ** -2 / 2 * sums
+        got_p, got_m, info = coefficient_integral(field, 0)
+        assert (got_p, got_m) == (cp, cm)
+        assert info["angle_drift"] == max(abs(cp - cp_h), abs(cm - cm_h)) / max(cp, cm)
+
     def test_root_index_validated(self):
         field = _constant_field([lambda xi: np.eye(3)], [1.0], roots=(0.0,))
         with pytest.raises(IndexError):

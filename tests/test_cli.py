@@ -6,10 +6,14 @@ documented byte-determinism of reruns.
 """
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import npspec
 from npspec import cli
 from npspec import io as npio
 from npspec.cli import load_config, main
@@ -56,6 +60,25 @@ class TestEssential:
         kk = 1.0 / (2.0 * (2.0 + 2.0))
         roots = json.loads(out)["roots"]
         assert abs(roots[2] - round(kk, 6)) < 1e-12
+
+    def test_fresh_process_imports_no_scipy(self):
+        # every CLI stage is its own process, so its start-up cost is
+        # paid per stage; scipy alone would add most of it
+        script = (
+            "import sys, npspec.cli\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+            "sys.exit(npspec.cli.main(['essential']))\n"
+        )
+        src = os.path.dirname(os.path.dirname(os.path.abspath(npspec.__file__)))
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        loaded, roots = proc.stdout.splitlines()
+        assert loaded == "[]"
+        assert json.loads(roots)["roots"] == [-0.166667, 0.0, 0.166667]
 
 
 class TestSphereExact:

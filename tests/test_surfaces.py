@@ -1,8 +1,10 @@
 """Radial-graph surfaces, charts and quadrature.
 
-Oracles: finite differences of the radial jet, closed-form ellipsoid
-curvatures at the semi-axes, the prolate spheroid area formula and
-spherical harmonic orthonormality under the product quadrature.
+Oracles: finite differences of the radial jet, closed-form associated
+Legendre functions, closed-form ellipsoid curvatures at the semi-axes,
+the generalized eigen-equation II v = kappa I v, the prolate spheroid
+area formula and spherical harmonic orthonormality under the product
+quadrature.
 """
 
 import math
@@ -11,6 +13,7 @@ import numpy as np
 import pytest
 
 from npspec.surfaces import (
+    _legendre,
     _real_sph_harm_jet,
     c_chart,
     consistent_chart,
@@ -24,6 +27,8 @@ ELLIPSOID = make_surface("ellipsoid", a=1.0, b=1.0, c=2.0)
 BUMPY = make_surface(
     "radial_graph", harmonics={(2, 0): 0.1, (3, 2): 0.05, (2, -1): 0.03}
 )
+TRIAXIAL = make_surface("ellipsoid", a=1.0, b=1.2, c=0.8)
+DENT = make_surface("radial_graph", harmonics=[[2, 0, -0.6]])
 
 
 def _fd_jet(surface, theta, phi, h=1e-4):
@@ -83,6 +88,24 @@ class TestRadialJets:
         assert np.abs(gram - np.eye(len(modes))).max() < 1e-12
 
 
+class TestLegendre:
+    CLOSED = {
+        (2, 0): lambda t: 0.5 * (3.0 * t * t - 1.0),
+        (2, 1): lambda t: -3.0 * t * np.sqrt(1.0 - t * t),
+        (3, 2): lambda t: 15.0 * t * (1.0 - t * t),
+    }
+
+    @pytest.mark.parametrize("lm", sorted(CLOSED))
+    def test_closed_forms_and_derivative(self, lm):
+        t = np.cos(np.linspace(0.05, math.pi - 0.05, 201))
+        p, dp = _legendre(*lm, t)
+        exact = self.CLOSED[lm]
+        assert np.abs(p - exact(t)).max() < 1e-13
+        h = 1e-6
+        fd = (exact(t + h) - exact(t - h)) / (2.0 * h)
+        assert np.abs(dp - fd).max() < 1e-6 * max(1.0, np.abs(fd).max())
+
+
 class TestImplicitForm:
     @pytest.mark.parametrize("surface", [SPHERE, ELLIPSOID, BUMPY])
     def test_sign_convention(self, surface):
@@ -122,6 +145,31 @@ class TestPrincipalCurvatures:
         frame = np.column_stack([e1, e2, n])
         assert np.abs(frame.T @ frame - np.eye(3)).max() < 1e-12
         assert k1 <= k2
+
+    def test_sphere_frame_pinned_to_theta_tangent(self):
+        # every sphere point is umbilic: e1 is the theta tangent, not
+        # whatever direction eigensolver rounding would pick
+        for theta, phi in surface_quadrature(SPHERE, 10).params:
+            k1, k2, e1, e2, n = principal_curvatures(SPHERE, theta, phi)
+            xt = SPHERE.jet(theta, phi)["xt"]
+            assert np.array_equal(e1, xt / np.linalg.norm(xt))
+            assert k1 == pytest.approx(-1.0, abs=1e-14)
+            assert k2 == pytest.approx(-1.0, abs=1e-14)
+            again = principal_curvatures(SPHERE, theta, phi)
+            for a, b in zip((k1, k2, e1, e2, n), again):
+                assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("surface", [TRIAXIAL, DENT])
+    def test_generalized_eigen_equation(self, surface):
+        for theta, phi in surface_quadrature(surface, 10).params:
+            k1, k2, e1, e2, n = principal_curvatures(surface, theta, phi)
+            jet = surface.jet(theta, phi)
+            tangents = np.column_stack([jet["xt"], jet["xp"]])
+            assert np.linalg.norm(e1) == pytest.approx(1.0, abs=1e-14)
+            for kappa, e in ((k1, e1), (k2, e2)):
+                v = np.linalg.lstsq(tangents, e, rcond=None)[0]
+                assert np.abs(tangents @ v - e).max() < 1e-12
+                assert np.abs(jet["II"] @ v - kappa * jet["I"] @ v).max() < 1e-12
 
 
 def _fd_hessian(chart, h=1e-3):
@@ -194,6 +242,22 @@ class TestCharts:
             chart.height(w)
         with pytest.raises(ValueError):
             chart.surface_point(w)
+
+    @pytest.mark.parametrize("surface", [SPHERE, TRIAXIAL, DENT])
+    def test_bisection_matches_newton(self, surface):
+        chart = c_chart(surface, 0.4, 1.3)
+        rng = np.random.default_rng(5)
+        w = rng.uniform(-0.6, 0.6, size=(30, 2)) * chart.radius
+        scale = np.linalg.norm(chart.origin)
+        got = chart._height_bisect(chart._plane_point(w), scale)
+        assert np.abs(got - chart.height(w)).max() < 1e-14
+
+    def test_bisection_ray_that_misses_rejected(self):
+        chart = c_chart(DENT, 0.4, 1.3)
+        base = chart._plane_point(np.zeros((4, 2)))
+        base[2] += 5.0 * chart.e1
+        with pytest.raises(ValueError, match="chart ray does not cross the surface"):
+            chart._height_bisect(base, np.linalg.norm(chart.origin))
 
     def test_frame(self):
         chart = c_chart(BUMPY, 1.4, 3.0)
