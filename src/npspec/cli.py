@@ -30,7 +30,6 @@ from .spectral import (
     cluster_and_count,
     fit_power_law,
     prune_counting_samples,
-    spectrum,
     symmetrize,
 )
 from .surfaces import make_surface, surface_quadrature
@@ -146,18 +145,32 @@ def cmd_assemble(cfg):
     return 0
 
 
+def _read_operator(path, dim):
+    """An assembled dim x dim operator matrix from an NPMAT file."""
+    try:
+        mat = npio.read_npmat(path)
+    except OSError as exc:
+        raise SystemExit("cannot read %s: %s; run assemble first" % (path, exc.strerror))
+    if mat.shape != (dim, dim):
+        raise SystemExit(
+            "%s is %dx%d; the configured mesh needs %dx%d"
+            % ((path,) + mat.shape + (dim, dim))
+        )
+    return mat
+
+
 def cmd_spectrum(cfg, matrix=None):
+    """Symmetrized spectrum of the K and S that assemble wrote: K from
+    matrix (default <out.dir>/np_matrix.npmat), S from
+    single_layer.npmat in the same directory."""
     d = _outdir(cfg)
-    if matrix:
-        k_mat = npio.read_npmat(matrix)
-        vals, info = spectrum(k_mat), {}
-    else:
-        surface = _surface(cfg)
-        params = _material(cfg)
-        quad = surface_quadrature(surface, int(cfg["mesh"]["n"]))
-        k_mat, s_mat = assemble_operators(surface, params, quad)
-        sym, info = symmetrize(k_mat, s_mat, weights=quad.weights)
-        vals = np.sort(np.linalg.eigvalsh(sym))
+    k_path = matrix or os.path.join(d, "np_matrix.npmat")
+    s_path = os.path.join(os.path.dirname(k_path), "single_layer.npmat")
+    quad = surface_quadrature(_surface(cfg), int(cfg["mesh"]["n"]))
+    k_mat = _read_operator(k_path, 3 * quad.size)
+    s_mat = _read_operator(s_path, 3 * quad.size)
+    sym, info = symmetrize(k_mat, s_mat, weights=quad.weights)
+    vals = np.sort(np.linalg.eigvalsh(sym))
     path = os.path.join(d, "eigenvalues.csv")
     npio.write_eigenvalues_csv(path, vals)
     print(json.dumps(dict(info, count=int(vals.size), file=path), sort_keys=True))
@@ -343,7 +356,10 @@ def main(argv=None):
     p.add_argument("--kmax", type=int, default=10)
     sub.add_parser("assemble")
     p = sub.add_parser("spectrum")
-    p.add_argument("--matrix", help="read an NPMAT file instead of assembling")
+    p.add_argument(
+        "--matrix", help="K matrix file (default <out.dir>/np_matrix.npmat); "
+        "S is read from single_layer.npmat beside it"
+    )
     p = sub.add_parser("count")
     p.add_argument("--eigenvalues", help="eigenvalue CSV path")
     p = sub.add_parser("fit")

@@ -18,7 +18,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .elasticity import np_kernel, np_principal_symbol
+from .elasticity import essential_spectrum, np_kernel, np_principal_symbol
 from .surfaces import c_chart, consistent_chart
 from .symbols import (
     SpectralPolynomial,
@@ -26,6 +26,13 @@ from .symbols import (
     build_bi_symbol,
     root_derivative_scale,
 )
+
+
+# steps (h, 2h) of the transported-chart differences behind dx a0
+_DX_STEPS = (1e-3, 2e-3)
+# largest accepted deviation of the extracted degree 0 symbol from the
+# closed flat-boundary form
+_K0_TOL = 1e-4
 
 
 def chart_kernel(params, chart, z):
@@ -272,57 +279,33 @@ class SymbolField:
         return self.node_params.shape[0]
 
 
-def _transported_k0(params, surface, chart, w):
-    """Degree 0 symbol at the nearby point, pulled back to the base chart."""
-    near, dz, u = consistent_chart(surface, chart, w)
-    dzi = np.linalg.inv(dz)
+def _dxk0_table(params, surface, chart, xis):
+    """Tangential derivative of the degree 0 symbol at the unit
+    directions xis (angles, 2), shape (angles, 2, 3, 3).
 
-    def value(xi):
-        eta = np.asarray(xi, dtype=float) @ dzi
-        return u @ np_principal_symbol(params, eta) @ u.T
-
-    return value
-
-
-def _dxk0_table(params, surface, chart, angles, offsets):
-    """Central difference with Richardson step halving, (angles, 2, 3, 3)."""
-    h1, h2 = offsets
-    if not math.isclose(h2, 2.0 * h1, rel_tol=1e-9):
-        raise ValueError("offsets must be (h, 2h) for the step refinement")
-    thetas = 2.0 * np.pi * np.arange(angles) / angles
-    xis = np.column_stack([np.cos(thetas), np.sin(thetas)])
-    table = []
-    for al in range(2):
-        diffs = []
-        for h in (h1, h2):
-            w = np.zeros(2)
-            w[al] = h
-            up = _transported_k0(params, surface, chart, w)
-            dn = _transported_k0(params, surface, chart, -w)
-            diffs.append((up(xis) - dn(xis)) / (2.0 * h))
-        table.append((4.0 * diffs[0] - diffs[1]) / 3.0)
-    return np.stack(table, axis=1)
+    Central differences of the flat principal symbol transported to
+    chart points +-h e_al and pulled back to the base chart, with
+    Richardson step halving over the steps h, 2h.  One consistent_chart
+    call serves the whole (step, sign, axis) block of offsets.
+    """
+    h = np.array(_DX_STEPS)
+    w = h[:, None, None, None] * np.array([1.0, -1.0])[:, None, None] * np.eye(2)
+    _, dz, u = consistent_chart(surface, chart, w)
+    eta = xis @ np.linalg.inv(dz)
+    u = u[..., None, :, :]
+    vals = u @ np_principal_symbol(params, eta) @ np.swapaxes(u, -1, -2)
+    diffs = (vals[:, 0] - vals[:, 1]) / (2.0 * h[:, None, None, None, None])
+    return np.moveaxis((4.0 * diffs[0] - diffs[1]) / 3.0, 0, 1)
 
 
-def np_symbol_field(
-    surface,
-    params,
-    quad,
-    roots=None,
-    angles=64,
-    eps_ladder=None,
-    offsets=(1e-3, 2e-3),
-    k0_tol=1e-4,
-):
+def np_symbol_field(surface, params, quad, roots=None, angles=64, eps_ladder=None):
     """Extract the two-term boundary symbol at every quadrature node.
 
     quad is a SurfaceQuadrature (nodes, weights, parameters).  roots
     defaults to the essential spectrum of the material.  The measured
     degree 0 symbol is compared with the closed flat-boundary form at
-    every node and direction; disagreement beyond k0_tol aborts.
+    every node and direction; disagreement beyond _K0_TOL aborts.
     """
-    from .elasticity import essential_spectrum
-
     if roots is None:
         roots = essential_spectrum(params)
     elif not isinstance(roots, SpectralPolynomial):
@@ -343,13 +326,12 @@ def np_symbol_field(
         km1 = angular_fourier_symbol(p1)
         err = np.abs(k0(xis) - k0_flat).max()
         k0_err = max(k0_err, err)
-        if err > k0_tol:
+        if err > _K0_TOL:
             raise ValueError(
                 "extracted degree 0 symbol off closed form by %.3e at node %d"
                 % (err, i)
             )
-        dx_table = _dxk0_table(params, surface, chart, angles, offsets)
-        dx_interp = _TrigInterpolator(dx_table)
+        dx_interp = _TrigInterpolator(_dxk0_table(params, surface, chart, xis))
         dx_eval = lambda xi, f=dx_interp: f(np.arctan2(xi[..., 1], xi[..., 0]))
         two_term = TwoTermSymbol(
             dim=3,

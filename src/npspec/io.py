@@ -4,10 +4,11 @@ NPMAT v1 container: a single header line
 
     NPMAT v1 <rows> <cols> <real|complex>
 
-followed by the entries in row-major order as whitespace-separated
-decimal literals; a complex entry is two consecutive tokens (real then
-imaginary part).  Writers use fixed repr-precision formatting so a
-rerun with identical inputs produces identical bytes.
+followed by one line per matrix row holding that row's entries as
+whitespace-separated decimal literals; a complex entry is two
+consecutive tokens (real then imaginary part).  Writers use fixed
+repr-precision formatting so a rerun with identical inputs produces
+identical bytes.
 """
 
 import json
@@ -40,14 +41,11 @@ def read_npmat(path):
         rows, cols, kind = int(header[2]), int(header[3]), header[4]
         if kind not in ("real", "complex"):
             raise ValueError("unknown NPMAT entry kind %r" % kind)
-        data = f.read().split()
+        vals = np.loadtxt(f, dtype=float, ndmin=2)
     per = 2 if kind == "complex" else 1
-    if len(data) != rows * cols * per:
+    if vals.shape != (rows, cols * per):
         raise ValueError("NPMAT token count mismatch")
-    vals = np.array(data, dtype=float)
-    if kind == "complex":
-        vals = vals[0::2] + 1j * vals[1::2]
-    return vals.reshape(rows, cols)
+    return vals.view(complex) if kind == "complex" else vals
 
 
 def write_eigenvalues_csv(path, values):

@@ -18,7 +18,10 @@ Charts: a curvature-aligned tangent chart at a surface point carries
 an orthonormal frame (e1, e2, n) with e1, e2 principal directions
 (kappa1 <= kappa2) and n the outward normal; the surface is locally
 the graph q = origin + w1 e1 + w2 e2 + F(w) n with F(0) = 0,
-grad F(0) = 0 and Hess F(0) = diag(kappa1, kappa2).
+grad F(0) = 0 and Hess F(0) = diag(kappa1, kappa2).  consistent_chart
+transports such a frame to nearby chart points, a whole (..., 2) stack
+of chart coordinates at once; the transported frames are not principal,
+and no chart is built at the new points.
 """
 
 import math
@@ -279,14 +282,13 @@ def principal_curvatures(surface, theta, phi):
 
 @dataclass(frozen=True)
 class CCoordinateChart:
-    """Tangent-plane graph chart with an orthonormal frame.
+    """Curvature-aligned tangent-plane graph chart.
 
     origin is on the surface, (e1, e2, n) orthonormal right handed
-    with n outward.  aligned=True means e1, e2 are principal
-    directions (kappa1 <= kappa2); consistent charts transported from
-    a neighbour are generally not aligned.  The height F(w) solves the
-    ray intersection origin + w1 e1 + w2 e2 + F n on the surface and
-    is defined for |w| <= radius.
+    with n outward and e1, e2 principal directions for the principal
+    curvatures kappa1 <= kappa2.  The height F(w) solves the ray
+    intersection origin + w1 e1 + w2 e2 + F n on the surface and is
+    defined for |w| <= radius.
     """
 
     surface: ParametrizedSurface
@@ -297,7 +299,6 @@ class CCoordinateChart:
     kappa1: float
     kappa2: float
     radius: float
-    aligned: bool = True
 
     def _plane_point(self, w):
         return self.origin + w[..., :1] * self.e1 + w[..., 1:] * self.e2
@@ -384,62 +385,42 @@ def c_chart(surface, theta, phi, radius=None):
         kappa1=float(k1),
         kappa2=float(k2),
         radius=float(radius),
-        aligned=True,
     )
     if abs(chart.height(np.zeros(2))) > 1e-10 * max(1.0, np.linalg.norm(origin)):
         raise ValueError("chart origin is off the surface")
     return chart
 
 
-def _loewdin_frame(e1, e2, n_new):
-    """Symmetric orthonormalization of the projections of e1, e2 onto
-    the plane orthogonal to n_new; unique and frame covariant."""
-    p1 = e1 - (e1 @ n_new) * n_new
-    p2 = e2 - (e2 @ n_new) * n_new
-    m = np.array([[p1 @ p1, p1 @ p2], [p1 @ p2, p2 @ p2]])
-    vals, vecs = np.linalg.eigh(m)
-    if vals[0] <= 1e-12:
-        raise ValueError("frame transport degenerate: normals nearly opposite")
-    inv_sqrt = vecs @ np.diag(vals ** -0.5) @ vecs.T
-    f1 = inv_sqrt[0, 0] * p1 + inv_sqrt[1, 0] * p2
-    f2 = inv_sqrt[0, 1] * p1 + inv_sqrt[1, 1] * p2
-    return f1, f2
-
-
 def consistent_chart(surface, base, w):
-    """Chart at the nearby point with chart coordinates w in base.
+    """Frames transported from base to the points with chart coordinates w.
 
-    The frame at the new point is the Loewdin orthonormalization of
-    the parallel-projected base frame, which agrees with the base
-    frame to second order in |w|.  Returns (chart, dz, u) where dz is
-    the 2x2 Jacobian of the coordinate change (rows: new frame,
-    columns: base coordinates) and u the 3x3 orthogonal frame change
-    matrix u_ij = base_i . new_j.
+    w has shape (..., 2).  The frame at each new point q is (f1, f2, n)
+    with n the normal at q and f1, f2 the Loewdin (symmetric)
+    orthonormalization of the projections of base.e1, base.e2 onto the
+    tangent plane at q; it agrees with the base frame to second order
+    in |w|.  Returns (q, dz, u): the points q (..., 3), the Jacobians
+    dz (..., 2, 2) of the coordinate change (rows: new frame, columns:
+    base coordinates) and the orthogonal frame changes u (..., 3, 3)
+    with u_ij = base_i . new_j.  One height solve gives q, and one
+    implicit gradient at q gives both n and grad F.
     """
     w = np.asarray(w, dtype=float)
     q = base.surface_point(w)
-    n_new = surface.normal(q)
-    f1, f2 = _loewdin_frame(base.e1, base.e2, n_new)
-    grad_f = base.height_gradient(w)
-    d1 = base.e1 + grad_f[0] * base.n
-    d2 = base.e2 + grad_f[1] * base.n
-    dz = np.array([[f1 @ d1, f1 @ d2], [f2 @ d1, f2 @ d2]])
+    g = surface.implicit_gradient(q)
+    n_new = g / np.linalg.norm(g, axis=-1, keepdims=True)
     r_base = np.column_stack([base.e1, base.e2, base.n])
-    r_new = np.column_stack([f1, f2, n_new])
-    u = r_base.T @ r_new
-    k1, k2, _, _, _ = principal_curvatures(surface, *_angles(q, np.linalg.norm(q)))
-    chart = CCoordinateChart(
-        surface=surface,
-        origin=q,
-        e1=f1,
-        e2=f2,
-        n=n_new,
-        kappa1=float(k1),
-        kappa2=float(k2),
-        radius=base.radius,
-        aligned=False,
-    )
-    return chart, dz, u
+    tangents = r_base[:, :2]
+    p = tangents - n_new[..., :, None] * (n_new @ tangents)[..., None, :]
+    vals, vecs = np.linalg.eigh(np.swapaxes(p, -1, -2) @ p)
+    if np.any(vals[..., 0] <= 1e-12):
+        raise ValueError("frame transport degenerate: normals nearly opposite")
+    inv_sqrt = (vecs * vals[..., None, :] ** -0.5) @ np.swapaxes(vecs, -1, -2)
+    f = p @ inv_sqrt
+    grad_f = -(g @ tangents) / (g @ base.n)[..., None]
+    d = tangents + base.n[:, None] * grad_f[..., None, :]
+    dz = np.swapaxes(f, -1, -2) @ d
+    u = r_base.T @ np.concatenate([f, n_new[..., None]], axis=-1)
+    return q, dz, u
 
 
 @dataclass(frozen=True)

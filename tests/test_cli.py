@@ -156,16 +156,36 @@ class TestPipeline:
             }
         ]
 
-    def test_spectrum_from_matrix_file(self, capsys, tmp_path):
-        mat = np.diag([0.4, -0.1, 0.25])
-        path = tmp_path / "diag.npmat"
-        npio.write_npmat(path, mat)
-        code, out = run(
-            capsys, "spectrum", "--matrix", str(path), "--out.dir", str(tmp_path)
+    def test_spectrum_reads_assembled_matrices(self, capsys, tmp_path):
+        # spectrum reads what assemble wrote; --matrix names K, and S is
+        # read from beside it
+        a, b = tmp_path / "a", tmp_path / "b"
+        code, _ = run(capsys, "assemble", "--out.dir", str(a), "--mesh.n", "6")
+        assert code == 0
+        code, out = run(capsys, "spectrum", "--out.dir", str(a), "--mesh.n", "6")
+        assert code == 0
+        assert json.loads(out)["count"] == 216
+        code, _ = run(
+            capsys, "spectrum", "--matrix", str(a / "np_matrix.npmat"),
+            "--out.dir", str(b), "--mesh.n", "6",
         )
         assert code == 0
-        vals = npio.read_eigenvalues_csv(tmp_path / "eigenvalues.csv")
-        assert np.allclose(vals, [-0.1, 0.25, 0.4])
+        assert (b / "eigenvalues.csv").read_bytes() == (a / "eigenvalues.csv").read_bytes()
+
+    def test_spectrum_without_single_layer_rejected(self, capsys, tmp_path):
+        code, _ = run(capsys, "assemble", "--out.dir", str(tmp_path), "--mesh.n", "4")
+        assert code == 0
+        (tmp_path / "single_layer.npmat").unlink()
+        with pytest.raises(SystemExit, match="single_layer.npmat.*run assemble first"):
+            main(["spectrum", "--out.dir", str(tmp_path), "--mesh.n", "4"])
+        assert not (tmp_path / "eigenvalues.csv").exists()
+
+    def test_spectrum_mesh_mismatch_rejected(self, capsys, tmp_path):
+        code, _ = run(capsys, "assemble", "--out.dir", str(tmp_path), "--mesh.n", "4")
+        assert code == 0
+        with pytest.raises(SystemExit, match="96x96; the configured mesh needs 150x150"):
+            main(["spectrum", "--out.dir", str(tmp_path), "--mesh.n", "5"])
+        assert not (tmp_path / "eigenvalues.csv").exists()
 
     def test_rerun_bytes_identical(self, capsys, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"

@@ -87,6 +87,12 @@ class TestNpmat:
         with pytest.raises(ValueError):
             read_npmat(path)
 
+    def test_rejects_ragged_rows(self, tmp_path):
+        path = tmp_path / "ragged.npmat"
+        path.write_text("NPMAT v1 2 2 real\n1 0 0\n1\n")
+        with pytest.raises(ValueError):
+            read_npmat(path)
+
 
 class TestEigenvalueCsv:
     def test_roundtrip_and_header(self, tmp_path):

@@ -263,18 +263,18 @@ class TestCharts:
         chart = c_chart(BUMPY, 1.4, 3.0)
         frame = np.column_stack([chart.e1, chart.e2, chart.n])
         assert np.abs(frame.T @ frame - np.eye(3)).max() < 1e-12
-        assert chart.aligned
 
 
 class TestConsistentCharts:
     def test_frame_change_orthogonal(self):
         base = c_chart(SPHERE, 1.0, 2.0)
-        chart, dz, u = consistent_chart(SPHERE, base, (0.01, -0.02))
+        q, dz, u = consistent_chart(SPHERE, base, (0.01, -0.02))
+        assert q.shape == (3,) and dz.shape == (2, 2) and u.shape == (3, 3)
         assert np.abs(u.T @ u - np.eye(3)).max() < 1e-12
-        assert not chart.aligned
-        assert chart.kappa1 == pytest.approx(-1.0, rel=1e-10)
-        q = base.surface_point((0.01, -0.02))
-        assert np.abs(chart.origin - q).max() < 1e-12
+        assert np.abs(q - base.surface_point((0.01, -0.02))).max() < 1e-12
+        # the third column of u is the normal at q in the base frame
+        frame = np.column_stack([base.e1, base.e2, base.n])
+        assert np.abs(frame @ u[:, 2] - SPHERE.normal(q)).max() < 1e-12
 
     def test_jacobian_near_identity(self):
         base = c_chart(ELLIPSOID, 1.1, 0.7)
@@ -290,9 +290,24 @@ class TestConsistentCharts:
         # Loewdin frames do not rotate within the tangent plane
         base = c_chart(SPHERE, 1.0, 2.0)
         h = 1e-2
-        chart, _, _ = consistent_chart(SPHERE, base, (h, h))
-        spin = chart.e1 @ base.e2 - chart.e2 @ base.e1
-        assert abs(spin) < 5.0 * h**2
+        _, _, u = consistent_chart(SPHERE, base, (h, h))
+        assert abs(u[1, 0] - u[0, 1]) < 5.0 * h**2
+
+    @pytest.mark.parametrize("surface", [SPHERE, TRIAXIAL, DENT])
+    def test_batch_matches_points(self, surface):
+        # a (step, sign, axis) offset block in one call equals one call
+        # per offset
+        base = c_chart(surface, 0.4, 1.3)
+        h = np.array([1e-3, 2e-3])
+        w = h[:, None, None, None] * np.array([1.0, -1.0])[:, None, None] * np.eye(2)
+        q, dz, u = consistent_chart(surface, base, w)
+        assert q.shape == (2, 2, 2, 3)
+        assert dz.shape == (2, 2, 2, 2, 2) and u.shape == (2, 2, 2, 3, 3)
+        for idx in np.ndindex(2, 2, 2):
+            q1, dz1, u1 = consistent_chart(surface, base, w[idx])
+            assert np.abs(q[idx] - q1).max() < 1e-14
+            assert np.abs(dz[idx] - dz1).max() < 1e-14
+            assert np.abs(u[idx] - u1).max() < 1e-14
 
 
 class TestQuadrature:
