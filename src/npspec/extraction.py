@@ -45,15 +45,10 @@ def chart_kernel(params, chart, z):
     against chart coordinates reproduce surface integrals.  Returns
     shape (..., 3, 3).
     """
-    q = chart.surface_point(-np.asarray(z, dtype=float))
-    g = chart.surface.implicit_gradient(q)
-    gn = g @ chart.n
-    if np.any(gn <= 0.0):
-        raise ValueError("chart point beyond the horizon of the chart")
-    g_norm = np.linalg.norm(g, axis=-1)
-    k_lab = np_kernel(params, chart.origin, q, g / g_norm[..., None])
+    q, nu, area = chart.geometry(-np.asarray(z, dtype=float))
+    k_lab = np_kernel(params, chart.origin, q, nu)
     frame = np.column_stack([chart.e1, chart.e2, chart.n])
-    return (g_norm / gn)[..., None, None] * (frame.T @ k_lab @ frame)
+    return area[..., None, None] * (frame.T @ k_lab @ frame)
 
 
 @dataclass(frozen=True)
@@ -76,31 +71,41 @@ class HomogeneousKernelPart:
 
     @cached_property
     def _interpolator(self):
-        return _TrigInterpolator(self.samples)
+        return _TrigSeries.interpolating(self.samples)
 
     def __call__(self, theta):
         return self._interpolator(theta).real
 
 
-class _TrigInterpolator:
-    """Trigonometric interpolation of samples over equispaced angles.
+class _TrigSeries:
+    """Trigonometric series sum_n c_n exp(i n theta).
 
-    samples has shape (M, ...) at angles 2 pi j / M.  The FFT is taken
-    once; a call evaluates an array of angles of any shape and returns
-    shape angles.shape + samples.shape[1:].  The Nyquist mode enters as
-    a cosine, so real samples interpolate to real values.
+    ns holds the integer modes and coeffs the coefficients, shape
+    (len(ns), ...).  A call evaluates an array of angles of any shape
+    and returns shape angles.shape + coeffs.shape[1:].
     """
 
-    def __init__(self, samples):
+    def __init__(self, ns, coeffs):
+        self._ns = np.asarray(ns, dtype=float)
+        self._coeffs = np.asarray(coeffs)
+
+    @classmethod
+    def interpolating(cls, samples):
+        """Trigonometric interpolant of samples (M, ...) over the angles
+        2 pi j / M, M even.  The FFT is taken once.  The Nyquist
+        coefficient is split evenly over the modes -M/2 and M/2, so it
+        enters as a cosine and real samples interpolate to real values."""
         samples = np.asarray(samples)
         m = samples.shape[0]
-        self._coeffs = np.fft.fft(samples, axis=0) / m
-        self._ns = np.fft.fftfreq(m, 1.0 / m)
-        self._nyquist = np.abs(self._ns) == m / 2
+        if m % 2:
+            raise ValueError("trigonometric interpolation needs an even sample count")
+        coeffs = np.fft.fft(samples, axis=0) / m
+        coeffs[m // 2] *= 0.5
+        ns = np.append(np.fft.fftfreq(m, 1.0 / m), m // 2)
+        return cls(ns, np.concatenate([coeffs, coeffs[m // 2 : m // 2 + 1]]))
 
     def __call__(self, theta):
-        arg = self._ns * np.asarray(theta, dtype=float)[..., None]
-        phase = np.where(self._nyquist, np.cos(arg), np.exp(1j * arg))
+        phase = np.exp(1j * self._ns * np.asarray(theta, dtype=float)[..., None])
         return np.tensordot(phase, self._coeffs, axes=(-1, 0))
 
 
@@ -192,9 +197,9 @@ class AngularSymbol:
     modes: dict
 
     @cached_property
-    def _table(self):
-        ns = np.array(list(self.modes), dtype=float)
-        return ns, np.array(list(self.modes.values())).reshape(-1, 3, 3)
+    def _series(self):
+        coeffs = np.array(list(self.modes.values())).reshape(-1, 3, 3)
+        return _TrigSeries(list(self.modes), coeffs)
 
     def __call__(self, xi):
         xi = np.asarray(xi, dtype=float)
@@ -202,9 +207,7 @@ class AngularSymbol:
         if np.any(r == 0.0):
             raise ValueError("xi = 0 rejected")
         phi = np.arctan2(xi[..., 1], xi[..., 0])
-        ns, coeffs = self._table
-        val = np.tensordot(np.exp(1j * ns * phi[..., None]), coeffs, axes=(-1, 0))
-        return val * r[..., None, None] ** self.degree
+        return self._series(phi) * r[..., None, None] ** self.degree
 
 
 def angular_fourier_symbol(part, even_tol=1e-8):
@@ -331,7 +334,7 @@ def np_symbol_field(surface, params, quad, roots=None, angles=64, eps_ladder=Non
                 "extracted degree 0 symbol off closed form by %.3e at node %d"
                 % (err, i)
             )
-        dx_interp = _TrigInterpolator(_dxk0_table(params, surface, chart, xis))
+        dx_interp = _TrigSeries.interpolating(_dxk0_table(params, surface, chart, xis))
         dx_eval = lambda xi, f=dx_interp: f(np.arctan2(xi[..., 1], xi[..., 0]))
         two_term = TwoTermSymbol(
             dim=3,

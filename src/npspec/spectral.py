@@ -10,7 +10,8 @@ physical size (a fraction of the chart radius), so the cutoff stays
 resolved by the global rule as the grid refines; its polar quadrature
 grows with the patch-to-mesh ratio to keep the density resolved.
 Patch points, normals and area factors come from one batched chart
-solve per target node, the same path on every surface kind.  The
+solve per target node (CCoordinateChart.geometry, shared with symbol
+extraction), the same path on every surface kind.  The
 near-field density is coupled back to grid values through a local
 tensor barycentric interpolation stencil (with pole reflection),
 applied in transpose so the result is a matrix acting on grid data.
@@ -32,25 +33,24 @@ from .surfaces import c_chart
 from .symbols import SpectralPolynomial, matrix_polynomial
 
 
-@dataclass(frozen=True)
-class PatchParams:
-    """Blended polar patch controls for the singular correction.
-
-    Radii are multiples of the local mesh size h = sqrt(node weight),
-    capped at a fraction of the chart radius.  With the default
-    multiples the cap binds at any practical resolution, so the patch
-    keeps a fixed physical size and the cutoff remains smooth on the
-    scale the global rule resolves; an h-scaled patch stalls the far
-    field at first order.  Quadrature sizes of 0 mean: grow with the
-    patch-to-mesh ratio.
-    """
-
-    inner: float = 24.0
-    outer: float = 48.0
-    outer_cap: float = 0.8
-    n_radial: int = 0
-    n_angular: int = 0
-    interp_order: int = 8
+# Blended polar patch: radii are multiples of the local mesh size
+# h = sqrt(node weight), capped at a fraction of the chart radius.  With
+# these multiples the cap binds at any practical resolution, so the
+# patch keeps a fixed physical size and the cutoff remains smooth on the
+# scale the global rule resolves; an h-scaled patch stalls the far field
+# at first order.  The polar rule grows with the patch-to-mesh ratio.
+_PATCH_INNER = 24.0
+_PATCH_OUTER = 48.0
+_PATCH_CAP = 0.8
+# points per direction of the tensor interpolation stencil
+_INTERP_ORDER = 8
+# counting grids start at this fraction of the root gap
+_TAU_FLOOR = 1e-3
+# power-law fits need this many nonzero counts spanning this many decades
+_FIT_MIN_POINTS = 8
+_FIT_MIN_DECADES = 1.0
+# share of the smallest-tau counting samples dropped as under-resolved
+_PRUNE_FRACTION = 1.0 / 3.0
 
 
 def _smoothstep(s, r1, r2):
@@ -163,16 +163,7 @@ def _patch_points(chart, r1, r2, n_radial, n_angular):
     return w12.reshape(-1, 2), wr, chi
 
 
-def _patch_geometry(surface, chart, w12):
-    """Surface points, unit normals and chart area factors at patch
-    coordinates w12 (M, 2), from one batched chart solve."""
-    q = chart.surface_point(w12)
-    g = surface.implicit_gradient(q)
-    gn = np.linalg.norm(g, axis=1)
-    return q, g / gn[:, None], gn / (g @ chart.n)
-
-
-def _assemble(surface, quad, kernels, patch):
+def _assemble(surface, quad, kernels):
     """Nystrom matrices of kernel(x, y, nu_y) -> (..., 3, 3), one per
     kernel; each node's chart, patch geometry, cutoff and interpolation
     matrix are computed once for all kernels."""
@@ -186,10 +177,10 @@ def _assemble(surface, quad, kernels, patch):
         th, ph = quad.params[i]
         chart = c_chart(surface, th, ph)
         h = math.sqrt(wts[i])
-        r2 = min(patch.outer * h, patch.outer_cap * chart.radius)
-        r1 = min(patch.inner * h, 0.5 * r2)
-        n_radial = patch.n_radial or max(10, int(math.ceil(1.6 * r2 / h)) + 2)
-        n_angular = patch.n_angular or max(16, 2 * int(math.ceil(2.1 * r2 / h)))
+        r2 = min(_PATCH_OUTER * h, _PATCH_CAP * chart.radius)
+        r1 = min(_PATCH_INNER * h, 0.5 * r2)
+        n_radial = max(10, int(math.ceil(1.6 * r2 / h)) + 2)
+        n_angular = max(16, 2 * int(math.ceil(2.1 * r2 / h)))
         x = pts[i]
         others = np.arange(n_nodes) != i
         factors = wts.copy()
@@ -202,10 +193,10 @@ def _assemble(surface, quad, kernels, patch):
                 np.linalg.norm(wj, axis=1), r1, r2
             )
         w12, wr, chi = _patch_points(chart, r1, r2, n_radial, n_angular)
-        q, nu, area = _patch_geometry(surface, chart, w12)
+        q, nu, area = chart.geometry(w12)
         tq = np.arccos(np.clip(q[:, 2] / np.linalg.norm(q, axis=1), -1.0, 1.0))
         pq = np.arctan2(q[:, 1], q[:, 0])
-        idx, wgt = _batch_stencil(grid, tq, pq, patch.interp_order)
+        idx, wgt = _batch_stencil(grid, tq, pq, _INTERP_ORDER)
         interp = _interp_matrix(idx, wgt, n_nodes)
         qw = (wr * chi * area)[:, None, None]
         for mat, kernel in zip(mats, kernels):
@@ -218,7 +209,7 @@ def _assemble(surface, quad, kernels, patch):
     return mats
 
 
-def assemble_operators(surface, params, quad, patch=None):
+def assemble_operators(surface, params, quad):
     """Dense Nystrom matrices (K, S) of the double and single layer
     operators from one pass over the target nodes.
 
@@ -237,9 +228,7 @@ def assemble_operators(surface, params, quad, patch=None):
     def single_layer(x, y, nu):
         return -0.5 * kelvin_matrix(params, x, y)
 
-    k_mat, s_mat = _assemble(
-        surface, quad, (double_layer, single_layer), patch or PatchParams()
-    )
+    k_mat, s_mat = _assemble(surface, quad, (double_layer, single_layer))
     # in place, so no second N x N copy of S outlives the average
     sw = np.repeat(np.sqrt(quad.weights), 3)
     s_mat *= sw[:, None]
@@ -269,9 +258,12 @@ def symmetrize(k_mat, s_mat, weights=None, floor=1e-3, indefinite_tol=1e-2):
     With quadrature weights given, both matrices are first conjugated
     by sqrt-weights into the frame where the transpose is the discrete
     L2 adjoint; the symmetry identity K S = S K^T only closes there.
-    Uses P = -S (positive definite) and returns
-    (P^(-1/2) K P^(1/2) symmetrized, info).  The similarity preserves
-    the spectrum of K exactly before the final averaging.
+    Uses P = -sym(S) = V L V^T (positive definite) and returns
+    (sym(a), info) with a = L^(-1/2) B L^(1/2) and B = V^T K V: the
+    matrix P^(-1/2) K P^(1/2) written in the eigenbasis of P, so two
+    N^3 products serve the transform and both diagnostics.  The
+    similarity preserves the spectrum of K exactly before the final
+    averaging.
 
     Eigenvalues of P below floor x max are clipped to that level
     before taking square roots: on refinement the smallest discrete
@@ -280,9 +272,10 @@ def symmetrize(k_mat, s_mat, weights=None, floor=1e-3, indefinite_tol=1e-2):
     the count is reported, not hidden.  P with eigenvalues below
     -indefinite_tol x max is rejected as genuinely indefinite.
 
-    info holds plemelj_residual |KS - S K^T| / (|K| |S|), the
-    symmetry_defect of the transformed matrix before averaging,
-    clipped_modes and p_min_ratio (min/max eigenvalue of P).
+    info holds plemelj_residual |K P - P K^T| / (|K| |S|), measured
+    against P = -sym(S) as |B L - L B^T| (Frobenius norms are invariant
+    under V), the symmetry_defect of a before averaging, clipped_modes
+    and p_min_ratio (min/max eigenvalue of P).
     """
     k = np.asarray(k_mat, dtype=float)
     s = np.asarray(s_mat, dtype=float)
@@ -292,8 +285,7 @@ def symmetrize(k_mat, s_mat, weights=None, floor=1e-3, indefinite_tol=1e-2):
             raise ValueError("weights do not match matrix size")
         k = sw[:, None] * k / sw[None, :]
         s = sw[:, None] * s / sw[None, :]
-    p = -0.5 * (s + s.T)
-    vals, vecs = np.linalg.eigh(p)
+    vals, vecs = np.linalg.eigh(-0.5 * (s + s.T))
     vmax = vals.max()
     if vmax <= 0.0 or vals.min() < -indefinite_tol * vmax:
         raise ValueError(
@@ -301,14 +293,13 @@ def symmetrize(k_mat, s_mat, weights=None, floor=1e-3, indefinite_tol=1e-2):
             "refine the grid" % (vals.min(), vmax)
         )
     clipped = int(np.sum(vals < floor * vmax))
-    vals_cl = np.maximum(vals, floor * vmax)
-    p_half = (vecs * np.sqrt(vals_cl)) @ vecs.T
-    p_ihalf = (vecs / np.sqrt(vals_cl)) @ vecs.T
-    a = p_ihalf @ k @ p_half
-    defect = np.linalg.norm(a - a.T) / max(np.linalg.norm(a), 1e-30)
-    plemelj = np.linalg.norm(k @ s - s @ k.T) / max(
+    root = np.sqrt(np.maximum(vals, floor * vmax))
+    b = vecs.T @ k @ vecs
+    plemelj = np.linalg.norm(b * vals - vals[:, None] * b.T) / max(
         np.linalg.norm(k) * np.linalg.norm(s), 1e-30
     )
+    a = b * root / root[:, None]
+    defect = np.linalg.norm(a - a.T) / max(np.linalg.norm(a), 1e-30)
     return 0.5 * (a + a.T), {
         "symmetry_defect": defect,
         "plemelj_residual": plemelj,
@@ -337,11 +328,11 @@ def cluster_windows(roots, guard=0.05):
     return om, wins
 
 
-def cluster_and_count(eigenvalues, roots, n_tau=24, guard=0.05, tau_floor=1e-3):
+def cluster_and_count(eigenvalues, roots, n_tau=24, guard=0.05):
     """Two-sided counting functions near each essential spectrum root.
 
     Returns a list of records {root, window, tau, n_plus, n_minus,
-    total} with tau on a geometric grid from tau_floor x gap up to the
+    total} with tau on a geometric grid from _TAU_FLOOR x gap up to the
     window half width.  n_plus(tau) counts eigenvalues in
     (root + tau, zeta_plus], n_minus in [zeta_minus, root - tau).
     """
@@ -352,7 +343,7 @@ def cluster_and_count(eigenvalues, roots, n_tau=24, guard=0.05, tau_floor=1e-3):
     out = []
     for w, (zl, zr) in zip(om, wins):
         width = min(w - zl, zr - w)
-        taus = np.geomspace(tau_floor * width / (0.5 - guard), width, n_tau)
+        taus = np.geomspace(_TAU_FLOOR * width / (0.5 - guard), width, n_tau)
         npl = np.array([np.sum((ev > w + t) & (ev <= zr)) for t in taus])
         nmi = np.array([np.sum((ev < w - t) & (ev >= zl)) for t in taus])
         out.append(
@@ -378,11 +369,11 @@ class FitResult:
     points_used: int
 
 
-def fit_power_law(tau, counts, min_points=8, min_decades=1.0):
+def fit_power_law(tau, counts):
     """Log-log least squares fit over the asymptotic subrange.
 
-    Keeps strictly positive counts, requires at least min_points
-    samples spanning min_decades in tau, and fits the largest-count
+    Keeps strictly positive counts, requires at least _FIT_MIN_POINTS
+    samples spanning _FIT_MIN_DECADES in tau, and fits the largest-count
     half of the data (the small-tau side, where the asymptotic law
     dominates).  residual is the max |log n - log fit| over the points
     used.
@@ -391,12 +382,12 @@ def fit_power_law(tau, counts, min_points=8, min_decades=1.0):
     counts = np.asarray(counts, dtype=float)
     keep = counts >= 1.0
     tau, counts = tau[keep], counts[keep]
-    if tau.size < min_points:
+    if tau.size < _FIT_MIN_POINTS:
         raise ValueError("too few nonzero counting samples: %d" % tau.size)
-    if math.log10(tau.max() / tau.min()) < min_decades:
+    if math.log10(tau.max() / tau.min()) < _FIT_MIN_DECADES:
         raise ValueError("counting samples span less than the required decades")
     order = np.argsort(counts)[::-1]
-    m = max(min_points // 2, order.size // 2)
+    m = max(_FIT_MIN_POINTS // 2, order.size // 2)
     sel = np.sort(order[:m])
     lt, ln = np.log(tau[sel]), np.log(counts[sel])
     a = np.column_stack([np.ones_like(lt), -lt])
@@ -408,8 +399,8 @@ def fit_power_law(tau, counts, min_points=8, min_decades=1.0):
     )
 
 
-def prune_counting_samples(tau, counts, drop_fraction=1.0 / 3.0):
-    """Drop the smallest-tau fraction of discretized counting data.
+def prune_counting_samples(tau, counts):
+    """Drop the smallest-tau _PRUNE_FRACTION of discretized counting data.
 
     Finite matrices under-resolve the spectrum nearest the root, so
     the smallest tau values are biased; exact counting data needs no
@@ -418,7 +409,7 @@ def prune_counting_samples(tau, counts, drop_fraction=1.0 / 3.0):
     tau = np.asarray(tau, dtype=float)
     counts = np.asarray(counts, dtype=float)
     order = np.argsort(tau)
-    k = int(len(tau) * drop_fraction)
+    k = int(len(tau) * _PRUNE_FRACTION)
     keep = np.sort(order[k:])
     return tau[keep], counts[keep]
 

@@ -31,6 +31,8 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 _POLE_EPS = 1e-12
+# chart radius times the largest curvature scale at the chart origin
+_CHART_REACH = 0.45
 
 
 def _legendre(l, m, t):
@@ -165,10 +167,14 @@ class ParametrizedSurface:
     def jet(self, theta, phi):
         """Position, tangent and second derivative vectors, normal, I, II.
 
-        II uses the outward normal, so the unit sphere has
-        kappa1 = kappa2 = -1 in this convention.
+        x, xt, xp and normal have shape (..., 3), area shape (...), and
+        the fundamental forms I and II shape (..., 2, 2), over the
+        broadcast shape of theta and phi.  II uses the outward normal,
+        so the unit sphere has kappa1 = kappa2 = -1 in this convention.
         """
-        r, rt, rp, rtt, rtp, rpp = self.rho_jet(theta, phi)
+        r, rt, rp, rtt, rtp, rpp = (
+            np.expand_dims(v, -1) for v in self.rho_jet(theta, phi)
+        )
         u, ut, up, utt, utp, upp = _radial_direction_jet(theta, phi)
         x = r * u
         xt = rt * u + r * ut
@@ -177,22 +183,18 @@ class ParametrizedSurface:
         xtp = rtp * u + rt * up + rp * ut + r * utp
         xpp = rpp * u + 2.0 * rp * up + r * upp
         nv = np.cross(xt, xp)
-        nn = np.linalg.norm(nv)
-        if nn == 0.0:
+        nn = np.sqrt(_dot(nv, nv))
+        if np.any(nn == 0.0):
             raise ValueError("degenerate parametrization point")
-        normal = nv / nn
-        first = np.array([[xt @ xt, xt @ xp], [xt @ xp, xp @ xp]])
-        second = np.array(
-            [[normal @ xtt, normal @ xtp], [normal @ xtp, normal @ xpp]]
-        )
+        normal = nv / nn[..., None]
         return {
             "x": x,
             "xt": xt,
             "xp": xp,
             "normal": normal,
             "area": nn,
-            "I": first,
-            "II": second,
+            "I": _form(_dot(xt, xt), _dot(xt, xp), _dot(xp, xp)),
+            "II": _form(_dot(normal, xtt), _dot(normal, xtp), _dot(normal, xpp)),
         }
 
     def implicit_value(self, point):
@@ -220,6 +222,17 @@ class ParametrizedSurface:
     def normal(self, point):
         g = self.implicit_gradient(point)
         return g / np.linalg.norm(g, axis=-1, keepdims=True)
+
+
+def _dot(a, b):
+    """Dot products over the last axis.  Each row is one BLAS dot, as
+    for 1-d arrays, so a stacked call reproduces per-point calls."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def _form(e, f, g):
+    """Symmetric 2 x 2 forms [[e, f], [f, g]] of shape (..., 2, 2)."""
+    return np.stack([np.stack([e, f], axis=-1), np.stack([f, g], axis=-1)], axis=-2)
 
 
 def _inverse_sqrt_jet(g, gt, gp, gtt, gtp, gpp):
@@ -359,23 +372,28 @@ class CCoordinateChart:
         w = np.asarray(w, dtype=float)
         return self._plane_point(w) + np.expand_dims(self.height(w), -1) * self.n
 
-    def height_gradient(self, w):
-        """grad F(w) from the implicit surface function."""
-        g = self.surface.implicit_gradient(self.surface_point(w))
-        gn = np.expand_dims(g @ self.n, -1)
-        return -np.stack([g @ self.e1, g @ self.e2], axis=-1) / gn
+    def geometry(self, w):
+        """Surface points q (..., 3), unit normals (..., 3) and area
+        factors |grad g| / (grad g . n) at chart coordinates w (..., 2),
+        from one height solve.  The area factor is the chart area element
+        sqrt(1 + |grad F|^2); a point past the chart horizon, where the
+        surface normal turns away from n, is a ValueError."""
+        q = self.surface_point(w)
+        g = self.surface.implicit_gradient(q)
+        gn = g @ self.n
+        if np.any(gn <= 0.0):
+            raise ValueError("chart point beyond the horizon of the chart")
+        g_norm = np.linalg.norm(g, axis=-1)
+        return q, g / g_norm[..., None], g_norm / gn
 
-    def normal_at(self, w):
-        return self.surface.normal(self.surface_point(w))
 
-
-def c_chart(surface, theta, phi, radius=None):
-    """Curvature-aligned chart at the parameter point (theta, phi)."""
+def c_chart(surface, theta, phi):
+    """Curvature-aligned chart at the parameter point (theta, phi); its
+    radius is _CHART_REACH over the largest of |kappa1|, |kappa2| and
+    1 / |origin|."""
     k1, k2, e1, e2, n = principal_curvatures(surface, theta, phi)
     origin = surface.position(theta, phi)
-    if radius is None:
-        kmax = max(abs(k1), abs(k2), 1.0 / max(np.linalg.norm(origin), 1e-12))
-        radius = 0.45 / kmax
+    kmax = max(abs(k1), abs(k2), 1.0 / max(np.linalg.norm(origin), 1e-12))
     chart = CCoordinateChart(
         surface=surface,
         origin=origin,
@@ -384,7 +402,7 @@ def c_chart(surface, theta, phi, radius=None):
         n=n,
         kappa1=float(k1),
         kappa2=float(k2),
-        radius=float(radius),
+        radius=float(_CHART_REACH / kmax),
     )
     if abs(chart.height(np.zeros(2))) > 1e-10 * max(1.0, np.linalg.norm(origin)):
         raise ValueError("chart origin is off the surface")
@@ -448,21 +466,18 @@ def surface_quadrature(surface, n):
     if n < 4:
         raise ValueError("need at least 4 latitude nodes")
     xs, ws = leggauss(n)
+    # math.acos per latitude, not np.arccos, which can differ in the
+    # last bit: the node angles seed the symbol-route charts, and the
+    # degree -1 extraction moves by about 1e-9 per ulp of chart geometry
+    thetas = np.array([math.acos(x) for x in xs])
     phis = 2.0 * np.pi * np.arange(2 * n) / (2 * n)
     wphi = 2.0 * np.pi / (2 * n)
-    pts, wts, nrms, prms = [], [], [], []
-    for x, wg in zip(xs, ws):
-        theta = math.acos(x)
-        st = math.sin(theta)
-        for phi in phis:
-            jet = surface.jet(theta, phi)
-            pts.append(jet["x"])
-            wts.append(wg * wphi * jet["area"] / st)
-            nrms.append(jet["normal"])
-            prms.append((theta, phi))
+    jet = surface.jet(thetas[:, None], phis[None, :])
+    wts = (ws * wphi)[:, None] * jet["area"] / np.sin(thetas)[:, None]
+    prms = np.stack(np.broadcast_arrays(thetas[:, None], phis[None, :]), axis=-1)
     return SurfaceQuadrature(
-        points=np.array(pts),
-        weights=np.array(wts),
-        normals=np.array(nrms),
-        params=np.array(prms),
+        points=jet["x"].reshape(-1, 3),
+        weights=wts.ravel(),
+        normals=jet["normal"].reshape(-1, 3),
+        params=prms.reshape(-1, 2),
     )

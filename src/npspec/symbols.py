@@ -8,20 +8,22 @@ xi of shape (..., 2), nonzero, to N x N complex matrices of shape
 evaluated in one call and a single point is the case with no leading
 axes.
 
-Composition convention.  The first order composition correction is
-the standard one,
+Composition convention.  The two-term product is
 
+    (a # b)_0    = a0 b0,
     (a # b)_{-1} = a0 b_m1 + a_m1 b0 - i sum_a d_{xi_a} a0 d_{x_a} b0,
 
-and the subprincipal symbol is a_m1 - (i/2) sum_a d_x d_xi a0.  The
-sign of the derivative terms is tied to the kernel transform and
-frame transport conventions of the extraction module; the pairing
-used here is pinned empirically by the exact sphere spectrum (see
-the cluster symbol tests).
+with first derivatives of (a # b)_0 by the product rule.  Both are
+written once, as array functions of the operands' jets; compose calls
+them per slot and build_bi_symbol folds them over the factors of
+p_iota(A).  The subprincipal symbol is a_m1 - (i/2) sum_a d_x d_xi a0.
+The sign of the derivative terms is tied to the kernel transform and
+frame transport conventions of the extraction module; it is pinned by
+the exact sphere spectrum (see the cluster symbol tests).
 """
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
@@ -30,6 +32,9 @@ MatrixEvaluator = Callable[[np.ndarray, np.ndarray], np.ndarray]
 # derivative evaluators return an array of shape (..., 2, N, N): one
 # matrix per coordinate direction, indexed as [..., al, :, :]
 DerivativeEvaluator = Callable[[np.ndarray, np.ndarray], np.ndarray]
+
+# largest accepted norm of the order 0 part p_iota(a0) of a cluster symbol
+_ORDER0_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -111,6 +116,9 @@ def _x_step(x):
 
 
 def _fd_x_derivative(f, x, xi, dim):
+    """Central differences in x of the evaluator f.  The direction axis
+    goes before f's own trailing axes: (..., 2, N, N) for a matrix
+    evaluator, (..., 2, 2, N, N) for a derivative evaluator."""
     x = np.asarray(x, dtype=float)
     h = _x_step(x)
     out = []
@@ -118,8 +126,9 @@ def _fd_x_derivative(f, x, xi, dim):
         e = h * np.eye(2)[al]
         fp = _check_fiber(np.asarray(f(x + e, xi)), dim)
         fm = _check_fiber(np.asarray(f(x - e, xi)), dim)
-        out.append((fp - fm) / (2 * h[..., None]))
-    return np.stack(out, axis=-3).astype(complex)
+        tail = fp.ndim - len(_lead_shape(x, xi))
+        out.append((fp - fm) / (2 * h.reshape(h.shape[:-1] + (1,) * tail)))
+    return np.stack(out, axis=-1 - tail).astype(complex)
 
 
 def _fd_xi_derivative(f, x, xi, dim, h=1e-5):
@@ -161,9 +170,16 @@ def identity_symbol(dim):
     )
 
 
-def _axis(d, al):
-    """Matrices of derivative direction al from a (..., 2, N, N) array."""
-    return d[..., al, :, :]
+def _product_m1(a0, a_m1, dxi_a0, b0, b_m1, dx_b0):
+    """Order -1 term of a # b from the operands' jets: a0, a_m1, b0,
+    b_m1 of shape (..., N, N), dxi_a0 and dx_b0 of shape (..., 2, N, N)."""
+    return a0 @ b_m1 + a_m1 @ b0 - 1j * np.sum(dxi_a0 @ dx_b0, axis=-3)
+
+
+def _product_rule(da, a0, db, b0):
+    """Derivative (..., 2, N, N) of a0 b0 from the factors and their
+    derivatives da, db of shape (..., 2, N, N)."""
+    return da @ b0[..., None, :, :] + a0[..., None, :, :] @ db
 
 
 def compose(a, b):
@@ -174,36 +190,33 @@ def compose(a, b):
 
     Derivative evaluators of the product are propagated by the product
     rule, so composites can be composed again without accuracy loss.
+    Each slot evaluates only the operand slots its formula reads.
     """
     if a.dim != b.dim:
         raise ValueError("fiber dimensions differ: %d vs %d" % (a.dim, b.dim))
-    dim = a.dim
 
     def c0(x, xi):
         return np.asarray(a.a0(x, xi)) @ np.asarray(b.a0(x, xi))
 
     def c_m1(x, xi):
-        a0 = np.asarray(a.a0(x, xi))
-        b0 = np.asarray(b.a0(x, xi))
-        val = a0 @ np.asarray(b.a_m1(x, xi)) + np.asarray(a.a_m1(x, xi)) @ b0
-        dxi_a = a.xi_derivative(x, xi)
-        dx_b = b.x_derivative(x, xi)
-        for al in range(2):
-            val = val - 1j * _axis(dxi_a, al) @ _axis(dx_b, al)
-        return val
-
-    def product_rule(da, db, x, xi):
-        a0 = np.asarray(a.a0(x, xi))[..., None, :, :]
-        b0 = np.asarray(b.a0(x, xi))[..., None, :, :]
-        return da @ b0 + a0 @ db
+        return _product_m1(
+            np.asarray(a.a0(x, xi)), np.asarray(a.a_m1(x, xi)), a.xi_derivative(x, xi),
+            np.asarray(b.a0(x, xi)), np.asarray(b.a_m1(x, xi)), b.x_derivative(x, xi),
+        )
 
     def dx_c0(x, xi):
-        return product_rule(a.x_derivative(x, xi), b.x_derivative(x, xi), x, xi)
+        return _product_rule(
+            a.x_derivative(x, xi), np.asarray(a.a0(x, xi)),
+            b.x_derivative(x, xi), np.asarray(b.a0(x, xi)),
+        )
 
     def dxi_c0(x, xi):
-        return product_rule(a.xi_derivative(x, xi), b.xi_derivative(x, xi), x, xi)
+        return _product_rule(
+            a.xi_derivative(x, xi), np.asarray(a.a0(x, xi)),
+            b.xi_derivative(x, xi), np.asarray(b.a0(x, xi)),
+        )
 
-    return TwoTermSymbol(dim=dim, a0=c0, a_m1=c_m1, dx_a0=dx_c0, dxi_a0=dxi_c0)
+    return TwoTermSymbol(dim=a.dim, a0=c0, a_m1=c_m1, dx_a0=dx_c0, dxi_a0=dxi_c0)
 
 
 def shift(a, omega):
@@ -283,100 +296,61 @@ def subprincipal(a):
     """
 
     def a_sub(x, xi):
-        x = np.asarray(x, dtype=float)
-        h = _x_step(x)
+        mixed = _fd_x_derivative(a.xi_derivative, x, xi, a.dim)
         val = np.asarray(a.a_m1(x, xi), dtype=complex)
-        for al in range(2):
-            e = h * np.eye(2)[al]
-            dp = _axis(a.xi_derivative(x + e, xi), al)
-            dm = _axis(a.xi_derivative(x - e, xi), al)
-            val = val - 0.5j * (dp - dm) / (2 * h[..., None])
-        return val
+        return val - 0.5j * np.trace(mixed, axis1=-4, axis2=-3)
 
     return a_sub
 
 
-def build_bi_symbol(a, p, iota, order0_tol=1e-6):
+def build_bi_symbol(a, p, iota):
     """Order -1 principal symbol of p_iota(A) for a polynomially compact A.
 
-    With q_l = a0 - w_l, y0 = prod_{l != iota} q_l^2 and y_m1 the order
-    -1 term of that product, the returned symbol has
-
-        b_m1 = (a0 - w_iota) y_m1 + a_m1 y0 - i d_xi a0 . d_x y0.
-
-    The nominal order 0 part (a0 - w_iota) y0 = p_iota(a0) must vanish;
-    it is evaluated alongside and a ValueError is raised when its norm
-    exceeds order0_tol at any evaluated point (the input is then not
+    The two-term product (A - w_iota) # prod_{l != iota} (A - w_l) # (A - w_l)
+    is folded from the left through the composition formula, on a's
+    jet (a0, a_m1, d_x a0, d_xi a0) evaluated once per call.  Its order
+    0 part p_iota(a0) must vanish; a ValueError is raised when its norm
+    exceeds _ORDER0_TOL at any evaluated point (the input is then not
     polynomially compact with the given roots).  The returned
-    TwoTermSymbol stores that residual as its a0 slot and b_m1 as its
-    a_m1 slot, so the leading live term has degree -1.
+    TwoTermSymbol stores that residual as its a0 slot and the order -1
+    term as its a_m1 slot, so the leading live term has degree -1.
     """
     roots = _poly_roots(p)
     if not 0 <= iota < len(roots):
         raise IndexError("root index out of range")
-    others = [w for l, w in enumerate(roots) if l != iota]
-    w_i = roots[iota]
-    dim = a.dim
-    eye = np.eye(dim, dtype=complex)
+    squared = [w for l, w in enumerate(roots) if l != iota for _ in range(2)]
+    eye = np.eye(a.dim, dtype=complex)
 
-    def pieces(x, xi):
+    def fold(x, xi):
         a0 = np.asarray(a.a0(x, xi), dtype=complex)
         am1 = np.asarray(a.a_m1(x, xi), dtype=complex)
-        dxi = a.xi_derivative(x, xi)
-        dx = a.x_derivative(x, xi)
-        q = [a0 - w * eye for w in others]
-        q2 = [m @ m for m in q]
-        n = len(others)
-
-        # u carries the internal xi-x contraction of one squared factor;
-        # v/w keep the derivative direction open for cross contractions
-        u = -1j * _axis(dxi, 0) @ _axis(dx, 0) - 1j * _axis(dxi, 1) @ _axis(dx, 1)
-        v = [[_axis(dxi, al) @ m + m @ _axis(dxi, al) for m in q] for al in range(2)]
-        wd = [[_axis(dx, al) @ m + m @ _axis(dx, al) for m in q] for al in range(2)]
-
-        def prod(mats):
-            out = eye
-            for m in mats:
-                out = out @ m
-            return out
-
-        y0 = prod(q2)
-
-        y_m1 = np.zeros_like(a0)
-        for j in range(n):
-            mid = u + q[j] @ am1 + am1 @ q[j]
-            y_m1 = y_m1 + prod(q2[:j]) @ mid @ prod(q2[j + 1:])
-        for j in range(n):
-            for l in range(j + 1, n):
-                for al in range(2):
-                    y_m1 = y_m1 - 1j * (
-                        prod(q2[:j]) @ v[al][j] @ prod(q2[j + 1:l])
-                        @ wd[al][l] @ prod(q2[l + 1:])
-                    )
-
-        residual = (a0 - w_i * eye) @ y0
-        b = (a0 - w_i * eye) @ y_m1 + am1 @ y0
-        for al in range(2):
-            dxy0 = np.zeros_like(_axis(dx, al))
-            for j in range(n):
-                dxy0 = dxy0 + prod(q2[:j]) @ wd[al][j] @ prod(q2[j + 1:])
-            b = b - 1j * _axis(dxi, al) @ dxy0
-        return residual, b
+        dx, dxi = a.x_derivative(x, xi), a.xi_derivative(x, xi)
+        # the running product c = (a - w_iota) # ...; only its xi
+        # derivative is needed, since c always stands on the left
+        c0, c_m1, dxi_c0 = a0 - roots[iota] * eye, am1, dxi
+        for w in squared:
+            q0 = a0 - w * eye
+            c0, c_m1, dxi_c0 = (
+                c0 @ q0,
+                _product_m1(c0, c_m1, dxi_c0, q0, am1, dx),
+                _product_rule(dxi_c0, c0, dxi, q0),
+            )
+        return c0, c_m1
 
     def residual0(x, xi):
-        return pieces(x, xi)[0]
+        return fold(x, xi)[0]
 
     def b_m1(x, xi):
-        residual, b = pieces(x, xi)
+        residual, b = fold(x, xi)
         res = np.linalg.norm(residual, 2, axis=(-2, -1)).max()
-        if res > order0_tol:
+        if res > _ORDER0_TOL:
             raise ValueError(
                 "order 0 residual %.3e exceeds %.1e: principal symbol "
-                "eigenvalues do not match the given roots" % (res, order0_tol)
+                "eigenvalues do not match the given roots" % (res, _ORDER0_TOL)
             )
         return b
 
-    return TwoTermSymbol(dim=dim, a0=residual0, a_m1=b_m1)
+    return TwoTermSymbol(dim=a.dim, a0=residual0, a_m1=b_m1)
 
 
 def detect_degeneracy(b, samples, tol=1e-6):

@@ -25,12 +25,10 @@ from npspec.elasticity import (
     sphere_exact_eigenvalues,
 )
 from npspec.spectral import (
-    PatchParams,
     _GridInfo,
     _assemble,
     _batch_stencil,
     _interp_matrix,
-    _patch_geometry,
     _patch_points,
     _smoothstep,
     assemble_operators,
@@ -185,7 +183,7 @@ class TestInterpolationMatrix:
         chart = c_chart(SPHERE, *quad.params[0])
         r2 = 0.8 * chart.radius
         w12, _, _ = _patch_points(chart, 0.5 * r2, r2, 10, 16)
-        q, _, _ = _patch_geometry(SPHERE, chart, w12)
+        q, _, _ = chart.geometry(w12)
         tq = np.arccos(np.clip(q[:, 2], -1.0, 1.0))
         idx, wgt = _batch_stencil(grid, tq, np.arctan2(q[:, 1], q[:, 0]), 8)
         repeats = max(idx.shape[1] - np.unique(row).size for row in idx)
@@ -221,9 +219,9 @@ class TestFusedPass:
     def test_both_kernels_equal_each_alone(self, surface):
         quad = surface_quadrature(surface, 6)
         kernels = self._kernels()
-        both = _assemble(surface, quad, kernels, PatchParams())
+        both = _assemble(surface, quad, kernels)
         for mat, kernel in zip(both, kernels):
-            (alone,) = _assemble(surface, quad, (kernel,), PatchParams())
+            (alone,) = _assemble(surface, quad, (kernel,))
             assert np.array_equal(mat, alone)
 
 
@@ -297,7 +295,7 @@ class TestPatchGeometry:
             surf = make_surface("sphere", radius=radius)
             chart = c_chart(surf, 1.1, 0.6)
             w12, _, _ = _patch_points(chart, 0.1 * radius, 0.3 * radius, 12, 32)
-            q, nu, area = _patch_geometry(surf, chart, w12)
+            q, nu, area = chart.geometry(w12)
             t = np.sqrt(radius**2 - np.einsum("ij,ij->i", w12, w12)) - radius
             q_ref = (
                 chart.origin
@@ -361,13 +359,6 @@ class TestAssembly:
         with pytest.raises(ValueError):
             assemble_operators(SPHERE, P11, fake)
 
-    def test_patch_stays_inside_chart(self):
-        # an oversized patch cap would step off the sphere chart
-        quad = surface_quadrature(SPHERE, 4)
-        bad = PatchParams(outer_cap=5.0)
-        with pytest.raises(ValueError):
-            assemble_operators(SPHERE, P11, quad, patch=bad)
-
     def test_action_self_convergence(self):
         # fixed smooth field, grid functionals drift < 2% from n to 2n
         def functionals(n):
@@ -412,7 +403,8 @@ class TestSpectrum:
 
 class TestSymmetrize:
     def _commuting_pair(self, rng, n=40):
-        # K = P^(1/2) A P^(-1/2) with A symmetric: exact Plemelj pair
+        # K = P^(1/2) A P^(-1/2) with A symmetric: exact Plemelj pair;
+        # basis holds the eigenvectors of P in ascending eigenvalue order
         q, _ = np.linalg.qr(rng.normal(size=(n, n)))
         pvals = rng.uniform(0.5, 2.0, n)
         a_sym = rng.normal(size=(n, n))
@@ -421,36 +413,66 @@ class TestSymmetrize:
         p_ihalf = (q / np.sqrt(pvals)) @ q.T
         k = p_half @ a_sym @ p_ihalf
         p = (q * pvals) @ q.T
-        return k, -p, a_sym
+        return k, -p, a_sym, q[:, np.argsort(pvals)]
+
+    @staticmethod
+    def _assert_generator(a, a_sym, basis):
+        # a is a_sym written in the eigenbasis of P, whose vectors are
+        # fixed up to sign: equal spectra and entrywise magnitudes
+        want = np.abs(basis.T @ a_sym @ basis)
+        assert np.abs(np.abs(a) - want).max() < 1e-10
+        assert np.abs(np.linalg.eigvalsh(a) - np.linalg.eigvalsh(a_sym)).max() < 1e-10
 
     def test_recovers_symmetric_generator(self):
         rng = np.random.default_rng(3)
-        k, s, a_sym = self._commuting_pair(rng)
+        k, s, a_sym, basis = self._commuting_pair(rng)
         a, info = symmetrize(k, s)
-        assert np.abs(a - a_sym).max() < 1e-10
+        self._assert_generator(a, a_sym, basis)
         assert info["symmetry_defect"] < 1e-12
         assert info["plemelj_residual"] < 1e-12
         assert info["clipped_modes"] == 0
 
     def test_similarity_preserves_eigenvalues(self):
         rng = np.random.default_rng(4)
-        k, s, _ = self._commuting_pair(rng, n=25)
+        k, s, _, _ = self._commuting_pair(rng, n=25)
         a, _ = symmetrize(k, s)
         got = np.sort(np.linalg.eigvalsh(a))
         want = np.sort(np.linalg.eigvals(k).real)
         assert np.abs(got - want).max() < 1e-10
 
+    def test_matches_explicit_similarity(self):
+        # non-commuting pair: the explicit P^(-1/2) K P^(1/2), its
+        # defect and |K S - S K^T| / (|K| |S|) are the oracles
+        rng = np.random.default_rng(11)
+        n = 30
+        k = rng.normal(size=(n, n))
+        g = rng.normal(size=(n, n))
+        p = g @ g.T / n + 0.5 * np.eye(n)
+        p = 0.5 * (p + p.T)
+        a, info = symmetrize(k, -p)
+        vals, vecs = np.linalg.eigh(p)
+        explicit = ((vecs / np.sqrt(vals)) @ vecs.T) @ k @ ((vecs * np.sqrt(vals)) @ vecs.T)
+        want = np.linalg.eigvalsh(0.5 * (explicit + explicit.T))
+        assert np.abs(np.linalg.eigvalsh(a) - want).max() < 1e-12 * np.abs(want).max()
+        defect = np.linalg.norm(explicit - explicit.T) / np.linalg.norm(explicit)
+        assert defect > 0.1
+        assert info["symmetry_defect"] == pytest.approx(defect, rel=1e-10)
+        s = -p
+        plemelj = np.linalg.norm(k @ s - s @ k.T) / (np.linalg.norm(k) * np.linalg.norm(s))
+        assert info["plemelj_residual"] == pytest.approx(plemelj, rel=1e-10)
+        assert info["clipped_modes"] == 0
+
     def test_weight_conjugation(self):
         # building the pair in the sqrt-weight frame and undoing the
         # conjugation on the inputs must give the same output
         rng = np.random.default_rng(9)
-        k_t, s_t, a_sym = self._commuting_pair(rng, n=30)
+        k_t, s_t, a_sym, basis = self._commuting_pair(rng, n=30)
         w = rng.uniform(0.2, 3.0, 10)
         sw = np.repeat(np.sqrt(w), 3)
         k_plain = k_t / sw[:, None] * sw[None, :]
         s_plain = s_t / sw[:, None] * sw[None, :]
         a, info = symmetrize(k_plain, s_plain, weights=w)
-        assert np.abs(a - a_sym).max() < 1e-10
+        self._assert_generator(a, a_sym, basis)
         assert info["plemelj_residual"] < 1e-12
 
     def test_rejects_indefinite_single_layer(self):
@@ -612,12 +634,12 @@ class TestPowerLawFit:
         tau = np.linspace(0.1, 0.3, 12)
         counts = 1.0 / tau
         with pytest.raises(ValueError):
-            fit_power_law(tau, counts, min_decades=1.0)
+            fit_power_law(tau, counts)
 
     def test_prune_drops_smallest_tau(self):
         tau = np.array([0.5, 0.01, 0.1, 0.02, 0.3, 0.05])
         counts = np.arange(6.0)
-        t2, c2 = prune_counting_samples(tau, counts, drop_fraction=1.0 / 3.0)
+        t2, c2 = prune_counting_samples(tau, counts)
         assert t2.min() == 0.05 and len(t2) == 4
         assert set(c2) == {0.0, 2.0, 4.0, 5.0}
 

@@ -193,7 +193,10 @@ class TestCharts:
     def test_second_order_contact(self, surface, theta, phi):
         chart = c_chart(surface, theta, phi)
         assert abs(chart.height((0.0, 0.0))) < 1e-13
-        assert np.abs(chart.height_gradient((0.0, 0.0))).max() < 1e-10
+        # grad F(0) = 0: the normal at the origin is n, the area factor 1
+        _, nu, area = chart.geometry((0.0, 0.0))
+        assert np.abs(nu - chart.n).max() < 1e-10
+        assert abs(area - 1.0) < 1e-12
         hess = _fd_hessian(chart)
         want = np.diag([chart.kappa1, chart.kappa2])
         assert np.abs(hess - want).max() < 1e-6
@@ -203,7 +206,7 @@ class TestCharts:
         for w in [(0.05, 0.0), (0.0, -0.08), (0.1, 0.1)]:
             q = chart.surface_point(w)
             assert abs(ELLIPSOID.implicit_value(q)) < 1e-12
-            nq = chart.normal_at(w)
+            _, nq, _ = chart.geometry(w)
             assert np.abs(nq - ELLIPSOID.normal(q)).max() < 1e-12
 
     def test_outside_radius_rejected(self):
@@ -308,6 +311,36 @@ class TestConsistentCharts:
             assert np.abs(q[idx] - q1).max() < 1e-14
             assert np.abs(dz[idx] - dz1).max() < 1e-14
             assert np.abs(u[idx] - u1).max() < 1e-14
+
+
+class TestArrayJet:
+    @pytest.mark.parametrize("surface", [SPHERE, TRIAXIAL, DENT, BUMPY])
+    def test_stacked_jet_matches_points(self, surface):
+        theta, phi = np.array([1.1, 0.4]), np.array([0.7, 2.0])
+        jet = surface.jet(theta, phi)
+        assert jet["I"].shape == jet["II"].shape == (2, 2, 2)
+        for i in range(2):
+            for key, val in surface.jet(theta[i], phi[i]).items():
+                assert jet[key][i].shape == np.shape(val)
+                assert np.abs(jet[key][i] - val).max() < 1e-14
+
+    @pytest.mark.parametrize("surface", [SPHERE, TRIAXIAL, DENT])
+    def test_quadrature_matches_pointwise_loop(self, surface):
+        n = 6
+        quad = surface_quadrature(surface, n)
+        xs, ws = np.polynomial.legendre.leggauss(n)
+        k = 0
+        for x, wg in zip(xs, ws):
+            theta = math.acos(x)
+            for phi in 2.0 * np.pi * np.arange(2 * n) / (2 * n):
+                jet = surface.jet(theta, phi)
+                weight = wg * (np.pi / n) * jet["area"] / math.sin(theta)
+                assert np.array_equal(quad.params[k], [theta, phi])
+                assert abs(quad.weights[k] - weight) < 1e-14 * weight
+                assert np.abs(quad.points[k] - jet["x"]).max() < 1e-14
+                assert np.abs(quad.normals[k] - jet["normal"]).max() < 1e-14
+                k += 1
+        assert k == quad.size
 
 
 class TestQuadrature:
