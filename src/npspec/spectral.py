@@ -9,19 +9,23 @@ kernel component in the principal value sense.  The patch has a fixed
 physical size (a fraction of the chart radius), so the cutoff stays
 resolved by the global rule as the grid refines; its polar quadrature
 grows with the patch-to-mesh ratio to keep the density resolved.
-Patch points, normals and area factors come from one batched chart
-solve per target node (CCoordinateChart.geometry, shared with symbol
-extraction), the same path on every surface kind.  The
-near-field density is coupled back to grid values through a local
-tensor barycentric interpolation stencil (with pole reflection),
+The target nodes are taken in blocks whose patches fit a fixed point
+budget.  All node charts come from one array call (c_chart is array
+native); per block, one height solve gives the points, normals and area
+factors of every patch point in its own node's chart
+(CCoordinateChart.geometry, shared with symbol extraction), the same
+path on every surface kind.  The near-field density is coupled back to
+grid values through a local tensor barycentric interpolation stencil
+(with pole reflection, latitude weights from a per-grid window table),
 applied in transpose so the result is a matrix acting on grid data.
-One pass over the target nodes serves the double and single layer.
+One pass over the node blocks serves the double and single layer.
 
 Downstream utilities: eigenvalue extraction with a reality check,
 single layer symmetrization, cluster counting functions, power-law
 fits of counting data, and polynomial compactness diagnostics.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -44,6 +48,10 @@ _PATCH_OUTER = 48.0
 _PATCH_CAP = 0.8
 # points per direction of the tensor interpolation stencil
 _INTERP_ORDER = 8
+# patch points per node block of the assembly: a block's working arrays
+# take about 2 KB per point, so this bounds the memory the assembly
+# needs beyond its matrices (sphere n=10: 2048 points are 6 nodes)
+_BLOCK_POINTS = 2048
 # counting grids start at this fraction of the root gap
 _TAU_FLOOR = 1e-3
 # power-law fits need this many nonzero counts spanning this many decades
@@ -51,6 +59,14 @@ _FIT_MIN_POINTS = 8
 _FIT_MIN_DECADES = 1.0
 # share of the smallest-tau counting samples dropped as under-resolved
 _PRUNE_FRACTION = 1.0 / 3.0
+# symmetrize: eigenvalues of P = -sym(S) are clipped at this fraction of
+# the largest, and P is rejected below minus the second fraction of it
+_P_FLOOR = 1e-3
+_P_INDEFINITE = 1e-2
+# compactness_check: central index range (fractions of the count) of the
+# decay fit, and the largest matrix whose spectral mapping is checked
+_DECAY_RANGE = (0.1, 0.5)
+_MAPPING_LIMIT = 1200
 
 
 def _smoothstep(s, r1, r2):
@@ -62,7 +78,16 @@ def _smoothstep(s, r1, r2):
 
 
 class _GridInfo:
-    """Latitude/longitude structure behind a product surface rule."""
+    """Latitude/longitude structure behind a product surface rule, with
+    the extended latitude table the interpolation stencil reads.
+
+    Latitudes run in ascending theta, extended past each pole by up to
+    _INTERP_ORDER reflected rows (theta -> -theta or 2 pi - theta, phi +
+    pi), which represent the same smooth function across the pole; a
+    grid has only n rows to reflect.  For every window of _INTERP_ORDER
+    consecutive extended latitudes, bary_t holds its barycentric weights
+    1 / prod_(l != k) (t_k - t_l).
+    """
 
     def __init__(self, quad):
         n2 = quad.size
@@ -71,50 +96,48 @@ class _GridInfo:
             raise ValueError("quadrature is not an n x 2n product rule")
         self.n_lat = n
         self.n_phi = 2 * n
-        self.thetas = quad.params[:: self.n_phi, 0].copy()
-        self.phis = quad.params[: self.n_phi, 1].copy()
-        if not np.all(np.diff(self.thetas) < 0):
+        thetas = quad.params[:: self.n_phi, 0]
+        if not np.all(np.diff(thetas) < 0):
             raise ValueError("latitudes not monotone in the expected row order")
+        p = _INTERP_ORDER
+        ts = thetas[::-1]
+        r = min(p, n)
+        self.ext_t = np.concatenate([-ts[:r][::-1], ts, 2.0 * math.pi - ts[-r:][::-1]])
+        # grid row of each extended latitude, and whether it is reflected
+        self.ext_row = (n - 1) - np.concatenate(
+            [np.arange(r - 1, -1, -1), np.arange(n), np.arange(n - 1, n - r - 1, -1)]
+        )
+        self.ext_shift = np.concatenate([np.ones(r, int), np.zeros(n, int), np.ones(r, int)])
+        tn = self.ext_t[np.arange(len(self.ext_t) - p + 1)[:, None] + np.arange(p)]
+        diff = tn[:, :, None] - tn[:, None, :]
+        np.einsum("mii->mi", diff)[...] = 1.0
+        self.bary_t = 1.0 / diff.prod(axis=2)
 
-    def node_index(self, lat, col):
-        return lat * self.n_phi + col % self.n_phi
 
-
-def _batch_stencil(grid, thetas, phis, order):
+def _batch_stencil(grid, thetas, phis):
     """Nodes and weights interpolating grid data at many (theta, phi).
 
-    Tensor barycentric Lagrange on `order` nearest latitudes and
-    longitudes.  Latitude windows that would cross a pole use
-    reflected rows (theta -> -theta or 2 pi - theta, phi + pi), which
-    represent the same smooth function across the pole.  Returns
-    integer node indices and weights of shape (npts, order**2).
+    Tensor barycentric Lagrange on the _INTERP_ORDER nearest extended
+    latitudes and longitudes; latitude weights come from the grid's
+    window table, and longitude weights are formed for the two targets
+    phi and phi + pi, the second serving reflected rows.  Returns
+    integer node indices and weights of shape (npts, _INTERP_ORDER**2).
     """
-    p = order
-    ts = grid.thetas[::-1]
-    n = grid.n_lat
-    r = min(p, n)  # reflected rows per pole; a grid has only n to reflect
-    ext_t = np.concatenate([-ts[:r][::-1], ts, 2.0 * math.pi - ts[-r:][::-1]])
-    ext_lat = np.concatenate(
-        [np.arange(r - 1, -1, -1), np.arange(n), np.arange(n - 1, n - r - 1, -1)]
-    )
-    ext_shift = np.concatenate([np.ones(r, bool), np.zeros(n, bool), np.ones(r, bool)])
+    p = _INTERP_ORDER
     thetas = np.asarray(thetas, dtype=float)
     phis = np.asarray(phis, dtype=float)
-    lo = np.searchsorted(ext_t, thetas) - p // 2
-    lo = np.clip(lo, 0, len(ext_t) - p)
+    m = len(thetas)
+    lo = np.searchsorted(grid.ext_t, thetas) - p // 2
+    lo = np.clip(lo, 0, len(grid.ext_t) - p)
     win = lo[:, None] + np.arange(p)[None, :]
-    tn = ext_t[win]
-    diff = tn[:, :, None] - tn[:, None, :]
-    np.einsum("mii->mi", diff)[...] = 1.0
-    dt = thetas[:, None] - tn
+    dt = thetas[:, None] - grid.ext_t[win]
     hit_t = np.abs(dt) < 1e-14
-    wt = (1.0 / diff.prod(axis=2)) / np.where(hit_t, 1.0, dt)
+    wt = grid.bary_t[lo] / np.where(hit_t, 1.0, dt)
     wt = np.where(
         hit_t.any(axis=1)[:, None], hit_t.astype(float), wt / wt.sum(axis=1)[:, None]
     )
     dphi = 2.0 * math.pi / grid.n_phi
-    lat = (n - 1) - ext_lat[win]
-    target = phis[:, None] + np.where(ext_shift[win], math.pi, 0.0)
+    target = phis[:, None] + np.array([0.0, math.pi])[None, :]
     j0 = np.rint(target / dphi).astype(int)
     cols = j0[:, :, None] + (np.arange(p) - p // 2)[None, None, :]
     dp = target[:, :, None] - cols * dphi
@@ -127,9 +150,12 @@ def _batch_stencil(grid, thetas, phis, order):
         hit_p.astype(float),
         wp / wp.sum(axis=2)[:, :, None],
     )
-    idx = lat[:, :, None] * grid.n_phi + np.mod(cols, grid.n_phi)
-    wgt = wt[:, :, None] * wp
-    m = len(thetas)
+    # each latitude row takes the longitude row of its target
+    sel = (2 * np.arange(m)[:, None] + grid.ext_shift[win]).ravel()
+    idx = np.mod(cols, grid.n_phi).reshape(-1, p)[sel].reshape(m, p, p)
+    idx += (grid.ext_row[win] * grid.n_phi)[:, :, None]
+    wgt = wp.reshape(-1, p)[sel].reshape(m, p, p)
+    wgt *= wt[:, :, None]
     return idx.reshape(m, p * p), wgt.reshape(m, p * p)
 
 
@@ -140,14 +166,23 @@ def _interp_matrix(idx, wgt, n_nodes):
     return np.bincount(flat, wgt.ravel(), npts * n_nodes).reshape(npts, n_nodes)
 
 
-def _patch_points(chart, r1, r2, n_radial, n_angular):
+@functools.lru_cache(maxsize=None)
+def _radial_rule(n_radial):
+    """Gauss-Legendre nodes and weights on (-1, 1), built once per size."""
+    rule = leggauss(n_radial)
+    for a in rule:
+        a.flags.writeable = False
+    return rule
+
+
+def _patch_points(r1, r2, n_radial, n_angular):
     """Polar patch rule in chart coordinates: points, weights, cutoff.
 
     Gauss-Legendre in radius on (0, r1) and (r1, r2), trapezoid in
     angle; the angular count is even so the odd part of the degree -2
     kernel cancels pointwise in radius (the principal value).
     """
-    gl_x, gl_w = leggauss(n_radial)
+    gl_x, gl_w = _radial_rule(n_radial)
     rr, ww = [], []
     for lo, hi in ((0.0, r1), (r1, r2)):
         mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
@@ -163,49 +198,81 @@ def _patch_points(chart, r1, r2, n_radial, n_angular):
     return w12.reshape(-1, 2), wr, chi
 
 
+def _node_blocks(counts):
+    """Boundaries of consecutive node blocks whose patch point counts sum
+    to at most _BLOCK_POINTS; a node over budget is a block alone."""
+    bounds, total = [0], 0
+    for i, c in enumerate(counts):
+        if i > bounds[-1] and total + c > _BLOCK_POINTS:
+            bounds.append(i)
+            total = 0
+        total += c
+    return bounds + [len(counts)]
+
+
 def _assemble(surface, quad, kernels):
     """Nystrom matrices of kernel(x, y, nu_y) -> (..., 3, 3), one per
-    kernel; each node's chart, patch geometry, cutoff and interpolation
-    matrix are computed once for all kernels."""
+    kernel, filled one node block at a time.
+
+    All target charts come from one array call.  Per block, one height
+    solve gives every patch point's geometry (each point in its own
+    node's chart), one stencil call interpolates all of them, and each
+    kernel is evaluated once on the far field (block x nodes) and once
+    on the patch points.  The near field reaches the grid through each
+    node's dense interpolation matrix, built one node at a time so that
+    a block holds O(points) memory, not O(points x nodes), and shared
+    by the kernels.
+    """
     grid = _GridInfo(quad)
     n_nodes = quad.size
     mats = [np.zeros((3 * n_nodes, 3 * n_nodes)) for _ in kernels]
     pts = quad.points
     nrms = quad.normals
     wts = quad.weights
-    for i in range(n_nodes):
-        th, ph = quad.params[i]
-        chart = c_chart(surface, th, ph)
-        h = math.sqrt(wts[i])
-        r2 = min(_PATCH_OUTER * h, _PATCH_CAP * chart.radius)
-        r1 = min(_PATCH_INNER * h, 0.5 * r2)
-        n_radial = max(10, int(math.ceil(1.6 * r2 / h)) + 2)
-        n_angular = max(16, 2 * int(math.ceil(2.1 * r2 / h)))
-        x = pts[i]
-        others = np.arange(n_nodes) != i
-        factors = wts.copy()
-        d3 = pts - x[None, :]
-        dist = np.linalg.norm(d3, axis=1)
-        near = (dist < 1.5 * r2) & (dist > 0.0)
-        if near.any():
-            wj = np.stack([d3[near] @ chart.e1, d3[near] @ chart.e2], axis=1)
-            factors[near] *= 1.0 - _smoothstep(
-                np.linalg.norm(wj, axis=1), r1, r2
-            )
-        w12, wr, chi = _patch_points(chart, r1, r2, n_radial, n_angular)
-        q, nu, area = chart.geometry(w12)
+    charts = c_chart(surface, quad.params[:, 0], quad.params[:, 1])
+    h = np.sqrt(wts)
+    r2 = np.minimum(_PATCH_OUTER * h, _PATCH_CAP * charts.radius)
+    r1 = np.minimum(_PATCH_INNER * h, 0.5 * r2)
+    n_radial = np.maximum(10, np.ceil(1.6 * r2 / h).astype(int) + 2)
+    n_angular = np.maximum(16, 2 * np.ceil(2.1 * r2 / h).astype(int))
+    counts = 2 * n_radial * n_angular
+    bounds = _node_blocks(counts)
+    for b0, b1 in zip(bounds[:-1], bounds[1:]):
+        nodes = np.arange(b0, b1)
+        ends = np.cumsum(counts[nodes])  # the block's points are node-major
+        # far field: every other node, the plain rule less the cutoff
+        d3 = pts[None, :, :] - pts[nodes, None, :]
+        dist = np.linalg.norm(d3, axis=-1)
+        wj = np.hypot(
+            np.einsum("bjk,bk->bj", d3, charts.e1[nodes]),
+            np.einsum("bjk,bk->bj", d3, charts.e2[nodes]),
+        )
+        near = (dist < 1.5 * r2[nodes, None]) & (dist > 0.0)
+        factors = wts * np.where(
+            near, 1.0 - _smoothstep(wj, r1[nodes, None], r2[nodes, None]), 1.0
+        )
+        row, col = np.nonzero(np.arange(n_nodes)[None, :] != nodes[:, None])
+        # near field: the block's patch points, each in its node's chart
+        rules = [_patch_points(r1[i], r2[i], n_radial[i], n_angular[i]) for i in nodes]
+        w12, wr, chi = (np.concatenate(parts) for parts in zip(*rules))
+        owner = np.repeat(nodes, counts[nodes])
+        q, nu, area = charts[owner].geometry(w12)
         tq = np.arccos(np.clip(q[:, 2] / np.linalg.norm(q, axis=1), -1.0, 1.0))
-        pq = np.arctan2(q[:, 1], q[:, 0])
-        idx, wgt = _batch_stencil(grid, tq, pq, _INTERP_ORDER)
-        interp = _interp_matrix(idx, wgt, n_nodes)
+        idx, wgt = _batch_stencil(grid, tq, np.arctan2(q[:, 1], q[:, 0]))
         qw = (wr * chi * area)[:, None, None]
-        for mat, kernel in zip(mats, kernels):
-            block = np.zeros((n_nodes, 3, 3))
-            block[others] = kernel(x, pts[others], nrms[others])
-            block *= factors[:, None, None]
-            contrib = qw * kernel(x, q, nu)
-            block += (interp.T @ contrib.reshape(-1, 9)).reshape(n_nodes, 3, 3)
-            mat[3 * i : 3 * i + 3, :] = np.transpose(block, (1, 0, 2)).reshape(3, -1)
+        contrib = np.concatenate(
+            [(qw * kernel(pts[owner], q, nu)).reshape(-1, 9) for kernel in kernels], axis=1
+        )
+        patch_part = np.empty((len(nodes), n_nodes, contrib.shape[1]))
+        for j, end in enumerate(ends):
+            rows = slice(end - counts[b0 + j], end)
+            patch_part[j] = _interp_matrix(idx[rows], wgt[rows], n_nodes).T @ contrib[rows]
+        for k, (mat, kernel) in enumerate(zip(mats, kernels)):
+            block = np.zeros((len(nodes), n_nodes, 3, 3))
+            block[row, col] = kernel(pts[nodes[row]], pts[col], nrms[col])
+            block *= factors[:, :, None, None]
+            block += patch_part[:, :, 9 * k : 9 * k + 9].reshape(len(nodes), n_nodes, 3, 3)
+            mat[3 * b0 : 3 * b1, :] = np.transpose(block, (0, 2, 1, 3)).reshape(3 * len(nodes), -1)
     return mats
 
 
@@ -252,7 +319,7 @@ def spectrum(mat, imag_tol=1e-6):
     return np.sort(vals.real)
 
 
-def symmetrize(k_mat, s_mat, weights=None, floor=1e-3, indefinite_tol=1e-2):
+def symmetrize(k_mat, s_mat, weights=None):
     """Similarity transform to a symmetric matrix via the single layer.
 
     With quadrature weights given, both matrices are first conjugated
@@ -265,12 +332,12 @@ def symmetrize(k_mat, s_mat, weights=None, floor=1e-3, indefinite_tol=1e-2):
     similarity preserves the spectrum of K exactly before the final
     averaging.
 
-    Eigenvalues of P below floor x max are clipped to that level
+    Eigenvalues of P below _P_FLOOR x max are clipped to that level
     before taking square roots: on refinement the smallest discrete
     single layer eigenvalues sit at the resolution edge and may dip
     slightly negative.  Clipping touches only those unresolved modes;
     the count is reported, not hidden.  P with eigenvalues below
-    -indefinite_tol x max is rejected as genuinely indefinite.
+    -_P_INDEFINITE x max is rejected as genuinely indefinite.
 
     info holds plemelj_residual |K P - P K^T| / (|K| |S|), measured
     against P = -sym(S) as |B L - L B^T| (Frobenius norms are invariant
@@ -287,13 +354,13 @@ def symmetrize(k_mat, s_mat, weights=None, floor=1e-3, indefinite_tol=1e-2):
         s = sw[:, None] * s / sw[None, :]
     vals, vecs = np.linalg.eigh(-0.5 * (s + s.T))
     vmax = vals.max()
-    if vmax <= 0.0 or vals.min() < -indefinite_tol * vmax:
+    if vmax <= 0.0 or vals.min() < -_P_INDEFINITE * vmax:
         raise ValueError(
             "-S is not positive definite (eigenvalue range %.3e .. %.3e); "
             "refine the grid" % (vals.min(), vmax)
         )
-    clipped = int(np.sum(vals < floor * vmax))
-    root = np.sqrt(np.maximum(vals, floor * vmax))
+    clipped = int(np.sum(vals < _P_FLOOR * vmax))
+    root = np.sqrt(np.maximum(vals, _P_FLOOR * vmax))
     b = vecs.T @ k @ vecs
     plemelj = np.linalg.norm(b * vals - vals[:, None] * b.T) / max(
         np.linalg.norm(k) * np.linalg.norm(s), 1e-30
@@ -453,18 +520,12 @@ def certified_multiplicities(eigs_coarse, eigs_fine, levels, window):
     return c_fine, k_star
 
 
-def compactness_check(
-    mat_or_eigs,
-    roots,
-    central=(0.1, 0.5),
-    mapping_limit=1200,
-    imag_tol=1e-6,
-):
+def compactness_check(mat_or_eigs, roots):
     """Diagnostics that p(K) behaves like a compact operator power.
 
     Checks (i) spectral mapping, eig(p(K)) = p(eig(K)), when a matrix
-    of dimension <= mapping_limit is supplied; (ii) the decay rate of
-    sorted |p(lambda_j)| ~ j^(-1/2) over the central index range;
+    of dimension <= _MAPPING_LIMIT is supplied; (ii) the decay rate of
+    sorted |p(lambda_j)| ~ j^(-1/2) over the _DECAY_RANGE index range;
     (iii) the distance bound dist(lambda, roots) <= |p(lambda)| /
     min |p'| over each cluster window.  Returns a report dict.
     """
@@ -476,12 +537,12 @@ def compactness_check(
     arr = np.asarray(mat_or_eigs)
     if arr.ndim == 2:
         mat = arr
-        eigs = spectrum(mat, imag_tol=imag_tol)
+        eigs = spectrum(mat)
     else:
         eigs = np.sort(arr.astype(float))
     pvals = poly(eigs)
     report = {}
-    if mat is not None and mat.shape[0] <= mapping_limit:
+    if mat is not None and mat.shape[0] <= _MAPPING_LIMIT:
         pk = matrix_polynomial(poly.coefficients(), mat)
         via_matrix = np.sort(np.linalg.eigvals(pk).real)
         via_values = np.sort(pvals)
@@ -492,7 +553,7 @@ def compactness_check(
     mags = np.sort(np.abs(pvals))[::-1]
     mags = mags[mags > 0]
     m = mags.size
-    lo, hi = max(1, int(central[0] * m)), max(2, int(central[1] * m))
+    lo, hi = max(1, int(_DECAY_RANGE[0] * m)), max(2, int(_DECAY_RANGE[1] * m))
     js = np.arange(lo, hi)
     lj, lm = np.log(js.astype(float)), np.log(mags[lo:hi])
     a = np.column_stack([np.ones_like(lj), lj])

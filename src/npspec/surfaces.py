@@ -25,7 +25,7 @@ and no chart is built at the new points.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -39,12 +39,13 @@ def _legendre(l, m, t):
     """Associated Legendre function P_l^m(t), 0 <= m <= l, and dP/dt.
 
     Condon-Shortley phase: P_m^m = (-1)^m (2m - 1)!! (1 - t^2)^(m/2),
-    then the three-term recurrence in l and its t-derivative.
+    then the three-term recurrence in l and its t-derivative.  Powers
+    go through float_power, as in _inverse_sqrt_jet.
     """
     s = np.sqrt(1.0 - t * t)
     c = (-1.0) ** m * math.prod(range(1, 2 * m, 2))
-    p = c * s**m
-    dp = -m * c * t * s ** (m - 2) if m else np.zeros_like(t)
+    p = c * np.float_power(s, m)
+    dp = -m * c * t * np.float_power(s, m - 2) if m else np.zeros_like(t)
     p_prev = dp_prev = np.zeros_like(t)
     for k in range(m + 1, l + 1):
         f0, f1 = -(k + m - 1) / (k - m), (2 * k - 1) / (k - m)
@@ -230,16 +231,28 @@ def _dot(a, b):
     return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
+def _norm(v):
+    """Euclidean norms over the last axis, one BLAS dot per row: the
+    arithmetic np.linalg.norm has for a single vector."""
+    return np.sqrt(_dot(v, v))
+
+
 def _form(e, f, g):
     """Symmetric 2 x 2 forms [[e, f], [f, g]] of shape (..., 2, 2)."""
     return np.stack([np.stack([e, f], axis=-1), np.stack([f, g], axis=-1)], axis=-2)
 
 
 def _inverse_sqrt_jet(g, gt, gp, gtt, gtp, gpp):
-    """Jet of g^(-1/2) from the jet of g."""
-    r = g ** (-0.5)
-    c1 = -0.5 * g ** (-1.5)
-    c2 = 0.75 * g ** (-2.5)
+    """Jet of g^(-1/2) from the jet of g.
+
+    float_power is libm pow element by element, the arithmetic of a
+    scalar g ** e; numpy's array power takes a SIMD pow that differs in
+    the last bit, so with it a stacked jet would not reproduce per-point
+    jets.
+    """
+    r = np.float_power(g, -0.5)
+    c1 = -0.5 * np.float_power(g, -1.5)
+    c2 = 0.75 * np.float_power(g, -2.5)
     return (
         r,
         c1 * gt,
@@ -270,38 +283,47 @@ def make_surface(kind, **params):
 
 
 def principal_curvatures(surface, theta, phi):
-    """Principal curvatures and directions at a parameter point.
+    """Principal curvatures and directions at parameter points.
 
-    Returns (kappa1, kappa2, e1, e2, normal) with kappa1 <= kappa2,
-    e1, e2 orthonormal tangent vectors along the principal directions
-    and (e1, e2, normal) right handed.  Curvature sign follows the
-    outward normal: the unit sphere gives kappa = -1.  At umbilic
-    points (kappa1 = kappa2) e1 is the unit theta tangent.
+    Returns (kappa1, kappa2, e1, e2, normal) over the broadcast shape of
+    theta and phi, with kappa1 <= kappa2, e1, e2 orthonormal tangent
+    vectors (..., 3) along the principal directions and (e1, e2, normal)
+    right handed.  Curvature sign follows the outward normal: the unit
+    sphere gives kappa = -1.  At umbilic points (kappa1 = kappa2) e1 is
+    the unit theta tangent.  Each point of a stacked call equals the
+    call at that point alone, bit for bit.
     """
     jet = surface.jet(theta, phi)
     # II v = kappa I v with I = L L^T: W = L^-1 II L^-T, v = L^-T y
     inv = np.linalg.inv(np.linalg.cholesky(jet["I"]))
-    w = inv @ jet["II"] @ inv.T
+    inv_t = np.swapaxes(inv, -1, -2)
+    w = inv @ jet["II"] @ inv_t
     vals, y = np.linalg.eigh(w)
     # at an umbilic every tangent is principal: pin e1 to the theta
     # tangent rather than let eigensolver rounding pick it
-    umbilic = abs(w[0, 1]) + abs(w[0, 0] - w[1, 1]) <= 1e-12 * max(1.0, np.abs(w).max())
-    v = (1.0, 0.0) if umbilic else inv.T @ y[:, 0]
-    e1 = v[0] * jet["xt"] + v[1] * jet["xp"]
-    e1 /= np.linalg.norm(e1)
+    size = np.maximum(1.0, np.abs(w).max(axis=(-2, -1)))
+    umbilic = np.abs(w[..., 0, 1]) + np.abs(w[..., 0, 0] - w[..., 1, 1]) <= 1e-12 * size
+    v = np.where(umbilic[..., None], (1.0, 0.0), (inv_t @ y[..., :1])[..., 0])
+    e1 = v[..., :1] * jet["xt"] + v[..., 1:] * jet["xp"]
+    e1 /= _norm(e1)[..., None]
     e2 = np.cross(jet["normal"], e1)
-    return vals[0], vals[1], e1, e2, jet["normal"]
+    return vals[..., 0], vals[..., 1], e1, e2, jet["normal"]
 
 
 @dataclass(frozen=True)
 class CCoordinateChart:
-    """Curvature-aligned tangent-plane graph chart.
+    """Curvature-aligned tangent-plane graph charts.
 
     origin is on the surface, (e1, e2, n) orthonormal right handed
     with n outward and e1, e2 principal directions for the principal
     curvatures kappa1 <= kappa2.  The height F(w) solves the ray
     intersection origin + w1 e1 + w2 e2 + F n on the surface and is
     defined for |w| <= radius.
+
+    The fields may be stacked: origin, e1, e2, n of shape S + (3,) and
+    kappa1, kappa2, radius of shape S hold one chart per index of S.
+    Chart coordinates w of shape (..., 2) then broadcast against S, each
+    point in its own chart, and chart[index] selects charts.
     """
 
     surface: ParametrizedSurface
@@ -313,8 +335,20 @@ class CCoordinateChart:
     kappa2: float
     radius: float
 
+    def __getitem__(self, index):
+        return CCoordinateChart(
+            self.surface,
+            *(np.asarray(getattr(self, f.name))[index] for f in fields(self)[1:]),
+        )
+
     def _plane_point(self, w):
         return self.origin + w[..., :1] * self.e1 + w[..., 1:] * self.e2
+
+    def _along_n(self, v, n):
+        """v . n per row for the normals n of the rows of v.  A single
+        chart takes one matrix-vector product, the arithmetic per-chart
+        calls have always had; stacked charts take one dot per row."""
+        return v @ self.n if self.n.ndim == 1 else _dot(v, n)
 
     def height(self, w):
         """F(w) for chart coordinates w of shape (..., 2).
@@ -326,36 +360,43 @@ class CCoordinateChart:
         w = np.asarray(w, dtype=float)
         if np.any(np.linalg.norm(w, axis=-1) > self.radius):
             raise ValueError("chart coordinates outside chart radius")
+        shape = w.shape[:-1]
         base = self._plane_point(w).reshape(-1, 3)
         flat = w.reshape(-1, 2)
-        t = -0.5 * (self.kappa1 * flat[:, 0] ** 2 + self.kappa2 * flat[:, 1] ** 2)
-        scale = np.linalg.norm(self.origin)
+        # the chart fields per point, flattened like base
+        nd = np.ndim(self.kappa1)
+        n, k1, k2, scale = (
+            np.broadcast_to(v, shape + np.shape(v)[nd:]).reshape((-1,) + np.shape(v)[nd:])
+            for v in (self.n, self.kappa1, self.kappa2, _norm(self.origin))
+        )
+        t = -0.5 * (k1 * flat[:, 0] ** 2 + k2 * flat[:, 1] ** 2)
+        tol = 1e-14 * np.maximum(1.0, scale)
         todo = np.arange(t.size)
         stalled = []
         for _ in range(60):
             if not todo.size:
                 break
-            p = base[todo] + t[todo, None] * self.n
+            p = base[todo] + t[todo, None] * n[todo]
             g = self.surface.implicit_value(p)
-            live = np.abs(g) >= 1e-14 * max(1.0, scale)
+            live = np.abs(g) >= tol[todo]
             todo, p, g = todo[live], p[live], g[live]
-            dg = self.surface.implicit_gradient(p) @ self.n
+            dg = self._along_n(self.surface.implicit_gradient(p), n[todo])
             ok = dg > 0.0
             stalled.append(todo[~ok])
             todo = todo[ok]
             t[todo] -= g[ok] / dg[ok]
         stalled = np.concatenate(stalled + [todo])
         if stalled.size:
-            t[stalled] = self._height_bisect(base[stalled], scale)
-        return t.reshape(w.shape[:-1])[()]
+            t[stalled] = self._height_bisect(base[stalled], n[stalled], scale[stalled])
+        return t.reshape(shape)[()]
 
-    def _height_bisect(self, base, scale):
-        """Heights along n for chart-plane points base (k, 3): one
-        bisection over all of them, each stopping at width
-        1e-15 + 8.9e-16 |t|."""
-        span = 0.9 * max(1.0, scale)
-        f = lambda t: self.surface.implicit_value(base + t[:, None] * self.n)
-        lo, hi = np.full(len(base), -span), np.full(len(base), span)
+    def _height_bisect(self, base, n, scale):
+        """Heights along the normals n (3,) or (k, 3) for chart-plane
+        points base (k, 3) with origin norms scale: one bisection over all
+        of them, each stopping at width 1e-15 + 8.9e-16 |t|."""
+        span = np.broadcast_to(0.9 * np.maximum(1.0, scale), len(base))
+        f = lambda t: self.surface.implicit_value(base + t[:, None] * n)
+        lo, hi = -span, span
         f_lo = f(lo)
         if np.any(f_lo * f(hi) > 0.0):
             raise ValueError("chart ray does not cross the surface")
@@ -380,7 +421,7 @@ class CCoordinateChart:
         surface normal turns away from n, is a ValueError."""
         q = self.surface_point(w)
         g = self.surface.implicit_gradient(q)
-        gn = g @ self.n
+        gn = self._along_n(g, np.broadcast_to(self.n, g.shape))
         if np.any(gn <= 0.0):
             raise ValueError("chart point beyond the horizon of the chart")
         g_norm = np.linalg.norm(g, axis=-1)
@@ -388,23 +429,27 @@ class CCoordinateChart:
 
 
 def c_chart(surface, theta, phi):
-    """Curvature-aligned chart at the parameter point (theta, phi); its
-    radius is _CHART_REACH over the largest of |kappa1|, |kappa2| and
-    1 / |origin|."""
+    """Curvature-aligned charts at the parameter points (theta, phi),
+    stacked over their broadcast shape; each radius is _CHART_REACH over
+    the largest of |kappa1|, |kappa2| and 1 / |origin|.  One height
+    solve checks every origin, and each chart of a stacked call equals
+    the call at its point alone, bit for bit."""
     k1, k2, e1, e2, n = principal_curvatures(surface, theta, phi)
     origin = surface.position(theta, phi)
-    kmax = max(abs(k1), abs(k2), 1.0 / max(np.linalg.norm(origin), 1e-12))
+    r_origin = _norm(origin)
+    kmax = np.maximum(np.maximum(np.abs(k1), np.abs(k2)), 1.0 / np.maximum(r_origin, 1e-12))
     chart = CCoordinateChart(
         surface=surface,
         origin=origin,
         e1=e1,
         e2=e2,
         n=n,
-        kappa1=float(k1),
-        kappa2=float(k2),
-        radius=float(_CHART_REACH / kmax),
+        kappa1=k1,
+        kappa2=k2,
+        radius=_CHART_REACH / kmax,
     )
-    if abs(chart.height(np.zeros(2))) > 1e-10 * max(1.0, np.linalg.norm(origin)):
+    off = np.abs(chart.height(np.zeros(np.shape(k1) + (2,))))
+    if np.any(off > 1e-10 * np.maximum(1.0, r_origin)):
         raise ValueError("chart origin is off the surface")
     return chart
 

@@ -24,6 +24,7 @@ from npspec.elasticity import (
     np_kernel,
     sphere_exact_eigenvalues,
 )
+from npspec import spectral
 from npspec.spectral import (
     _GridInfo,
     _assemble,
@@ -93,7 +94,6 @@ class TestGridInfo:
         quad = surface_quadrature(SPHERE, 6)
         grid = _GridInfo(quad)
         assert grid.n_lat == 6 and grid.n_phi == 12
-        assert grid.node_index(2, 13) == 2 * 12 + 1
 
     def test_rejects_non_product_size(self):
         fake = SimpleNamespace(size=10, params=np.zeros((10, 2)))
@@ -113,7 +113,7 @@ class TestInterpolationStencil:
         grid = _GridInfo(quad)
         nodes = [0, 57, quad.size - 3]
         th, ph = quad.params[nodes].T
-        idx, wgt = _batch_stencil(grid, th, ph, 8)
+        idx, wgt = _batch_stencil(grid, th, ph)
         for i, row_idx, row_wgt in zip(nodes, idx, wgt):
             vals = dict(zip(row_idx.tolist(), row_wgt.tolist()))
             assert abs(vals.get(i, 0.0) - 1.0) < 1e-12
@@ -133,7 +133,7 @@ class TestInterpolationStencil:
         rng = np.random.default_rng(5)
         ths = rng.uniform(0.2, np.pi - 0.2, 40)
         phs = rng.uniform(0.0, 2.0 * np.pi, 40)
-        idx, wgt = _batch_stencil(grid, ths, phs, 8)
+        idx, wgt = _batch_stencil(grid, ths, phs)
         got = (fv[idx] * wgt).sum(axis=1)
         assert np.abs(got - f(ths, phs)).max() < 5e-4
 
@@ -148,7 +148,7 @@ class TestInterpolationStencil:
         fv = f(quad.params[:, 0], quad.params[:, 1])
         ths = np.array([0.01, 0.04, np.pi - 0.02])
         phs = np.array([0.3, 4.0, 1.1])
-        idx, wgt = _batch_stencil(grid, ths, phs, 8)
+        idx, wgt = _batch_stencil(grid, ths, phs)
         got = (fv[idx] * wgt).sum(axis=1)
         assert np.abs(got - f(ths, phs)).max() < 5e-4
 
@@ -167,10 +167,63 @@ class TestInterpolationStencil:
         rng = np.random.default_rng(5)
         ths = rng.uniform(0.0, np.pi, 200)
         phs = rng.uniform(0.0, 2.0 * np.pi, 200)
-        idx, wgt = _batch_stencil(grid, ths, phs, 8)
+        idx, wgt = _batch_stencil(grid, ths, phs)
         assert idx.min() >= 0 and idx.max() < quad.size
         got = (fv[idx] * wgt).sum(axis=1)
         assert np.abs(got - f(ths, phs)).max() < tol
+
+
+def _lagrange(x, nodes):
+    """Lagrange basis values at x in product form."""
+    return np.array([
+        np.prod([(x - b) / (a - b) for b in nodes if b != a]) for a in nodes
+    ])
+
+
+def _reference_row(quad, theta, phi, p=8):
+    """Dense interpolation row at (theta, phi), built point by point: the
+    p consecutive extended latitudes around theta (rows reflected across
+    a pole read phi + pi) and the p longitudes around each row's target."""
+    n = round(math.sqrt(quad.size / 2))
+    asc = quad.params[:: 2 * n, 0][::-1]
+    r = min(p, n)
+    ext = (
+        [(-asc[a], n - 1 - a, math.pi) for a in range(r - 1, -1, -1)]
+        + [(asc[a], n - 1 - a, 0.0) for a in range(n)]
+        + [(2 * math.pi - asc[a], n - 1 - a, math.pi) for a in range(n - 1, n - r - 1, -1)]
+    )
+    lo = min(max(int(np.searchsorted([e[0] for e in ext], theta)) - p // 2, 0), len(ext) - p)
+    window = ext[lo : lo + p]
+    row = np.zeros(quad.size)
+    dphi = math.pi / n
+    for lat_w, (_, lat, shift) in zip(_lagrange(theta, [e[0] for e in window]), window):
+        target = phi + shift
+        cols = round(target / dphi) + np.arange(p) - p // 2
+        for col, lon_w in zip(cols, _lagrange(target, list(cols * dphi))):
+            row[lat * 2 * n + col % (2 * n)] += lat_w * lon_w
+    return row
+
+
+class TestTableStencil:
+    @pytest.mark.parametrize("n", [4, 6, 7, 10])
+    def test_matches_pointwise_lagrange_near_poles(self, n):
+        quad = surface_quadrature(SPHERE, n)
+        rng = np.random.default_rng(n)
+        ths = np.concatenate([
+            [0.0, math.pi], rng.uniform(0.0, 0.4, 15), rng.uniform(math.pi - 0.4, math.pi, 15)
+        ])
+        phs = rng.uniform(-math.pi, math.pi, len(ths))
+        idx, wgt = _batch_stencil(_GridInfo(quad), ths, phs)
+        got = _interp_matrix(idx, wgt, quad.size)
+        for k in range(len(ths)):
+            ref = _reference_row(quad, ths[k], phs[k])
+            assert np.abs(got[k] - ref).max() < 1e-14 * max(1.0, np.abs(ref).max())
+
+    @pytest.mark.parametrize("n", [4, 6, 7, 10])
+    def test_grid_values_reproduced_exactly(self, n):
+        quad = surface_quadrature(SPHERE, n)
+        idx, wgt = _batch_stencil(_GridInfo(quad), *quad.params.T)
+        assert np.array_equal(_interp_matrix(idx, wgt, quad.size), np.eye(quad.size))
 
 
 class TestInterpolationMatrix:
@@ -182,10 +235,10 @@ class TestInterpolationMatrix:
         grid = _GridInfo(quad)
         chart = c_chart(SPHERE, *quad.params[0])
         r2 = 0.8 * chart.radius
-        w12, _, _ = _patch_points(chart, 0.5 * r2, r2, 10, 16)
+        w12, _, _ = _patch_points(0.5 * r2, r2, 10, 16)
         q, _, _ = chart.geometry(w12)
         tq = np.arccos(np.clip(q[:, 2], -1.0, 1.0))
-        idx, wgt = _batch_stencil(grid, tq, np.arctan2(q[:, 1], q[:, 0]), 8)
+        idx, wgt = _batch_stencil(grid, tq, np.arctan2(q[:, 1], q[:, 0]))
         repeats = max(idx.shape[1] - np.unique(row).size for row in idx)
         assert (repeats > 0) == (n == 4)
         contrib = np.random.default_rng(2).normal(size=(len(q), 3, 3))
@@ -223,6 +276,27 @@ class TestFusedPass:
         for mat, kernel in zip(both, kernels):
             (alone,) = _assemble(surface, quad, (kernel,))
             assert np.array_equal(mat, alone)
+
+
+class TestNodeBlocks:
+    @pytest.mark.parametrize(
+        "surface",
+        [SPHERE, make_surface("radial_graph", harmonics=[[2, 0, -0.3]])],
+        ids=["sphere", "radial_graph"],
+    )
+    def test_one_node_blocks_match_default_blocks(self, surface, monkeypatch):
+        quad = surface_quadrature(surface, 6)
+        k_mat, s_mat = assemble_operators(surface, P11, quad)
+        monkeypatch.setattr(spectral, "_BLOCK_POINTS", 1)
+        k_one, s_one = assemble_operators(surface, P11, quad)
+        assert np.abs(k_one - k_mat).max() <= 1e-14 * np.abs(k_mat).max()
+        assert np.abs(s_one - s_mat).max() <= 1e-14 * np.abs(s_mat).max()
+
+    def test_blocks_fill_the_budget(self, monkeypatch):
+        monkeypatch.setattr(spectral, "_BLOCK_POINTS", 1000)
+        # consecutive nodes up to the budget; a node over it is a block alone
+        assert spectral._node_blocks([300, 300, 300, 5000, 200, 100]) == [0, 3, 4, 6]
+        assert spectral._node_blocks([600, 600, 400]) == [0, 1, 3]
 
 
 class TestRigidMotions:
@@ -294,7 +368,7 @@ class TestPatchGeometry:
         for radius in (1.0, 2.5):
             surf = make_surface("sphere", radius=radius)
             chart = c_chart(surf, 1.1, 0.6)
-            w12, _, _ = _patch_points(chart, 0.1 * radius, 0.3 * radius, 12, 32)
+            w12, _, _ = _patch_points(0.1 * radius, 0.3 * radius, 12, 32)
             q, nu, area = chart.geometry(w12)
             t = np.sqrt(radius**2 - np.einsum("ij,ij->i", w12, w12)) - radius
             q_ref = (

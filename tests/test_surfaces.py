@@ -252,7 +252,7 @@ class TestCharts:
         rng = np.random.default_rng(5)
         w = rng.uniform(-0.6, 0.6, size=(30, 2)) * chart.radius
         scale = np.linalg.norm(chart.origin)
-        got = chart._height_bisect(chart._plane_point(w), scale)
+        got = chart._height_bisect(chart._plane_point(w), chart.n, scale)
         assert np.abs(got - chart.height(w)).max() < 1e-14
 
     def test_bisection_ray_that_misses_rejected(self):
@@ -260,12 +260,68 @@ class TestCharts:
         base = chart._plane_point(np.zeros((4, 2)))
         base[2] += 5.0 * chart.e1
         with pytest.raises(ValueError, match="chart ray does not cross the surface"):
-            chart._height_bisect(base, np.linalg.norm(chart.origin))
+            chart._height_bisect(base, chart.n, np.linalg.norm(chart.origin))
 
     def test_frame(self):
         chart = c_chart(BUMPY, 1.4, 3.0)
         frame = np.column_stack([chart.e1, chart.e2, chart.n])
         assert np.abs(frame.T @ frame - np.eye(3)).max() < 1e-12
+
+
+class TestStackedCharts:
+    FIELDS = ("origin", "e1", "e2", "n", "kappa1", "kappa2", "radius")
+
+    @staticmethod
+    def _points(surface):
+        # every node of an n=6 rule (two latitudes near each pole) and a
+        # few off-grid points
+        quad = surface_quadrature(surface, 6)
+        rng = np.random.default_rng(8)
+        theta = np.concatenate([quad.params[:, 0], rng.uniform(0.05, 3.1, 12)])
+        phi = np.concatenate([quad.params[:, 1], rng.uniform(0.0, 2.0 * np.pi, 12)])
+        return theta, phi
+
+    @pytest.mark.parametrize("surface", [SPHERE, TRIAXIAL, DENT], ids=["sphere", "triaxial", "dent"])
+    def test_rows_equal_single_charts_bit_for_bit(self, surface):
+        theta, phi = self._points(surface)
+        charts = c_chart(surface, theta, phi)
+        assert charts.origin.shape == (len(theta), 3) and charts.radius.shape == theta.shape
+        for i in range(len(theta)):
+            one = c_chart(surface, theta[i], phi[i])
+            for name in self.FIELDS:
+                assert np.array_equal(getattr(charts, name)[i], getattr(one, name)), name
+                assert np.array_equal(getattr(charts[i], name), getattr(one, name)), name
+
+    @pytest.mark.parametrize("surface", [SPHERE, TRIAXIAL, DENT], ids=["sphere", "triaxial", "dent"])
+    def test_geometry_in_own_charts(self, surface):
+        # one height solve over points of many charts, each point in the
+        # chart of its owner, against per-chart solves
+        theta, phi = self._points(surface)
+        charts = c_chart(surface, theta, phi)
+        rng = np.random.default_rng(4)
+        owner = rng.integers(0, len(theta), 200)
+        w = rng.uniform(-0.6, 0.6, size=(200, 2)) * charts.radius[owner, None]
+        q, nu, area = charts[owner].geometry(w)
+        for k in range(0, 200, 7):
+            q1, nu1, area1 = c_chart(surface, theta[owner[k]], phi[owner[k]]).geometry(w[k])
+            assert np.abs(q[k] - q1).max() < 1e-14
+            assert np.abs(nu[k] - nu1).max() < 1e-14
+            assert abs(area[k] - area1) < 1e-14
+
+    def test_stacked_chart_broadcasts_over_leading_axes(self):
+        charts = c_chart(TRIAXIAL, np.array([0.5, 1.2, 2.8]), np.array([0.1, 4.0, 2.2]))
+        w = np.random.default_rng(6).uniform(-0.4, 0.4, size=(5, 3, 2)) * charts.radius[:, None]
+        heights = charts.height(w)
+        assert heights.shape == (5, 3)
+        for j in range(3):
+            assert np.abs(heights[:, j] - charts[j].height(w[:, j])).max() < 1e-14
+
+    def test_off_radius_point_rejected_in_its_own_chart(self):
+        charts = c_chart(TRIAXIAL, np.array([0.5, 1.2]), np.array([0.1, 4.0]))
+        w = np.zeros((2, 2))
+        w[1, 0] = 1.01 * charts.radius[1]
+        with pytest.raises(ValueError):
+            charts.height(w)
 
 
 class TestConsistentCharts:
