@@ -310,7 +310,7 @@ def principal_curvatures(surface, theta, phi):
     return vals[..., 0], vals[..., 1], e1, e2, jet["normal"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CCoordinateChart:
     """Curvature-aligned tangent-plane graph charts.
 
@@ -331,9 +331,9 @@ class CCoordinateChart:
     e1: np.ndarray
     e2: np.ndarray
     n: np.ndarray
-    kappa1: float
-    kappa2: float
-    radius: float
+    kappa1: np.ndarray
+    kappa2: np.ndarray
+    radius: np.ndarray
 
     def __getitem__(self, index):
         return CCoordinateChart(
@@ -343,12 +343,6 @@ class CCoordinateChart:
 
     def _plane_point(self, w):
         return self.origin + w[..., :1] * self.e1 + w[..., 1:] * self.e2
-
-    def _along_n(self, v, n):
-        """v . n per row for the normals n of the rows of v.  A single
-        chart takes one matrix-vector product, the arithmetic per-chart
-        calls have always had; stacked charts take one dot per row."""
-        return v @ self.n if self.n.ndim == 1 else _dot(v, n)
 
     def height(self, w):
         """F(w) for chart coordinates w of shape (..., 2).
@@ -362,14 +356,11 @@ class CCoordinateChart:
             raise ValueError("chart coordinates outside chart radius")
         shape = w.shape[:-1]
         base = self._plane_point(w).reshape(-1, 3)
-        flat = w.reshape(-1, 2)
-        # the chart fields per point, flattened like base
-        nd = np.ndim(self.kappa1)
-        n, k1, k2, scale = (
-            np.broadcast_to(v, shape + np.shape(v)[nd:]).reshape((-1,) + np.shape(v)[nd:])
-            for v in (self.n, self.kappa1, self.kappa2, _norm(self.origin))
-        )
-        t = -0.5 * (k1 * flat[:, 0] ** 2 + k2 * flat[:, 1] ** 2)
+        t = (-0.5 * (self.kappa1 * w[..., 0] ** 2 + self.kappa2 * w[..., 1] ** 2)).reshape(-1)
+        # each point's chart normal and origin norm, flattened like base
+        # (zero-stride views, not copies, for a single chart)
+        n = np.broadcast_to(self.n, shape + (3,)).reshape(-1, 3)
+        scale = np.broadcast_to(_norm(self.origin), shape).reshape(-1)
         tol = 1e-14 * np.maximum(1.0, scale)
         todo = np.arange(t.size)
         stalled = []
@@ -380,7 +371,7 @@ class CCoordinateChart:
             g = self.surface.implicit_value(p)
             live = np.abs(g) >= tol[todo]
             todo, p, g = todo[live], p[live], g[live]
-            dg = self._along_n(self.surface.implicit_gradient(p), n[todo])
+            dg = _dot(self.surface.implicit_gradient(p), n[todo])
             ok = dg > 0.0
             stalled.append(todo[~ok])
             todo = todo[ok]
@@ -421,7 +412,7 @@ class CCoordinateChart:
         surface normal turns away from n, is a ValueError."""
         q = self.surface_point(w)
         g = self.surface.implicit_gradient(q)
-        gn = self._along_n(g, np.broadcast_to(self.n, g.shape))
+        gn = _dot(g, self.n)
         if np.any(gn <= 0.0):
             raise ValueError("chart point beyond the horizon of the chart")
         g_norm = np.linalg.norm(g, axis=-1)
