@@ -25,7 +25,7 @@ from .symbols import (
     shift,
     projector_polynomial,
     degenerate_polynomial,
-    build_bi_symbol,
+    cluster_symbols,
     subprincipal,
     detect_degeneracy,
 )
@@ -80,7 +80,7 @@ __all__ = [
     "shift",
     "projector_polynomial",
     "degenerate_polynomial",
-    "build_bi_symbol",
+    "cluster_symbols",
     "subprincipal",
     "detect_degeneracy",
     "LameParams",

@@ -12,13 +12,19 @@ with
            Tr[ (m_hat(x, xi))_pm^d ]  dcirc(xi) dS(x),
 
 where (.)_pm are the positive/negative spectral parts and dcirc is
-arclength on the unit frequency circle.
+arclength on the unit frequency circle.  Every root's m_hat comes from
+the same two-term symbol at a point, so coefficient_integral computes
+the coefficients of all roots together, from one evaluation of each
+node's cluster symbols.
 """
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
+
+# largest accepted imaginary part of a cluster symbol eigenvalue,
+# relative to the node's magnitude reference
+_IMAG_TOL = 1e-4
 
 
 def signed_power_trace(mat, d, sign, imag_tol=1e-6, zero_tol=1e-12, scale=None):
@@ -60,42 +66,46 @@ def _signed_traces(vals, d, imag_tol, zero_tol, scale):
     return tuple(np.sum(np.where(keep, power, 0.0), axis=-1) for keep in (re > cut, re < -cut))
 
 
-def coefficient_integral(field, iota, d=2, angles=None, imag_tol=1e-4):
-    """Two-sided counting coefficients (C_plus, C_minus) at one root.
+def coefficient_integral(field, d=2, angles=None):
+    """Two-sided counting coefficients (C_plus, C_minus) at every root.
 
-    field is an extracted SymbolField; iota indexes its spectral
-    roots.  The frequency integral runs over `angles` equispaced unit
-    directions (default 64, whatever the field's angular resolution:
-    its evaluators interpolate between their own grid angles) and the
-    surface integral over the field's quadrature weights.  Each node's
-    cluster symbol is evaluated once, on the whole direction stack.
-    The returned info dict reports the drift when the angle count is
-    halved, an internal convergence check; the half grid is every
-    second direction of the full one, with its own magnitude reference.
+    field is an extracted SymbolField; C_plus and C_minus are arrays
+    over its spectral roots, in root order.  The frequency integral
+    runs over `angles` equispaced unit directions (default 64, whatever
+    the field's angular resolution: its evaluators interpolate between
+    their own grid angles) and the surface integral over the field's
+    quadrature weights.  Each node's cluster symbols are evaluated once,
+    on the whole direction stack and for every root, and one eigensolve
+    per node serves all its roots, both signs and the half grid.
+    Cluster spectra must be real to _IMAG_TOL relative.  The returned info dict reports each
+    root's drift when the angle count is halved, an internal
+    convergence check; the half grid is every second direction of the
+    full one, with its own magnitude reference.
     """
-    roots = field.roots.roots
-    if not 0 <= iota < len(roots):
-        raise IndexError("root index out of range")
     if angles is None:
         angles = 64
     if angles % 4:
         raise ValueError("angle count must be divisible by 4")
     thetas = 2.0 * np.pi * np.arange(angles) / angles
     xis = np.column_stack([np.cos(thetas), np.sin(thetas)])
-    # rows: full grid, half grid; columns: plus, minus
-    sums = np.zeros((2, 2))
-    for i in range(field.node_count):
-        mats = np.asarray(field.m_hat[i][iota](xis))
+    # rows: full grid, half grid; columns: plus, minus; then roots
+    sums = np.zeros((2, 2, len(field.roots.roots)))
+    for i, m_hat in enumerate(field.m_hat):
+        # (roots, angles, N, N) in C order, so that each root's angular
+        # sum is one contiguous pairwise sum
+        mats = np.ascontiguousarray(np.moveaxis(m_hat(xis), -3, 0))
         vals = np.linalg.eigvals(mats)
         for k, step in enumerate((1, 2)):
-            ref = np.abs(mats[::step]).max()
+            ref = np.abs(mats[:, ::step]).max(axis=(-3, -2, -1))
             w = field.weights[i] * (2.0 * np.pi / (angles // step))
-            traces = _signed_traces(vals[::step], d, imag_tol, zero_tol=1e-12, scale=ref)
-            sums[k] += [w * t.sum() for t in traces]
+            traces = _signed_traces(
+                vals[:, ::step], d, _IMAG_TOL, zero_tol=1e-12, scale=ref[:, None]
+            )
+            sums[k] += [w * t.sum(axis=-1) for t in traces]
     (cp, cm), (cp_h, cm_h) = (2.0 * np.pi) ** (-d) / d * sums
-    scale = max(abs(cp), abs(cm), 1e-30)
+    scale = np.maximum(np.maximum(abs(cp), abs(cm)), 1e-30)
     info = {
-        "angle_drift": max(abs(cp - cp_h), abs(cm - cm_h)) / scale,
+        "angle_drift": np.maximum(abs(cp - cp_h), abs(cm - cm_h)) / scale,
         "angles": angles,
     }
     return cp, cm, info

@@ -40,20 +40,10 @@ DEFAULT_CONFIG = {
                 "harmonics": []},
     "material": {"lambda": 1.0, "mu": 1.0},
     "mesh": {"n": 12},
-    "extract": {"eps_ladder": None, "angles": 64},
+    "extract": {"angles": 64},
     "windows": {"guard": 0.05, "n_tau": 24},
     "out": {"dir": "."},
 }
-
-
-def _merge(base, extra):
-    out = {k: dict(v) if isinstance(v, dict) else v for k, v in base.items()}
-    for k, v in extra.items():
-        if isinstance(v, dict) and isinstance(out.get(k), dict):
-            out[k].update(v)
-        else:
-            out[k] = v
-    return out
 
 
 def _coerce(text):
@@ -64,17 +54,25 @@ def _coerce(text):
 
 
 def load_config(path=None, overrides=()):
-    """Defaults, optionally a JSON file, then dotted-key overrides."""
-    cfg = _merge(DEFAULT_CONFIG, {})
+    """Defaults, optionally a JSON file, then dotted-key overrides.
+
+    Every key, from the file or an override, must name a section and
+    key of DEFAULT_CONFIG; any other key exits with its name.
+    """
+    cfg = {section: dict(values) for section, values in DEFAULT_CONFIG.items()}
+    pairs = []
     if path:
         with open(path) as f:
-            cfg = _merge(cfg, json.load(f))
-    for key, value in overrides:
-        parts = key.split(".")
-        node = cfg
-        for p in parts[:-1]:
-            node = node.setdefault(p, {})
-        node[parts[-1]] = _coerce(value)
+            for section, values in json.load(f).items():
+                if not isinstance(values, dict):
+                    raise SystemExit("config section %r is not an object" % section)
+                pairs.extend(("%s.%s" % (section, k), v) for k, v in values.items())
+    pairs.extend((key, _coerce(value)) for key, value in overrides)
+    for key, value in pairs:
+        section, _, name = key.partition(".")
+        if name not in cfg.get(section, {}):
+            raise SystemExit("unknown config key %r" % key)
+        cfg[section][name] = value
     return cfg
 
 
@@ -99,13 +97,13 @@ def _surface(cfg):
     s = cfg["surface"]
     kind = s["kind"]
     if kind == "sphere":
-        return make_surface("sphere", radius=float(s.get("radius", 1.0)))
+        return make_surface("sphere", radius=float(s["radius"]))
     if kind == "ellipsoid":
         return make_surface(
             "ellipsoid", a=float(s["a"]), b=float(s["b"]), c=float(s["c"])
         )
     if kind == "radial_graph":
-        return make_surface("radial_graph", harmonics=s.get("harmonics", []))
+        return make_surface("radial_graph", harmonics=s["harmonics"])
     raise SystemExit("unknown surface kind %r" % kind)
 
 
@@ -185,8 +183,8 @@ def cmd_count(cfg, eigenvalues_path=None):
     poly = essential_spectrum(_material(cfg))
     win = cfg["windows"]
     records = cluster_and_count(
-        vals, poly, n_tau=int(win.get("n_tau", 24)),
-        guard=float(win.get("guard", 0.05)),
+        vals, poly, n_tau=int(win["n_tau"]),
+        guard=float(win["guard"]),
     )
     path = os.path.join(d, "counting.csv")
     npio.write_counting_csv(path, records)
@@ -230,30 +228,22 @@ def cmd_coeff(cfg):
     surface = _surface(cfg)
     params = _material(cfg)
     quad = surface_quadrature(surface, int(cfg["mesh"]["n"]))
-    ex = cfg["extract"]
-    ladder = ex.get("eps_ladder")
-    field = np_symbol_field(
-        surface, params, quad,
-        angles=int(ex.get("angles", 64)),
-        eps_ladder=None if ladder in (None, []) else np.asarray(ladder, float),
-    )
-    reports = []
-    drift = 0.0
-    for idx, root in enumerate(field.roots.roots):
-        cp, cm, info = coefficient_integral(field, idx)
-        drift = max(drift, float(info["angle_drift"]))
-        for side, c in (("plus", cp), ("minus", cm)):
-            reports.append(
-                AsymptoticReport(
-                    root=float(root), side=side, c=float(c), d=2.0,
-                    route="symbol", err_estimate=float(info["angle_drift"]),
-                )
-            )
+    field = np_symbol_field(surface, params, quad, angles=int(cfg["extract"]["angles"]))
+    cp, cm, info = coefficient_integral(field)
+    drift = info["angle_drift"]
+    reports = [
+        AsymptoticReport(
+            root=float(root), side=side, c=float(c[idx]), d=2.0,
+            route="symbol", err_estimate=float(drift[idx]),
+        )
+        for idx, root in enumerate(field.roots.roots)
+        for side, c in (("plus", cp), ("minus", cm))
+    ]
     d = _outdir(cfg)
     path = os.path.join(d, "coeff.json")
     npio.write_report_json(path, reports)
     summary = dict(
-        field.diagnostics, reports=len(reports), file=path, angle_drift=drift
+        field.diagnostics, reports=len(reports), file=path, angle_drift=float(drift.max())
     )
     print(json.dumps(summary, sort_keys=True))
     return 0

@@ -5,7 +5,10 @@ chart, split the chart kernel into homogeneous parts of degree -2 and
 -1 by a radial extrapolation ladder, map each part to its planar
 symbol through the angular Fourier multiplier of the kernel transform
 a(x, xi) = int exp(+i z.xi) k(x, z) dz, then assemble the normalized
-cluster symbols that drive the eigenvalue counting coefficients.
+cluster symbols that drive the eigenvalue counting coefficients.  All
+node charts come from one stacked c_chart call, and each node has one
+cluster symbol evaluator that returns every root's symbol from one
+evaluation of the node's two-term jet.
 
 The degree -2 part must be odd (its even part has no classical
 symbol); the resulting degree 0 symbol is checked against the closed
@@ -19,17 +22,20 @@ from functools import cached_property
 import numpy as np
 
 from .elasticity import essential_spectrum, np_kernel, np_principal_symbol
-from .surfaces import c_chart, consistent_chart
-from .symbols import (
-    SpectralPolynomial,
-    TwoTermSymbol,
-    build_bi_symbol,
-    root_derivative_scale,
-)
+from .surfaces import CCoordinateChart, c_chart, consistent_chart
+from .symbols import SpectralPolynomial, cluster_symbols
 
 
 # steps (h, 2h) of the transported-chart differences behind dx a0
 _DX_STEPS = (1e-3, 2e-3)
+# extrapolation ladder: geomspace arguments of its radii eps, fitted by
+# a quartic in eps (built per call: a geomspace call at import would add
+# about 0.5 MB to the resident size of every CLI stage)
+_LADDER = (1.0e-3, 1.0e-2, 8)
+# largest accepted relative even part of the degree -2 kernel samples
+_ODD_TOL = 1e-5
+# largest accepted relative even mode of a degree -2 kernel part
+_EVEN_TOL = 1e-8
 # largest accepted deviation of the extracted degree 0 symbol from the
 # closed flat-boundary form
 _K0_TOL = 1e-4
@@ -109,32 +115,24 @@ class _TrigSeries:
         return np.tensordot(phase, self._coeffs, axes=(-1, 0))
 
 
-def _default_ladder():
-    return np.geomspace(1.0e-3, 1.0e-2, 8)
-
-
-def homogeneous_parts(kernel_fn, angles=64, eps_ladder=None, odd_tol=1e-5):
+def homogeneous_parts(kernel_fn, angles=64):
     """Split a chart kernel into degree -2 and -1 homogeneous parts.
 
     kernel_fn maps planar offsets z (..., 2) to 3x3 matrices
     (..., 3, 3); it is called once, on the whole direction-by-ladder
     block.  Along each of `angles` equispaced directions the scaled
     values eps^2 kernel_fn(eps u) are fitted by a polynomial in eps over
-    the extrapolation ladder; the constant and linear coefficients are
-    the degree -2 and -1 angular samples.  The degree -2 part must be
-    odd under u -> -u to the relative tolerance odd_tol.
+    the extrapolation ladder _LADDER; the constant and linear
+    coefficients are the degree -2 and -1 angular samples.  The degree
+    -2 part must be odd under u -> -u to the relative tolerance _ODD_TOL.
 
     Returns (part_m2, part_m1, diagnostics).
     """
     if angles < 64 or angles % 2:
         raise ValueError("need an even direction count of at least 64")
-    ladder = _default_ladder() if eps_ladder is None else np.asarray(eps_ladder, float)
-    if ladder.size < 4 or ladder.min() < 1e-5 or ladder.max() > 1e-2:
-        raise ValueError("ladder needs >= 4 radii inside [1e-5, 1e-2]")
-    ladder = np.sort(ladder)
-    deg = min(4, ladder.size - 2)
-    s = ladder.max()
-    design = np.vander(ladder / s, deg + 1, increasing=True)
+    ladder = np.geomspace(*_LADDER)
+    s = ladder[-1]
+    design = np.vander(ladder / s, 5, increasing=True)
     thetas = 2.0 * np.pi * np.arange(angles) / angles
     u = np.column_stack([np.cos(thetas), np.sin(thetas)])
     vals = ladder[:, None, None, None] ** 2 * kernel_fn(ladder[:, None, None] * u)
@@ -148,7 +146,7 @@ def homogeneous_parts(kernel_fn, angles=64, eps_ladder=None, odd_tol=1e-5):
     scale = max(np.abs(k0).max(), 1e-30)
     half = angles // 2
     odd_defect = np.abs(k0 + np.roll(k0, half, axis=0)).max()
-    if odd_defect > odd_tol * scale:
+    if odd_defect > _ODD_TOL * scale:
         raise ValueError(
             "degree -2 kernel part is not odd: defect %.3e (scale %.3e)"
             % (odd_defect, scale)
@@ -210,11 +208,11 @@ class AngularSymbol:
         return self._series(phi) * r[..., None, None] ** self.degree
 
 
-def angular_fourier_symbol(part, even_tol=1e-8):
+def angular_fourier_symbol(part):
     """Planar symbol of a homogeneous kernel part.
 
     part.degree = -2 gives a degree 0 symbol (odd modes only; even
-    mode content beyond even_tol relative is an error), part.degree =
+    mode content beyond _EVEN_TOL relative is an error), part.degree =
     -1 gives a degree -1 symbol.  The two-sided angular Fourier
     coefficients c_n, |n| < M/2, all come from one FFT of the samples.
     """
@@ -226,7 +224,7 @@ def angular_fourier_symbol(part, even_tol=1e-8):
     mags = np.abs(coeffs[ns]).max(axis=(1, 2))
     even = (ns % 2 == 0) & (a == 2)
     bad_even = mags[even].max(initial=0.0)
-    if bad_even > even_tol * scale:
+    if bad_even > _EVEN_TOL * scale:
         raise ValueError(
             "even angular content %.3e in a degree -2 kernel part" % (bad_even / scale)
         )
@@ -256,13 +254,15 @@ def _principal_xi_derivative(params, xi):
 class SymbolField:
     """Extracted two-term boundary symbol data over surface nodes.
 
-    Per node: the curvature-aligned chart, degree 0 and -1 symbol
+    charts holds the curvature-aligned charts of all nodes stacked
+    (charts[i] is node i's).  Per node: degree 0 and -1 symbol
     evaluators, the tangential x-derivative of the degree 0 symbol
-    (indexed by chart direction), and per spectral root the normalized
-    cluster symbol evaluator m_hat whose signed d-th power traces feed
-    the counting coefficient integral.  Every evaluator takes a stack
-    of frequencies xi of shape (..., 2) and returns (..., 3, 3); dxk0
-    returns (..., 2, 3, 3).
+    (indexed by chart direction), and the normalized cluster symbol
+    evaluator m_hat whose signed d-th power traces feed the counting
+    coefficient integral.  Every evaluator takes a stack of frequencies
+    xi of shape (..., 2) and returns (..., 3, 3); dxk0 returns
+    (..., 2, 3, 3) and m_hat returns every spectral root's symbol,
+    (..., L, 3, 3) in root order.
     """
 
     surface: object
@@ -270,7 +270,7 @@ class SymbolField:
     node_params: np.ndarray
     weights: np.ndarray
     roots: SpectralPolynomial
-    charts: list
+    charts: CCoordinateChart
     k0: list
     km1: list
     dxk0: list
@@ -301,7 +301,7 @@ def _dxk0_table(params, surface, chart, xis):
     return np.moveaxis((4.0 * diffs[0] - diffs[1]) / 3.0, 0, 1)
 
 
-def np_symbol_field(surface, params, quad, roots=None, angles=64, eps_ladder=None):
+def np_symbol_field(surface, params, quad, roots=None, angles=64):
     """Extract the two-term boundary symbol at every quadrature node.
 
     quad is a SurfaceQuadrature (nodes, weights, parameters).  roots
@@ -313,17 +313,16 @@ def np_symbol_field(surface, params, quad, roots=None, angles=64, eps_ladder=Non
         roots = essential_spectrum(params)
     elif not isinstance(roots, SpectralPolynomial):
         roots = SpectralPolynomial(roots=tuple(roots))
-    charts, k0s, km1s, dxk0s, m_hats = [], [], [], [], []
+    charts = c_chart(surface, quad.params[:, 0], quad.params[:, 1])
+    k0s, km1s, dxk0s, m_hats = [], [], [], []
     k0_err = 0.0
     fit_resid = 0.0
     thetas = 2.0 * np.pi * np.arange(angles) / angles
     xis = np.column_stack([np.cos(thetas), np.sin(thetas)])
     k0_flat = np_principal_symbol(params, xis)
     for i in range(quad.size):
-        th, ph = quad.params[i]
-        chart = c_chart(surface, th, ph)
-        kfun = lambda z: chart_kernel(params, chart, z)
-        p2, p1, diag = homogeneous_parts(kfun, angles=angles, eps_ladder=eps_ladder)
+        chart = charts[i]
+        p2, p1, diag = homogeneous_parts(lambda z: chart_kernel(params, chart, z), angles)
         fit_resid = max(fit_resid, diag["ladder_drift"])
         k0 = angular_fourier_symbol(p2)
         km1 = angular_fourier_symbol(p1)
@@ -336,25 +335,15 @@ def np_symbol_field(surface, params, quad, roots=None, angles=64, eps_ladder=Non
             )
         dx_interp = _TrigSeries.interpolating(_dxk0_table(params, surface, chart, xis))
         dx_eval = lambda xi, f=dx_interp: f(np.arctan2(xi[..., 1], xi[..., 0]))
-        two_term = TwoTermSymbol(
-            dim=3,
-            a0=lambda x, xi: np_principal_symbol(params, xi),
-            a_m1=lambda x, xi, f=km1: f(xi),
-            dx_a0=lambda x, xi, f=dx_eval: f(xi),
-            dxi_a0=lambda x, xi: _principal_xi_derivative(params, xi),
-        )
-        node_m = []
-        for idx in range(len(roots.roots)):
-            b = build_bi_symbol(two_term, roots, idx)
-            scale = root_derivative_scale(roots, idx)
-            node_m.append(
-                lambda xi, bm=b.a_m1, s=scale: bm(np.zeros(2), xi) / s
-            )
-        charts.append(chart)
         k0s.append(k0)
         km1s.append(km1)
         dxk0s.append(dx_eval)
-        m_hats.append(node_m)
+        m_hats.append(
+            lambda xi, km1=km1, dx=dx_eval: cluster_symbols(
+                roots, np_principal_symbol(params, xi), km1(xi), dx(xi),
+                _principal_xi_derivative(params, xi),
+            )
+        )
     return SymbolField(
         surface=surface,
         params=params,

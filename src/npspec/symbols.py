@@ -15,8 +15,9 @@ Composition convention.  The two-term product is
 
 with first derivatives of (a # b)_0 by the product rule.  Both are
 written once, as array functions of the operands' jets; compose calls
-them per slot and build_bi_symbol folds them over the factors of
-p_iota(A).  The subprincipal symbol is a_m1 - (i/2) sum_a d_x d_xi a0.
+them per slot and cluster_symbols folds them over the factors of
+p_iota(A), for every root at once on one evaluation of a's jet.  The
+subprincipal symbol is a_m1 - (i/2) sum_a d_x d_xi a0.
 The sign of the derivative terms is tied to the kernel transform and
 frame transport conventions of the extraction module; it is pinned by
 the exact sphere spectrum (see the cluster symbol tests).
@@ -303,54 +304,49 @@ def subprincipal(a):
     return a_sub
 
 
-def build_bi_symbol(a, p, iota):
-    """Order -1 principal symbol of p_iota(A) for a polynomially compact A.
+def cluster_symbols(p, a0, a_m1, dx_a0, dxi_a0):
+    """Normalized order -1 cluster symbols of p_iota(A) at every root.
 
-    The two-term product (A - w_iota) # prod_{l != iota} (A - w_l) # (A - w_l)
-    is folded from the left through the composition formula, on a's
-    jet (a0, a_m1, d_x a0, d_xi a0) evaluated once per call.  Its order
-    0 part p_iota(a0) must vanish; a ValueError is raised when its norm
-    exceeds _ORDER0_TOL at any evaluated point (the input is then not
-    polynomially compact with the given roots).  The returned
-    TwoTermSymbol stores that residual as its a0 slot and the order -1
-    term as its a_m1 slot, so the leading live term has degree -1.
+    For each root w_iota of p, the two-term product
+    (A - w_iota) # prod_{l != iota} (A - w_l) # (A - w_l) is folded from
+    the left through the composition formula on a's jet: a0 and a_m1 of
+    shape (..., N, N), d_x a0 and d_xi a0 of shape (..., 2, N, N), all
+    evaluated once at the same points.  The roots are folded side by
+    side on a root axis.  Each product's order 0 part p_iota(a0) must
+    vanish; a ValueError is raised when its norm exceeds _ORDER0_TOL at
+    any point for any root (a is then not polynomially compact with
+    these roots).  Returns the order -1 terms divided by
+    root_derivative_scale, stacked as (..., L, N, N) in root order.
     """
-    roots = _poly_roots(p)
-    if not 0 <= iota < len(roots):
-        raise IndexError("root index out of range")
-    squared = [w for l, w in enumerate(roots) if l != iota for _ in range(2)]
-    eye = np.eye(a.dim, dtype=complex)
-
-    def fold(x, xi):
-        a0 = np.asarray(a.a0(x, xi), dtype=complex)
-        am1 = np.asarray(a.a_m1(x, xi), dtype=complex)
-        dx, dxi = a.x_derivative(x, xi), a.xi_derivative(x, xi)
-        # the running product c = (a - w_iota) # ...; only its xi
-        # derivative is needed, since c always stands on the left
-        c0, c_m1, dxi_c0 = a0 - roots[iota] * eye, am1, dxi
-        for w in squared:
-            q0 = a0 - w * eye
-            c0, c_m1, dxi_c0 = (
-                c0 @ q0,
-                _product_m1(c0, c_m1, dxi_c0, q0, am1, dx),
-                _product_rule(dxi_c0, c0, dxi, q0),
-            )
-        return c0, c_m1
-
-    def residual0(x, xi):
-        return fold(x, xi)[0]
-
-    def b_m1(x, xi):
-        residual, b = fold(x, xi)
-        res = np.linalg.norm(residual, 2, axis=(-2, -1)).max()
-        if res > _ORDER0_TOL:
-            raise ValueError(
-                "order 0 residual %.3e exceeds %.1e: principal symbol "
-                "eigenvalues do not match the given roots" % (res, _ORDER0_TOL)
-            )
-        return b
-
-    return TwoTermSymbol(dim=a.dim, a0=residual0, a_m1=b_m1)
+    roots = np.array(_poly_roots(p))
+    eye = np.eye(np.shape(a0)[-1], dtype=complex)
+    # row iota: the roots other than w_iota, each twice, in root order
+    squared = np.array(
+        [[w for l, w in enumerate(roots) if l != i for _ in range(2)] for i in range(len(roots))]
+    )
+    a0 = np.asarray(a0, dtype=complex)[..., None, :, :]
+    am1 = np.asarray(a_m1, dtype=complex)[..., None, :, :]
+    dx, dxi = np.asarray(dx_a0)[..., None, :, :, :], np.asarray(dxi_a0)[..., None, :, :, :]
+    # the running product c = (a - w_iota) # ...; only its xi derivative
+    # is needed, since c always stands on the left
+    c0, c_m1, dxi_c0 = a0 - roots[:, None, None] * eye, am1, dxi
+    for w in squared.T:
+        q0 = a0 - w[:, None, None] * eye
+        c0, c_m1, dxi_c0 = (
+            c0 @ q0,
+            _product_m1(c0, c_m1, dxi_c0, q0, am1, dx),
+            _product_rule(dxi_c0, c0, dxi, q0),
+        )
+    res = np.linalg.norm(c0, 2, axis=(-2, -1))
+    res = res.reshape(-1, len(roots)).max(axis=0)
+    if res.max() > _ORDER0_TOL:
+        i = int(np.argmax(res))
+        raise ValueError(
+            "order 0 residual %.3e at root %g exceeds %.1e: principal symbol "
+            "eigenvalues do not match the given roots" % (res[i], roots[i], _ORDER0_TOL)
+        )
+    scales = [root_derivative_scale(p, i) for i in range(len(roots))]
+    return c_m1 / np.array(scales)[:, None, None]
 
 
 def detect_degeneracy(b, samples, tol=1e-6):

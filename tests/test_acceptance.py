@@ -252,31 +252,27 @@ def test_criterion_5_counting_law_exponent(
 
 def test_criterion_6_curvature_sign_law(anchor_field):
     field, _ = anchor_field
-    for iota in range(3):
-        cp, cm, _ = coefficient_integral(field, iota)
-        # strictly convex surface: no spectrum below the roots at this
-        # order (measured C- = 0 exactly, C+ = 9/16 and 1/36)
-        assert cp > 0.0
-        assert cm < 1e-3 * cp
+    cp, cm, _ = coefficient_integral(field)
+    # strictly convex surface: no spectrum below the roots at this
+    # order (measured C- = 0 exactly, C+ = 9/16 and 1/36)
+    assert np.all(cp > 0.0)
+    assert np.all(cm < 1e-3 * cp)
     dent = make_surface("radial_graph", harmonics={(2, 0): -0.6})
     dquad = surface_quadrature(dent, 8)
     dfield = np_symbol_field(dent, P11, dquad, angles=64)
-    ratios = []
-    for iota in range(3):
-        cp, cm, _ = coefficient_integral(dfield, iota)
-        assert cp > 0.0
-        ratios.append(cm / cp)
+    cp, cm, _ = coefficient_integral(dfield)
+    assert np.all(cp > 0.0)
     # the polar dent is concave (both curvatures positive on 32 of the
     # 128 nodes), which switches on approach from below: measured
     # C-/C+ = 9.2e-3 at every root
-    assert max(ratios) > 1e-3
+    assert max(cm / cp) > 1e-3
 
 
 def test_criterion_7_cross_route_coefficient_match(
     anchor_field, exact_sequence_fits
 ):
     field, _ = anchor_field
-    cp, _, _ = coefficient_integral(field, 1)
+    cp = coefficient_integral(field)[0][1]
     c_hat = exact_sequence_fits[0.0].c
     # symbol route 0.5625 vs counting route 0.5565: 1.1% apart
     assert abs(cp - c_hat) / c_hat < 0.15
@@ -304,9 +300,7 @@ def test_criterion_8_structure_and_symmetry():
         for i in range(field.node_count):
             chart = field.charts[i]
             rows.append((chart.kappa1, chart.kappa2))
-            data.append(
-                [[field.m_hat[i][r](xi) for xi in xis] for r in range(3)]
-            )
+            data.append(np.moveaxis(field.m_hat[i](xis), -3, 0))
     kap = np.array(rows)
     y = np.array(data)
     n_pts = kap.shape[0]
@@ -355,8 +349,7 @@ def test_criterion_9_material_independence(material_draws):
         fit = fit_power_law(EXACT_TAUS, _plus_side_counts(lam0, 0.0, EXACT_TAUS))
         c_counting.append(fit.c)
         field = np_symbol_field(SPHERE, p, quad4, angles=64)
-        cp, _, _ = coefficient_integral(field, 1)
-        c_symbol.append(cp)
+        c_symbol.append(coefficient_integral(field)[0][1])
     # the zero-family eigenvalues carry no material constants, so the
     # counting coefficient is bit-identical across the five draws
     assert all(c == c_counting[0] for c in c_counting)

@@ -87,8 +87,10 @@ class TestSignedPowerTrace:
 
 
 def _constant_field(m_funcs, weights, roots):
-    """SymbolField stand-in carrying only what the integral reads."""
+    """SymbolField stand-in carrying only what the integral reads; every
+    node's cluster symbol stacks the per-root evaluators m_funcs."""
     n = len(weights)
+    m_hat = lambda xi: np.stack([np.broadcast_to(f(xi), xi.shape[:-1] + (3, 3)) for f in m_funcs], axis=-3)
     return SymbolField(
         surface=None,
         params=None,
@@ -99,7 +101,7 @@ def _constant_field(m_funcs, weights, roots):
         k0=[None] * n,
         km1=[None] * n,
         dxk0=[None] * n,
-        m_hat=[m_funcs] * n,
+        m_hat=[m_hat] * n,
         diagnostics={},
     )
 
@@ -110,14 +112,12 @@ class TestCoefficientIntegral:
         # C_pm = (2 pi)^-2 / 2 * 4 pi * 2 pi * value^2 = value^2
         m = np.diag([0.4, -0.3, 0.0])
         field = _constant_field(
-            [lambda xi: np.broadcast_to(m, xi.shape[:-1] + (3, 3))],
-            weights=np.full(8, 4.0 * np.pi / 8.0),
-            roots=(0.0,),
+            [lambda xi: m], weights=np.full(8, 4.0 * np.pi / 8.0), roots=(0.0,)
         )
-        cp, cm, info = coefficient_integral(field, 0)
+        (cp,), (cm,), info = coefficient_integral(field)
         assert cp == pytest.approx(0.16, rel=1e-12)
         assert cm == pytest.approx(0.09, rel=1e-12)
-        assert info["angle_drift"] < 1e-13
+        assert info["angle_drift"][0] < 1e-13
         assert info["angles"] == 64
 
     def test_angular_profile_moment(self):
@@ -131,7 +131,7 @@ class TestCoefficientIntegral:
         field = _constant_field(
             [m_eval], weights=np.full(6, 4.0 * np.pi / 6.0), roots=(0.0,)
         )
-        cp, cm, _ = coefficient_integral(field, 0)
+        (cp,), (cm,), _ = coefficient_integral(field)
         assert cp == pytest.approx(3.0 / 8.0, rel=1e-12)
         assert cm == pytest.approx(0.0, abs=1e-15)
 
@@ -146,7 +146,7 @@ class TestCoefficientIntegral:
         field = _constant_field(
             [m_eval], weights=np.full(4, np.pi), roots=(0.0,)
         )
-        cp, _, _ = coefficient_integral(field, 0, d=1)
+        (cp,), _, _ = coefficient_integral(field, d=1)
         assert cp == pytest.approx(2.0 * np.pi, rel=1e-12)
 
     def test_drift_reads_the_even_directions(self):
@@ -158,54 +158,74 @@ class TestCoefficientIntegral:
             return out
 
         field = _constant_field([m_eval], np.full(4, np.pi), roots=(0.0,))
-        cp, cm, info = coefficient_integral(field, 0, angles=64)
-        cp_h, cm_h, _ = coefficient_integral(field, 0, angles=32)
+        (cp,), (cm,), info = coefficient_integral(field, angles=64)
+        (cp_h,), (cm_h,), _ = coefficient_integral(field, angles=32)
         rel = max(abs(cp - cp_h), abs(cm - cm_h)) / max(abs(cp), abs(cm))
-        assert info["angle_drift"] == pytest.approx(rel, rel=1e-12)
-        assert info["angle_drift"] > 1e-7
+        assert info["angle_drift"][0] == pytest.approx(rel, rel=1e-12)
+        assert info["angle_drift"][0] > 1e-7
+
+    def test_two_roots_from_one_call(self):
+        # root 0: the constant diag(0.4, -0.3, 0), C+ = 0.16, C- = 0.09;
+        # root 1: cos^20(phi) e11, C+ = angular mean of cos^40 =
+        # binom(40, 20) / 2^40 (mode 40, exact on 64 directions and
+        # aliased on 32, so only this root drifts); total weight 4 pi
+        def cos20(xi):
+            out = np.zeros(xi.shape[:-1] + (3, 3))
+            out[..., 0, 0] = (xi[..., 0] / np.linalg.norm(xi, axis=-1)) ** 20
+            return out
+
+        m = np.diag([0.4, -0.3, 0.0])
+        field = _constant_field(
+            [lambda xi: m, cos20], weights=np.full(8, 4.0 * np.pi / 8.0), roots=(0.0, 0.5)
+        )
+        cp, cm, info = coefficient_integral(field)
+        assert cp == pytest.approx([0.16, math.comb(40, 20) / 2.0**40], rel=1e-12)
+        assert cm == pytest.approx([0.09, 0.0], rel=1e-12, abs=1e-15)
+        assert info["angle_drift"][0] < 1e-13
+        assert info["angle_drift"][1] > 1e-7
 
     def test_one_eigensolve_equals_four_trace_calls(self):
-        # reference: one signed_power_trace per sign on the full grid and
-        # on its even rows, each with its own magnitude reference
+        # reference, per root: one signed_power_trace per sign on the
+        # full grid and on its even rows, each with its own magnitude
+        # reference
         rng = np.random.default_rng(8)
-        q = rng.normal(size=(3, 3))
-        q_inv = np.linalg.inv(q)
+        m_evals = []
+        for _ in range(2):
+            q = rng.normal(size=(3, 3))
+            q_inv = np.linalg.inv(q)
 
-        def m_eval(xi):
-            x, y = xi[..., 0], xi[..., 1]
-            spec = np.stack([x, y * y - 0.3, 0.2 * x * y], axis=-1)
-            return q @ (spec[..., :, None] * q_inv)
+            def m_eval(xi, q=q, q_inv=q_inv):
+                x, y = xi[..., 0], xi[..., 1]
+                spec = np.stack([x, y * y - 0.3, 0.2 * x * y], axis=-1)
+                return q @ (spec[..., :, None] * q_inv)
 
+            m_evals.append(m_eval)
         weights = rng.uniform(0.5, 1.5, size=5)
-        field = _constant_field([m_eval], weights, roots=(0.0,))
+        field = _constant_field(m_evals, weights, roots=(0.0, 0.5))
+        got_p, got_m, info = coefficient_integral(field)
         thetas = 2.0 * np.pi * np.arange(64) / 64
-        mats = m_eval(np.column_stack([np.cos(thetas), np.sin(thetas)]))
-        sums = np.zeros((2, 2))
-        for w in weights:
-            for k, sub in enumerate((mats, mats[::2])):
-                for s, sign in enumerate((+1, -1)):
-                    tr = signed_power_trace(sub, 2, sign, imag_tol=1e-4, scale=np.abs(sub).max())
-                    sums[k, s] += w * (2.0 * np.pi / len(sub)) * tr.sum()
-        (cp, cm), (cp_h, cm_h) = (2.0 * np.pi) ** -2 / 2 * sums
-        got_p, got_m, info = coefficient_integral(field, 0)
-        assert (got_p, got_m) == (cp, cm)
-        assert info["angle_drift"] == max(abs(cp - cp_h), abs(cm - cm_h)) / max(cp, cm)
-
-    def test_root_index_validated(self):
-        field = _constant_field([lambda xi: np.eye(3)], [1.0], roots=(0.0,))
-        with pytest.raises(IndexError):
-            coefficient_integral(field, 1)
+        for r, m_eval in enumerate(m_evals):
+            mats = m_eval(np.column_stack([np.cos(thetas), np.sin(thetas)]))
+            sums = np.zeros((2, 2))
+            for w in weights:
+                for k, sub in enumerate((mats, mats[::2])):
+                    for s, sign in enumerate((+1, -1)):
+                        tr = signed_power_trace(sub, 2, sign, imag_tol=1e-4, scale=np.abs(sub).max())
+                        sums[k, s] += w * (2.0 * np.pi / len(sub)) * tr.sum()
+            (cp, cm), (cp_h, cm_h) = (2.0 * np.pi) ** -2 / 2 * sums
+            assert (got_p[r], got_m[r]) == (cp, cm)
+            assert info["angle_drift"][r] == max(abs(cp - cp_h), abs(cm - cm_h)) / max(cp, cm)
 
     def test_angle_count_validated(self):
         field = _constant_field([lambda xi: np.eye(3)], [1.0], roots=(0.0,))
         with pytest.raises(ValueError):
-            coefficient_integral(field, 0, angles=30)
+            coefficient_integral(field, angles=30)
 
     def test_complex_cluster_spectrum_rejected(self):
         rot = 0.1 * np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
-        field = _constant_field([lambda xi: rot], [1.0], roots=(0.0,))
+        field = _constant_field([lambda xi: np.eye(3), lambda xi: rot], [1.0], roots=(0.0, 0.5))
         with pytest.raises(ValueError):
-            coefficient_integral(field, 0)
+            coefficient_integral(field)
 
     def test_sphere_pipeline_matches_ball_spectrum(self):
         # C+(0) = 9/16 and C+(+-kk) = kk^2 are implied by the exact ball
@@ -215,11 +235,11 @@ class TestCoefficientIntegral:
         field = np_symbol_field(surf, p, surface_quadrature(surf, 4))
         kk = 1.0 / 6.0
         want = {0: kk**2, 1: 9.0 / 16.0, 2: kk**2}
+        cp, cm, info = coefficient_integral(field)
         for iota, target in want.items():
-            cp, cm, info = coefficient_integral(field, iota)
-            assert cp == pytest.approx(target, rel=1e-6)
-            assert abs(cm) < 1e-9
-            assert info["angle_drift"] < 1e-8
+            assert cp[iota] == pytest.approx(target, rel=1e-6)
+            assert abs(cm[iota]) < 1e-9
+            assert info["angle_drift"][iota] < 1e-8
 
 
 class TestSequenceModel:

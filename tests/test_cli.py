@@ -47,6 +47,22 @@ class TestConfig:
         with pytest.raises(SystemExit):
             main(["essential", "--material.mu"])
 
+    def test_unknown_keys_rejected(self, tmp_path, capsys):
+        # a misspelt key must not run with the default it meant to replace
+        for key in ("mesh.N", "matrial.mu", "extract.eps_ladder", "mesh", "mesh.n.x"):
+            with pytest.raises(SystemExit, match=repr(key)):
+                load_config(None, [(key, "16")])
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"mesh": {"n": 6}, "matrial": {"mu": 2}}))
+        with pytest.raises(SystemExit, match="'matrial.mu'"):
+            load_config(str(path))
+        path.write_text(json.dumps({"mesh": 6}))
+        with pytest.raises(SystemExit, match="'mesh'"):
+            load_config(str(path))
+        with pytest.raises(SystemExit, match="'mesh.N'"):
+            main(["assemble", "--mesh.N", "16", "--out.dir", str(tmp_path)])
+        assert not (tmp_path / "np_matrix.npmat").exists()
+
 
 class TestEssential:
     def test_roots_json(self, capsys):

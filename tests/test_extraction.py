@@ -9,6 +9,7 @@ expectations come from hand-derived closed forms that are themselves
 checked against the flat-boundary symbol formulas.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -160,14 +161,6 @@ class TestHomogeneousSplit:
         with pytest.raises(ValueError):
             homogeneous_parts(_synthetic_kernel, angles=65)
 
-    def test_ladder_validation(self):
-        with pytest.raises(ValueError):
-            homogeneous_parts(_synthetic_kernel, eps_ladder=[1e-3, 2e-3, 4e-3])
-        with pytest.raises(ValueError):
-            homogeneous_parts(_synthetic_kernel, eps_ladder=[1e-6, 1e-4, 1e-3, 1e-2])
-        with pytest.raises(ValueError):
-            homogeneous_parts(_synthetic_kernel, eps_ladder=[1e-3, 2e-3, 4e-3, 2e-2])
-
 
 class TestAngularSymbol:
     def test_synthetic_kernel_symbols(self):
@@ -282,7 +275,8 @@ class TestSymbolField:
     def test_diagnostics_and_shapes(self, sphere_field):
         f = sphere_field
         assert f.node_count == 32
-        assert len(f.charts) == len(f.k0) == len(f.m_hat) == 32
+        assert f.charts.radius.shape == (32,)
+        assert len(f.k0) == len(f.m_hat) == 32
         assert f.diagnostics["k0_max_err"] < 1e-12
         assert f.diagnostics["ladder_drift"] < 1e-10
         assert np.allclose(f.roots.roots, (-1.0 / 6.0, 0.0, 1.0 / 6.0), atol=1e-12)
@@ -315,7 +309,7 @@ class TestSymbolField:
             for iota, top in tops.items():
                 for psi in (0.0, 1.2, 3.9):
                     xi = np.array([math.cos(psi), math.sin(psi)])
-                    m = sphere_field.m_hat[i][iota](xi)
+                    m = sphere_field.m_hat[i](xi)[iota]
                     assert np.abs(m - m.conj().T).max() < 1e-8
                     ev = np.sort(np.linalg.eigvalsh(0.5 * (m + m.conj().T)))
                     assert abs(ev[-1] - top) < 1e-6
@@ -323,8 +317,8 @@ class TestSymbolField:
 
     def test_cluster_symbol_homogeneity(self, sphere_field):
         xi = np.array([0.6, -0.8])
-        m1 = sphere_field.m_hat[5][1](xi)
-        m3 = sphere_field.m_hat[5][1](3.0 * xi)
+        m1 = sphere_field.m_hat[5](xi)
+        m3 = sphere_field.m_hat[5](3.0 * xi)
         assert np.abs(3.0 * m3 - m1).max() < 1e-9
 
     def test_explicit_roots_match_default(self, sphere_field):
@@ -333,8 +327,8 @@ class TestSymbolField:
         kk = 1.0 / 6.0
         f = np_symbol_field(surf, P11, quad, roots=(-kk, 0.0, kk))
         xi = np.array([1.0, 0.4])
-        m_a = f.m_hat[0][1](xi)
-        m_b = sphere_field.m_hat[0][1](xi)
+        m_a = f.m_hat[0](xi)
+        m_b = sphere_field.m_hat[0](xi)
         assert np.abs(m_a - m_b).max() < 1e-12
 
 
@@ -375,8 +369,18 @@ class TestStackEvaluation:
         for i in range(field.node_count):
             assert _stack_vs_rows(field.k0[i], xis) < 1e-13
             assert _stack_vs_rows(field.km1[i], xis) < 1e-13
-            for m_eval in field.m_hat[i]:
+            for r in range(len(field.roots.roots)):
+                m_eval = lambda xi: field.m_hat[i](xi)[..., r, :, :]
                 assert _stack_vs_rows(m_eval, xis) < 1e-13
             # the central difference with step 1e-3 magnifies last-bit
             # rounding about a thousand times
             assert _stack_vs_rows(field.dxk0[i], xis) < 1e-12
+
+    def test_field_charts_equal_single_charts(self, dent_field):
+        # row i of the field's stacked chart is the chart that a call at
+        # node i alone gives, field by field, bit for bit
+        for i, (theta, phi) in enumerate(dent_field.node_params):
+            one = c_chart(dent_field.surface, theta, phi)
+            for f in dataclasses.fields(one)[1:]:
+                got = getattr(dent_field.charts[i], f.name)
+                assert np.array_equal(got, getattr(one, f.name)), (i, f.name)

@@ -11,7 +11,7 @@ import pytest
 from npspec.symbols import (
     SpectralPolynomial,
     TwoTermSymbol,
-    build_bi_symbol,
+    cluster_symbols,
     compose,
     degenerate_polynomial,
     detect_degeneracy,
@@ -354,49 +354,55 @@ def _conjugated_symbol(k, seed=7):
     return TwoTermSymbol(dim=3, a0=a0, a_m1=a_m1)
 
 
+def _jet(a, x, xi):
+    """(a0, a_m1, d_x a0, d_xi a0) of a two-term symbol at (x, xi)."""
+    return a.a0(x, xi), a.a_m1(x, xi), a.x_derivative(x, xi), a.xi_derivative(x, xi)
+
+
 class TestClusterSymbol:
     def test_constant_diagonal_symbol_gives_zero(self):
         k = 1.0 / 6.0
-        a = TwoTermSymbol(
-            dim=3,
-            a0=lambda x, xi: np.diag([0.0, k, -k]),
-            a_m1=lambda x, xi: np.zeros((3, 3)),
-        )
+        zero = np.zeros((3, 3))
         p = SpectralPolynomial(roots=(-k, 0.0, k))
-        b = build_bi_symbol(a, p, 1)
-        x, xi = np.zeros(2), np.array([1.0, 0.5])
-        assert abs(b.a0(x, xi)).max() < 1e-12
-        assert abs(b.a_m1(x, xi)).max() < 1e-12
+        der = np.zeros((2, 3, 3))
+        m = cluster_symbols(p, np.diag([0.0, k, -k]), zero, der, der)
+        assert m.shape == (3, 3, 3)
+        assert abs(m).max() < 1e-12
 
     def test_matches_folded_composition(self):
         # oracle: b_iota = (a - w_iota) # prod_{l != iota} (a - w_l)#(a - w_l)
-        # computed by folding compose/shift calls
+        # computed by folding compose/shift calls, one root at a time
         k = 1.0 / 6.0
         a = _conjugated_symbol(k)
         p = SpectralPolynomial(roots=(-k, 0.0, k))
+        folded = []
         for iota in range(3):
-            b = build_bi_symbol(a, p, iota)
             others = [r for j, r in enumerate(p.roots) if j != iota]
             acc = None
             for r in others:
                 sq = compose(shift(a, r), shift(a, r))
                 acc = sq if acc is None else compose(acc, sq)
-            folded = compose(shift(a, p.roots[iota]), acc)
-            for x, xi in zip(*_random_points(7)):
-                assert abs(folded.a0(x, xi)).max() < 1e-10
-                diff = abs(b.a_m1(x, xi) - folded.a_m1(x, xi)).max()
-                assert diff < 1e-10
+            folded.append(compose(shift(a, p.roots[iota]), acc))
+        for x, xi in zip(*_random_points(7)):
+            m = cluster_symbols(p, *_jet(a, x, xi))
+            assert m.shape == (3, 3, 3)
+            for iota, b in enumerate(folded):
+                assert abs(b.a0(x, xi)).max() < 1e-10
+                want = b.a_m1(x, xi) / root_derivative_scale(p, iota)
+                assert abs(m[iota] - want).max() < 1e-10
 
     def test_order_zero_residual_guard(self):
-        a = TwoTermSymbol(
-            dim=3,
-            a0=lambda x, xi: np.diag([0.0, 0.2, -0.1]),
-            a_m1=lambda x, xi: np.zeros((3, 3)),
-        )
+        # eigenvalue 5e-3 off the root 0: the residual at that root,
+        # about p_1'(0) 5e-3 = 8e-6, is off; the other two roots vanish
+        # there doubly, so their residuals (about 2e-7) pass
         p = SpectralPolynomial(roots=(-0.2, 0.0, 0.2))
-        b = build_bi_symbol(a, p, 0)
-        with pytest.raises(ValueError):
-            b.a_m1(np.zeros(2), np.array([1.0, 0.0]))
+        zero, der = np.zeros((3, 3)), np.zeros((2, 3, 3))
+        a0 = np.diag([5e-3, 0.2, -0.2])
+        with pytest.raises(ValueError, match="at root 0 "):
+            cluster_symbols(p, a0, zero, der, der)
+        with pytest.raises(ValueError, match="at root 0 "):
+            cluster_symbols(p, np.stack([np.diag([0.0, 0.2, -0.2]), a0]), zero, der, der)
+        assert np.abs(cluster_symbols(p, np.diag([0.0, 0.2, -0.2]), zero, der, der)).max() < 1e-14
 
     def test_detect_degeneracy(self):
         zero = TwoTermSymbol(
