@@ -20,14 +20,10 @@ k = mu / (2 (2 mu + lambda)).
 from .symbols import (
     TwoTermSymbol,
     SpectralPolynomial,
-    identity_symbol,
     compose,
-    shift,
     projector_polynomial,
     degenerate_polynomial,
     cluster_symbols,
-    subprincipal,
-    detect_degeneracy,
 )
 from .elasticity import (
     LameParams,
@@ -75,14 +71,10 @@ from .spectral import (
 __all__ = [
     "TwoTermSymbol",
     "SpectralPolynomial",
-    "identity_symbol",
     "compose",
-    "shift",
     "projector_polynomial",
     "degenerate_polynomial",
     "cluster_symbols",
-    "subprincipal",
-    "detect_degeneracy",
     "LameParams",
     "kelvin_matrix",
     "np_kernel",

@@ -11,6 +11,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import astuple
 
 import numpy as np
 
@@ -33,7 +34,7 @@ from .spectral import (
     symmetrize,
 )
 from .surfaces import make_surface, surface_quadrature
-from .symbols import TwoTermSymbol, compose, identity_symbol
+from .symbols import TwoTermSymbol, compose
 
 DEFAULT_CONFIG = {
     "surface": {"kind": "sphere", "radius": 1.0, "a": 1.0, "b": 1.0, "c": 1.0,
@@ -261,28 +262,20 @@ def _verify_checks(cfg):
             ok, why = False, "%s: %s" % (type(exc).__name__, exc)
         checks.append((name, ok, why))
 
-    def composition_value():
-        a = TwoTermSymbol(
-            dim=1,
-            a0=lambda x, xi: np.array([[np.sin(x[0]) * xi[0] / np.hypot(*xi)]]),
-            a_m1=lambda x, xi: np.zeros((1, 1)),
-        )
-        b = TwoTermSymbol(
-            dim=1,
-            a0=lambda x, xi: np.array([[xi[1] / np.hypot(*xi)]]),
-            a_m1=lambda x, xi: np.zeros((1, 1)),
-        )
-        val = compose(b, a).a_m1(np.zeros(2), np.array([1.0, 1.0]))[0, 0]
-        return abs(val - 0.25j) < 1e-6
-
-    check("compose_micro_value", composition_value)
+    # literal jets at x = 0, xi = (1, 1) of a0 = sin(x1) xi1/|xi| and
+    # b0 = xi2/|xi|: d_x a0 = (1, 0)/sqrt2, d_xi b0 = (-1, 1)/(2 sqrt2)
+    s, zero, zder = np.sqrt(0.5), np.zeros((1, 1)), np.zeros((2, 1, 1))
+    a = TwoTermSymbol(zero, zero, np.array([[[s]], [[0.0]]]), zder)
+    b = TwoTermSymbol(np.full((1, 1), s), zero, zder, np.array([[[-s]], [[s]]]) / 2)
+    eye = TwoTermSymbol(np.eye(1), zero, zder, zder)
+    check("compose_micro_value", lambda: abs(compose(b, a).a_m1[0, 0] - 0.25j) < 1e-6)
     check(
         "identity_neutral",
-        lambda: abs(
-            compose(identity_symbol(2), identity_symbol(2)).a_m1(
-                np.zeros(2), np.array([1.0, 0.0])
-            )
-        ).max() < 1e-14,
+        lambda: all(
+            np.abs(got - want).max() < 1e-14
+            for c in (compose(eye, b), compose(b, eye))
+            for got, want in zip(astuple(c), astuple(b))
+        ),
     )
     check(
         "essential_symmetric",

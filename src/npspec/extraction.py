@@ -23,7 +23,7 @@ import numpy as np
 
 from .elasticity import essential_spectrum, np_kernel, np_principal_symbol
 from .surfaces import CCoordinateChart, c_chart, consistent_chart
-from .symbols import SpectralPolynomial, cluster_symbols
+from .symbols import SpectralPolynomial, TwoTermSymbol, cluster_symbols
 
 
 # steps (h, 2h) of the transported-chart differences behind dx a0
@@ -340,8 +340,11 @@ def np_symbol_field(surface, params, quad, roots=None, angles=64):
         dxk0s.append(dx_eval)
         m_hats.append(
             lambda xi, km1=km1, dx=dx_eval: cluster_symbols(
-                roots, np_principal_symbol(params, xi), km1(xi), dx(xi),
-                _principal_xi_derivative(params, xi),
+                roots,
+                TwoTermSymbol(
+                    np_principal_symbol(params, xi), km1(xi), dx(xi),
+                    _principal_xi_derivative(params, xi),
+                ),
             )
         )
     return SymbolField(

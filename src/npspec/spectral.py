@@ -379,8 +379,12 @@ def cluster_windows(roots, guard=0.05):
     """Counting windows (zeta_minus, zeta_plus) around each root.
 
     Edges sit at midpoints between consecutive roots, pulled inward by
-    guard x gap; extremal sides mirror the interior half width.
+    guard x gap; extremal sides mirror the interior half width.  guard
+    must lie in [0, 0.5): at 0.5 a window is empty, beyond it inverted,
+    and below 0 windows overlap their neighbours.
     """
+    if not 0.0 <= guard < 0.5:
+        raise ValueError("guard %r outside [0, 0.5)" % guard)
     om = np.sort(np.asarray(roots, dtype=float))
     if om.size < 1:
         raise ValueError("no roots")

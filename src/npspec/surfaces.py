@@ -271,12 +271,19 @@ def make_surface(kind, **params):
     """
     if kind == "sphere":
         params.setdefault("radius", 1.0)
+        if not params["radius"] > 0.0:
+            raise ValueError("sphere radius %r is not positive" % params["radius"])
     elif kind == "ellipsoid":
         for k in ("a", "b", "c"):
             if k not in params:
                 raise ValueError("ellipsoid needs semi-axes a, b, c")
+            if not params[k] > 0.0:
+                raise ValueError("ellipsoid semi-axis %s = %r is not positive" % (k, params[k]))
     elif kind == "radial_graph":
         params.setdefault("harmonics", {})
+        for (l, m), _ in ParametrizedSurface(kind=kind, params=params)._harmonics():
+            if abs(m) > l:
+                raise ValueError("harmonic (l, m) = (%d, %d) needs 0 <= |m| <= l" % (l, m))
     else:
         raise ValueError("unknown surface kind: %r" % kind)
     return ParametrizedSurface(kind=kind, params=params)

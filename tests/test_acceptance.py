@@ -116,28 +116,21 @@ def material_draws():
 
 
 def _smooth_symbol(seed):
-    """2x2 two-term symbol with analytic first derivatives."""
+    """Jet, at (x, xi), of a 2x2 two-term symbol with analytic first
+    derivatives."""
     m0, m1, n0 = np.random.default_rng(seed).normal(size=(3, 2, 2))
 
-    def a0(x, xi):
-        r = np.hypot(*xi)
-        return m0 + m1 * (np.sin(x[0]) * xi[0] / r)
-
-    def a_m1(x, xi):
-        return n0 * (np.cos(x[1]) / np.hypot(*xi))
-
-    def dx_a0(x, xi):
-        r = np.hypot(*xi)
-        return np.stack([m1 * (np.cos(x[0]) * xi[0] / r), np.zeros((2, 2))])
-
-    def dxi_a0(x, xi):
+    def jet(x, xi):
         r = np.hypot(*xi)
         s = np.sin(x[0])
-        return np.stack(
-            [m1 * (s * xi[1] ** 2 / r**3), -m1 * (s * xi[0] * xi[1] / r**3)]
+        return TwoTermSymbol(
+            a0=m0 + m1 * (s * xi[0] / r),
+            a_m1=n0 * (np.cos(x[1]) / r),
+            dx_a0=np.stack([m1 * (np.cos(x[0]) * xi[0] / r), np.zeros((2, 2))]),
+            dxi_a0=np.stack([m1 * (s * xi[1] ** 2 / r**3), -m1 * (s * xi[0] * xi[1] / r**3)]),
         )
 
-    return TwoTermSymbol(dim=2, a0=a0, a_m1=a_m1, dx_a0=dx_a0, dxi_a0=dxi_a0)
+    return jet
 
 
 def test_criterion_1_algebraic_identity_suite():
@@ -161,17 +154,18 @@ def test_criterion_1_algebraic_identity_suite():
             assert np.abs(z @ q - eye).max() <= 1e-10
     # associativity of the two-term product; analytic derivatives make
     # the product-rule propagation exact, not finite-difference limited
-    a, b, c = _smooth_symbol(1), _smooth_symbol(2), _smooth_symbol(3)
-    left = compose(compose(a, b), c)
-    right = compose(a, compose(b, c))
+    symbols = [_smooth_symbol(1), _smooth_symbol(2), _smooth_symbol(3)]
     rng = np.random.default_rng(4)
     for _ in range(6):
         x = rng.normal(size=2)
         xi = rng.normal(size=2)
         if np.hypot(*xi) < 0.3:
             xi = xi + 1.0
-        assert np.abs(left.a0(x, xi) - right.a0(x, xi)).max() <= 1e-10
-        assert np.abs(left.a_m1(x, xi) - right.a_m1(x, xi)).max() <= 1e-10
+        a, b, c = (jet(x, xi) for jet in symbols)
+        left = compose(compose(a, b), c)
+        right = compose(a, compose(b, c))
+        assert np.abs(left.a0 - right.a0).max() <= 1e-10
+        assert np.abs(left.a_m1 - right.a_m1).max() <= 1e-10
     # spectral mapping: a polynomial of a diagonal matrix acts entrywise
     poly = essential_spectrum(P11)
     diag = np.array([-0.31, -KK, 0.02, KK, 0.4])

@@ -172,6 +172,17 @@ class TestPipeline:
             }
         ]
 
+    def test_count_rejects_guard_out_of_range(self, capsys, tmp_path):
+        # an inverted window has no taus to count at: stop, write nothing
+        path = tmp_path / "eigenvalues.csv"
+        npio.write_eigenvalues_csv(path, np.linspace(-0.3, 0.3, 301))
+        with pytest.raises(ValueError, match="guard"):
+            run(
+                capsys, "count", "--eigenvalues", str(path), "--windows.guard", "0.6",
+                "--out.dir", str(tmp_path),
+            )
+        assert not (tmp_path / "counting.csv").exists()
+
     def test_spectrum_reads_assembled_matrices(self, capsys, tmp_path):
         # spectrum reads what assemble wrote; --matrix names K, and S is
         # read from beside it

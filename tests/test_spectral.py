@@ -662,6 +662,15 @@ class TestClusterCounting:
         with pytest.raises(ValueError):
             cluster_windows([])
 
+    @pytest.mark.parametrize("guard", [0.5, 0.6, -0.2, float("nan")])
+    def test_guard_range_enforced(self, guard):
+        # at 0.5 a window is empty, above it inverted (nan taus), and
+        # below 0 neighbouring windows overlap and count twice
+        with pytest.raises(ValueError, match="guard"):
+            cluster_windows([-KK, 0.0, KK], guard=guard)
+        with pytest.raises(ValueError, match="guard"):
+            cluster_and_count(np.array([0.01, -0.02]), [-KK, 0.0, KK], guard=guard)
+
 
 class TestPowerLawFit:
     def test_exact_power_data(self):

@@ -73,6 +73,24 @@ class TestRadialJets:
         with pytest.raises(ValueError):
             make_surface("torus")
 
+    @pytest.mark.parametrize(
+        "kind,params,named",
+        [
+            ("sphere", {"radius": -1.0}, "radius -1.0"),
+            ("sphere", {"radius": 0.0}, "radius 0.0"),
+            ("ellipsoid", {"a": 1.0, "b": 0.0, "c": 1.0}, "b = 0.0"),
+            ("ellipsoid", {"a": 1.0, "b": 1.0, "c": -2.0}, "c = -2.0"),
+            ("radial_graph", {"harmonics": [[2, 3, 0.1]]}, r"\(2, 3\)"),
+            ("radial_graph", {"harmonics": {(-1, 0): 0.1}}, r"\(-1, 0\)"),
+        ],
+        ids=["radius<0", "radius=0", "b=0", "c<0", "m>l", "l<0"],
+    )
+    def test_invalid_parameters_rejected(self, kind, params, named):
+        # a negative radius would flip the normals inward, and |m| > l
+        # has no spherical harmonic; each error names the bad value
+        with pytest.raises(ValueError, match=named):
+            make_surface(kind, **params)
+
     def test_harmonic_orthonormality(self):
         # quadrature weights on the unit sphere integrate Ylm products
         # exactly; checks normalization and the quadrature at once
