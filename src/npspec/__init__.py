@@ -21,8 +21,6 @@ from .symbols import (
     TwoTermSymbol,
     SpectralPolynomial,
     compose,
-    projector_polynomial,
-    degenerate_polynomial,
     cluster_symbols,
 )
 from .elasticity import (
@@ -42,7 +40,6 @@ from .surfaces import (
     make_surface,
     principal_curvatures,
     c_chart,
-    consistent_chart,
     surface_quadrature,
 )
 from .extraction import (
@@ -57,7 +54,6 @@ from .asymptotics import (
     AsymptoticReport,
     signed_power_trace,
     coefficient_integral,
-    counting_to_sequence,
 )
 from .spectral import (
     assemble_operators,
@@ -72,8 +68,6 @@ __all__ = [
     "TwoTermSymbol",
     "SpectralPolynomial",
     "compose",
-    "projector_polynomial",
-    "degenerate_polynomial",
     "cluster_symbols",
     "LameParams",
     "kelvin_matrix",
@@ -89,7 +83,6 @@ __all__ = [
     "make_surface",
     "principal_curvatures",
     "c_chart",
-    "consistent_chart",
     "surface_quadrature",
     "HomogeneousKernelPart",
     "SymbolField",
@@ -100,7 +93,6 @@ __all__ = [
     "AsymptoticReport",
     "signed_power_trace",
     "coefficient_integral",
-    "counting_to_sequence",
     "assemble_operators",
     "spectrum",
     "symmetrize",

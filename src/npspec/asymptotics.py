@@ -25,6 +25,11 @@ import numpy as np
 # largest accepted imaginary part of a cluster symbol eigenvalue,
 # relative to the node's magnitude reference
 _IMAG_TOL = 1e-4
+# boundary dimension d, the power of the signed traces
+_DIM = 2
+# frequency directions of the coefficient integral (the drift check
+# halves them)
+_ANGLES = 64
 
 
 def signed_power_trace(mat, d, sign, imag_tol=1e-6, zero_tol=1e-12, scale=None):
@@ -66,27 +71,23 @@ def _signed_traces(vals, d, imag_tol, zero_tol, scale):
     return tuple(np.sum(np.where(keep, power, 0.0), axis=-1) for keep in (re > cut, re < -cut))
 
 
-def coefficient_integral(field, d=2, angles=None):
+def coefficient_integral(field):
     """Two-sided counting coefficients (C_plus, C_minus) at every root.
 
     field is an extracted SymbolField; C_plus and C_minus are arrays
     over its spectral roots, in root order.  The frequency integral
-    runs over `angles` equispaced unit directions (default 64, whatever
-    the field's angular resolution: its evaluators interpolate between
-    their own grid angles) and the surface integral over the field's
-    quadrature weights.  Each node's cluster symbols are evaluated once,
-    on the whole direction stack and for every root, and one eigensolve
-    per node serves all its roots, both signs and the half grid.
-    Cluster spectra must be real to _IMAG_TOL relative.  The returned info dict reports each
-    root's drift when the angle count is halved, an internal
-    convergence check; the half grid is every second direction of the
-    full one, with its own magnitude reference.
+    runs over _ANGLES equispaced unit directions (whatever the field's
+    angular resolution: its evaluators interpolate between their own
+    grid angles) and the surface integral over the field's quadrature
+    weights.  Each node's cluster symbols are evaluated once, on the
+    whole direction stack and for every root, and one eigensolve per
+    node serves all its roots, both signs and the half grid.  Cluster
+    spectra must be real to _IMAG_TOL relative.  The returned info dict
+    reports each root's drift when the angle count is halved, an
+    internal convergence check; the half grid is every second
+    direction of the full one, with its own magnitude reference.
     """
-    if angles is None:
-        angles = 64
-    if angles % 4:
-        raise ValueError("angle count must be divisible by 4")
-    thetas = 2.0 * np.pi * np.arange(angles) / angles
+    thetas = 2.0 * np.pi * np.arange(_ANGLES) / _ANGLES
     xis = np.column_stack([np.cos(thetas), np.sin(thetas)])
     # rows: full grid, half grid; columns: plus, minus; then roots
     sums = np.zeros((2, 2, len(field.roots.roots)))
@@ -97,57 +98,18 @@ def coefficient_integral(field, d=2, angles=None):
         vals = np.linalg.eigvals(mats)
         for k, step in enumerate((1, 2)):
             ref = np.abs(mats[:, ::step]).max(axis=(-3, -2, -1))
-            w = field.weights[i] * (2.0 * np.pi / (angles // step))
+            w = field.weights[i] * (2.0 * np.pi / (_ANGLES // step))
             traces = _signed_traces(
-                vals[:, ::step], d, _IMAG_TOL, zero_tol=1e-12, scale=ref[:, None]
+                vals[:, ::step], _DIM, _IMAG_TOL, zero_tol=1e-12, scale=ref[:, None]
             )
             sums[k] += [w * t.sum(axis=-1) for t in traces]
-    (cp, cm), (cp_h, cm_h) = (2.0 * np.pi) ** (-d) / d * sums
+    (cp, cm), (cp_h, cm_h) = (2.0 * np.pi) ** (-_DIM) / _DIM * sums
     scale = np.maximum(np.maximum(abs(cp), abs(cm)), 1e-30)
     info = {
         "angle_drift": np.maximum(abs(cp - cp_h), abs(cm - cm_h)) / scale,
-        "angles": angles,
+        "angles": _ANGLES,
     }
     return cp, cm, info
-
-
-@dataclass(frozen=True)
-class SequenceModel:
-    """Eigenvalue sequence model lambda_n = omega +/- (C / n)^(1/d)."""
-
-    c: float
-    d: float
-    side: int
-    omega: float
-    empty: bool
-
-    def eigenvalue(self, n):
-        n = np.asarray(n, dtype=float)
-        if self.empty:
-            return np.full_like(n, self.omega)
-        return self.omega + self.side * (self.c / n) ** (1.0 / self.d)
-
-    def count(self, tau):
-        tau = np.asarray(tau, dtype=float)
-        if self.empty:
-            return np.zeros_like(tau)
-        return self.c * tau ** (-self.d)
-
-
-def counting_to_sequence(c, d, side, omega):
-    """Counting coefficient to eigenvalue sequence model.
-
-    C <= 0 flags an empty (degenerate) branch: no eigenvalue sequence
-    converges to omega from that side at this order.
-    """
-    if side not in (+1, -1):
-        raise ValueError("side must be +1 or -1")
-    if d <= 0:
-        raise ValueError("d must be positive")
-    return SequenceModel(
-        c=float(max(c, 0.0)), d=float(d), side=side, omega=float(omega),
-        empty=not (c > 0.0),
-    )
 
 
 @dataclass(frozen=True)

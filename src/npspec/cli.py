@@ -184,8 +184,7 @@ def cmd_count(cfg, eigenvalues_path=None):
     poly = essential_spectrum(_material(cfg))
     win = cfg["windows"]
     records = cluster_and_count(
-        vals, poly, n_tau=int(win["n_tau"]),
-        guard=float(win["guard"]),
+        vals, poly, n_tau=win["n_tau"], guard=float(win["guard"]),
     )
     path = os.path.join(d, "counting.csv")
     npio.write_counting_csv(path, records)
@@ -198,6 +197,8 @@ def cmd_fit(cfg, counting_path=None, prune=True):
     if counting_path is None:
         counting_path = os.path.join(d, "counting.csv")
     records = npio.read_counting_csv(counting_path)
+    if not records:
+        raise SystemExit("%s holds no counting rows" % counting_path)
     reports, skipped = [], []
     for rec in records:
         for side, key in (("plus", "n_plus"), ("minus", "n_minus")):

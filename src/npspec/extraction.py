@@ -8,7 +8,9 @@ a(x, xi) = int exp(+i z.xi) k(x, z) dz, then assemble the normalized
 cluster symbols that drive the eigenvalue counting coefficients.  All
 node charts come from one stacked c_chart call, and each node has one
 cluster symbol evaluator that returns every root's symbol from one
-evaluation of the node's two-term jet.
+evaluation of the node's two-term jet.  The jet's tangential derivative
+d_x a0 is closed form in the node's principal curvatures; its frequency
+derivative d_xi a0 is closed form in the flat symbol.
 
 The degree -2 part must be odd (its even part has no classical
 symbol); the resulting degree 0 symbol is checked against the closed
@@ -22,12 +24,10 @@ from functools import cached_property
 import numpy as np
 
 from .elasticity import essential_spectrum, np_kernel, np_principal_symbol
-from .surfaces import CCoordinateChart, c_chart, consistent_chart
+from .surfaces import CCoordinateChart, c_chart
 from .symbols import SpectralPolynomial, TwoTermSymbol, cluster_symbols
 
 
-# steps (h, 2h) of the transported-chart differences behind dx a0
-_DX_STEPS = (1e-3, 2e-3)
 # extrapolation ladder: geomspace arguments of its radii eps, fitted by
 # a quartic in eps (built per call: a geomspace call at import would add
 # about 0.5 MB to the resident size of every CLI stage)
@@ -250,18 +250,32 @@ def _principal_xi_derivative(params, xi):
     return unit / r - xi[..., :, None, None] * sym / r**2
 
 
+def _principal_x_derivative(params, kappa1, kappa2, xi):
+    """Tangential x gradient of the principal symbol in a principal
+    chart frame (e1, e2, n), (..., 2, 3, 3) for frequencies xi (..., 2).
+
+    The flat symbol a0(xi) is fixed in the chart frame, and moving the
+    base point along e_al tilts that frame by the Weingarten map, so
+    d_{x_al} a0 = [kappa_al T_al, a0] with T_al = E_{n al} - E_{al n}.
+    """
+    a0 = np_principal_symbol(params, xi)[..., None, :, :]
+    tilt = np.zeros((2, 3, 3))
+    for al, kappa in enumerate((kappa1, kappa2)):
+        tilt[al, 2, al], tilt[al, al, 2] = kappa, -kappa
+    return tilt @ a0 - a0 @ tilt
+
+
 @dataclass(frozen=True)
 class SymbolField:
     """Extracted two-term boundary symbol data over surface nodes.
 
     charts holds the curvature-aligned charts of all nodes stacked
-    (charts[i] is node i's).  Per node: degree 0 and -1 symbol
-    evaluators, the tangential x-derivative of the degree 0 symbol
-    (indexed by chart direction), and the normalized cluster symbol
-    evaluator m_hat whose signed d-th power traces feed the counting
-    coefficient integral.  Every evaluator takes a stack of frequencies
-    xi of shape (..., 2) and returns (..., 3, 3); dxk0 returns
-    (..., 2, 3, 3) and m_hat returns every spectral root's symbol,
+    (charts[i] is node i's) and roots the material's essential
+    spectrum.  Per node: degree 0 and -1 symbol evaluators and the
+    normalized cluster symbol evaluator m_hat, whose signed d-th power
+    traces feed the counting coefficient integral.  Every evaluator
+    takes a stack of frequencies xi of shape (..., 2); k0 and km1
+    return (..., 3, 3) and m_hat returns every spectral root's symbol,
     (..., L, 3, 3) in root order.
     """
 
@@ -273,7 +287,6 @@ class SymbolField:
     charts: CCoordinateChart
     k0: list
     km1: list
-    dxk0: list
     m_hat: list
     diagnostics: dict = field(default_factory=dict)
 
@@ -282,39 +295,18 @@ class SymbolField:
         return self.node_params.shape[0]
 
 
-def _dxk0_table(params, surface, chart, xis):
-    """Tangential derivative of the degree 0 symbol at the unit
-    directions xis (angles, 2), shape (angles, 2, 3, 3).
-
-    Central differences of the flat principal symbol transported to
-    chart points +-h e_al and pulled back to the base chart, with
-    Richardson step halving over the steps h, 2h.  One consistent_chart
-    call serves the whole (step, sign, axis) block of offsets.
-    """
-    h = np.array(_DX_STEPS)
-    w = h[:, None, None, None] * np.array([1.0, -1.0])[:, None, None] * np.eye(2)
-    _, dz, u = consistent_chart(surface, chart, w)
-    eta = xis @ np.linalg.inv(dz)
-    u = u[..., None, :, :]
-    vals = u @ np_principal_symbol(params, eta) @ np.swapaxes(u, -1, -2)
-    diffs = (vals[:, 0] - vals[:, 1]) / (2.0 * h[:, None, None, None, None])
-    return np.moveaxis((4.0 * diffs[0] - diffs[1]) / 3.0, 0, 1)
-
-
-def np_symbol_field(surface, params, quad, roots=None, angles=64):
+def np_symbol_field(surface, params, quad, angles=64):
     """Extract the two-term boundary symbol at every quadrature node.
 
-    quad is a SurfaceQuadrature (nodes, weights, parameters).  roots
-    defaults to the essential spectrum of the material.  The measured
-    degree 0 symbol is compared with the closed flat-boundary form at
-    every node and direction; disagreement beyond _K0_TOL aborts.
+    quad is a SurfaceQuadrature (nodes, weights, parameters).  The
+    cluster symbols are taken at the essential spectrum of the
+    material.  The measured degree 0 symbol is compared with the closed
+    flat-boundary form at every node and direction; disagreement beyond
+    _K0_TOL aborts.
     """
-    if roots is None:
-        roots = essential_spectrum(params)
-    elif not isinstance(roots, SpectralPolynomial):
-        roots = SpectralPolynomial(roots=tuple(roots))
+    roots = essential_spectrum(params)
     charts = c_chart(surface, quad.params[:, 0], quad.params[:, 1])
-    k0s, km1s, dxk0s, m_hats = [], [], [], []
+    k0s, km1s, m_hats = [], [], []
     k0_err = 0.0
     fit_resid = 0.0
     thetas = 2.0 * np.pi * np.arange(angles) / angles
@@ -333,16 +325,14 @@ def np_symbol_field(surface, params, quad, roots=None, angles=64):
                 "extracted degree 0 symbol off closed form by %.3e at node %d"
                 % (err, i)
             )
-        dx_interp = _TrigSeries.interpolating(_dxk0_table(params, surface, chart, xis))
-        dx_eval = lambda xi, f=dx_interp: f(np.arctan2(xi[..., 1], xi[..., 0]))
         k0s.append(k0)
         km1s.append(km1)
-        dxk0s.append(dx_eval)
         m_hats.append(
-            lambda xi, km1=km1, dx=dx_eval: cluster_symbols(
+            lambda xi, km1=km1, chart=chart: cluster_symbols(
                 roots,
                 TwoTermSymbol(
-                    np_principal_symbol(params, xi), km1(xi), dx(xi),
+                    np_principal_symbol(params, xi), km1(xi),
+                    _principal_x_derivative(params, chart.kappa1, chart.kappa2, xi),
                     _principal_xi_derivative(params, xi),
                 ),
             )
@@ -356,7 +346,6 @@ def np_symbol_field(surface, params, quad, roots=None, angles=64):
         charts=charts,
         k0=k0s,
         km1=km1s,
-        dxk0=dxk0s,
         m_hat=m_hats,
         diagnostics={"k0_max_err": k0_err, "ladder_drift": fit_resid},
     )

@@ -118,7 +118,3 @@ def write_fit_json(path, reports, skipped):
         path, {"reports": [r.to_dict() for r in reports], "skipped": list(skipped)}
     )
 
-
-def read_report_json(path):
-    with open(path) as f:
-        return json.load(f)

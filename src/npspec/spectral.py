@@ -27,6 +27,7 @@ fits of counting data, and polynomial compactness diagnostics.
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -403,10 +404,13 @@ def cluster_and_count(eigenvalues, roots, n_tau=24, guard=0.05):
     """Two-sided counting functions near each essential spectrum root.
 
     Returns a list of records {root, window, tau, n_plus, n_minus,
-    total} with tau on a geometric grid from _TAU_FLOOR x gap up to the
-    window half width.  n_plus(tau) counts eigenvalues in
-    (root + tau, zeta_plus], n_minus in [zeta_minus, root - tau).
+    total} with tau on a geometric grid of n_tau points, an integer of
+    at least 2, from _TAU_FLOOR x gap up to the window half width.
+    n_plus(tau) counts eigenvalues in (root + tau, zeta_plus], n_minus
+    in [zeta_minus, root - tau).
     """
+    if not (isinstance(n_tau, numbers.Integral) and n_tau >= 2):
+        raise ValueError("n_tau %r is not an integer >= 2" % (n_tau,))
     if isinstance(roots, SpectralPolynomial):
         roots = roots.roots
     ev = np.sort(np.asarray(eigenvalues, dtype=float))

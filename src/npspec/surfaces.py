@@ -18,10 +18,7 @@ Charts: a curvature-aligned tangent chart at a surface point carries
 an orthonormal frame (e1, e2, n) with e1, e2 principal directions
 (kappa1 <= kappa2) and n the outward normal; the surface is locally
 the graph q = origin + w1 e1 + w2 e2 + F(w) n with F(0) = 0,
-grad F(0) = 0 and Hess F(0) = diag(kappa1, kappa2).  consistent_chart
-transports such a frame to nearby chart points, a whole (..., 2) stack
-of chart coordinates at once; the transported frames are not principal,
-and no chart is built at the new points.
+grad F(0) = 0 and Hess F(0) = diag(kappa1, kappa2).
 """
 
 import math
@@ -450,38 +447,6 @@ def c_chart(surface, theta, phi):
     if np.any(off > 1e-10 * np.maximum(1.0, r_origin)):
         raise ValueError("chart origin is off the surface")
     return chart
-
-
-def consistent_chart(surface, base, w):
-    """Frames transported from base to the points with chart coordinates w.
-
-    w has shape (..., 2).  The frame at each new point q is (f1, f2, n)
-    with n the normal at q and f1, f2 the Loewdin (symmetric)
-    orthonormalization of the projections of base.e1, base.e2 onto the
-    tangent plane at q; it agrees with the base frame to second order
-    in |w|.  Returns (q, dz, u): the points q (..., 3), the Jacobians
-    dz (..., 2, 2) of the coordinate change (rows: new frame, columns:
-    base coordinates) and the orthogonal frame changes u (..., 3, 3)
-    with u_ij = base_i . new_j.  One height solve gives q, and one
-    implicit gradient at q gives both n and grad F.
-    """
-    w = np.asarray(w, dtype=float)
-    q = base.surface_point(w)
-    g = surface.implicit_gradient(q)
-    n_new = g / np.linalg.norm(g, axis=-1, keepdims=True)
-    r_base = np.column_stack([base.e1, base.e2, base.n])
-    tangents = r_base[:, :2]
-    p = tangents - n_new[..., :, None] * (n_new @ tangents)[..., None, :]
-    vals, vecs = np.linalg.eigh(np.swapaxes(p, -1, -2) @ p)
-    if np.any(vals[..., 0] <= 1e-12):
-        raise ValueError("frame transport degenerate: normals nearly opposite")
-    inv_sqrt = (vecs * vals[..., None, :] ** -0.5) @ np.swapaxes(vecs, -1, -2)
-    f = p @ inv_sqrt
-    grad_f = -(g @ tangents) / (g @ base.n)[..., None]
-    d = tangents + base.n[:, None] * grad_f[..., None, :]
-    dz = np.swapaxes(f, -1, -2) @ d
-    u = r_base.T @ np.concatenate([f, n_new[..., None]], axis=-1)
-    return q, dz, u
 
 
 @dataclass(frozen=True)

@@ -17,8 +17,8 @@ written once, as array functions of the operands' jets; compose applies
 them to two jets and cluster_symbols folds them over the factors of
 p_iota(A), for every root at once on one jet of a.
 The sign of the derivative terms is tied to the kernel transform and
-frame transport conventions of the extraction module; it is pinned by
-the exact sphere spectrum (see the cluster symbol tests).
+chart frame conventions of the extraction module; it is pinned by the
+exact sphere spectrum (see the cluster symbol tests).
 """
 
 from dataclasses import dataclass
@@ -95,41 +95,6 @@ def compose(a, b):
         dx_a0=_product_rule(a.dx_a0, a.a0, b.dx_a0, b.a0),
         dxi_a0=_product_rule(a.dxi_a0, a.a0, b.dxi_a0, b.a0),
     )
-
-
-def projector_polynomial(p, iota):
-    """Coefficients (ascending) of p_iota(w) = (w - w_i) prod_{l != i} (w - w_l)^2.
-
-    The degree 2L-1 monic polynomial vanishing simply at the selected
-    root and doubly at every other root; p_iota'(w_i) equals
-    prod_{l != i} (w_i - w_l)^2 > 0.
-    """
-    roots = _poly_roots(p)
-    if not 0 <= iota < len(roots):
-        raise IndexError("root index out of range")
-    ext = [roots[iota]]
-    for l, w in enumerate(roots):
-        if l != iota:
-            ext.extend([w, w])
-    return npoly.polyfromroots(ext).real
-
-
-def degenerate_polynomial(p, iota, l):
-    """Coefficients of (w - w_i) prod_{l' != i} (w - w_{l'})^(l+1).
-
-    Replacement polynomial for degeneracy order l >= 2; degree
-    (L-1)(l+1) + 1.
-    """
-    if l < 2:
-        raise ValueError("degeneracy order must be >= 2")
-    roots = _poly_roots(p)
-    if not 0 <= iota < len(roots):
-        raise IndexError("root index out of range")
-    ext = [roots[iota]]
-    for j, w in enumerate(roots):
-        if j != iota:
-            ext.extend([w] * (l + 1))
-    return npoly.polyfromroots(ext).real
 
 
 def _poly_roots(p):

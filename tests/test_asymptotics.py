@@ -1,4 +1,4 @@
-"""Counting coefficient and sequence model tests.
+"""Counting coefficient tests.
 
 Synthetic symbol fields with constant or low-harmonic angular
 profiles have counting integrals computable in closed form (the
@@ -16,7 +16,6 @@ import pytest
 from npspec.asymptotics import (
     AsymptoticReport,
     coefficient_integral,
-    counting_to_sequence,
     signed_power_trace,
 )
 from npspec.elasticity import LameParams
@@ -100,7 +99,6 @@ def _constant_field(m_funcs, weights, roots):
         charts=[None] * n,
         k0=[None] * n,
         km1=[None] * n,
-        dxk0=[None] * n,
         m_hat=[m_hat] * n,
         diagnostics={},
     )
@@ -135,34 +133,23 @@ class TestCoefficientIntegral:
         assert cp == pytest.approx(3.0 / 8.0, rel=1e-12)
         assert cm == pytest.approx(0.0, abs=1e-15)
 
-    def test_power_parameter(self):
-        # d = 1 with the cos^2 profile: norm (2 pi)^-1, angular mean 1/2,
-        # C_+ = (2 pi)^-1 * 4 pi * 2 pi * 1/2 = 2 pi
-        def m_eval(xi):
-            out = np.zeros(xi.shape[:-1] + (3, 3))
-            out[..., 0, 0] = xi[..., 0] ** 2 / np.sum(xi * xi, axis=-1)
-            return out
-
-        field = _constant_field(
-            [m_eval], weights=np.full(4, np.pi), roots=(0.0,)
-        )
-        (cp,), _, _ = coefficient_integral(field, d=1)
-        assert cp == pytest.approx(2.0 * np.pi, rel=1e-12)
-
     def test_drift_reads_the_even_directions(self):
-        # cos^20(phi) e11: its square has angular mode 40, which 32
-        # directions alias and 64 resolve
+        # cos^20(phi) e11 on total weight 4 pi: C+ is the direction mean
+        # of cos^40 = 2^-40 sum_k binom(40, k) exp(i (40 - 2k) phi).  64
+        # directions keep only mode 0, binom(40, 20) / 2^40; the 32 even
+        # ones alias modes +-32 (k = 4, 36) onto it as well, adding
+        # 2 binom(40, 4) / 2^40, so the drift is 2 binom(40, 4) / binom(40, 20)
         def m_eval(xi):
             out = np.zeros(xi.shape[:-1] + (3, 3))
             out[..., 0, 0] = (xi[..., 0] / np.linalg.norm(xi, axis=-1)) ** 20
             return out
 
         field = _constant_field([m_eval], np.full(4, np.pi), roots=(0.0,))
-        (cp,), (cm,), info = coefficient_integral(field, angles=64)
-        (cp_h,), (cm_h,), _ = coefficient_integral(field, angles=32)
-        rel = max(abs(cp - cp_h), abs(cm - cm_h)) / max(abs(cp), abs(cm))
-        assert info["angle_drift"][0] == pytest.approx(rel, rel=1e-12)
-        assert info["angle_drift"][0] > 1e-7
+        (cp,), (cm,), info = coefficient_integral(field)
+        assert cp == pytest.approx(math.comb(40, 20) / 2.0**40, rel=1e-12)
+        assert cm == 0.0
+        want = 2.0 * math.comb(40, 4) / math.comb(40, 20)
+        assert info["angle_drift"][0] == pytest.approx(want, rel=1e-8)
 
     def test_two_roots_from_one_call(self):
         # root 0: the constant diag(0.4, -0.3, 0), C+ = 0.16, C- = 0.09;
@@ -216,11 +203,6 @@ class TestCoefficientIntegral:
             assert (got_p[r], got_m[r]) == (cp, cm)
             assert info["angle_drift"][r] == max(abs(cp - cp_h), abs(cm - cm_h)) / max(cp, cm)
 
-    def test_angle_count_validated(self):
-        field = _constant_field([lambda xi: np.eye(3)], [1.0], roots=(0.0,))
-        with pytest.raises(ValueError):
-            coefficient_integral(field, angles=30)
-
     def test_complex_cluster_spectrum_rejected(self):
         rot = 0.1 * np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
         field = _constant_field([lambda xi: np.eye(3), lambda xi: rot], [1.0], roots=(0.0, 0.5))
@@ -240,37 +222,6 @@ class TestCoefficientIntegral:
             assert cp[iota] == pytest.approx(target, rel=1e-6)
             assert abs(cm[iota]) < 1e-9
             assert info["angle_drift"][iota] < 1e-8
-
-
-class TestSequenceModel:
-    def test_count_inverts_eigenvalue(self):
-        model = counting_to_sequence(0.5625, 2, +1, 0.0)
-        ns = np.arange(1, 12, dtype=float)
-        lam = model.eigenvalue(ns)
-        assert np.all(np.diff(lam) < 0.0)
-        back = model.count(np.abs(lam - 0.0))
-        assert np.allclose(back, ns, rtol=1e-12)
-
-    def test_two_sided_offsets(self):
-        kk = 1.0 / 6.0
-        below = counting_to_sequence(kk**2, 2, -1, kk)
-        lam4 = below.eigenvalue(4.0)
-        assert lam4 == pytest.approx(kk - math.sqrt(kk**2 / 4.0))
-        assert lam4 < kk
-
-    def test_empty_branch(self):
-        model = counting_to_sequence(0.0, 2, +1, 0.3)
-        assert model.empty
-        assert np.allclose(model.eigenvalue(np.arange(1.0, 5.0)), 0.3)
-        assert np.allclose(model.count(np.array([0.1, 0.01])), 0.0)
-        clipped = counting_to_sequence(-2.0, 2, -1, 0.0)
-        assert clipped.empty and clipped.c == 0.0
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            counting_to_sequence(1.0, 2, 0, 0.0)
-        with pytest.raises(ValueError):
-            counting_to_sequence(1.0, 0.0, +1, 0.0)
 
 
 class TestAsymptoticReport:

@@ -142,7 +142,7 @@ class TestPipeline:
 
         code, out = run(capsys, "fit", *out_args)
         assert code == 0
-        rep = npio.read_report_json(tmp_path / "fit.json")
+        rep = json.loads((tmp_path / "fit.json").read_text())
         assert all(r["route"] == "counting" for r in rep["reports"])
         assert len(rep["reports"]) + len(rep["skipped"]) == 6
 
@@ -162,7 +162,7 @@ class TestPipeline:
             "--out.dir", str(tmp_path),
         )
         assert code == 0
-        rep = npio.read_report_json(tmp_path / "fit.json")
+        rep = json.loads((tmp_path / "fit.json").read_text())
         assert [r["side"] for r in rep["reports"]] == ["minus"]
         assert rep["skipped"] == [
             {
@@ -182,6 +182,24 @@ class TestPipeline:
                 "--out.dir", str(tmp_path),
             )
         assert not (tmp_path / "counting.csv").exists()
+
+    def test_count_rejects_n_tau_below_two(self, capsys, tmp_path):
+        # with no taus every root is lost, and fit would have no rows
+        path = tmp_path / "eigenvalues.csv"
+        npio.write_eigenvalues_csv(path, np.linspace(-0.3, 0.3, 301))
+        with pytest.raises(ValueError, match="n_tau"):
+            run(
+                capsys, "count", "--eigenvalues", str(path), "--windows.n_tau", "0",
+                "--out.dir", str(tmp_path),
+            )
+        assert not (tmp_path / "counting.csv").exists()
+
+    def test_fit_rejects_counting_csv_without_rows(self, capsys, tmp_path):
+        path = tmp_path / "counting.csv"
+        npio.write_counting_csv(path, [])
+        with pytest.raises(SystemExit, match="counting.csv"):
+            main(["fit", "--counting", str(path), "--out.dir", str(tmp_path)])
+        assert not (tmp_path / "fit.json").exists()
 
     def test_spectrum_reads_assembled_matrices(self, capsys, tmp_path):
         # spectrum reads what assemble wrote; --matrix names K, and S is
@@ -241,7 +259,7 @@ class TestCoeff:
             assert summary["k0_max_err"] < 1e-12
             assert summary["ladder_drift"] < 1e-10
             assert 0.0 <= summary["angle_drift"] < 1e-8
-        reps = npio.read_report_json(a / "coeff.json")["reports"]
+        reps = json.loads((a / "coeff.json").read_text())["reports"]
         assert len(reps) == 6
         want = ((-kk, kk**2), (0.0, 9.0 / 16.0), (kk, kk**2))
         for j, (root, c_plus) in enumerate(want):

@@ -19,6 +19,7 @@ from npspec.elasticity import LameParams, np_principal_symbol
 from npspec.extraction import (
     AngularSymbol,
     HomogeneousKernelPart,
+    _principal_x_derivative,
     _principal_xi_derivative,
     angular_fourier_symbol,
     chart_kernel,
@@ -264,6 +265,37 @@ class TestSphereChartKernel:
             chart_kernel(P11, chart, np.array([5.0, 0.0]))
 
 
+def _transported_x_derivative(params, surface, chart, xis):
+    """d_x a0 at unit directions xis (angles, 2) as (angles, 2, 3, 3),
+    by transporting the chart frame to the chart points +-h e_al.
+
+    The frame at a point q is the unit normal at q and the Loewdin
+    (symmetric) orthonormalization of the projections of e1, e2 onto
+    the tangent plane there.  The flat symbol in that frame, at the
+    frequency pulled back through the coordinate change, is rotated
+    back to the chart frame; central differences over h = 1e-3 and
+    2e-3 are combined by Richardson extrapolation.
+    """
+    h = np.array([1e-3, 2e-3])
+    # offsets (step, sign, axis, 2)
+    w = h[:, None, None, None] * np.array([1.0, -1.0])[:, None, None] * np.eye(2)
+    q = chart.surface_point(w)
+    g = surface.implicit_gradient(q)
+    n_q = g / np.linalg.norm(g, axis=-1, keepdims=True)
+    frame = np.column_stack([chart.e1, chart.e2, chart.n])
+    tangents = frame[:, :2]
+    p = tangents - n_q[..., :, None] * (n_q @ tangents)[..., None, :]
+    vals, vecs = np.linalg.eigh(np.swapaxes(p, -1, -2) @ p)
+    f = p @ (vecs * vals[..., None, :] ** -0.5) @ np.swapaxes(vecs, -1, -2)
+    # Jacobian of the new frame's coordinates in the chart coordinates
+    grad_f = -(g @ tangents) / (g @ chart.n)[..., None]
+    dz = np.swapaxes(f, -1, -2) @ (tangents + chart.n[:, None] * grad_f[..., None, :])
+    u = (frame.T @ np.concatenate([f, n_q[..., None]], axis=-1))[..., None, :, :]
+    a0 = u @ np_principal_symbol(params, xis @ np.linalg.inv(dz)) @ np.swapaxes(u, -1, -2)
+    diffs = (a0[:, 0] - a0[:, 1]) / (2.0 * h[:, None, None, None, None])
+    return np.moveaxis((4.0 * diffs[0] - diffs[1]) / 3.0, 0, 1)
+
+
 @pytest.fixture(scope="module")
 def sphere_field():
     surf = make_surface("sphere")
@@ -281,23 +313,24 @@ class TestSymbolField:
         assert f.diagnostics["ladder_drift"] < 1e-10
         assert np.allclose(f.roots.roots, (-1.0 / 6.0, 0.0, 1.0 / 6.0), atol=1e-12)
 
-    def test_x_derivative_is_curvature_commutator(self, sphere_field):
-        # on the unit sphere the chart transport gives d_x a0 = -[A_al, a0]
-        # with A_al = n e_al^T - e_al n^T expressed in the chart frame
-        a_mats = []
-        for al in range(2):
-            m = np.zeros((3, 3))
-            m[2, al] = 1.0
-            m[al, 2] = -1.0
-            a_mats.append(m)
-        for i in (0, 7, 13):
-            for psi in (0.3, 2.1):
-                xi = np.array([math.cos(psi), math.sin(psi)])
-                a0 = np_principal_symbol(P11, xi)
-                dx = np.asarray(sphere_field.dxk0[i](xi))
-                for al in range(2):
-                    want = -(a_mats[al] @ a0 - a0 @ a_mats[al])
-                    assert np.abs(dx[al] - want).max() < 1e-9
+    def test_x_derivative_is_curvature_commutator(self):
+        # the closed form [kappa_al T_al, a0] against a central difference
+        # of the flat symbol in frames transported along the surface
+        th = 2.0 * np.pi * np.arange(64) / 64
+        xis = np.column_stack([np.cos(th), np.sin(th)])
+        for surf in (
+            make_surface("sphere"),
+            make_surface("ellipsoid", a=1.0, b=1.2, c=0.8),
+            make_surface("radial_graph", harmonics=[[2, 0, -0.6]]),
+        ):
+            quad = surface_quadrature(surf, 4)
+            charts = c_chart(surf, quad.params[:, 0], quad.params[:, 1])
+            for params in (P11, LameParams(2.3, 0.7)):
+                for i in range(quad.size):
+                    chart = charts[i]
+                    want = _transported_x_derivative(params, surf, chart, xis)
+                    got = _principal_x_derivative(params, chart.kappa1, chart.kappa2, xis)
+                    assert np.abs(got - want).max() < 1e-9 * np.abs(want).max()
 
     def test_cluster_symbols_match_ball_spectrum(self, sphere_field):
         # rank one with top eigenvalue kk at the +-kk roots and 3/4 at
@@ -320,16 +353,6 @@ class TestSymbolField:
         m1 = sphere_field.m_hat[5](xi)
         m3 = sphere_field.m_hat[5](3.0 * xi)
         assert np.abs(3.0 * m3 - m1).max() < 1e-9
-
-    def test_explicit_roots_match_default(self, sphere_field):
-        surf = make_surface("sphere")
-        quad = surface_quadrature(surf, 4)
-        kk = 1.0 / 6.0
-        f = np_symbol_field(surf, P11, quad, roots=(-kk, 0.0, kk))
-        xi = np.array([1.0, 0.4])
-        m_a = f.m_hat[0](xi)
-        m_b = sphere_field.m_hat[0](xi)
-        assert np.abs(m_a - m_b).max() < 1e-12
 
 
 @pytest.fixture(scope="module")
@@ -361,6 +384,9 @@ class TestStackEvaluation:
         assert _stack_vs_rows(lambda xi: np_principal_symbol(P11, xi), xis) < 1e-13
         assert _stack_vs_rows(lambda xi: _principal_xi_derivative(P11, xi), xis) < 1e-13
         assert _principal_xi_derivative(P11, xis).shape == (64, 2, 3, 3)
+        dx = lambda xi: _principal_x_derivative(P11, -0.7, 1.3, xi)
+        assert _stack_vs_rows(dx, xis) < 1e-13
+        assert dx(xis).shape == (64, 2, 3, 3)
 
     @pytest.mark.parametrize("name", ["sphere_field", "dent_field"])
     def test_field_evaluators(self, name, request):
@@ -372,9 +398,6 @@ class TestStackEvaluation:
             for r in range(len(field.roots.roots)):
                 m_eval = lambda xi: field.m_hat[i](xi)[..., r, :, :]
                 assert _stack_vs_rows(m_eval, xis) < 1e-13
-            # the central difference with step 1e-3 magnifies last-bit
-            # rounding about a thousand times
-            assert _stack_vs_rows(field.dxk0[i], xis) < 1e-12
 
     def test_field_charts_equal_single_charts(self, dent_field):
         # row i of the field's stacked chart is the chart that a call at

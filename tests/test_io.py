@@ -1,5 +1,7 @@
 """File format roundtrips and header validation."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,6 @@ from npspec.io import (
     read_counting_csv,
     read_eigenvalues_csv,
     read_npmat,
-    read_report_json,
     write_counting_csv,
     write_eigenvalues_csv,
     write_npmat,
@@ -160,7 +161,8 @@ class TestReportJson:
         ]
         path = tmp_path / "report.json"
         write_report_json(path, reports)
-        back = read_report_json(path)
+        with open(path) as f:
+            back = json.load(f)
         assert len(back["reports"]) == 2
         first = back["reports"][0]
         assert first["route"] == "symbol" and first["C"] == 0.5625

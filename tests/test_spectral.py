@@ -671,6 +671,13 @@ class TestClusterCounting:
         with pytest.raises(ValueError, match="guard"):
             cluster_and_count(np.array([0.01, -0.02]), [-KK, 0.0, KK], guard=guard)
 
+    @pytest.mark.parametrize("n_tau", [0, -3, 1.5])
+    def test_n_tau_range_enforced(self, n_tau):
+        # below two taus no counting function is left to fit, and a
+        # fractional count has no grid
+        with pytest.raises(ValueError, match="n_tau"):
+            cluster_and_count(np.array([0.01, -0.02]), [-KK, 0.0, KK], n_tau=n_tau)
+
 
 class TestPowerLawFit:
     def test_exact_power_data(self):

@@ -16,7 +16,6 @@ from npspec.surfaces import (
     _legendre,
     _real_sph_harm_jet,
     c_chart,
-    consistent_chart,
     make_surface,
     principal_curvatures,
     surface_quadrature,
@@ -340,51 +339,6 @@ class TestStackedCharts:
         w[1, 0] = 1.01 * charts.radius[1]
         with pytest.raises(ValueError):
             charts.height(w)
-
-
-class TestConsistentCharts:
-    def test_frame_change_orthogonal(self):
-        base = c_chart(SPHERE, 1.0, 2.0)
-        q, dz, u = consistent_chart(SPHERE, base, (0.01, -0.02))
-        assert q.shape == (3,) and dz.shape == (2, 2) and u.shape == (3, 3)
-        assert np.abs(u.T @ u - np.eye(3)).max() < 1e-12
-        assert np.abs(q - base.surface_point((0.01, -0.02))).max() < 1e-12
-        # the third column of u is the normal at q in the base frame
-        frame = np.column_stack([base.e1, base.e2, base.n])
-        assert np.abs(frame @ u[:, 2] - SPHERE.normal(q)).max() < 1e-12
-
-    def test_jacobian_near_identity(self):
-        base = c_chart(ELLIPSOID, 1.1, 0.7)
-        for h in (1e-2, 5e-3):
-            _, dz, u = consistent_chart(ELLIPSOID, base, (h, 0.0))
-            # dz = I + O(h^2): parallel transport has no first order
-            # in-plane distortion
-            assert np.abs(dz - np.eye(2)).max() < 40.0 * h**2
-            # frame tilt is first order in h
-            assert np.abs(u - np.eye(3)).max() < 5.0 * h
-
-    def test_no_first_order_spin(self):
-        # Loewdin frames do not rotate within the tangent plane
-        base = c_chart(SPHERE, 1.0, 2.0)
-        h = 1e-2
-        _, _, u = consistent_chart(SPHERE, base, (h, h))
-        assert abs(u[1, 0] - u[0, 1]) < 5.0 * h**2
-
-    @pytest.mark.parametrize("surface", [SPHERE, TRIAXIAL, DENT])
-    def test_batch_matches_points(self, surface):
-        # a (step, sign, axis) offset block in one call equals one call
-        # per offset
-        base = c_chart(surface, 0.4, 1.3)
-        h = np.array([1e-3, 2e-3])
-        w = h[:, None, None, None] * np.array([1.0, -1.0])[:, None, None] * np.eye(2)
-        q, dz, u = consistent_chart(surface, base, w)
-        assert q.shape == (2, 2, 2, 3)
-        assert dz.shape == (2, 2, 2, 2, 2) and u.shape == (2, 2, 2, 3, 3)
-        for idx in np.ndindex(2, 2, 2):
-            q1, dz1, u1 = consistent_chart(surface, base, w[idx])
-            assert np.abs(q[idx] - q1).max() < 1e-14
-            assert np.abs(dz[idx] - dz1).max() < 1e-14
-            assert np.abs(u[idx] - u1).max() < 1e-14
 
 
 class TestArrayJet:

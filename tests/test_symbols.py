@@ -17,9 +17,7 @@ from npspec.symbols import (
     TwoTermSymbol,
     cluster_symbols,
     compose,
-    degenerate_polynomial,
     matrix_polynomial,
-    projector_polynomial,
     root_derivative_scale,
 )
 
@@ -164,70 +162,12 @@ class TestSpectralPolynomials:
         # p(w) = w(w+1)(w-2) = w^3 - w^2 - 2w
         assert np.allclose(coeffs, [0.0, -2.0, -1.0, 1.0])
 
-    def test_projector_polynomial_coefficients(self):
-        # roots {-k, 0, k}, k = 1/6; p_1(w) = w (w^2 - k^2)^2 expands to
-        # k^4 w - 2 k^2 w^3 + w^5 (oracle: numpy polynomial product)
+    def test_root_derivative_scale(self):
+        # roots {-k, 0, k}, k = 1/6, at the zero root: prod_{l != 1}
+        # (0 - w_l)^2 = k^4 (oracle: the squared gaps by hand)
         k = 1.0 / 6.0
         p = SpectralPolynomial(roots=(-k, 0.0, k))
-        q = projector_polynomial(p, 1)
-        want = np.polynomial.polynomial.polyfromroots([0.0, -k, -k, k, k])
-        assert np.allclose(q, want, atol=1e-15)
-        assert np.allclose(q, [0.0, k**4, 0.0, -2.0 * k**2, 0.0, 1.0], atol=1e-15)
-
-    def test_projector_polynomial_linearization(self):
-        # near the root, p_1(w) ~ p_1'(0) (w - 0) with slope k^4 = 1/1296;
-        # derivative scale prod_{l != 1} (0 - w_l)^2 = k^4
-        k = 1.0 / 6.0
-        p = SpectralPolynomial(roots=(-k, 0.0, k))
-        q = projector_polynomial(p, 1)
-        slope = root_derivative_scale(p, 1)
-        assert slope == pytest.approx(k**4, rel=1e-12)
-        eps = 1e-3
-        val = np.polynomial.polynomial.polyval(eps, q)
-        assert val == pytest.approx(slope * eps, rel=0.01)
-
-    def test_projector_polynomial_bad_index(self):
-        p = SpectralPolynomial(roots=(-1.0, 1.0))
-        with pytest.raises(IndexError):
-            projector_polynomial(p, 2)
-
-    def test_degenerate_polynomial(self):
-        # roots {0, 1, -1}, iota = 0, l = 2: w (w^2-1)^3 =
-        # -w + 3 w^3 - 3 w^5 + w^7 (oracle: polynomial expansion)
-        p = SpectralPolynomial(roots=(0.0, 1.0, -1.0))
-        q = degenerate_polynomial(p, 0, 2)
-        assert np.allclose(q, [0.0, -1.0, 0.0, 3.0, 0.0, -3.0, 0.0, 1.0])
-
-    def test_degenerate_contains_projector(self):
-        # (w - w_iota) prod (w - w_l)^2 divides (w - w_iota) prod (w - w_l)^3
-        p = SpectralPolynomial(roots=(0.0, 1.0, -1.0))
-        q2 = projector_polynomial(p, 0)
-        q3 = degenerate_polynomial(p, 0, 2)
-        quotient, remainder = np.polynomial.polynomial.polydiv(q3, q2)
-        assert np.abs(remainder).max() < 1e-12
-
-    def test_degenerate_root_order(self):
-        # triple root at w = 1 for l = 2: value and first two FD
-        # derivatives vanish, third does not
-        p = SpectralPolynomial(roots=(0.0, 1.0, -1.0))
-        q = degenerate_polynomial(p, 0, 2)
-        pv = lambda w: np.polynomial.polynomial.polyval(w, q)
-        h = 1e-3
-        d0 = pv(1.0)
-        d1 = (pv(1 + h) - pv(1 - h)) / (2 * h)
-        d2 = (pv(1 + h) - 2 * pv(1.0) + pv(1 - h)) / h**2
-        d3 = (pv(1 + 2 * h) - 2 * pv(1 + h) + 2 * pv(1 - h) - pv(1 - 2 * h)) / (
-            2 * h**3
-        )
-        assert abs(d0) < 1e-14
-        assert abs(d1) < 1e-5
-        assert abs(d2) < 1e-2
-        assert abs(d3) > 10.0
-
-    def test_degenerate_l_validation(self):
-        p = SpectralPolynomial(roots=(0.0, 1.0))
-        with pytest.raises(ValueError):
-            degenerate_polynomial(p, 0, 0)
+        assert root_derivative_scale(p, 1) == pytest.approx(k**4, rel=1e-12)
 
 
 def _conjugated_jet(roots, lead, seed=7):
