@@ -6,8 +6,8 @@ accumulate at the points of its essential spectrum:
 
 * a symbol route that manipulates two-term matrix symbols, extracts the
   order 0 and order -1 symbols of the elastic Neumann-Poincare operator
-  from its kernel, and integrates signed power traces over the cosphere
-  bundle;
+  from its kernel into evaluators stacked over the surface nodes, and
+  integrates signed power traces over the cosphere bundle;
 * a spectral route that discretizes the operator on a closed surface
   with a singularity-corrected Nystrom rule, clusters eigenvalues near
   the essential spectrum and fits counting-function power laws.
@@ -43,6 +43,7 @@ from .surfaces import (
     surface_quadrature,
 )
 from .extraction import (
+    AngularSymbol,
     HomogeneousKernelPart,
     SymbolField,
     chart_kernel,
@@ -84,6 +85,7 @@ __all__ = [
     "principal_curvatures",
     "c_chart",
     "surface_quadrature",
+    "AngularSymbol",
     "HomogeneousKernelPart",
     "SymbolField",
     "chart_kernel",

@@ -14,8 +14,8 @@ with
 where (.)_pm are the positive/negative spectral parts and dcirc is
 arclength on the unit frequency circle.  Every root's m_hat comes from
 the same two-term symbol at a point, so coefficient_integral computes
-the coefficients of all roots together, from one evaluation of each
-node's cluster symbols.
+the coefficients of all roots together, from one evaluation of the
+cluster symbols and one eigensolve per block of nodes.
 """
 
 from dataclasses import dataclass, field
@@ -52,18 +52,20 @@ def signed_power_trace(mat, d, sign, imag_tol=1e-6, zero_tol=1e-12, scale=None):
     return float(out) if out.ndim == 0 else out
 
 
-def _signed_traces(vals, d, imag_tol, zero_tol, scale):
+def _signed_traces(vals, d, imag_tol, zero_tol, scale, first_node=None):
     """(plus, minus) signed power traces from eigenvalues vals (..., N),
-    with the tolerance tests of signed_power_trace."""
+    with the tolerance tests of signed_power_trace; with first_node, a
+    non-real spectrum error names the node of vals' leading axis."""
     rho = np.abs(vals).max(axis=-1)
     ref = np.maximum(np.maximum(rho, scale if scale is not None else 0.0), 1e-300)
     worst = np.abs(vals.imag).max(axis=-1)
     bad = worst > imag_tol * ref
     if np.any(bad):
         k = np.argmax(bad)
+        where = "" if first_node is None else " at node %d" % (first_node + k // bad[0].size)
         raise ValueError(
-            "spectrum not real: max imaginary part %.3e vs radius %.3e"
-            % (worst.flat[k], rho.flat[k])
+            "spectrum not real%s: max imaginary part %.3e vs radius %.3e"
+            % (where, worst.flat[k], rho.flat[k])
         )
     re = vals.real
     cut = zero_tol * ref[..., None]
@@ -79,30 +81,33 @@ def coefficient_integral(field):
     runs over _ANGLES equispaced unit directions (whatever the field's
     angular resolution: its evaluators interpolate between their own
     grid angles) and the surface integral over the field's quadrature
-    weights.  Each node's cluster symbols are evaluated once, on the
-    whole direction stack and for every root, and one eigensolve per
-    node serves all its roots, both signs and the half grid.  Cluster
-    spectra must be real to _IMAG_TOL relative.  The returned info dict
-    reports each root's drift when the angle count is halved, an
-    internal convergence check; the half grid is every second
+    weights.  The nodes go in the field's extraction blocks: per block,
+    the cluster symbols are evaluated once, on the whole direction stack
+    and for every node and root, and one eigensolve serves all its
+    nodes, roots, both signs and the half grid.  Cluster spectra must be
+    real to _IMAG_TOL relative; an error names the node.  The returned
+    info dict reports each root's drift when the angle count is halved,
+    an internal convergence check; the half grid is every second
     direction of the full one, with its own magnitude reference.
     """
     thetas = 2.0 * np.pi * np.arange(_ANGLES) / _ANGLES
     xis = np.column_stack([np.cos(thetas), np.sin(thetas)])
     # rows: full grid, half grid; columns: plus, minus; then roots
     sums = np.zeros((2, 2, len(field.roots.roots)))
-    for i, m_hat in enumerate(field.m_hat):
-        # (roots, angles, N, N) in C order, so that each root's angular
-        # sum is one contiguous pairwise sum
-        mats = np.ascontiguousarray(np.moveaxis(m_hat(xis), -3, 0))
+    for b0, b1 in zip(field.blocks[:-1], field.blocks[1:]):
+        # (nodes, roots, angles, N, N) in C order, so that each root's
+        # angular sum is one contiguous pairwise sum
+        mats = np.ascontiguousarray(np.moveaxis(field.m_hat(xis, slice(b0, b1)), -3, 1))
         vals = np.linalg.eigvals(mats)
         for k, step in enumerate((1, 2)):
-            ref = np.abs(mats[:, ::step]).max(axis=(-3, -2, -1))
-            w = field.weights[i] * (2.0 * np.pi / (_ANGLES // step))
+            ref = np.abs(mats[:, :, ::step]).max(axis=(-3, -2, -1))[..., None]
+            w = field.weights[b0:b1, None] * (2.0 * np.pi / (_ANGLES // step))
             traces = _signed_traces(
-                vals[:, ::step], _DIM, _IMAG_TOL, zero_tol=1e-12, scale=ref[:, None]
+                vals[:, :, ::step], _DIM, _IMAG_TOL, zero_tol=1e-12, scale=ref, first_node=b0
             )
-            sums[k] += [w * t.sum(axis=-1) for t in traces]
+            # node by node, so the sums add in node order
+            for node_sums in np.stack([w * t.sum(axis=-1) for t in traces], axis=1):
+                sums[k] += node_sums
     (cp, cm), (cp_h, cm_h) = (2.0 * np.pi) ** (-_DIM) / _DIM * sums
     scale = np.maximum(np.maximum(abs(cp), abs(cm)), 1e-30)
     info = {

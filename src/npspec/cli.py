@@ -58,7 +58,8 @@ def load_config(path=None, overrides=()):
     """Defaults, optionally a JSON file, then dotted-key overrides.
 
     Every key, from the file or an override, must name a section and
-    key of DEFAULT_CONFIG; any other key exits with its name.
+    key of DEFAULT_CONFIG; any other key exits with its name, as does a
+    size that is not an integer (int() would run 4.9 as 4, true as 1).
     """
     cfg = {section: dict(values) for section, values in DEFAULT_CONFIG.items()}
     pairs = []
@@ -74,6 +75,10 @@ def load_config(path=None, overrides=()):
         if name not in cfg.get(section, {}):
             raise SystemExit("unknown config key %r" % key)
         cfg[section][name] = value
+    for key in ("mesh.n", "extract.angles"):
+        section, _, name = key.partition(".")
+        if type(cfg[section][name]) is not int:
+            raise SystemExit("config key %r is not an integer: %r" % (key, cfg[section][name]))
     return cfg
 
 

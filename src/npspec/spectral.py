@@ -34,7 +34,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .elasticity import kelvin_matrix, np_kernel
-from .surfaces import c_chart
+from .surfaces import _node_blocks, c_chart
 from .symbols import SpectralPolynomial, matrix_polynomial
 
 
@@ -49,10 +49,6 @@ _PATCH_OUTER = 48.0
 _PATCH_CAP = 0.8
 # points per direction of the tensor interpolation stencil
 _INTERP_ORDER = 8
-# patch points per node block of the assembly: a block's working arrays
-# take about 2 KB per point, so this bounds the memory the assembly
-# needs beyond its matrices (sphere n=10: 2048 points are 6 nodes)
-_BLOCK_POINTS = 2048
 # counting grids start at this fraction of the root gap
 _TAU_FLOOR = 1e-3
 # power-law fits need this many nonzero counts spanning this many decades
@@ -197,18 +193,6 @@ def _patch_points(r1, r2, n_radial, n_angular):
     wr = np.repeat(ww * rr * ang_w, n_angular)
     chi = np.repeat(_smoothstep(rr, r1, r2), n_angular)
     return w12.reshape(-1, 2), wr, chi
-
-
-def _node_blocks(counts):
-    """Boundaries of consecutive node blocks whose patch point counts sum
-    to at most _BLOCK_POINTS; a node over budget is a block alone."""
-    bounds, total = [0], 0
-    for i, c in enumerate(counts):
-        if i > bounds[-1] and total + c > _BLOCK_POINTS:
-            bounds.append(i)
-            total = 0
-        total += c
-    return bounds + [len(counts)]
 
 
 def _assemble(surface, quad, kernels):

@@ -30,6 +30,10 @@ from numpy.polynomial.legendre import leggauss
 _POLE_EPS = 1e-12
 # chart radius times the largest curvature scale at the chart origin
 _CHART_REACH = 0.45
+# chart points per node block of the assembly (patch points) and of the
+# symbol extraction (ladder x direction points): at about 2 KB of working
+# arrays per point this bounds the memory of either route
+_BLOCK_POINTS = 2048
 
 
 def _legendre(l, m, t):
@@ -358,7 +362,7 @@ class CCoordinateChart:
         w = np.asarray(w, dtype=float)
         if np.any(np.linalg.norm(w, axis=-1) > self.radius):
             raise ValueError("chart coordinates outside chart radius")
-        shape = w.shape[:-1]
+        shape = np.broadcast_shapes(w.shape[:-1], np.shape(self.kappa1))
         base = self._plane_point(w).reshape(-1, 3)
         t = (-0.5 * (self.kappa1 * w[..., 0] ** 2 + self.kappa2 * w[..., 1] ** 2)).reshape(-1)
         # each point's chart normal and origin norm, flattened like base
@@ -447,6 +451,18 @@ def c_chart(surface, theta, phi):
     if np.any(off > 1e-10 * np.maximum(1.0, r_origin)):
         raise ValueError("chart origin is off the surface")
     return chart
+
+
+def _node_blocks(counts):
+    """Boundaries of consecutive node blocks whose point counts sum to at
+    most _BLOCK_POINTS; a node over budget is a block alone."""
+    bounds, total = [0], 0
+    for i, c in enumerate(counts):
+        if i > bounds[-1] and total + c > _BLOCK_POINTS:
+            bounds.append(i)
+            total = 0
+        total += c
+    return bounds + [len(counts)]
 
 
 @dataclass(frozen=True)

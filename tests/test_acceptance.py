@@ -294,7 +294,7 @@ def test_criterion_8_structure_and_symmetry():
         for i in range(field.node_count):
             chart = field.charts[i]
             rows.append((chart.kappa1, chart.kappa2))
-            data.append(np.moveaxis(field.m_hat[i](xis), -3, 0))
+            data.append(np.moveaxis(field.m_hat(xis, i), -3, 0))
     kap = np.array(rows)
     y = np.array(data)
     n_pts = kap.shape[0]

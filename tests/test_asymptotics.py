@@ -19,7 +19,7 @@ from npspec.asymptotics import (
     signed_power_trace,
 )
 from npspec.elasticity import LameParams
-from npspec.extraction import SymbolField, np_symbol_field
+from npspec.extraction import np_symbol_field
 from npspec.surfaces import make_surface, surface_quadrature
 from npspec.symbols import SpectralPolynomial
 
@@ -85,23 +85,31 @@ class TestSignedPowerTrace:
         assert val < 1e-27
 
 
+class _StandInField:
+    """What coefficient_integral reads of a SymbolField: roots, weights,
+    node blocks (of two, the last one short for an odd count) and
+    m_hat(xi, nodes), with m_node(i, xi) node i's symbols at every root,
+    xi.shape[:-1] + (L, 3, 3)."""
+
+    def __init__(self, m_node, weights, roots):
+        self.m_node = m_node
+        self.weights = np.asarray(weights, dtype=float)
+        self.roots = SpectralPolynomial(roots=roots)
+        self.blocks = list(range(0, len(weights), 2)) + [len(weights)]
+
+    def m_hat(self, xi, nodes=slice(None)):
+        index = np.arange(len(self.weights))[nodes]
+        out = np.array([self.m_node(i, xi) for i in np.ravel(index)])
+        return out.reshape(index.shape + out.shape[1:])
+
+
 def _constant_field(m_funcs, weights, roots):
-    """SymbolField stand-in carrying only what the integral reads; every
-    node's cluster symbol stacks the per-root evaluators m_funcs."""
-    n = len(weights)
-    m_hat = lambda xi: np.stack([np.broadcast_to(f(xi), xi.shape[:-1] + (3, 3)) for f in m_funcs], axis=-3)
-    return SymbolField(
-        surface=None,
-        params=None,
-        node_params=np.zeros((n, 2)),
-        weights=np.asarray(weights, dtype=float),
-        roots=SpectralPolynomial(roots=roots),
-        charts=[None] * n,
-        k0=[None] * n,
-        km1=[None] * n,
-        m_hat=[m_hat] * n,
-        diagnostics={},
+    """Stand-in field whose every node's cluster symbol stacks the
+    per-root evaluators m_funcs."""
+    m_node = lambda i, xi: np.stack(
+        [np.broadcast_to(f(xi), xi.shape[:-1] + (3, 3)) for f in m_funcs], axis=-3
     )
+    return _StandInField(m_node, weights, roots)
 
 
 class TestCoefficientIntegral:
@@ -207,6 +215,16 @@ class TestCoefficientIntegral:
         rot = 0.1 * np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
         field = _constant_field([lambda xi: np.eye(3), lambda xi: rot], [1.0], roots=(0.0, 0.5))
         with pytest.raises(ValueError):
+            coefficient_integral(field)
+
+    def test_complex_spectrum_error_names_the_node(self):
+        # node 3 sits second in the second block of two; the error names
+        # its index in the field, not in the block
+        rot = 0.1 * np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+        eye = lambda i, xi: np.broadcast_to(np.eye(3), xi.shape[:-1] + (1, 3, 3))
+        spoiled = lambda i, xi: eye(i, xi) + (rot if i == 3 else 0.0)
+        field = _StandInField(spoiled, np.ones(6), roots=(0.0,))
+        with pytest.raises(ValueError, match="spectrum not real at node 3:"):
             coefficient_integral(field)
 
     def test_sphere_pipeline_matches_ball_spectrum(self):

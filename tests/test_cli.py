@@ -183,6 +183,22 @@ class TestPipeline:
             )
         assert not (tmp_path / "counting.csv").exists()
 
+    @pytest.mark.parametrize(
+        "stage, key, value",
+        [
+            ("coeff", "mesh.n", "4.9"),
+            ("coeff", "mesh.n", "true"),
+            ("assemble", "mesh.n", "4.0"),
+            ("coeff", "extract.angles", "64.9"),
+            ("coeff", "extract.angles", "true"),
+        ],
+    )
+    def test_sizes_must_be_integers(self, capsys, tmp_path, stage, key, value):
+        # int() would run 4.9 as 4 and true as 1
+        with pytest.raises(SystemExit, match="%r is not an integer" % key):
+            run(capsys, stage, "--" + key, value, "--out.dir", str(tmp_path))
+        assert os.listdir(tmp_path) == []
+
     def test_count_rejects_n_tau_below_two(self, capsys, tmp_path):
         # with no taus every root is lost, and fit would have no rows
         path = tmp_path / "eigenvalues.csv"
@@ -258,6 +274,8 @@ class TestCoeff:
             assert summary["reports"] == 6
             assert summary["k0_max_err"] < 1e-12
             assert summary["ladder_drift"] < 1e-10
+            assert summary["fit_residual"] < 1e-10
+            assert summary["odd_defect"] < 1e-8
             assert 0.0 <= summary["angle_drift"] < 1e-8
         reps = json.loads((a / "coeff.json").read_text())["reports"]
         assert len(reps) == 6

@@ -15,6 +15,8 @@ import math
 import numpy as np
 import pytest
 
+from npspec import extraction
+from npspec.asymptotics import coefficient_integral
 from npspec.elasticity import LameParams, np_principal_symbol
 from npspec.extraction import (
     AngularSymbol,
@@ -192,7 +194,7 @@ class TestAngularSymbol:
             angular_fourier_symbol(part)
 
     def test_zero_frequency_rejected(self):
-        sym = AngularSymbol(degree=0, modes={1: np.eye(3, dtype=complex)})
+        sym = AngularSymbol(degree=0, ns=np.array([1]), coeffs=np.eye(3, dtype=complex)[None])
         with pytest.raises(ValueError):
             sym(np.zeros(2))
 
@@ -308,9 +310,17 @@ class TestSymbolField:
         f = sphere_field
         assert f.node_count == 32
         assert f.charts.radius.shape == (32,)
-        assert len(f.k0) == len(f.m_hat) == 32
+        # stacked evaluators, leading node axis; 4 nodes per block at 64
+        # directions (8 ladder x 64 direction points per node)
+        xis = _direction_stack(5)
+        assert f.k0(xis).shape == f.km1(xis).shape == (32, 5, 3, 3)
+        assert f.m_hat(xis).shape == (32, 5, 3, 3, 3)
+        assert f.m_hat(xis, slice(4, 8)).shape == (4, 5, 3, 3, 3)
+        assert f.blocks == list(range(0, 33, 4))
         assert f.diagnostics["k0_max_err"] < 1e-12
         assert f.diagnostics["ladder_drift"] < 1e-10
+        assert f.diagnostics["fit_residual"] < 1e-10
+        assert f.diagnostics["odd_defect"] < 1e-8
         assert np.allclose(f.roots.roots, (-1.0 / 6.0, 0.0, 1.0 / 6.0), atol=1e-12)
 
     def test_x_derivative_is_curvature_commutator(self):
@@ -342,7 +352,7 @@ class TestSymbolField:
             for iota, top in tops.items():
                 for psi in (0.0, 1.2, 3.9):
                     xi = np.array([math.cos(psi), math.sin(psi)])
-                    m = sphere_field.m_hat[i](xi)[iota]
+                    m = sphere_field.m_hat(xi, i)[iota]
                     assert np.abs(m - m.conj().T).max() < 1e-8
                     ev = np.sort(np.linalg.eigvalsh(0.5 * (m + m.conj().T)))
                     assert abs(ev[-1] - top) < 1e-6
@@ -350,8 +360,8 @@ class TestSymbolField:
 
     def test_cluster_symbol_homogeneity(self, sphere_field):
         xi = np.array([0.6, -0.8])
-        m1 = sphere_field.m_hat[5](xi)
-        m3 = sphere_field.m_hat[5](3.0 * xi)
+        m1 = sphere_field.m_hat(xi, 5)
+        m3 = sphere_field.m_hat(3.0 * xi, 5)
         assert np.abs(3.0 * m3 - m1).max() < 1e-9
 
 
@@ -396,7 +406,7 @@ class TestStackEvaluation:
             assert _stack_vs_rows(field.k0[i], xis) < 1e-13
             assert _stack_vs_rows(field.km1[i], xis) < 1e-13
             for r in range(len(field.roots.roots)):
-                m_eval = lambda xi: field.m_hat[i](xi)[..., r, :, :]
+                m_eval = lambda xi: field.m_hat(xi, i)[..., r, :, :]
                 assert _stack_vs_rows(m_eval, xis) < 1e-13
 
     def test_field_charts_equal_single_charts(self, dent_field):
@@ -407,3 +417,92 @@ class TestStackEvaluation:
             for f in dataclasses.fields(one)[1:]:
                 got = getattr(dent_field.charts[i], f.name)
                 assert np.array_equal(got, getattr(one, f.name)), (i, f.name)
+
+
+class TestNodeBlocks:
+    """Extraction and integral run over blocks of nodes; per-node checks
+    name the node by its index in the field."""
+
+    @pytest.mark.parametrize("angles", [64, 128])
+    def test_blocked_field_matches_per_node_reference(self, angles):
+        # n = 5: 50 nodes; 4 per block at 64 directions (the last block
+        # holds 2) and 2 per block at 128
+        surf = make_surface("radial_graph", harmonics=[[2, 0, -0.6]])
+        field = np_symbol_field(surf, P11, surface_quadrature(surf, 5), angles=angles)
+        assert field.node_count == 50
+        per_block = 4 if angles == 64 else 2
+        assert field.blocks == list(range(0, 50, per_block)) + [50]
+        xis = _direction_stack()
+        k0, km1 = field.k0(xis), field.km1(xis)
+        for i in range(field.node_count):
+            p2, p1, _ = homogeneous_parts(lambda z: chart_kernel(P11, field.charts[i], z), angles)
+            for got, part in ((k0[i], p2), (km1[i], p1)):
+                want = angular_fourier_symbol(part)(xis)
+                assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+        # the same integral with one node per block
+        cp, cm, info = coefficient_integral(field)
+        one = dataclasses.replace(field, blocks=list(range(field.node_count + 1)))
+        cp1, cm1, info1 = coefficient_integral(one)
+        assert np.array_equal(cp, cp1) and np.array_equal(cm, cm1)
+        assert np.array_equal(info["angle_drift"], info1["angle_drift"])
+
+    def test_one_kernel_call_and_one_eigensolve_per_block(self, monkeypatch):
+        calls = {"chart_kernel": 0, "eigvals": 0}
+        eigvals = np.linalg.eigvals
+
+        def counted_kernel(*args):
+            calls["chart_kernel"] += 1
+            return chart_kernel(*args)
+
+        def counted_eigvals(a):
+            calls["eigvals"] += 1
+            return eigvals(a)
+
+        monkeypatch.setattr(extraction, "chart_kernel", counted_kernel)
+        monkeypatch.setattr(np.linalg, "eigvals", counted_eigvals)
+        surf = make_surface("radial_graph", harmonics=[[2, 0, -0.6]])
+        field = np_symbol_field(surf, P11, surface_quadrature(surf, 4), angles=64)
+        coefficient_integral(field)
+        assert field.node_count == 32
+        assert calls["chart_kernel"] <= 8
+        assert calls["eigvals"] <= 8
+
+    @staticmethod
+    def _spoiled_kernel(block, node, term):
+        """chart_kernel plus term(z) at one node of one block (call)."""
+        calls = []
+
+        def kernel(params, chart, z):
+            out = chart_kernel(params, chart, z)
+            if len(calls) == block:
+                out[node] += term(z)
+            calls.append(block)
+            return out
+
+        return kernel
+
+    def test_odd_check_names_the_node(self, monkeypatch):
+        # at 64 directions the second block holds nodes 4-7; an even
+        # degree -2 term at its second node is node 5 of the field
+        even = lambda z: np.cos(2.0 * _polar(z)[1]) / _polar(z)[0] ** 2 * np.eye(3)
+        monkeypatch.setattr(extraction, "chart_kernel", self._spoiled_kernel(1, 1, even))
+        surf = make_surface("sphere")
+        with pytest.raises(ValueError, match=r"is not odd: .* at node 5$"):
+            np_symbol_field(surf, P11, surface_quadrature(surf, 4))
+
+    def test_k0_check_names_the_node(self, monkeypatch):
+        # an odd degree -2 term passes the odd check and moves the degree
+        # 0 symbol off the flat form at node 2 of the second block, node 6
+        odd = lambda z: 0.01 * np.cos(_polar(z)[1]) / _polar(z)[0] ** 2 * M1
+        monkeypatch.setattr(extraction, "chart_kernel", self._spoiled_kernel(1, 2, odd))
+        surf = make_surface("sphere")
+        with pytest.raises(ValueError, match=r"off closed form by .* at node 6$"):
+            np_symbol_field(surf, P11, surface_quadrature(surf, 4))
+
+    def test_even_content_check_names_the_node(self):
+        m = 64
+        th = 2.0 * np.pi * np.arange(m) / m
+        samples = np.cos(th)[:, None, None] * M1 + np.zeros((3, m, 3, 3))
+        samples[2] += np.cos(2.0 * th)[:, None, None] * np.eye(3)
+        with pytest.raises(ValueError, match="at node 2$"):
+            angular_fourier_symbol(HomogeneousKernelPart(degree=-2, samples=samples))

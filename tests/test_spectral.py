@@ -24,7 +24,7 @@ from npspec.elasticity import (
     np_kernel,
     sphere_exact_eigenvalues,
 )
-from npspec import spectral
+from npspec import surfaces
 from npspec.spectral import (
     _GridInfo,
     _assemble,
@@ -287,16 +287,16 @@ class TestNodeBlocks:
     def test_one_node_blocks_match_default_blocks(self, surface, monkeypatch):
         quad = surface_quadrature(surface, 6)
         k_mat, s_mat = assemble_operators(surface, P11, quad)
-        monkeypatch.setattr(spectral, "_BLOCK_POINTS", 1)
+        monkeypatch.setattr(surfaces, "_BLOCK_POINTS", 1)
         k_one, s_one = assemble_operators(surface, P11, quad)
         assert np.abs(k_one - k_mat).max() <= 1e-14 * np.abs(k_mat).max()
         assert np.abs(s_one - s_mat).max() <= 1e-14 * np.abs(s_mat).max()
 
     def test_blocks_fill_the_budget(self, monkeypatch):
-        monkeypatch.setattr(spectral, "_BLOCK_POINTS", 1000)
+        monkeypatch.setattr(surfaces, "_BLOCK_POINTS", 1000)
         # consecutive nodes up to the budget; a node over it is a block alone
-        assert spectral._node_blocks([300, 300, 300, 5000, 200, 100]) == [0, 3, 4, 6]
-        assert spectral._node_blocks([600, 600, 400]) == [0, 1, 3]
+        assert surfaces._node_blocks([300, 300, 300, 5000, 200, 100]) == [0, 3, 4, 6]
+        assert surfaces._node_blocks([600, 600, 400]) == [0, 1, 3]
 
 
 class TestRigidMotions:

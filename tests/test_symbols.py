@@ -226,6 +226,32 @@ class TestClusterSymbol:
             cluster_symbols(p, _constant_jet(np.stack([good, bad])))
         assert np.abs(cluster_symbols(p, _constant_jet(good))).max() < 1e-14
 
+    def test_unbroadcast_flat_terms_fold_bit_for_bit(self):
+        # a0 and dxi_a0 without the node axis of a_m1 and dx_a0 (the flat
+        # terms are the same at every node) give the same bits as when
+        # broadcast to every node
+        k = 1.0 / 6.0
+        p = SpectralPolynomial(roots=(-k, 0.0, k))
+        flat = _conjugated_jet([0.0, k, -k], (7,))
+        rng = np.random.default_rng(11)
+        draw = lambda *shape: rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        am1, dx = draw(4, 7, 3, 3), draw(4, 7, 2, 3, 3)
+        lean = TwoTermSymbol(flat.a0, am1, dx, flat.dxi_a0)
+        full = TwoTermSymbol(
+            np.broadcast_to(flat.a0, (4, 7, 3, 3)), am1, dx,
+            np.broadcast_to(flat.dxi_a0, (4, 7, 2, 3, 3)),
+        )
+        got = cluster_symbols(p, lean)
+        assert got.shape == (4, 7, 3, 3, 3)
+        assert np.array_equal(got, cluster_symbols(p, full))
+
+    def test_order_zero_guard_with_unbroadcast_a0(self):
+        p = SpectralPolynomial(roots=(-0.2, 0.0, 0.2))
+        bad = np.diag([5e-3, 0.2, -0.2])
+        jet = TwoTermSymbol(bad, np.zeros((4, 3, 3)), np.zeros((4, 2, 3, 3)), np.zeros((2, 3, 3)))
+        with pytest.raises(ValueError, match="at root 0 "):
+            cluster_symbols(p, jet)
+
 
 class TestMatrixPolynomial:
     def test_against_eigendecomposition(self):
