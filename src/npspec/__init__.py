@@ -4,10 +4,10 @@ The package computes, by two independent routes, the rate at which
 discrete eigenvalues of a zero order polynomially compact operator
 accumulate at the points of its essential spectrum:
 
-* a symbol route that manipulates two-term matrix symbols, extracts the
-  order 0 and order -1 symbols of the elastic Neumann-Poincare operator
-  from its kernel into evaluators stacked over the surface nodes, and
-  integrates signed power traces over the cosphere bundle;
+* a symbol route that manipulates two-term matrix symbols, builds the
+  cluster symbols of the elastic Neumann-Poincare operator in closed
+  form in the principal curvatures (checked against symbols extracted
+  from its kernel) and integrates signed power traces over them;
 * a spectral route that discretizes the operator on a closed surface
   with a singularity-corrected Nystrom rule, clusters eigenvalues near
   the essential spectrum and fits counting-function power laws.
@@ -44,8 +44,8 @@ from .surfaces import (
 )
 from .extraction import (
     AngularSymbol,
-    HomogeneousKernelPart,
     SymbolField,
+    curvature_matrices,
     chart_kernel,
     homogeneous_parts,
     angular_fourier_symbol,
@@ -86,8 +86,8 @@ __all__ = [
     "c_chart",
     "surface_quadrature",
     "AngularSymbol",
-    "HomogeneousKernelPart",
     "SymbolField",
+    "curvature_matrices",
     "chart_kernel",
     "homogeneous_parts",
     "angular_fourier_symbol",

@@ -1,6 +1,6 @@
 """Eigenvalue counting coefficients from boundary symbols.
 
-The normalized cluster symbol m_hat at a spectral root has real
+The normalized cluster symbol m at a spectral root has real
 eigenvalues (up to measurement error); the two-sided counting
 functions of the operator cluster at that root obey
 
@@ -9,18 +9,21 @@ functions of the operator cluster at that root obey
 with
 
     C_pm = d^-1 (2 pi)^-d int_Gamma int_{|xi|=1}
-           Tr[ (m_hat(x, xi))_pm^d ]  dcirc(xi) dS(x),
+           Tr[ (m(x, xi))_pm^d ]  dcirc(xi) dS(x),
 
 where (.)_pm are the positive/negative spectral parts and dcirc is
-arclength on the unit frequency circle.  Every root's m_hat comes from
-the same two-term symbol at a point, so coefficient_integral computes
-the coefficients of all roots together, from one evaluation of the
-cluster symbols and one eigensolve per block of nodes.
+arclength on the unit frequency circle.  At a point with principal
+curvatures (kappa1, kappa2), m = kappa1 M1 + kappa2 M2 at every
+root, so coefficient_integral needs of the surface only its curvatures
+and weights; it builds M1 and M2 once and computes all roots together.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .extraction import curvature_matrices
+from .surfaces import _node_blocks
 
 # largest accepted imaginary part of a cluster symbol eigenvalue,
 # relative to the node's magnitude reference
@@ -73,35 +76,36 @@ def _signed_traces(vals, d, imag_tol, zero_tol, scale, first_node=None):
     return tuple(np.sum(np.where(keep, power, 0.0), axis=-1) for keep in (re > cut, re < -cut))
 
 
-def coefficient_integral(field):
+def coefficient_integral(params, kappa1, kappa2, weights):
     """Two-sided counting coefficients (C_plus, C_minus) at every root.
 
-    field is an extracted SymbolField; C_plus and C_minus are arrays
-    over its spectral roots, in root order.  The frequency integral
-    runs over _ANGLES equispaced unit directions (whatever the field's
-    angular resolution: its evaluators interpolate between their own
-    grid angles) and the surface integral over the field's quadrature
-    weights.  The nodes go in the field's extraction blocks: per block,
-    the cluster symbols are evaluated once, on the whole direction stack
-    and for every node and root, and one eigensolve serves all its
-    nodes, roots, both signs and the half grid.  Cluster spectra must be
-    real to _IMAG_TOL relative; an error names the node.  The returned
-    info dict reports each root's drift when the angle count is halved,
-    an internal convergence check; the half grid is every second
-    direction of the full one, with its own magnitude reference.
+    kappa1, kappa2 and weights are the principal curvatures and weights
+    of a surface rule's nodes; C_plus and C_minus are arrays over the
+    essential spectrum roots of the material params, in root order.  The
+    frequency integral runs over _ANGLES equispaced unit directions.
+    Per block of at most surfaces._BLOCK_POINTS matrices, one eigensolve
+    of kappa1 M1 + kappa2 M2 serves all its nodes, roots, both signs and
+    the half grid; the sums add in node order, whatever the blocks.
+    Cluster spectra must be real to _IMAG_TOL relative; an error names
+    the node.  The info dict reports each root's drift when the angle
+    count is halved (every second direction, with its own magnitude
+    reference), an internal convergence check.
     """
     thetas = 2.0 * np.pi * np.arange(_ANGLES) / _ANGLES
     xis = np.column_stack([np.cos(thetas), np.sin(thetas)])
+    # (2, roots, angles, N, N) in C order, so that a block's matrices
+    # are too and each root's angular sum is one contiguous pairwise sum
+    m12 = np.ascontiguousarray(np.moveaxis(curvature_matrices(params, xis), -3, 1))
     # rows: full grid, half grid; columns: plus, minus; then roots
-    sums = np.zeros((2, 2, len(field.roots.roots)))
-    for b0, b1 in zip(field.blocks[:-1], field.blocks[1:]):
-        # (nodes, roots, angles, N, N) in C order, so that each root's
-        # angular sum is one contiguous pairwise sum
-        mats = np.ascontiguousarray(np.moveaxis(field.m_hat(xis, slice(b0, b1)), -3, 1))
+    sums = np.zeros((2, 2, m12.shape[1]))
+    blocks = _node_blocks([m12.shape[1] * _ANGLES] * len(weights))
+    for b0, b1 in zip(blocks[:-1], blocks[1:]):
+        k1, k2 = (c[b0:b1, None, None, None, None] for c in (kappa1, kappa2))
+        mats = k1 * m12[0] + k2 * m12[1]
         vals = np.linalg.eigvals(mats)
         for k, step in enumerate((1, 2)):
             ref = np.abs(mats[:, :, ::step]).max(axis=(-3, -2, -1))[..., None]
-            w = field.weights[b0:b1, None] * (2.0 * np.pi / (_ANGLES // step))
+            w = weights[b0:b1, None] * (2.0 * np.pi / (_ANGLES // step))
             traces = _signed_traces(
                 vals[:, :, ::step], _DIM, _IMAG_TOL, zero_tol=1e-12, scale=ref, first_node=b0
             )

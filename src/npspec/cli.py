@@ -25,7 +25,7 @@ from .elasticity import (
     sphere_exact_eigenvalues,
     symmetrizer_symbols,
 )
-from .extraction import fourier_multiplier, np_symbol_field
+from .extraction import curvature_matrices, fourier_multiplier, np_symbol_field
 from .spectral import (
     assemble_operators,
     cluster_and_count,
@@ -59,7 +59,9 @@ def load_config(path=None, overrides=()):
 
     Every key, from the file or an override, must name a section and
     key of DEFAULT_CONFIG; any other key exits with its name, as does a
-    size that is not an integer (int() would run 4.9 as 4, true as 1).
+    value of a numeric key that is not an integer where the default is
+    one (int() would run 4.9 as 4), or else not a number (float() would
+    run true as 1, and fail on text without naming the key).
     """
     cfg = {section: dict(values) for section, values in DEFAULT_CONFIG.items()}
     pairs = []
@@ -75,10 +77,12 @@ def load_config(path=None, overrides=()):
         if name not in cfg.get(section, {}):
             raise SystemExit("unknown config key %r" % key)
         cfg[section][name] = value
-    for key in ("mesh.n", "extract.angles"):
-        section, _, name = key.partition(".")
-        if type(cfg[section][name]) is not int:
-            raise SystemExit("config key %r is not an integer: %r" % (key, cfg[section][name]))
+    for section, values in cfg.items():
+        for name, value in values.items():
+            kind = type(DEFAULT_CONFIG[section][name])
+            if kind in (int, float) and type(value) not in (int, kind):
+                what = "an integer" if kind is int else "a number"
+                raise SystemExit("config key '%s.%s' is not %s: %r" % (section, name, what, value))
     return cfg
 
 
@@ -236,14 +240,16 @@ def cmd_coeff(cfg):
     params = _material(cfg)
     quad = surface_quadrature(surface, int(cfg["mesh"]["n"]))
     field = np_symbol_field(surface, params, quad, angles=int(cfg["extract"]["angles"]))
-    cp, cm, info = coefficient_integral(field)
+    cp, cm, info = coefficient_integral(
+        params, field.charts.kappa1, field.charts.kappa2, quad.weights
+    )
     drift = info["angle_drift"]
     reports = [
         AsymptoticReport(
             root=float(root), side=side, c=float(c[idx]), d=2.0,
             route="symbol", err_estimate=float(drift[idx]),
         )
-        for idx, root in enumerate(field.roots.roots)
+        for idx, root in enumerate(essential_spectrum(params).roots)
         for side, c in (("plus", cp), ("minus", cm))
     ]
     d = _outdir(cfg)
@@ -320,6 +326,14 @@ def _verify_checks(cfg):
         and abs(fourier_multiplier(1, 2) - 2j * np.pi) < 1e-12
         and abs(fourier_multiplier(2, 1) + 2 * np.pi) < 1e-12,
     )
+
+    def ball_cluster_tops():
+        # kappa = (-1, -1) is the unit ball, whose exact spectrum fixes the tops
+        m = -curvature_matrices(params, np.array([0.6, -0.8])).sum(axis=0)
+        tops = np.linalg.eigvals(m).real.max(axis=-1)
+        return np.allclose(tops, [params.kk, 0.75, params.kk], atol=1e-12)
+
+    check("ball_cluster_tops", ball_cluster_tops)
     return checks
 
 

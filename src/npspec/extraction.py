@@ -1,32 +1,29 @@
 """Boundary symbol extraction from the double layer kernel.
 
-Pipeline over blocks of surface nodes: localize the kernel in
-curvature-aligned charts, split the chart kernels into homogeneous
-parts of degree -2 and -1 by a radial extrapolation ladder, map each
-part to its planar symbol through the angular Fourier multiplier of the
-kernel transform a(x, xi) = int exp(+i z.xi) k(x, z) dz, then assemble
-the normalized cluster symbols that drive the eigenvalue counting
-coefficients.  Per block, one chart kernel call and one ladder fit
-serve all nodes; the symbols are stacked over the nodes, and a block's
-cluster symbols at every root come from one evaluation of its two-term
-jets.  The jet's tangential derivative d_x a0 is closed form in the
-node's principal curvatures; its frequency derivative d_xi a0 is
-closed form in the flat symbol, the same at every node.
+At a node with principal curvatures (kappa1, kappa2) the two-term symbol
+is closed form: the flat a0 and d_xi a0 carry no curvature, and the
+degree -1 part and d_x a0 are linear in it.  So are the normalized
+cluster symbols that drive the counting coefficients:
+m = kappa1 M1 + kappa2 M2, with M1 and M2 from curvature_matrices.
 
-The degree -2 part must be odd (its even part has no classical
-symbol); the resulting degree 0 symbol is checked against the closed
-flat-boundary form at every node.  A failed check names the node.
+Extraction is the check of those forms.  Per block of nodes, one chart
+kernel call in curvature-aligned charts and one radial extrapolation
+ladder fit split the kernels into homogeneous parts of degree -2 and
+-1; the angular Fourier multiplier of the kernel transform
+a(x, xi) = int exp(+i z.xi) k(x, z) dz maps each part to its planar
+symbol.  The degree -2 part must be odd (its even part has no classical
+symbol), its symbol must be the flat form, and the degree -1 samples
+must be the closed form; a failed check names the node.
 """
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
 from .elasticity import essential_spectrum, np_kernel, np_principal_symbol
 from .surfaces import CCoordinateChart, _node_blocks, c_chart
-from .symbols import SpectralPolynomial, TwoTermSymbol, cluster_symbols
+from .symbols import TwoTermSymbol, cluster_symbols
 
 
 # extrapolation ladder: geomspace arguments of its radii eps, fitted by
@@ -40,6 +37,9 @@ _EVEN_TOL = 1e-8
 # largest accepted deviation of the extracted degree 0 symbol from the
 # closed flat-boundary form
 _K0_TOL = 1e-4
+# largest accepted deviation of the degree -1 kernel samples from the
+# closed form, relative to the field's largest (ladder error: 3e-8-2e-7)
+_KM1_TOL = 1e-5
 
 
 def _raise_at_node(failed, first_node, message, *values):
@@ -69,43 +69,6 @@ def chart_kernel(params, chart, z):
     return area[..., None, None] * (np.swapaxes(frame, -1, -2) @ k_lab @ frame)
 
 
-@dataclass(frozen=True)
-class HomogeneousKernelPart:
-    """Angular samples of homogeneous kernel components.
-
-    samples[..., j, :, :] is the 3x3 coefficient at direction angle
-    2 pi j / M, so the kernel contribution is samples(theta) |z|^degree;
-    leading axes stack components (one per node).  Evaluation between
-    grid angles uses trigonometric interpolation; the sampled function
-    is band limited to |n| < M/2 for the kernels handled here.
-    """
-
-    degree: int
-    samples: np.ndarray
-
-    @property
-    def angle_count(self):
-        return self.samples.shape[-3]
-
-    @cached_property
-    def _interpolator(self):
-        """Trigonometric interpolant over the angles 2 pi j / M, M even,
-        from one FFT.  The Nyquist coefficient is split evenly over the
-        modes -M/2 and M/2, so it enters as a cosine and real samples
-        interpolate to real values."""
-        m = self.angle_count
-        if m % 2:
-            raise ValueError("trigonometric interpolation needs an even sample count")
-        coeffs = np.fft.fft(self.samples, axis=-3) / m
-        coeffs[..., m // 2, :, :] *= 0.5
-        ns = np.append(np.fft.fftfreq(m, 1.0 / m), m // 2)
-        nyquist = coeffs[..., m // 2 : m // 2 + 1, :, :]
-        return AngularSymbol(0, ns, np.concatenate([coeffs, nyquist], axis=-3))
-
-    def __call__(self, theta):
-        return self._interpolator.series(theta).real
-
-
 def homogeneous_parts(kernel_fn, angles=64, first_node=0):
     """Split chart kernels into degree -2 and -1 homogeneous parts.
 
@@ -119,7 +82,10 @@ def homogeneous_parts(kernel_fn, angles=64, first_node=0):
     odd under u -> -u to the tolerance _ODD_TOL relative to its largest
     sample; an error names the node, counting from first_node.
 
-    Returns (part_m2, part_m1, diagnostics), stacked like the kernels.
+    Returns (samples_m2, samples_m1, diagnostics): the angular samples
+    (..., angles, 3, 3) of the degree -2 and -1 parts, stacked like the
+    kernels; samples[..., j, :, :] is the coefficient at the direction
+    angle 2 pi j / angles, so the kernel part is samples(theta) |z|^degree.
     """
     if angles < 64 or angles % 2:
         raise ValueError("need an even direction count of at least 64")
@@ -147,7 +113,7 @@ def homogeneous_parts(kernel_fn, angles=64, first_node=0):
     )
     k0 = 0.5 * (k0 - np.roll(k0, half, axis=-3))
     diagnostics = {"fit_residual": resid, "ladder_drift": drift, "odd_defect": odd_defect / scale}
-    return HomogeneousKernelPart(-2, k0), HomogeneousKernelPart(-1, k1), diagnostics
+    return k0, k1, diagnostics
 
 
 def fourier_multiplier(n, a):
@@ -173,7 +139,7 @@ class AngularSymbol:
     """Homogeneous matrix symbols stored by angular Fourier modes.
 
     coeffs[..., j, :, :] is the coefficient of the mode ns[j]; leading
-    axes stack symbols (one per node), and symbol[index] selects them.
+    axes stack symbols (one per node).
     A call evaluates sum_j coeffs[..., j] exp(i ns[j] phi(xi)) |xi|^degree
     at nonzero planar frequencies xi of shape (..., 2), with shape
     coeffs.shape[:-3] + xi.shape[:-1] + (3, 3).
@@ -183,42 +149,35 @@ class AngularSymbol:
     ns: np.ndarray
     coeffs: np.ndarray
 
-    def __getitem__(self, index):
-        return AngularSymbol(self.degree, self.ns, self.coeffs[index])
-
-    def series(self, theta):
-        """The trigonometric series at angles theta of any shape, one
-        matrix product per stacked symbol."""
-        theta = np.asarray(theta, dtype=float)
-        phase = np.exp(1j * self.ns * theta[..., None]).reshape(-1, len(self.ns))
-        stack = self.coeffs.shape[:-3]
-        out = phase @ self.coeffs.reshape(stack + (len(self.ns), 9))
-        return out.reshape(stack + theta.shape + (3, 3))
-
     def __call__(self, xi):
         xi = np.asarray(xi, dtype=float)
         r = np.linalg.norm(xi, axis=-1)
         if np.any(r == 0.0):
             raise ValueError("xi = 0 rejected")
+        # the trigonometric series, one matrix product per stacked symbol
         phi = np.arctan2(xi[..., 1], xi[..., 0])
-        return self.series(phi) * r[..., None, None] ** self.degree
+        phase = np.exp(1j * self.ns * phi[..., None]).reshape(-1, len(self.ns))
+        stack = self.coeffs.shape[:-3]
+        out = phase @ self.coeffs.reshape(stack + (len(self.ns), 9))
+        return out.reshape(stack + xi.shape[:-1] + (3, 3)) * r[..., None, None] ** self.degree
 
 
-def angular_fourier_symbol(part):
+def angular_fourier_symbol(samples, degree):
     """Planar symbols of homogeneous kernel parts, stacked like the parts.
 
-    part.degree = -2 gives degree 0 symbols (odd modes only; even mode
-    content beyond _EVEN_TOL relative is an error naming the node),
-    part.degree = -1 gives degree -1 symbols.  The two-sided angular
-    Fourier coefficients c_n, |n| < M/2, all come from one FFT, each
-    mode's multiplier is computed once, and a part's modes below 1e-13
-    relative are zero.
+    samples (..., M, 3, 3) are a part's angular samples as
+    homogeneous_parts returns them, of the given kernel degree.  Degree
+    -2 gives degree 0 symbols (odd modes only; even mode content beyond
+    _EVEN_TOL relative is an error naming the node), degree -1 gives
+    degree -1 symbols.  The two-sided angular Fourier coefficients c_n,
+    |n| < M/2, all come from one FFT, each mode's multiplier is computed
+    once, and a part's modes below 1e-13 relative are zero.
     """
-    a = -part.degree
-    m = part.angle_count
-    scale = np.maximum(np.abs(part.samples).max(axis=(-3, -2, -1)), 1e-30)
+    a = -degree
+    m = samples.shape[-3]
+    scale = np.maximum(np.abs(samples).max(axis=(-3, -2, -1)), 1e-30)
     ns = np.arange(-(m // 2 - 1), m // 2)
-    coeffs = (np.fft.fft(part.samples, axis=-3) / m)[..., ns, :, :]
+    coeffs = (np.fft.fft(samples, axis=-3) / m)[..., ns, :, :]
     mags = np.abs(coeffs).max(axis=(-2, -1))
     even = (ns % 2 == 0) & (a == 2)
     bad_even = np.where(even, mags, 0.0).max(axis=-1)
@@ -230,6 +189,29 @@ def angular_fourier_symbol(part):
     mult = np.array([fourier_multiplier(n, a) for n in ns])[:, None, None]
     keep = (mags >= 1e-13 * scale[..., None])[..., None, None]
     return AngularSymbol(degree=a - 2, ns=ns, coeffs=np.where(keep, mult * coeffs, 0.0))
+
+
+def _km1_closed_form(params, kappa1, kappa2, u):
+    """Degree -1 angular coefficient of the chart kernel in a principal
+    chart, S + (..., 3, 3) at unit directions u (..., 2) for curvatures
+    of a chart stack of shape S: the first-order term of the kernel on
+    the osculating quadric (kappa1 w1^2 + kappa2 w2^2) / 2, with
+    D = lam' - mu' and U = (u1, u2, 0),
+
+        1/2 [ mu D (kappa1 - kappa2) u1 u2 (E_12 - E_21)
+              - (kappa1 u1^2 + kappa2 u2^2) (mu D I + 6 mu mu' U U^T) / 2 ].
+
+    Higher derivatives of the chart height enter only at the next order.
+    """
+    k1, k2 = (np.reshape(k, np.shape(k) + (1,) * (np.ndim(u) - 1)) for k in (kappa1, kappa2))
+    u1, u2 = u[..., 0], u[..., 1]
+    mu_d = params.mu * (params.lam_prime - params.mu_prime)
+    big_u = np.concatenate([u, np.zeros(u.shape[:-1] + (1,))], axis=-1)
+    uu = big_u[..., :, None] * big_u[..., None, :]
+    stretch = mu_d * np.eye(3) + 6.0 * params.mu * params.mu_prime * uu
+    twist = np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+    bend = (k1 * u1**2 + k2 * u2**2)[..., None, None]
+    return 0.5 * (mu_d * (k1 - k2) * u1 * u2)[..., None, None] * twist - 0.25 * bend * stretch
 
 
 def _principal_xi_derivative(params, xi):
@@ -264,46 +246,47 @@ def _principal_x_derivative(params, kappa1, kappa2, xi):
     return tilt @ a0 - a0 @ tilt
 
 
+def curvature_matrices(params, xi):
+    """Cluster symbols per unit principal curvature, (2, ..., L, 3, 3).
+
+    M1 and M2 at frequencies xi (..., 2) are the normalized cluster
+    symbols at every root of the jets with curvatures (1, 0) and (0, 1).
+    The fold is linear in (a_m1, d_x a0), which are linear in the
+    curvatures, so a node's cluster symbol is kappa1 M1 + kappa2 M2.
+    The closed-form degree -1 part has angular modes |n| <= 4, which 16
+    samples carry exactly.
+    """
+    thetas = 2.0 * np.pi * np.arange(16) / 16
+    u = np.column_stack([np.cos(thetas), np.sin(thetas)])
+    unit = np.eye(2)  # (kappa1, kappa2) stacks: (1, 0) and (0, 1)
+    km1 = angular_fourier_symbol(_km1_closed_form(params, *unit, u), -1)
+    return cluster_symbols(essential_spectrum(params), TwoTermSymbol(
+        np_principal_symbol(params, xi), km1(xi),
+        _principal_x_derivative(params, *unit, xi), _principal_xi_derivative(params, xi),
+    ))
+
+
 @dataclass(frozen=True)
 class SymbolField:
     """Extracted two-term boundary symbol data over surface nodes.
 
     charts holds the curvature-aligned charts of all nodes stacked
-    (charts[i] is node i's), roots the material's essential spectrum
-    and blocks the node block boundaries of the extraction, which the
-    coefficient integral reuses.  The degree 0 and -1 symbols k0 and km1
+    (charts[i] is node i's).  The degree 0 and -1 symbols k0 and km1
     are stacked over the nodes: at frequencies xi of shape (..., 2) they
-    return (nodes, ..., 3, 3), and k0[i] is node i's.
+    return (nodes, ..., 3, 3).
     """
 
     surface: object
-    params: object
     node_params: np.ndarray
     weights: np.ndarray
-    roots: SpectralPolynomial
     charts: CCoordinateChart
     k0: AngularSymbol
     km1: AngularSymbol
-    blocks: list
     diagnostics: dict = field(default_factory=dict)
 
     @property
     def node_count(self):
         return self.node_params.shape[0]
-
-    def m_hat(self, xi, nodes=slice(None)):
-        """Normalized cluster symbols at every root, whose signed d-th
-        power traces feed the counting coefficient integral: at
-        frequencies xi (..., 2), (nodes, ..., L, 3, 3) in root order for
-        the nodes selected by the index nodes (a slice is a block, an
-        integer one node without the node axis), from one two-term jet
-        per node.  The flat a0 and d_xi a0 enter without a node axis."""
-        k1, k2 = self.charts.kappa1[nodes], self.charts.kappa2[nodes]
-        return cluster_symbols(self.roots, TwoTermSymbol(
-            np_principal_symbol(self.params, xi), self.km1[nodes](xi),
-            _principal_x_derivative(self.params, k1, k2, xi),
-            _principal_xi_derivative(self.params, xi),
-        ))
 
 
 def np_symbol_field(surface, params, quad, angles=64):
@@ -312,13 +295,11 @@ def np_symbol_field(surface, params, quad, angles=64):
     quad is a SurfaceQuadrature (nodes, weights, parameters).  The nodes
     go in blocks of at most _BLOCK_POINTS ladder x direction points (4
     nodes at 64 directions), each with one chart kernel call on its
-    stacked charts and one ladder fit.  The cluster symbols are taken at
-    the essential spectrum of the material.  The measured degree 0
-    symbol is compared with the closed flat-boundary form at every node
-    and direction; disagreement beyond _K0_TOL aborts, naming the node.
-    The diagnostics are maxima over the nodes.
+    stacked charts and one ladder fit.  At every node and direction the
+    degree 0 symbol is checked against the flat form (_K0_TOL) and the
+    degree -1 kernel samples against _km1_closed_form (_KM1_TOL); a
+    failure names the node.  The diagnostics are maxima over the nodes.
     """
-    roots = essential_spectrum(params)
     charts = c_chart(surface, quad.params[:, 0], quad.params[:, 1])
     blocks = _node_blocks([_LADDER[2] * angles] * quad.size)
     fits = [
@@ -327,29 +308,27 @@ def np_symbol_field(surface, params, quad, angles=64):
         )
         for b0, b1 in zip(blocks[:-1], blocks[1:])
     ]
-    k0, km1 = (
-        angular_fourier_symbol(
-            HomogeneousKernelPart(degree, np.concatenate([fit[j].samples for fit in fits]))
-        )
-        for j, degree in enumerate((-2, -1))
-    )
+    samples_m2, samples_m1 = (np.concatenate([fit[j] for fit in fits]) for j in (0, 1))
+    k0 = angular_fourier_symbol(samples_m2, -2)
     thetas = 2.0 * np.pi * np.arange(angles) / angles
     xis = np.column_stack([np.cos(thetas), np.sin(thetas)])
     err = np.abs(k0(xis) - np_principal_symbol(params, xis)).max(axis=(-3, -2, -1))
     _raise_at_node(err > _K0_TOL, 0, "extracted degree 0 symbol off closed form by %.3e", err)
+    want = _km1_closed_form(params, charts.kappa1, charts.kappa2, xis)
+    km1_err = np.abs(samples_m1 - want).max(axis=(-3, -2, -1)) / np.abs(want).max()
+    _raise_at_node(km1_err > _KM1_TOL, 0, "degree -1 samples off closed form by %.3e", km1_err)
     diagnostics = {
         key: float(max(fit[2][key].max() for fit in fits))
         for key in ("ladder_drift", "fit_residual", "odd_defect")
     }
     return SymbolField(
         surface=surface,
-        params=params,
         node_params=np.array(quad.params),
         weights=np.array(quad.weights),
-        roots=roots,
         charts=charts,
         k0=k0,
-        km1=km1,
-        blocks=blocks,
-        diagnostics=dict(diagnostics, k0_max_err=float(err.max())),
+        km1=angular_fourier_symbol(samples_m1, -1),
+        diagnostics=dict(
+            diagnostics, k0_max_err=float(err.max()), km1_max_err=float(km1_err.max())
+        ),
     )

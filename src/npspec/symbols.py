@@ -127,9 +127,10 @@ def cluster_symbols(p, a):
     Returns the order -1 terms divided by root_derivative_scale, stacked
     as (..., L, N, N) in root order.
 
-    The jet arrays broadcast: a0 and dxi_a0 may omit leading axes (a node
-    axis) along which they do not vary, and their part of the fold and
-    the order 0 residual then run once, bit for bit as if broadcast.
+    The jet arrays broadcast: a0 and dxi_a0 may omit leading axes along
+    which they do not vary, and their part of the fold and the order 0
+    residual then run once, bit for bit as if broadcast.  For fixed a0
+    and dxi_a0 the result is linear in (a_m1, dx_a0).
     """
     roots = np.array(_poly_roots(p))
     eye = np.eye(np.shape(a.a0)[-1], dtype=complex)

@@ -9,10 +9,12 @@ exact ball spectrum.
 """
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from npspec import asymptotics, surfaces
 from npspec.asymptotics import (
     AsymptoticReport,
     coefficient_integral,
@@ -21,7 +23,6 @@ from npspec.asymptotics import (
 from npspec.elasticity import LameParams
 from npspec.extraction import np_symbol_field
 from npspec.surfaces import make_surface, surface_quadrature
-from npspec.symbols import SpectralPolynomial
 
 RNG = np.random.default_rng(20240911)
 
@@ -85,31 +86,30 @@ class TestSignedPowerTrace:
         assert val < 1e-27
 
 
-class _StandInField:
-    """What coefficient_integral reads of a SymbolField: roots, weights,
-    node blocks (of two, the last one short for an odd count) and
-    m_hat(xi, nodes), with m_node(i, xi) node i's symbols at every root,
-    xi.shape[:-1] + (L, 3, 3)."""
+def _curvature_integral(m_funcs, kappa1, kappa2, weights):
+    """coefficient_integral on stand-in curvature matrices: m_funcs[r]
+    gives root r's pair (M1, M2) at frequencies xi (..., 2), each
+    broadcasting to xi.shape[:-1] + (3, 3)."""
 
-    def __init__(self, m_node, weights, roots):
-        self.m_node = m_node
-        self.weights = np.asarray(weights, dtype=float)
-        self.roots = SpectralPolynomial(roots=roots)
-        self.blocks = list(range(0, len(weights), 2)) + [len(weights)]
+    def m12(params, xi):
+        pairs = [
+            np.stack([np.broadcast_to(m, xi.shape[:-1] + (3, 3)) for m in f(xi)])
+            for f in m_funcs
+        ]
+        return np.stack(pairs, axis=-3)
 
-    def m_hat(self, xi, nodes=slice(None)):
-        index = np.arange(len(self.weights))[nodes]
-        out = np.array([self.m_node(i, xi) for i in np.ravel(index)])
-        return out.reshape(index.shape + out.shape[1:])
+    with mock.patch.object(asymptotics, "curvature_matrices", m12):
+        return coefficient_integral(
+            None, np.asarray(kappa1, float), np.asarray(kappa2, float), np.asarray(weights, float)
+        )
 
 
-def _constant_field(m_funcs, weights, roots):
-    """Stand-in field whose every node's cluster symbol stacks the
-    per-root evaluators m_funcs."""
-    m_node = lambda i, xi: np.stack(
-        [np.broadcast_to(f(xi), xi.shape[:-1] + (3, 3)) for f in m_funcs], axis=-3
-    )
-    return _StandInField(m_node, weights, roots)
+def _constant_integral(m_funcs, weights):
+    """The integral with m_funcs[r](xi) every node's cluster symbol at
+    root r: curvatures (1, 0) on M1 = m_funcs[r] and M2 = 0."""
+    n = len(weights)
+    pairs = [lambda xi, f=f: (f(xi), 0.0) for f in m_funcs]
+    return _curvature_integral(pairs, np.ones(n), np.zeros(n), weights)
 
 
 class TestCoefficientIntegral:
@@ -117,10 +117,7 @@ class TestCoefficientIntegral:
         # m = diag(0.4, -0.3, 0) on the circle, total weight 4 pi:
         # C_pm = (2 pi)^-2 / 2 * 4 pi * 2 pi * value^2 = value^2
         m = np.diag([0.4, -0.3, 0.0])
-        field = _constant_field(
-            [lambda xi: m], weights=np.full(8, 4.0 * np.pi / 8.0), roots=(0.0,)
-        )
-        (cp,), (cm,), info = coefficient_integral(field)
+        (cp,), (cm,), info = _constant_integral([lambda xi: m], np.full(8, 4.0 * np.pi / 8.0))
         assert cp == pytest.approx(0.16, rel=1e-12)
         assert cm == pytest.approx(0.09, rel=1e-12)
         assert info["angle_drift"][0] < 1e-13
@@ -134,10 +131,7 @@ class TestCoefficientIntegral:
             out[..., 0, 0] = c2
             return out
 
-        field = _constant_field(
-            [m_eval], weights=np.full(6, 4.0 * np.pi / 6.0), roots=(0.0,)
-        )
-        (cp,), (cm,), _ = coefficient_integral(field)
+        (cp,), (cm,), _ = _constant_integral([m_eval], np.full(6, 4.0 * np.pi / 6.0))
         assert cp == pytest.approx(3.0 / 8.0, rel=1e-12)
         assert cm == pytest.approx(0.0, abs=1e-15)
 
@@ -152,8 +146,7 @@ class TestCoefficientIntegral:
             out[..., 0, 0] = (xi[..., 0] / np.linalg.norm(xi, axis=-1)) ** 20
             return out
 
-        field = _constant_field([m_eval], np.full(4, np.pi), roots=(0.0,))
-        (cp,), (cm,), info = coefficient_integral(field)
+        (cp,), (cm,), info = _constant_integral([m_eval], np.full(4, np.pi))
         assert cp == pytest.approx(math.comb(40, 20) / 2.0**40, rel=1e-12)
         assert cm == 0.0
         want = 2.0 * math.comb(40, 4) / math.comb(40, 20)
@@ -170,10 +163,7 @@ class TestCoefficientIntegral:
             return out
 
         m = np.diag([0.4, -0.3, 0.0])
-        field = _constant_field(
-            [lambda xi: m, cos20], weights=np.full(8, 4.0 * np.pi / 8.0), roots=(0.0, 0.5)
-        )
-        cp, cm, info = coefficient_integral(field)
+        cp, cm, info = _constant_integral([lambda xi: m, cos20], np.full(8, 4.0 * np.pi / 8.0))
         assert cp == pytest.approx([0.16, math.comb(40, 20) / 2.0**40], rel=1e-12)
         assert cm == pytest.approx([0.09, 0.0], rel=1e-12, abs=1e-15)
         assert info["angle_drift"][0] < 1e-13
@@ -196,8 +186,7 @@ class TestCoefficientIntegral:
 
             m_evals.append(m_eval)
         weights = rng.uniform(0.5, 1.5, size=5)
-        field = _constant_field(m_evals, weights, roots=(0.0, 0.5))
-        got_p, got_m, info = coefficient_integral(field)
+        got_p, got_m, info = _constant_integral(m_evals, weights)
         thetas = 2.0 * np.pi * np.arange(64) / 64
         for r, m_eval in enumerate(m_evals):
             mats = m_eval(np.column_stack([np.cos(thetas), np.sin(thetas)]))
@@ -213,29 +202,32 @@ class TestCoefficientIntegral:
 
     def test_complex_cluster_spectrum_rejected(self):
         rot = 0.1 * np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
-        field = _constant_field([lambda xi: np.eye(3), lambda xi: rot], [1.0], roots=(0.0, 0.5))
         with pytest.raises(ValueError):
-            coefficient_integral(field)
+            _constant_integral([lambda xi: np.eye(3), lambda xi: rot], [1.0])
 
-    def test_complex_spectrum_error_names_the_node(self):
-        # node 3 sits second in the second block of two; the error names
-        # its index in the field, not in the block
+    def test_complex_spectrum_error_names_the_node(self, monkeypatch):
+        # blocks of two nodes (64 directions each); node 3, the only one
+        # with kappa2 on the rotation, sits second in the second block,
+        # and the error names its index in the field, not in the block
         rot = 0.1 * np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
-        eye = lambda i, xi: np.broadcast_to(np.eye(3), xi.shape[:-1] + (1, 3, 3))
-        spoiled = lambda i, xi: eye(i, xi) + (rot if i == 3 else 0.0)
-        field = _StandInField(spoiled, np.ones(6), roots=(0.0,))
+        monkeypatch.setattr(surfaces, "_BLOCK_POINTS", 128)
+        kappa2 = np.zeros(6)
+        kappa2[3] = 1.0
         with pytest.raises(ValueError, match="spectrum not real at node 3:"):
-            coefficient_integral(field)
+            _curvature_integral([lambda xi: (np.eye(3), rot)], np.ones(6), kappa2, np.ones(6))
 
     def test_sphere_pipeline_matches_ball_spectrum(self):
         # C+(0) = 9/16 and C+(+-kk) = kk^2 are implied by the exact ball
         # eigenvalue sequences with multiplicities 2k+1; C- vanishes
         surf = make_surface("sphere")
         p = LameParams(1.0, 1.0)
-        field = np_symbol_field(surf, p, surface_quadrature(surf, 4))
+        quad = surface_quadrature(surf, 4)
+        field = np_symbol_field(surf, p, quad)
         kk = 1.0 / 6.0
         want = {0: kk**2, 1: 9.0 / 16.0, 2: kk**2}
-        cp, cm, info = coefficient_integral(field)
+        cp, cm, info = coefficient_integral(
+            p, field.charts.kappa1, field.charts.kappa2, quad.weights
+        )
         for iota, target in want.items():
             assert cp[iota] == pytest.approx(target, rel=1e-6)
             assert abs(cm[iota]) < 1e-9

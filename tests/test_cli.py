@@ -64,6 +64,23 @@ class TestConfig:
         assert not (tmp_path / "np_matrix.npmat").exists()
 
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("material.mu", "true"),
+            ("material.lambda", "false"),
+            ("material.mu", "abc"),
+            ("surface.radius", "[1]"),
+            ("surface.c", '"0.8"'),
+            ("windows.guard", "null"),
+        ],
+    )
+    def test_numbers_must_be_numbers(self, capsys, key, value):
+        # float() would run true as 1 and fail on text without the key
+        with pytest.raises(SystemExit, match="%r is not a number" % key):
+            run(capsys, "essential", "--" + key, value)
+
+
 class TestEssential:
     def test_roots_json(self, capsys):
         code, out = run(capsys, "essential")
@@ -191,6 +208,7 @@ class TestPipeline:
             ("assemble", "mesh.n", "4.0"),
             ("coeff", "extract.angles", "64.9"),
             ("coeff", "extract.angles", "true"),
+            ("count", "windows.n_tau", "2.5"),
         ],
     )
     def test_sizes_must_be_integers(self, capsys, tmp_path, stage, key, value):
@@ -312,4 +330,4 @@ class TestVerify:
             in lines
         )
         assert "FAIL sphere_first_modes: returned False" in lines
-        assert lines[-1] == "6/8 checks passed"
+        assert lines[-1] == "7/9 checks passed"

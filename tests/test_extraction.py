@@ -20,15 +20,17 @@ from npspec.asymptotics import coefficient_integral
 from npspec.elasticity import LameParams, np_principal_symbol
 from npspec.extraction import (
     AngularSymbol,
-    HomogeneousKernelPart,
+    _km1_closed_form,
     _principal_x_derivative,
     _principal_xi_derivative,
     angular_fourier_symbol,
     chart_kernel,
+    curvature_matrices,
     fourier_multiplier,
     homogeneous_parts,
     np_symbol_field,
 )
+from npspec import surfaces
 from npspec.surfaces import c_chart, make_surface, surface_quadrature
 
 P11 = LameParams(1.0, 1.0)
@@ -126,17 +128,12 @@ class TestHomogeneousSplit:
         p2, p1, diag = homogeneous_parts(kernel)
         # one call on the whole ladder x direction block
         assert shapes == [(8, 64, 2)]
-        assert p2.degree == -2 and p1.degree == -1
-        for th in (0.0, 0.9, 2.0, 4.4):
-            want2 = math.cos(th) * M1 + math.sin(3.0 * th) * M2
-            want1 = math.cos(2.0 * th) * M3 + M4
-            assert np.abs(p2(th) - want2).max() < 1e-10
-            assert np.abs(p1(th) - want1).max() < 1e-9
-        # an array of angles evaluates in one call, entry by entry
-        ths = np.array([[0.0, 0.9], [2.0, 4.4]])
-        assert p2(ths).shape == (2, 2, 3, 3)
-        for idx in np.ndindex(ths.shape):
-            assert np.abs(p2(ths)[idx] - p2(ths[idx])).max() < 1e-15
+        assert p2.shape == p1.shape == (64, 3, 3)
+        th = 2.0 * np.pi * np.arange(64) / 64
+        want2 = np.cos(th)[:, None, None] * M1 + np.sin(3.0 * th)[:, None, None] * M2
+        want1 = np.cos(2.0 * th)[:, None, None] * M3 + M4
+        assert np.abs(p2 - want2).max() < 1e-10
+        assert np.abs(p1 - want1).max() < 1e-9
         assert diag["fit_residual"] < 1e-10
         assert diag["ladder_drift"] < 1e-10
         assert diag["odd_defect"] < 1e-12
@@ -147,8 +144,7 @@ class TestHomogeneousSplit:
             return _synthetic_kernel(z) + 1e-8 * np.cos(2.0 * th) / r**2 * np.eye(3)
 
         p2, _, _ = homogeneous_parts(kernel)
-        half = p2.angle_count // 2
-        assert np.abs(p2.samples + np.roll(p2.samples, half, axis=0)).max() < 1e-15
+        assert np.abs(p2 + np.roll(p2, 32, axis=0)).max() < 1e-15
 
     def test_even_degree_minus_two_kernel_rejected(self):
         def kernel(z):
@@ -172,8 +168,8 @@ class TestAngularSymbol:
         # (cos(2 th) M3 + M4) / |z| -> (-2 pi cos(2 psi) M3 + 2 pi M4)/|xi|
         # (constants frozen from the oracle-verified multiplier table)
         p2, p1, _ = homogeneous_parts(_synthetic_kernel)
-        k0 = angular_fourier_symbol(p2)
-        km1 = angular_fourier_symbol(p1)
+        k0 = angular_fourier_symbol(p2, -2)
+        km1 = angular_fourier_symbol(p1, -1)
         assert k0.degree == 0 and km1.degree == -1
         for psi in (0.0, 0.7, 2.3):
             for t in (1.0, 3.0):
@@ -189,9 +185,8 @@ class TestAngularSymbol:
         m = 64
         th = 2.0 * np.pi * np.arange(m) / m
         samples = np.cos(2.0 * th)[:, None, None] * np.eye(3)[None]
-        part = HomogeneousKernelPart(degree=-2, samples=samples)
         with pytest.raises(ValueError):
-            angular_fourier_symbol(part)
+            angular_fourier_symbol(samples, -2)
 
     def test_zero_frequency_rejected(self):
         sym = AngularSymbol(degree=0, ns=np.array([1]), coeffs=np.eye(3, dtype=complex)[None])
@@ -235,25 +230,29 @@ class TestSphereChartKernel:
         surf = make_surface("sphere", radius=radius)
         chart = c_chart(surf, 1.1, 0.6)
         p2, p1, _ = homogeneous_parts(lambda z: chart_kernel(P11, chart, z))
-        for th in (0.0, 1.3, 3.1, 5.0):
-            u = np.array([math.cos(th), math.sin(th)])
-            assert np.abs(p2(th) - _closed_k0_coeff(P11, u)).max() < 1e-11
-            assert np.abs(p1(th) - _closed_k1_coeff(P11, u, radius)).max() < 1e-8
+        for j in (0, 13, 31, 50):
+            u = np.array([math.cos(2.0 * np.pi * j / 64), math.sin(2.0 * np.pi * j / 64)])
+            k1 = _closed_k1_coeff(P11, u, radius)
+            assert np.abs(p2[j] - _closed_k0_coeff(P11, u)).max() < 1e-11
+            assert np.abs(p1[j] - k1).max() < 1e-8
+            # the closed form in the curvatures at the umbilic -1/R
+            curv = -1.0 / radius
+            assert np.abs(_km1_closed_form(P11, curv, curv, u) - k1).max() < 1e-15
 
     def test_material_dependence(self):
         p = LameParams(2.0, 0.5)
         surf = make_surface("sphere")
         chart = c_chart(surf, 0.8, 4.0)
         p2, _, _ = homogeneous_parts(lambda z: chart_kernel(p, chart, z))
-        u = np.array([math.cos(0.4), math.sin(0.4)])
-        assert np.abs(p2(0.4) - _closed_k0_coeff(p, u)).max() < 1e-11
+        u = np.array([math.cos(2.0 * np.pi * 4 / 64), math.sin(2.0 * np.pi * 4 / 64)])
+        assert np.abs(p2[4] - _closed_k0_coeff(p, u)).max() < 1e-11
 
     def test_extracted_symbols_match_closed_forms(self):
         surf = make_surface("sphere")
         chart = c_chart(surf, 2.0, 1.5)
         p2, p1, _ = homogeneous_parts(lambda z: chart_kernel(P11, chart, z))
-        k0 = angular_fourier_symbol(p2)
-        km1 = angular_fourier_symbol(p1)
+        k0 = angular_fourier_symbol(p2, -2)
+        km1 = angular_fourier_symbol(p1, -1)
         for psi in (0.2, 1.8, 4.7):
             for t in (1.0, 2.0):
                 xi = t * np.array([math.cos(psi), math.sin(psi)])
@@ -314,14 +313,11 @@ class TestSymbolField:
         # directions (8 ladder x 64 direction points per node)
         xis = _direction_stack(5)
         assert f.k0(xis).shape == f.km1(xis).shape == (32, 5, 3, 3)
-        assert f.m_hat(xis).shape == (32, 5, 3, 3, 3)
-        assert f.m_hat(xis, slice(4, 8)).shape == (4, 5, 3, 3, 3)
-        assert f.blocks == list(range(0, 33, 4))
         assert f.diagnostics["k0_max_err"] < 1e-12
+        assert f.diagnostics["km1_max_err"] < 1e-7
         assert f.diagnostics["ladder_drift"] < 1e-10
         assert f.diagnostics["fit_residual"] < 1e-10
         assert f.diagnostics["odd_defect"] < 1e-8
-        assert np.allclose(f.roots.roots, (-1.0 / 6.0, 0.0, 1.0 / 6.0), atol=1e-12)
 
     def test_x_derivative_is_curvature_commutator(self):
         # the closed form [kappa_al T_al, a0] against a central difference
@@ -342,26 +338,26 @@ class TestSymbolField:
                     got = _principal_x_derivative(params, chart.kappa1, chart.kappa2, xis)
                     assert np.abs(got - want).max() < 1e-9 * np.abs(want).max()
 
-    def test_cluster_symbols_match_ball_spectrum(self, sphere_field):
-        # rank one with top eigenvalue kk at the +-kk roots and 3/4 at
-        # the zero root; values derived from the exact ball eigenvalue
-        # sequences (counting route), independent of any convention
+    def test_cluster_symbols_match_ball_spectrum(self):
+        # at the unit sphere's curvatures (-1, -1), rank one with top
+        # eigenvalue kk at the +-kk roots and 3/4 at the zero root;
+        # values derived from the exact ball eigenvalue sequences
+        # (counting route), independent of any convention
         kk = 1.0 / 6.0
         tops = {0: kk, 1: 0.75, 2: kk}
-        for i in (2, 9, 16):
-            for iota, top in tops.items():
-                for psi in (0.0, 1.2, 3.9):
-                    xi = np.array([math.cos(psi), math.sin(psi)])
-                    m = sphere_field.m_hat(xi, i)[iota]
-                    assert np.abs(m - m.conj().T).max() < 1e-8
-                    ev = np.sort(np.linalg.eigvalsh(0.5 * (m + m.conj().T)))
-                    assert abs(ev[-1] - top) < 1e-6
-                    assert np.abs(ev[:2]).max() < 1e-6
+        for iota, top in tops.items():
+            for psi in (0.0, 1.2, 3.9):
+                xi = np.array([math.cos(psi), math.sin(psi)])
+                m = -curvature_matrices(P11, xi).sum(axis=0)[iota]
+                assert np.abs(m - m.conj().T).max() < 1e-8
+                ev = np.sort(np.linalg.eigvalsh(0.5 * (m + m.conj().T)))
+                assert abs(ev[-1] - top) < 1e-6
+                assert np.abs(ev[:2]).max() < 1e-6
 
-    def test_cluster_symbol_homogeneity(self, sphere_field):
+    def test_cluster_symbol_homogeneity(self):
         xi = np.array([0.6, -0.8])
-        m1 = sphere_field.m_hat(xi, 5)
-        m3 = sphere_field.m_hat(3.0 * xi, 5)
+        m1 = curvature_matrices(P11, xi)
+        m3 = curvature_matrices(P11, 3.0 * xi)
         assert np.abs(3.0 * m3 - m1).max() < 1e-9
 
 
@@ -397,17 +393,18 @@ class TestStackEvaluation:
         dx = lambda xi: _principal_x_derivative(P11, -0.7, 1.3, xi)
         assert _stack_vs_rows(dx, xis) < 1e-13
         assert dx(xis).shape == (64, 2, 3, 3)
+        # the curvature matrices, with the stack after their (M1, M2) axis
+        m12 = lambda xi: np.moveaxis(curvature_matrices(P11, xi), 0, -4)
+        assert _stack_vs_rows(m12, xis) < 1e-13
+        assert curvature_matrices(P11, xis).shape == (2, 64, 3, 3, 3)
 
     @pytest.mark.parametrize("name", ["sphere_field", "dent_field"])
     def test_field_evaluators(self, name, request):
         field = request.getfixturevalue(name)
         xis = _direction_stack()
         for i in range(field.node_count):
-            assert _stack_vs_rows(field.k0[i], xis) < 1e-13
-            assert _stack_vs_rows(field.km1[i], xis) < 1e-13
-            for r in range(len(field.roots.roots)):
-                m_eval = lambda xi: field.m_hat(xi, i)[..., r, :, :]
-                assert _stack_vs_rows(m_eval, xis) < 1e-13
+            assert _stack_vs_rows(lambda xi: field.k0(xi)[i], xis) < 1e-13
+            assert _stack_vs_rows(lambda xi: field.km1(xi)[i], xis) < 1e-13
 
     def test_field_charts_equal_single_charts(self, dent_field):
         # row i of the field's stacked chart is the chart that a call at
@@ -424,25 +421,24 @@ class TestNodeBlocks:
     name the node by its index in the field."""
 
     @pytest.mark.parametrize("angles", [64, 128])
-    def test_blocked_field_matches_per_node_reference(self, angles):
+    def test_blocked_field_matches_per_node_reference(self, angles, monkeypatch):
         # n = 5: 50 nodes; 4 per block at 64 directions (the last block
         # holds 2) and 2 per block at 128
         surf = make_surface("radial_graph", harmonics=[[2, 0, -0.6]])
         field = np_symbol_field(surf, P11, surface_quadrature(surf, 5), angles=angles)
         assert field.node_count == 50
-        per_block = 4 if angles == 64 else 2
-        assert field.blocks == list(range(0, 50, per_block)) + [50]
         xis = _direction_stack()
         k0, km1 = field.k0(xis), field.km1(xis)
         for i in range(field.node_count):
             p2, p1, _ = homogeneous_parts(lambda z: chart_kernel(P11, field.charts[i], z), angles)
-            for got, part in ((k0[i], p2), (km1[i], p1)):
-                want = angular_fourier_symbol(part)(xis)
+            for got, samples, degree in ((k0[i], p2, -2), (km1[i], p1, -1)):
+                want = angular_fourier_symbol(samples, degree)(xis)
                 assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
-        # the same integral with one node per block
-        cp, cm, info = coefficient_integral(field)
-        one = dataclasses.replace(field, blocks=list(range(field.node_count + 1)))
-        cp1, cm1, info1 = coefficient_integral(one)
+        # the integral in blocks of ten nodes and with one node per block
+        args = (P11, field.charts.kappa1, field.charts.kappa2, field.weights)
+        cp, cm, info = coefficient_integral(*args)
+        monkeypatch.setattr(surfaces, "_BLOCK_POINTS", 1)
+        cp1, cm1, info1 = coefficient_integral(*args)
         assert np.array_equal(cp, cp1) and np.array_equal(cm, cm1)
         assert np.array_equal(info["angle_drift"], info1["angle_drift"])
 
@@ -462,7 +458,7 @@ class TestNodeBlocks:
         monkeypatch.setattr(np.linalg, "eigvals", counted_eigvals)
         surf = make_surface("radial_graph", harmonics=[[2, 0, -0.6]])
         field = np_symbol_field(surf, P11, surface_quadrature(surf, 4), angles=64)
-        coefficient_integral(field)
+        coefficient_integral(P11, field.charts.kappa1, field.charts.kappa2, field.weights)
         assert field.node_count == 32
         assert calls["chart_kernel"] <= 8
         assert calls["eigvals"] <= 8
@@ -499,10 +495,19 @@ class TestNodeBlocks:
         with pytest.raises(ValueError, match=r"off closed form by .* at node 6$"):
             np_symbol_field(surf, P11, surface_quadrature(surf, 4))
 
+    def test_km1_check_names_the_node(self, monkeypatch):
+        # an even degree -1 term leaves the degree -2 part alone and moves
+        # the degree -1 samples off the closed form at node 6
+        even = lambda z: 0.01 * M4 / _polar(z)[0]
+        monkeypatch.setattr(extraction, "chart_kernel", self._spoiled_kernel(1, 2, even))
+        surf = make_surface("sphere")
+        with pytest.raises(ValueError, match=r"degree -1 samples off closed form by .* at node 6$"):
+            np_symbol_field(surf, P11, surface_quadrature(surf, 4))
+
     def test_even_content_check_names_the_node(self):
         m = 64
         th = 2.0 * np.pi * np.arange(m) / m
         samples = np.cos(th)[:, None, None] * M1 + np.zeros((3, m, 3, 3))
         samples[2] += np.cos(2.0 * th)[:, None, None] * np.eye(3)
         with pytest.raises(ValueError, match="at node 2$"):
-            angular_fourier_symbol(HomogeneousKernelPart(degree=-2, samples=samples))
+            angular_fourier_symbol(samples, -2)
