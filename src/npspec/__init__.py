@@ -53,7 +53,6 @@ from .extraction import (
 )
 from .asymptotics import (
     AsymptoticReport,
-    signed_power_trace,
     coefficient_integral,
 )
 from .spectral import (
@@ -93,7 +92,6 @@ __all__ = [
     "angular_fourier_symbol",
     "np_symbol_field",
     "AsymptoticReport",
-    "signed_power_trace",
     "coefficient_integral",
     "assemble_operators",
     "spectrum",

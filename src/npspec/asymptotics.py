@@ -18,7 +18,7 @@ root, so coefficient_integral needs of the surface only its curvatures
 and weights; it builds M1 and M2 once and computes all roots together.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,49 +30,38 @@ from .surfaces import _node_blocks
 _IMAG_TOL = 1e-4
 # boundary dimension d, the power of the signed traces
 _DIM = 2
+# eigenvalues within this fraction of the magnitude reference are zero
+_ZERO_TOL = 1e-12
 # frequency directions of the coefficient integral (the drift check
 # halves them)
 _ANGLES = 64
 
 
-def signed_power_trace(mat, d, sign, imag_tol=1e-6, zero_tol=1e-12, scale=None):
-    """Tr of the d-th power of the positive or negative part of mat.
+def _signed_traces(vals, scale, first_node):
+    """Signed power traces (plus, minus) from eigenvalues vals (..., N):
+    the sums of |lambda|^_DIM over the positive and over the negative
+    eigenvalues, one pair of traces per leading index.
 
-    mat is one matrix or a stack (..., N, N); the result is one trace
-    per matrix, a float for a single matrix.  Each matrix must have a
-    real spectrum up to imag_tol relative to its own spectral radius
-    (error otherwise).  Eigenvalues within zero_tol relative of zero
-    belong to neither part.  sign is +1 or -1; the negative part uses
-    |lambda|^d, so both traces are nonnegative.  scale, when given, is
-    an external magnitude reference: both tolerance tests are relative
-    to max(radius, scale), so matrices negligible against it pass with
-    a negligible contribution.
+    Both tolerance tests are relative to max(spectral radius, scale),
+    scale broadcasting against vals.shape[:-1], so a spectrum negligible
+    against scale passes with a negligible contribution.  An imaginary
+    part beyond _IMAG_TOL of that reference is an error naming the node,
+    counted from first_node along vals' leading axis; eigenvalues within
+    _ZERO_TOL of it belong to neither part.
     """
-    if sign not in (+1, -1):
-        raise ValueError("sign must be +1 or -1")
-    vals = np.linalg.eigvals(np.asarray(mat))
-    out = _signed_traces(vals, d, imag_tol, zero_tol, scale)[0 if sign > 0 else 1]
-    return float(out) if out.ndim == 0 else out
-
-
-def _signed_traces(vals, d, imag_tol, zero_tol, scale, first_node=None):
-    """(plus, minus) signed power traces from eigenvalues vals (..., N),
-    with the tolerance tests of signed_power_trace; with first_node, a
-    non-real spectrum error names the node of vals' leading axis."""
     rho = np.abs(vals).max(axis=-1)
-    ref = np.maximum(np.maximum(rho, scale if scale is not None else 0.0), 1e-300)
+    ref = np.maximum(np.maximum(rho, scale), 1e-300)
     worst = np.abs(vals.imag).max(axis=-1)
-    bad = worst > imag_tol * ref
+    bad = worst > _IMAG_TOL * ref
     if np.any(bad):
         k = np.argmax(bad)
-        where = "" if first_node is None else " at node %d" % (first_node + k // bad[0].size)
         raise ValueError(
-            "spectrum not real%s: max imaginary part %.3e vs radius %.3e"
-            % (where, worst.flat[k], rho.flat[k])
+            "spectrum not real at node %d: max imaginary part %.3e vs radius %.3e"
+            % (first_node + k // bad[0].size, worst.flat[k], rho.flat[k])
         )
     re = vals.real
-    cut = zero_tol * ref[..., None]
-    power = np.abs(re) ** d
+    cut = _ZERO_TOL * ref[..., None]
+    power = np.abs(re) ** _DIM
     return tuple(np.sum(np.where(keep, power, 0.0), axis=-1) for keep in (re > cut, re < -cut))
 
 
@@ -106,9 +95,7 @@ def coefficient_integral(params, kappa1, kappa2, weights):
         for k, step in enumerate((1, 2)):
             ref = np.abs(mats[:, :, ::step]).max(axis=(-3, -2, -1))[..., None]
             w = weights[b0:b1, None] * (2.0 * np.pi / (_ANGLES // step))
-            traces = _signed_traces(
-                vals[:, :, ::step], _DIM, _IMAG_TOL, zero_tol=1e-12, scale=ref, first_node=b0
-            )
+            traces = _signed_traces(vals[:, :, ::step], ref, b0)
             # node by node, so the sums add in node order
             for node_sums in np.stack([w * t.sum(axis=-1) for t in traces], axis=1):
                 sums[k] += node_sums
@@ -137,10 +124,9 @@ class AsymptoticReport:
     d: float
     route: str
     err_estimate: float
-    extra: dict = field(default_factory=dict)
 
     def to_dict(self):
-        out = {
+        return {
             "root": self.root,
             "side": self.side,
             "C": self.c,
@@ -148,5 +134,3 @@ class AsymptoticReport:
             "route": self.route,
             "err_estimate": self.err_estimate,
         }
-        out.update(self.extra)
-        return out

@@ -100,18 +100,16 @@ def _split_overrides(rest):
 
 def _material(cfg):
     m = cfg["material"]
-    return LameParams(lam=float(m["lambda"]), mu=float(m["mu"]))
+    return LameParams(lam=m["lambda"], mu=m["mu"])
 
 
 def _surface(cfg):
     s = cfg["surface"]
     kind = s["kind"]
     if kind == "sphere":
-        return make_surface("sphere", radius=float(s["radius"]))
+        return make_surface("sphere", radius=s["radius"])
     if kind == "ellipsoid":
-        return make_surface(
-            "ellipsoid", a=float(s["a"]), b=float(s["b"]), c=float(s["c"])
-        )
+        return make_surface("ellipsoid", a=s["a"], b=s["b"], c=s["c"])
     if kind == "radial_graph":
         return make_surface("radial_graph", harmonics=s["harmonics"])
     raise SystemExit("unknown surface kind %r" % kind)
@@ -142,7 +140,7 @@ def cmd_sphere_exact(cfg, k_max):
 def cmd_assemble(cfg):
     surface = _surface(cfg)
     params = _material(cfg)
-    quad = surface_quadrature(surface, int(cfg["mesh"]["n"]))
+    quad = surface_quadrature(surface, cfg["mesh"]["n"])
     k_mat, s_mat = assemble_operators(surface, params, quad)
     d = _outdir(cfg)
     kp = os.path.join(d, "np_matrix.npmat")
@@ -174,7 +172,7 @@ def cmd_spectrum(cfg, matrix=None):
     d = _outdir(cfg)
     k_path = matrix or os.path.join(d, "np_matrix.npmat")
     s_path = os.path.join(os.path.dirname(k_path), "single_layer.npmat")
-    quad = surface_quadrature(_surface(cfg), int(cfg["mesh"]["n"]))
+    quad = surface_quadrature(_surface(cfg), cfg["mesh"]["n"])
     k_mat = _read_operator(k_path, 3 * quad.size)
     s_mat = _read_operator(s_path, 3 * quad.size)
     sym, info = symmetrize(k_mat, s_mat, weights=quad.weights)
@@ -192,9 +190,7 @@ def cmd_count(cfg, eigenvalues_path=None):
     vals = npio.read_eigenvalues_csv(eigenvalues_path)
     poly = essential_spectrum(_material(cfg))
     win = cfg["windows"]
-    records = cluster_and_count(
-        vals, poly, n_tau=win["n_tau"], guard=float(win["guard"]),
-    )
+    records = cluster_and_count(vals, poly, n_tau=win["n_tau"], guard=win["guard"])
     path = os.path.join(d, "counting.csv")
     npio.write_counting_csv(path, records)
     print(json.dumps({"roots": len(records), "file": path}, sort_keys=True))
@@ -238,8 +234,8 @@ def cmd_fit(cfg, counting_path=None, prune=True):
 def cmd_coeff(cfg):
     surface = _surface(cfg)
     params = _material(cfg)
-    quad = surface_quadrature(surface, int(cfg["mesh"]["n"]))
-    field = np_symbol_field(surface, params, quad, angles=int(cfg["extract"]["angles"]))
+    quad = surface_quadrature(surface, cfg["mesh"]["n"])
+    field = np_symbol_field(surface, params, quad, angles=cfg["extract"]["angles"])
     cp, cm, info = coefficient_integral(
         params, field.charts.kappa1, field.charts.kappa2, quad.weights
     )

@@ -17,7 +17,7 @@ must be the closed form; a failed check names the node.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -268,25 +268,21 @@ def curvature_matrices(params, xi):
 
 @dataclass(frozen=True)
 class SymbolField:
-    """Extracted two-term boundary symbol data over surface nodes.
+    """Extracted two-term boundary symbol data over the nodes of a
+    surface rule, in the rule's node order; the rule itself (nodes,
+    weights, parameters) stays with the caller.
 
     charts holds the curvature-aligned charts of all nodes stacked
-    (charts[i] is node i's).  The degree 0 and -1 symbols k0 and km1
-    are stacked over the nodes: at frequencies xi of shape (..., 2) they
-    return (nodes, ..., 3, 3).
+    (charts[i] is node i's, with its curvatures kappa1[i], kappa2[i]).
+    The degree 0 and -1 symbols k0 and km1 are stacked over the nodes:
+    at frequencies xi of shape (..., 2) they return (nodes, ..., 3, 3).
+    diagnostics holds the extraction's maxima over the nodes.
     """
 
-    surface: object
-    node_params: np.ndarray
-    weights: np.ndarray
     charts: CCoordinateChart
     k0: AngularSymbol
     km1: AngularSymbol
-    diagnostics: dict = field(default_factory=dict)
-
-    @property
-    def node_count(self):
-        return self.node_params.shape[0]
+    diagnostics: dict
 
 
 def np_symbol_field(surface, params, quad, angles=64):
@@ -322,9 +318,6 @@ def np_symbol_field(surface, params, quad, angles=64):
         for key in ("ladder_drift", "fit_residual", "odd_defect")
     }
     return SymbolField(
-        surface=surface,
-        node_params=np.array(quad.params),
-        weights=np.array(quad.weights),
         charts=charts,
         k0=k0,
         km1=angular_fourier_symbol(samples_m1, -1),

@@ -2,13 +2,13 @@
 
 NPMAT v1 container: a single header line
 
-    NPMAT v1 <rows> <cols> <real|complex>
+    NPMAT v1 <rows> <cols> real
 
 followed by one line per matrix row holding that row's entries as
-whitespace-separated decimal literals; a complex entry is two
-consecutive tokens (real then imaginary part).  Writers use fixed
-repr-precision formatting so a rerun with identical inputs produces
-identical bytes.
+whitespace-separated decimal literals.  The entry kind is always real;
+a complex matrix, or a header of another kind, is an error.  Writers use
+fixed repr-precision formatting so a rerun with identical inputs
+produces identical bytes.
 """
 
 import json
@@ -22,14 +22,12 @@ def write_npmat(path, mat):
     mat = np.asarray(mat)
     if mat.ndim != 2:
         raise ValueError("NPMAT stores matrices only")
-    kind = "complex" if np.iscomplexobj(mat) else "real"
-    rows = mat
-    if kind == "complex":
-        rows = np.stack([mat.real, mat.imag], axis=-1).reshape(mat.shape[0], -1)
-    line = " ".join([_FMT] * rows.shape[1]) + "\n"
+    if np.iscomplexobj(mat):
+        raise ValueError("NPMAT stores real entries only, not complex")
+    line = " ".join([_FMT] * mat.shape[1]) + "\n"
     with open(path, "w") as f:
-        f.write("NPMAT v1 %d %d %s\n" % (mat.shape[0], mat.shape[1], kind))
-        for row in rows:
+        f.write("NPMAT v1 %d %d real\n" % mat.shape)
+        for row in mat:
             f.write(line % tuple(row))
 
 
@@ -39,13 +37,12 @@ def read_npmat(path):
         if len(header) != 5 or header[0] != "NPMAT" or header[1] != "v1":
             raise ValueError("not an NPMAT v1 file")
         rows, cols, kind = int(header[2]), int(header[3]), header[4]
-        if kind not in ("real", "complex"):
-            raise ValueError("unknown NPMAT entry kind %r" % kind)
+        if kind != "real":
+            raise ValueError("NPMAT entry kind %r is not 'real'" % kind)
         vals = np.loadtxt(f, dtype=float, ndmin=2)
-    per = 2 if kind == "complex" else 1
-    if vals.shape != (rows, cols * per):
+    if vals.shape != (rows, cols):
         raise ValueError("NPMAT token count mismatch")
-    return vals.view(complex) if kind == "complex" else vals
+    return vals
 
 
 def write_eigenvalues_csv(path, values):

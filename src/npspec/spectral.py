@@ -35,7 +35,7 @@ from numpy.polynomial.legendre import leggauss
 
 from .elasticity import kelvin_matrix, np_kernel
 from .surfaces import _node_blocks, c_chart
-from .symbols import SpectralPolynomial, matrix_polynomial
+from .symbols import matrix_polynomial
 
 
 # Blended polar patch: radii are multiples of the local mesh size
@@ -304,12 +304,14 @@ def spectrum(mat, imag_tol=1e-6):
     return np.sort(vals.real)
 
 
-def symmetrize(k_mat, s_mat, weights=None):
+def symmetrize(k_mat, s_mat, weights):
     """Similarity transform to a symmetric matrix via the single layer.
 
-    With quadrature weights given, both matrices are first conjugated
-    by sqrt-weights into the frame where the transpose is the discrete
-    L2 adjoint; the symmetry identity K S = S K^T only closes there.
+    Both matrices are first conjugated by the square roots of the
+    quadrature weights (one per node, three matrix rows each) into the
+    frame where the transpose is the discrete L2 adjoint; the symmetry
+    identity K S = S K^T only closes there.  Unit weights leave the
+    matrices as they are.
     Uses P = -sym(S) = V L V^T (positive definite) and returns
     (sym(a), info) with a = L^(-1/2) B L^(1/2) and B = V^T K V: the
     matrix P^(-1/2) K P^(1/2) written in the eigenbasis of P, so two
@@ -329,14 +331,11 @@ def symmetrize(k_mat, s_mat, weights=None):
     under V), the symmetry_defect of a before averaging, clipped_modes
     and p_min_ratio (min/max eigenvalue of P).
     """
-    k = np.asarray(k_mat, dtype=float)
-    s = np.asarray(s_mat, dtype=float)
-    if weights is not None:
-        sw = np.repeat(np.sqrt(np.asarray(weights, dtype=float)), 3)
-        if sw.size != k.shape[0]:
-            raise ValueError("weights do not match matrix size")
-        k = sw[:, None] * k / sw[None, :]
-        s = sw[:, None] * s / sw[None, :]
+    sw = np.repeat(np.sqrt(np.asarray(weights, dtype=float)), 3)
+    if sw.size != np.shape(k_mat)[0]:
+        raise ValueError("weights do not match matrix size")
+    k = sw[:, None] * np.asarray(k_mat, dtype=float) / sw[None, :]
+    s = sw[:, None] * np.asarray(s_mat, dtype=float) / sw[None, :]
     vals, vecs = np.linalg.eigh(-0.5 * (s + s.T))
     vmax = vals.max()
     if vmax <= 0.0 or vals.min() < -_P_INDEFINITE * vmax:
@@ -384,8 +383,9 @@ def cluster_windows(roots, guard=0.05):
     return om, wins
 
 
-def cluster_and_count(eigenvalues, roots, n_tau=24, guard=0.05):
-    """Two-sided counting functions near each essential spectrum root.
+def cluster_and_count(eigenvalues, poly, n_tau=24, guard=0.05):
+    """Two-sided counting functions near each root of the essential
+    spectrum, a SpectralPolynomial poly.
 
     Returns a list of records {root, window, tau, n_plus, n_minus,
     total} with tau on a geometric grid of n_tau points, an integer of
@@ -395,10 +395,8 @@ def cluster_and_count(eigenvalues, roots, n_tau=24, guard=0.05):
     """
     if not (isinstance(n_tau, numbers.Integral) and n_tau >= 2):
         raise ValueError("n_tau %r is not an integer >= 2" % (n_tau,))
-    if isinstance(roots, SpectralPolynomial):
-        roots = roots.roots
     ev = np.sort(np.asarray(eigenvalues, dtype=float))
-    om, wins = cluster_windows(roots, guard=guard)
+    om, wins = cluster_windows(poly.roots, guard=guard)
     out = []
     for w, (zl, zr) in zip(om, wins):
         width = min(w - zl, zr - w)
@@ -425,7 +423,6 @@ class FitResult:
     h: float
     c: float
     residual: float
-    points_used: int
 
 
 def fit_power_law(tau, counts):
@@ -452,10 +449,7 @@ def fit_power_law(tau, counts):
     a = np.column_stack([np.ones_like(lt), -lt])
     coef, *_ = np.linalg.lstsq(a, ln, rcond=None)
     resid = np.abs(a @ coef - ln).max()
-    return FitResult(
-        h=float(coef[1]), c=float(math.exp(coef[0])), residual=float(resid),
-        points_used=int(m),
-    )
+    return FitResult(h=float(coef[1]), c=float(math.exp(coef[0])), residual=float(resid))
 
 
 def prune_counting_samples(tau, counts):
@@ -512,8 +506,9 @@ def certified_multiplicities(eigs_coarse, eigs_fine, levels, window):
     return c_fine, k_star
 
 
-def compactness_check(mat_or_eigs, roots):
-    """Diagnostics that p(K) behaves like a compact operator power.
+def compactness_check(mat_or_eigs, poly):
+    """Diagnostics that p(K) behaves like a compact operator power, for
+    the essential spectrum polynomial p, a SpectralPolynomial poly.
 
     Checks (i) spectral mapping, eig(p(K)) = p(eig(K)), when a matrix
     of dimension <= _MAPPING_LIMIT is supplied; (ii) the decay rate of
@@ -521,10 +516,6 @@ def compactness_check(mat_or_eigs, roots):
     (iii) the distance bound dist(lambda, roots) <= |p(lambda)| /
     min |p'| over each cluster window.  Returns a report dict.
     """
-    if isinstance(roots, SpectralPolynomial):
-        poly = roots
-    else:
-        poly = SpectralPolynomial(roots=tuple(roots))
     mat = None
     arr = np.asarray(mat_or_eigs)
     if arr.ndim == 2:

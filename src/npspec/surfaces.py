@@ -355,16 +355,19 @@ class CCoordinateChart:
     def height(self, w):
         """F(w) for chart coordinates w of shape (..., 2).
 
-        One Newton solve along n runs over all points at once; points
-        where it stalls or fails to converge fall back to bracketed
-        root finding.
+        One Newton solve along n runs over all points at once, started
+        on the osculating quadric; a point stops after the step taken
+        from its first residual below 1e-14 max(1, |origin|), so heights
+        are at rounding level.  Points where it stalls or fails to
+        converge fall back to bracketed root finding.
         """
         w = np.asarray(w, dtype=float)
         if np.any(np.linalg.norm(w, axis=-1) > self.radius):
             raise ValueError("chart coordinates outside chart radius")
         shape = np.broadcast_shapes(w.shape[:-1], np.shape(self.kappa1))
         base = self._plane_point(w).reshape(-1, 3)
-        t = (-0.5 * (self.kappa1 * w[..., 0] ** 2 + self.kappa2 * w[..., 1] ** 2)).reshape(-1)
+        # F = (kappa1 w1^2 + kappa2 w2^2) / 2 + O(|w|^3)
+        t = (0.5 * (self.kappa1 * w[..., 0] ** 2 + self.kappa2 * w[..., 1] ** 2)).reshape(-1)
         # each point's chart normal and origin norm, flattened like base
         # (zero-stride views, not copies, for a single chart)
         n = np.broadcast_to(self.n, shape + (3,)).reshape(-1, 3)
@@ -378,12 +381,12 @@ class CCoordinateChart:
             p = base[todo] + t[todo, None] * n[todo]
             g = self.surface.implicit_value(p)
             live = np.abs(g) >= tol[todo]
-            todo, p, g = todo[live], p[live], g[live]
             dg = _dot(self.surface.implicit_gradient(p), n[todo])
             ok = dg > 0.0
-            stalled.append(todo[~ok])
-            todo = todo[ok]
-            t[todo] -= g[ok] / dg[ok]
+            stalled.append(todo[live & ~ok])
+            # a point that passes the residual test still takes this step
+            t[todo[ok]] -= g[ok] / dg[ok]
+            todo = todo[live & ok]
         stalled = np.concatenate(stalled + [todo])
         if stalled.size:
             t[stalled] = self._height_bisect(base[stalled], n[stalled], scale[stalled])

@@ -63,10 +63,6 @@ class SpectralPolynomial:
                 raise ValueError("roots must be pairwise distinct")
         object.__setattr__(self, "roots", r)
 
-    @property
-    def degree(self):
-        return len(self.roots)
-
     def coefficients(self):
         """Monic coefficients in ascending order."""
         return npoly.polyfromroots(self.roots).real
@@ -97,18 +93,12 @@ def compose(a, b):
     )
 
 
-def _poly_roots(p):
-    if isinstance(p, SpectralPolynomial):
-        return list(p.roots)
-    return [float(w) for w in p]
-
-
 def root_derivative_scale(p, iota):
-    """p_iota'(w_iota) = prod_{l != iota} (w_iota - w_l)^2."""
-    roots = _poly_roots(p)
-    w = roots[iota]
+    """p_iota'(w_iota) = prod_{l != iota} (w_iota - w_l)^2 for the
+    SpectralPolynomial p."""
+    w = p.roots[iota]
     out = 1.0
-    for l, wl in enumerate(roots):
+    for l, wl in enumerate(p.roots):
         if l != iota:
             out *= (w - wl) ** 2
     return out
@@ -117,7 +107,7 @@ def root_derivative_scale(p, iota):
 def cluster_symbols(p, a):
     """Normalized order -1 cluster symbols of p_iota(A) at every root.
 
-    For each root w_iota of p, the two-term product
+    For each root w_iota of the SpectralPolynomial p, the two-term product
     (A - w_iota) # prod_{l != iota} (A - w_l) # (A - w_l) is folded from
     the left through the composition formula on a's jet, a TwoTermSymbol
     at any set of points.  The roots are folded side by side on a root
@@ -132,7 +122,7 @@ def cluster_symbols(p, a):
     residual then run once, bit for bit as if broadcast.  For fixed a0
     and dxi_a0 the result is linear in (a_m1, dx_a0).
     """
-    roots = np.array(_poly_roots(p))
+    roots = np.array(p.roots)
     eye = np.eye(np.shape(a.a0)[-1], dtype=complex)
     # row iota: the roots other than w_iota, each twice, in root order
     squared = np.array(

@@ -15,47 +15,41 @@ import numpy as np
 import pytest
 
 from npspec import asymptotics, surfaces
-from npspec.asymptotics import (
-    AsymptoticReport,
-    coefficient_integral,
-    signed_power_trace,
-)
+from npspec.asymptotics import AsymptoticReport, coefficient_integral
 from npspec.elasticity import LameParams
-from npspec.extraction import np_symbol_field
-from npspec.surfaces import make_surface, surface_quadrature
+from npspec.extraction import curvature_matrices, np_symbol_field
+from npspec.surfaces import make_surface, principal_curvatures, surface_quadrature
 
 RNG = np.random.default_rng(20240911)
 
 
 class TestSignedPowerTrace:
+    """The signed power traces Tr[(m)_pm^2] of the coefficient integral:
+    _signed_traces on eigenvalue stacks, and the integral on constant
+    stand-in symbols of total weight 4 pi, where C_pm = Tr[(m)_pm^2]."""
+
     def test_diagonal_split(self):
-        m = np.diag([2.0, -3.0, 0.0])
-        assert signed_power_trace(m, 2, +1) == pytest.approx(4.0)
-        assert signed_power_trace(m, 2, -1) == pytest.approx(9.0)
-        assert signed_power_trace(m, 1, +1) == pytest.approx(2.0)
-        assert signed_power_trace(m, 1, -1) == pytest.approx(3.0)
-        assert signed_power_trace(m, 3, -1) == pytest.approx(27.0)
+        plus, minus = asymptotics._signed_traces(np.array([[2.0, -3.0, 0.0]]), 0.0, 0)
+        assert (plus[0], minus[0]) == (4.0, 9.0)
 
     def test_similarity_invariance(self):
         # non-normal similarity keeps the (real) spectrum and both traces
         s = np.eye(3) + 0.4 * RNG.normal(size=(3, 3))
         m = s @ np.diag([0.5, -0.2, 0.1]) @ np.linalg.inv(s)
-        assert signed_power_trace(m, 2, +1) == pytest.approx(0.26, rel=1e-9)
-        assert signed_power_trace(m, 2, -1) == pytest.approx(0.04, rel=1e-9)
+        (cp,), (cm,), _ = _constant_integral([lambda xi: m], np.full(4, np.pi))
+        assert cp == pytest.approx(0.26, rel=1e-9)
+        assert cm == pytest.approx(0.04, rel=1e-9)
 
     def test_zero_eigenvalues_belong_to_neither_part(self):
-        m = np.diag([1.0, 0.0, -0.0])
-        assert signed_power_trace(m, 2, +1) == pytest.approx(1.0)
-        assert signed_power_trace(m, 2, -1) == pytest.approx(0.0)
-
-    def test_sign_validated(self):
-        with pytest.raises(ValueError):
-            signed_power_trace(np.eye(2), 2, 0)
+        # within the 1e-12 relative zero cut, on either side of zero
+        vals = np.array([[1.0, 0.0, -0.0, 5e-13, -5e-13]])
+        plus, minus = asymptotics._signed_traces(vals, 0.0, 0)
+        assert (plus[0], minus[0]) == (1.0, 0.0)
 
     def test_complex_spectrum_rejected(self):
-        rot = np.array([[0.0, 1.0], [-1.0, 0.0]])
-        with pytest.raises(ValueError):
-            signed_power_trace(rot, 2, +1)
+        rot = np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 0.5]])
+        with pytest.raises(ValueError, match="spectrum not real at node 0"):
+            _constant_integral([lambda xi: rot], [4.0 * np.pi])
 
     def test_stack_gives_one_trace_per_matrix(self):
         rng = np.random.default_rng(5)
@@ -65,25 +59,26 @@ class TestSignedPowerTrace:
             lam = rng.uniform(-1.0, 1.0, 3)
             mats.append(s @ np.diag(lam) @ np.linalg.inv(s))
         mats.append(np.diag([1e-3, 0.0, -2e-3]))
-        stack = np.array(mats)
-        for sign in (+1, -1):
-            got = signed_power_trace(stack, 2, sign)
-            want = [signed_power_trace(m, 2, sign) for m in mats]
-            assert got.shape == (7,)
-            assert np.allclose(got, want, rtol=1e-13, atol=0.0)
+        vals = np.linalg.eigvals(np.array(mats))
+        got = asymptotics._signed_traces(vals, 0.0, 0)
+        for k, keep in enumerate((vals.real > 0.0, vals.real < 0.0)):
+            assert got[k].shape == (7,)
+            want = np.sum(np.where(keep, vals.real**2, 0.0), axis=-1)
+            assert np.allclose(got[k], want, rtol=1e-13, atol=0.0)
 
     def test_complex_matrix_in_a_stack_rejected(self):
+        # the error counts the stack's leading axis from first_node
         rot = np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 0.5]])
-        stack = np.array([np.diag([0.3, -0.2, 0.1]), rot, np.eye(3)])
-        with pytest.raises(ValueError):
-            signed_power_trace(stack, 2, +1)
+        vals = np.linalg.eigvals(np.array([np.diag([0.3, -0.2, 0.1]), rot, np.eye(3)]))
+        with pytest.raises(ValueError, match="spectrum not real at node 8:"):
+            asymptotics._signed_traces(vals, 0.0, 7)
 
     def test_external_scale_admits_negligible_matrices(self):
-        noise = 1e-14 * np.array([[0.0, 1.0], [-1.0, 0.0]])
+        noise = np.array([[1e-14j, -1e-14j]])
         with pytest.raises(ValueError):
-            signed_power_trace(noise, 2, +1)
-        val = signed_power_trace(noise, 2, +1, scale=1.0)
-        assert val < 1e-27
+            asymptotics._signed_traces(noise, 0.0, 0)
+        plus, minus = asymptotics._signed_traces(noise, 1.0, 0)
+        assert plus[0] < 1e-27 and minus[0] < 1e-27
 
 
 def _curvature_integral(m_funcs, kappa1, kappa2, weights):
@@ -170,9 +165,9 @@ class TestCoefficientIntegral:
         assert info["angle_drift"][1] > 1e-7
 
     def test_one_eigensolve_equals_four_trace_calls(self):
-        # reference, per root: one signed_power_trace per sign on the
-        # full grid and on its even rows, each with its own magnitude
-        # reference
+        # reference, per root: eigvals on the full grid and on its even
+        # rows, each with its own magnitude reference, and numpy sums of
+        # the squared positive and negative eigenvalues beyond the zero cut
         rng = np.random.default_rng(8)
         m_evals = []
         for _ in range(2):
@@ -193,8 +188,12 @@ class TestCoefficientIntegral:
             sums = np.zeros((2, 2))
             for w in weights:
                 for k, sub in enumerate((mats, mats[::2])):
-                    for s, sign in enumerate((+1, -1)):
-                        tr = signed_power_trace(sub, 2, sign, imag_tol=1e-4, scale=np.abs(sub).max())
+                    vals = np.linalg.eigvals(sub)
+                    assert np.abs(vals.imag).max() < 1e-12
+                    ref = np.maximum(np.abs(vals).max(axis=-1), np.abs(sub).max())
+                    cut = 1e-12 * ref[:, None]
+                    for s, keep in enumerate((vals.real > cut, vals.real < -cut)):
+                        tr = np.sum(np.where(keep, vals.real**2, 0.0), axis=-1)
                         sums[k, s] += w * (2.0 * np.pi / len(sub)) * tr.sum()
             (cp, cm), (cp_h, cm_h) = (2.0 * np.pi) ** -2 / 2 * sums
             assert (got_p[r], got_m[r]) == (cp, cm)
@@ -234,6 +233,48 @@ class TestCoefficientIntegral:
             assert info["angle_drift"][iota] < 1e-8
 
 
+class TestTraceIdentity:
+    """With real cluster spectra and d = 2, C+ + C- integrates
+    Tr[m^2] = kappa1^2 Tr[M1^2] + 2 kappa1 kappa2 Tr[M1 M2] + kappa2^2 Tr[M2^2]
+    over the nodes, which needs no eigensolve: with A_ij the direction
+    integrals of Tr[M_i M_j], C+ + C- = (8 pi^2)^-1 sum w (kappa1^2 A11
+    + 2 kappa1 kappa2 A12 + kappa2^2 A22).  Since A11 = A22 and
+    Gauss-Bonnet gives sum w kappa1 kappa2 = 4 pi, that is the Willmore
+    relation C+ + C- = alpha W + beta, W = sum w H^2,
+    alpha = A11 / (2 pi^2), beta = (A12 - A11) / pi, at every root."""
+
+    @pytest.mark.parametrize("lam, mu", [(1.0, 1.0), (2.3, 0.7)])
+    @pytest.mark.parametrize(
+        "surface",
+        [
+            make_surface("ellipsoid", a=1.0, b=1.2, c=0.8),
+            make_surface("radial_graph", harmonics=[[2, 0, -0.6]]),
+            make_surface("radial_graph", harmonics=[[2, 0, 0.3], [3, 1, 0.2]]),
+        ],
+        ids=["ellipsoid", "dent", "two-harmonic"],
+    )
+    def test_trace_form_and_willmore_relation(self, surface, lam, mu):
+        params = LameParams(lam, mu)
+        quad = surface_quadrature(surface, 16)
+        k1, k2, _, _, _ = principal_curvatures(surface, quad.params[:, 0], quad.params[:, 1])
+        cp, cm, _ = coefficient_integral(params, k1, k2, quad.weights)
+        thetas = 2.0 * np.pi * np.arange(64) / 64
+        m1, m2 = curvature_matrices(params, np.column_stack([np.cos(thetas), np.sin(thetas)]))
+        area = lambda a, b: 2.0 * np.pi / 64 * np.einsum("tlij,tlji->l", a, b).real
+        a11, a12, a22 = area(m1, m1), area(m1, m2), area(m2, m2)
+        # the swap symmetry of criterion 8 (measured 2e-17)
+        assert np.abs(a11 - a22).max() <= 1e-12 * a11.max()
+        w, total = quad.weights, cp + cm
+        trace_form = (
+            (w * k1**2).sum() * a11 + 2.0 * (w * k1 * k2).sum() * a12 + (w * k2**2).sum() * a22
+        ) / (8.0 * np.pi**2)
+        # measured <= 5.3e-15
+        assert np.abs(total - trace_form).max() <= 1e-12 * total.min()
+        willmore = a11 / (2.0 * np.pi**2) * (w * (0.5 * (k1 + k2)) ** 2).sum() + (a12 - a11) / np.pi
+        # measured <= 2.2e-6: the n = 16 rule's own Gauss-Bonnet error
+        assert (np.abs(total - willmore) / total).max() <= 1e-5
+
+
 class TestAsymptoticReport:
     def test_dict_round_trip(self):
         rep = AsymptoticReport(
@@ -243,7 +284,6 @@ class TestAsymptoticReport:
             d=2.0,
             route="symbol",
             err_estimate=3e-9,
-            extra={"angles": 64},
         )
         d = rep.to_dict()
         assert d["root"] == pytest.approx(1.0 / 6.0)
@@ -252,4 +292,4 @@ class TestAsymptoticReport:
         assert d["d"] == 2.0
         assert d["route"] == "symbol"
         assert d["err_estimate"] == pytest.approx(3e-9)
-        assert d["angles"] == 64
+        assert len(d) == 6

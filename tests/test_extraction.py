@@ -307,8 +307,7 @@ def sphere_field():
 class TestSymbolField:
     def test_diagnostics_and_shapes(self, sphere_field):
         f = sphere_field
-        assert f.node_count == 32
-        assert f.charts.radius.shape == (32,)
+        assert f.charts.radius.shape == f.charts.kappa1.shape == (32,)
         # stacked evaluators, leading node axis; 4 nodes per block at 64
         # directions (8 ladder x 64 direction points per node)
         xis = _direction_stack(5)
@@ -402,15 +401,16 @@ class TestStackEvaluation:
     def test_field_evaluators(self, name, request):
         field = request.getfixturevalue(name)
         xis = _direction_stack()
-        for i in range(field.node_count):
+        for i in range(field.charts.kappa1.size):
             assert _stack_vs_rows(lambda xi: field.k0(xi)[i], xis) < 1e-13
             assert _stack_vs_rows(lambda xi: field.km1(xi)[i], xis) < 1e-13
 
     def test_field_charts_equal_single_charts(self, dent_field):
         # row i of the field's stacked chart is the chart that a call at
         # node i alone gives, field by field, bit for bit
-        for i, (theta, phi) in enumerate(dent_field.node_params):
-            one = c_chart(dent_field.surface, theta, phi)
+        surf = dent_field.charts.surface
+        for i, (theta, phi) in enumerate(surface_quadrature(surf, 4).params):
+            one = c_chart(surf, theta, phi)
             for f in dataclasses.fields(one)[1:]:
                 got = getattr(dent_field.charts[i], f.name)
                 assert np.array_equal(got, getattr(one, f.name)), (i, f.name)
@@ -425,17 +425,18 @@ class TestNodeBlocks:
         # n = 5: 50 nodes; 4 per block at 64 directions (the last block
         # holds 2) and 2 per block at 128
         surf = make_surface("radial_graph", harmonics=[[2, 0, -0.6]])
-        field = np_symbol_field(surf, P11, surface_quadrature(surf, 5), angles=angles)
-        assert field.node_count == 50
+        quad = surface_quadrature(surf, 5)
+        field = np_symbol_field(surf, P11, quad, angles=angles)
+        assert quad.size == field.charts.kappa1.size == 50
         xis = _direction_stack()
         k0, km1 = field.k0(xis), field.km1(xis)
-        for i in range(field.node_count):
+        for i in range(quad.size):
             p2, p1, _ = homogeneous_parts(lambda z: chart_kernel(P11, field.charts[i], z), angles)
             for got, samples, degree in ((k0[i], p2, -2), (km1[i], p1, -1)):
                 want = angular_fourier_symbol(samples, degree)(xis)
                 assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
         # the integral in blocks of ten nodes and with one node per block
-        args = (P11, field.charts.kappa1, field.charts.kappa2, field.weights)
+        args = (P11, field.charts.kappa1, field.charts.kappa2, quad.weights)
         cp, cm, info = coefficient_integral(*args)
         monkeypatch.setattr(surfaces, "_BLOCK_POINTS", 1)
         cp1, cm1, info1 = coefficient_integral(*args)
@@ -457,9 +458,10 @@ class TestNodeBlocks:
         monkeypatch.setattr(extraction, "chart_kernel", counted_kernel)
         monkeypatch.setattr(np.linalg, "eigvals", counted_eigvals)
         surf = make_surface("radial_graph", harmonics=[[2, 0, -0.6]])
-        field = np_symbol_field(surf, P11, surface_quadrature(surf, 4), angles=64)
-        coefficient_integral(P11, field.charts.kappa1, field.charts.kappa2, field.weights)
-        assert field.node_count == 32
+        quad = surface_quadrature(surf, 4)
+        field = np_symbol_field(surf, P11, quad, angles=64)
+        coefficient_integral(P11, field.charts.kappa1, field.charts.kappa2, quad.weights)
+        assert field.charts.kappa1.size == 32
         assert calls["chart_kernel"] <= 8
         assert calls["eigvals"] <= 8
 

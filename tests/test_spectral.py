@@ -48,12 +48,18 @@ from npspec.surfaces import c_chart, make_surface, surface_quadrature
 P11 = LameParams(1.0, 1.0)
 SPHERE = make_surface("sphere", radius=1.0)
 KK = P11.kk
+ROOTS = essential_spectrum(P11)  # roots (-KK, 0, KK)
+
+
+def _unit_weights(k):
+    """Unit quadrature weights for a matrix of 3 x 3 node blocks."""
+    return np.ones(len(k) // 3)
 
 
 def _pipeline(n):
     quad = surface_quadrature(SPHERE, n)
     k_mat, s_mat = assemble_operators(SPHERE, P11, quad)
-    sym, info = symmetrize(k_mat, s_mat, weights=quad.weights)
+    sym, info = symmetrize(k_mat, s_mat, quad.weights)
     ev = np.linalg.eigvalsh(sym)
     return SimpleNamespace(quad=quad, k=k_mat, s=s_mat, a=sym, info=info, ev=ev)
 
@@ -476,7 +482,7 @@ class TestSpectrum:
 
 
 class TestSymmetrize:
-    def _commuting_pair(self, rng, n=40):
+    def _commuting_pair(self, rng, n=42):
         # K = P^(1/2) A P^(-1/2) with A symmetric: exact Plemelj pair;
         # basis holds the eigenvectors of P in ascending eigenvalue order
         q, _ = np.linalg.qr(rng.normal(size=(n, n)))
@@ -500,7 +506,7 @@ class TestSymmetrize:
     def test_recovers_symmetric_generator(self):
         rng = np.random.default_rng(3)
         k, s, a_sym, basis = self._commuting_pair(rng)
-        a, info = symmetrize(k, s)
+        a, info = symmetrize(k, s, _unit_weights(k))
         self._assert_generator(a, a_sym, basis)
         assert info["symmetry_defect"] < 1e-12
         assert info["plemelj_residual"] < 1e-12
@@ -508,8 +514,8 @@ class TestSymmetrize:
 
     def test_similarity_preserves_eigenvalues(self):
         rng = np.random.default_rng(4)
-        k, s, _, _ = self._commuting_pair(rng, n=25)
-        a, _ = symmetrize(k, s)
+        k, s, _, _ = self._commuting_pair(rng, n=27)
+        a, _ = symmetrize(k, s, _unit_weights(k))
         got = np.sort(np.linalg.eigvalsh(a))
         want = np.sort(np.linalg.eigvals(k).real)
         assert np.abs(got - want).max() < 1e-10
@@ -523,7 +529,7 @@ class TestSymmetrize:
         g = rng.normal(size=(n, n))
         p = g @ g.T / n + 0.5 * np.eye(n)
         p = 0.5 * (p + p.T)
-        a, info = symmetrize(k, -p)
+        a, info = symmetrize(k, -p, _unit_weights(k))
         vals, vecs = np.linalg.eigh(p)
         explicit = ((vecs / np.sqrt(vals)) @ vecs.T) @ k @ ((vecs * np.sqrt(vals)) @ vecs.T)
         want = np.linalg.eigvalsh(0.5 * (explicit + explicit.T))
@@ -545,27 +551,27 @@ class TestSymmetrize:
         sw = np.repeat(np.sqrt(w), 3)
         k_plain = k_t / sw[:, None] * sw[None, :]
         s_plain = s_t / sw[:, None] * sw[None, :]
-        a, info = symmetrize(k_plain, s_plain, weights=w)
+        a, info = symmetrize(k_plain, s_plain, w)
         self._assert_generator(a, a_sym, basis)
         assert info["plemelj_residual"] < 1e-12
 
     def test_rejects_indefinite_single_layer(self):
-        k = np.eye(4)
-        s = np.eye(4)  # P = -S negative definite
+        k = np.eye(6)
+        s = np.eye(6)  # P = -S negative definite
         with pytest.raises(ValueError):
-            symmetrize(k, s)
+            symmetrize(k, s, _unit_weights(k))
 
     def test_rejects_mismatched_weights(self):
         k = np.eye(6)
         s = -np.eye(6)
         with pytest.raises(ValueError):
-            symmetrize(k, s, weights=np.ones(5))
+            symmetrize(k, s, np.ones(5))
 
     def test_edge_clipping_reported(self):
         # one P eigenvalue below the floor: clipped and counted
         p = np.diag([1.0, 0.5, 1e-9])
         k = np.diag([0.3, 0.2, 0.1])
-        a, info = symmetrize(k, -p)
+        a, info = symmetrize(k, -p, _unit_weights(k))
         assert info["clipped_modes"] == 1
         assert np.abs(np.sort(np.linalg.eigvalsh(a)) - [0.1, 0.2, 0.3]).max() < 1e-12
 
@@ -641,7 +647,7 @@ class TestClusterCounting:
 
     def test_counts_match_definition(self):
         ev = np.array([0.01, 0.02, -0.03, 0.2, -0.5])
-        recs = cluster_and_count(ev, [-KK, 0.0, KK], n_tau=12)
+        recs = cluster_and_count(ev, ROOTS, n_tau=12)
         rec = recs[1]
         assert rec["root"] == 0.0
         zl, zr = rec["window"]
@@ -653,7 +659,7 @@ class TestClusterCounting:
     def test_counts_monotone_in_tau(self):
         rng = np.random.default_rng(17)
         ev = rng.uniform(-0.08, 0.08, 400)
-        recs = cluster_and_count(ev, [-KK, 0.0, KK])
+        recs = cluster_and_count(ev, ROOTS)
         for rec in recs:
             assert np.all(np.diff(rec["n_plus"]) <= 0)
             assert np.all(np.diff(rec["n_minus"]) <= 0)
@@ -669,14 +675,14 @@ class TestClusterCounting:
         with pytest.raises(ValueError, match="guard"):
             cluster_windows([-KK, 0.0, KK], guard=guard)
         with pytest.raises(ValueError, match="guard"):
-            cluster_and_count(np.array([0.01, -0.02]), [-KK, 0.0, KK], guard=guard)
+            cluster_and_count(np.array([0.01, -0.02]), ROOTS, guard=guard)
 
     @pytest.mark.parametrize("n_tau", [0, -3, 1.5])
     def test_n_tau_range_enforced(self, n_tau):
         # below two taus no counting function is left to fit, and a
         # fractional count has no grid
         with pytest.raises(ValueError, match="n_tau"):
-            cluster_and_count(np.array([0.01, -0.02]), [-KK, 0.0, KK], n_tau=n_tau)
+            cluster_and_count(np.array([0.01, -0.02]), ROOTS, n_tau=n_tau)
 
 
 class TestPowerLawFit:
@@ -756,13 +762,12 @@ class TestMultiplicities:
 class TestCompactness:
     def test_synthetic_decay_slope(self):
         # deviations c/k with weight 2k+1 at every root: |p| ~ j^(-1/2)
-        poly_roots = [-KK, 0.0, KK]
         ks = np.arange(1, 200)
         ev = []
         for om, c in ((-KK, 0.012), (0.0, 0.05), (KK, 0.012)):
             ev.append(np.repeat(om + c / ks, 2 * ks + 1))
         ev = np.concatenate(ev)
-        rep = compactness_check(ev, poly_roots)
+        rep = compactness_check(ev, ROOTS)
         assert abs(rep["decay_slope"] + 0.5) < 0.1
 
     def test_matrix_spectral_mapping(self, sphere8):
@@ -787,5 +792,5 @@ class TestCompactness:
 
     def test_diagonal_example(self):
         mat = np.diag([0.4, KK + 0.01, -0.1])
-        rep = compactness_check(mat, [-KK, 0.0, KK])
+        rep = compactness_check(mat, ROOTS)
         assert rep["mapping_defect"] < 1e-12
