@@ -57,7 +57,6 @@ from .asymptotics import (
 )
 from .spectral import (
     assemble_operators,
-    spectrum,
     symmetrize,
     cluster_and_count,
     fit_power_law,
@@ -94,7 +93,6 @@ __all__ = [
     "AsymptoticReport",
     "coefficient_integral",
     "assemble_operators",
-    "spectrum",
     "symmetrize",
     "cluster_and_count",
     "fit_power_law",

@@ -101,10 +101,7 @@ def coefficient_integral(params, kappa1, kappa2, weights):
                 sums[k] += node_sums
     (cp, cm), (cp_h, cm_h) = (2.0 * np.pi) ** (-_DIM) / _DIM * sums
     scale = np.maximum(np.maximum(abs(cp), abs(cm)), 1e-30)
-    info = {
-        "angle_drift": np.maximum(abs(cp - cp_h), abs(cm - cm_h)) / scale,
-        "angles": _ANGLES,
-    }
+    info = {"angle_drift": np.maximum(abs(cp - cp_h), abs(cm - cm_h)) / scale}
     return cp, cm, info
 
 

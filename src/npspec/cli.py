@@ -151,12 +151,18 @@ def cmd_assemble(cfg):
     return 0
 
 
+def _read_input(read, path, stage):
+    """read(path), stopping with a message that names the file and the
+    stage that writes it when the file cannot be read."""
+    try:
+        return read(path)
+    except OSError as exc:
+        raise SystemExit("cannot read %s: %s; run %s first" % (path, exc.strerror, stage))
+
+
 def _read_operator(path, dim):
     """An assembled dim x dim operator matrix from an NPMAT file."""
-    try:
-        mat = npio.read_npmat(path)
-    except OSError as exc:
-        raise SystemExit("cannot read %s: %s; run assemble first" % (path, exc.strerror))
+    mat = _read_input(npio.read_npmat, path, "assemble")
     if mat.shape != (dim, dim):
         raise SystemExit(
             "%s is %dx%d; the configured mesh needs %dx%d"
@@ -176,7 +182,7 @@ def cmd_spectrum(cfg, matrix=None):
     k_mat = _read_operator(k_path, 3 * quad.size)
     s_mat = _read_operator(s_path, 3 * quad.size)
     sym, info = symmetrize(k_mat, s_mat, weights=quad.weights)
-    vals = np.sort(np.linalg.eigvalsh(sym))
+    vals = np.linalg.eigvalsh(sym)
     path = os.path.join(d, "eigenvalues.csv")
     npio.write_eigenvalues_csv(path, vals)
     print(json.dumps(dict(info, count=int(vals.size), file=path), sort_keys=True))
@@ -187,7 +193,7 @@ def cmd_count(cfg, eigenvalues_path=None):
     d = _outdir(cfg)
     if eigenvalues_path is None:
         eigenvalues_path = os.path.join(d, "eigenvalues.csv")
-    vals = npio.read_eigenvalues_csv(eigenvalues_path)
+    vals = _read_input(npio.read_eigenvalues_csv, eigenvalues_path, "spectrum")
     poly = essential_spectrum(_material(cfg))
     win = cfg["windows"]
     records = cluster_and_count(vals, poly, n_tau=win["n_tau"], guard=win["guard"])
@@ -201,7 +207,7 @@ def cmd_fit(cfg, counting_path=None, prune=True):
     d = _outdir(cfg)
     if counting_path is None:
         counting_path = os.path.join(d, "counting.csv")
-    records = npio.read_counting_csv(counting_path)
+    records = _read_input(npio.read_counting_csv, counting_path, "count")
     if not records:
         raise SystemExit("%s holds no counting rows" % counting_path)
     reports, skipped = [], []

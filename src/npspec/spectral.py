@@ -20,9 +20,9 @@ grid values through a local tensor barycentric interpolation stencil
 applied in transpose so the result is a matrix acting on grid data.
 One pass over the node blocks serves the double and single layer.
 
-Downstream utilities: eigenvalue extraction with a reality check,
-single layer symmetrization, cluster counting functions, power-law
-fits of counting data, and polynomial compactness diagnostics.
+Downstream utilities: single layer symmetrization (the one route from
+K and S to a real spectrum), cluster counting functions, power-law fits
+of counting data, and polynomial compactness diagnostics.
 """
 
 import functools
@@ -34,8 +34,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .elasticity import kelvin_matrix, np_kernel
-from .surfaces import _node_blocks, c_chart
-from .symbols import matrix_polynomial
+from .surfaces import _angles, _node_blocks, c_chart
 
 
 # Blended polar patch: radii are multiples of the local mesh size
@@ -61,9 +60,8 @@ _PRUNE_FRACTION = 1.0 / 3.0
 _P_FLOOR = 1e-3
 _P_INDEFINITE = 1e-2
 # compactness_check: central index range (fractions of the count) of the
-# decay fit, and the largest matrix whose spectral mapping is checked
+# decay fit
 _DECAY_RANGE = (0.1, 0.5)
-_MAPPING_LIMIT = 1200
 
 
 def _smoothstep(s, r1, r2):
@@ -242,8 +240,7 @@ def _assemble(surface, quad, kernels):
         w12, wr, chi = (np.concatenate(parts) for parts in zip(*rules))
         owner = np.repeat(nodes, counts[nodes])
         q, nu, area = charts[owner].geometry(w12)
-        tq = np.arccos(np.clip(q[:, 2] / np.linalg.norm(q, axis=1), -1.0, 1.0))
-        idx, wgt = _batch_stencil(grid, tq, np.arctan2(q[:, 1], q[:, 0]))
+        idx, wgt = _batch_stencil(grid, *_angles(q, np.linalg.norm(q, axis=1)))
         qw = (wr * chi * area)[:, None, None]
         contrib = np.concatenate(
             [(qw * kernel(pts[owner], q, nu)).reshape(-1, 9) for kernel in kernels], axis=1
@@ -268,11 +265,8 @@ def assemble_operators(surface, params, quad):
     K pairs the density against the transposed traction-of-Kelvin
     matrix, under which rigid motions are 1/2-eigenfunctions.  S is
     normalized so its flat-boundary symbol is single_layer_symbol
-    (negative definite), and averaged with its adjoint in the
-    quadrature inner product (sqrt-weight frame), where the continuous
-    operator is symmetric; a flat (M + M^T)/2 mixes rows with unequal
-    weights and spoils definiteness on refinement.  -S should be
-    positive definite at adequate resolution.
+    (negative definite); it is returned as assembled, and symmetrize
+    averages it in the quadrature frame.
     """
     def double_layer(x, y, nu):
         return np.swapaxes(np_kernel(params, x, y, nu), -1, -2)
@@ -280,28 +274,7 @@ def assemble_operators(surface, params, quad):
     def single_layer(x, y, nu):
         return -0.5 * kelvin_matrix(params, x, y)
 
-    k_mat, s_mat = _assemble(surface, quad, (double_layer, single_layer))
-    # in place, so no second N x N copy of S outlives the average
-    sw = np.repeat(np.sqrt(quad.weights), 3)
-    s_mat *= sw[:, None]
-    s_mat /= sw[None, :]
-    s_mat += s_mat.T
-    s_mat *= 0.5
-    s_mat *= sw[None, :]
-    s_mat /= sw[:, None]
-    return k_mat, s_mat
-
-
-def spectrum(mat, imag_tol=1e-6):
-    """Sorted real eigenvalues, rejecting genuinely complex spectra."""
-    vals = np.linalg.eigvals(np.asarray(mat))
-    rho = max(np.abs(vals).max(), 1e-30)
-    worst = np.abs(vals.imag).max()
-    if worst > imag_tol * rho:
-        raise ValueError(
-            "matrix spectrum has imaginary parts %.3e beyond tolerance" % worst
-        )
-    return np.sort(vals.real)
+    return _assemble(surface, quad, (double_layer, single_layer))
 
 
 def symmetrize(k_mat, s_mat, weights):
@@ -311,7 +284,10 @@ def symmetrize(k_mat, s_mat, weights):
     quadrature weights (one per node, three matrix rows each) into the
     frame where the transpose is the discrete L2 adjoint; the symmetry
     identity K S = S K^T only closes there.  Unit weights leave the
-    matrices as they are.
+    matrices as they are.  The continuous single layer is symmetric in
+    that frame, so S is averaged with its transpose there; a flat
+    (S + S^T)/2 mixes rows with unequal weights and spoils
+    definiteness on refinement.
     Uses P = -sym(S) = V L V^T (positive definite) and returns
     (sym(a), info) with a = L^(-1/2) B L^(1/2) and B = V^T K V: the
     matrix P^(-1/2) K P^(1/2) written in the eigenbasis of P, so two
@@ -326,9 +302,9 @@ def symmetrize(k_mat, s_mat, weights):
     the count is reported, not hidden.  P with eigenvalues below
     -_P_INDEFINITE x max is rejected as genuinely indefinite.
 
-    info holds plemelj_residual |K P - P K^T| / (|K| |S|), measured
-    against P = -sym(S) as |B L - L B^T| (Frobenius norms are invariant
-    under V), the symmetry_defect of a before averaging, clipped_modes
+    info holds plemelj_residual |K P - P K^T| / (|K| |P|), measured as
+    |B L - L B^T| / (|K| |L|) (Frobenius norms are invariant under V),
+    the symmetry_defect of a before averaging, clipped_modes
     and p_min_ratio (min/max eigenvalue of P).
     """
     sw = np.repeat(np.sqrt(np.asarray(weights, dtype=float)), 3)
@@ -347,7 +323,7 @@ def symmetrize(k_mat, s_mat, weights):
     root = np.sqrt(np.maximum(vals, _P_FLOOR * vmax))
     b = vecs.T @ k @ vecs
     plemelj = np.linalg.norm(b * vals - vals[:, None] * b.T) / max(
-        np.linalg.norm(k) * np.linalg.norm(s), 1e-30
+        np.linalg.norm(k) * np.linalg.norm(vals), 1e-30
     )
     a = b * root / root[:, None]
     defect = np.linalg.norm(a - a.T) / max(np.linalg.norm(a), 1e-30)
@@ -387,9 +363,9 @@ def cluster_and_count(eigenvalues, poly, n_tau=24, guard=0.05):
     """Two-sided counting functions near each root of the essential
     spectrum, a SpectralPolynomial poly.
 
-    Returns a list of records {root, window, tau, n_plus, n_minus,
-    total} with tau on a geometric grid of n_tau points, an integer of
-    at least 2, from _TAU_FLOOR x gap up to the window half width.
+    Returns a list of records {root, tau, n_plus, n_minus} with tau on
+    a geometric grid of n_tau points, an integer of at least 2, from
+    _TAU_FLOOR x gap up to the window half width.
     n_plus(tau) counts eigenvalues in (root + tau, zeta_plus], n_minus
     in [zeta_minus, root - tau).
     """
@@ -403,16 +379,7 @@ def cluster_and_count(eigenvalues, poly, n_tau=24, guard=0.05):
         taus = np.geomspace(_TAU_FLOOR * width / (0.5 - guard), width, n_tau)
         npl = np.array([np.sum((ev > w + t) & (ev <= zr)) for t in taus])
         nmi = np.array([np.sum((ev < w - t) & (ev >= zl)) for t in taus])
-        out.append(
-            {
-                "root": float(w),
-                "window": (float(zl), float(zr)),
-                "tau": taus,
-                "n_plus": npl,
-                "n_minus": nmi,
-                "total": int(np.sum((ev >= zl) & (ev <= zr))),
-            }
-        )
+        out.append({"root": float(w), "tau": taus, "n_plus": npl, "n_minus": nmi})
     return out
 
 
@@ -506,34 +473,18 @@ def certified_multiplicities(eigs_coarse, eigs_fine, levels, window):
     return c_fine, k_star
 
 
-def compactness_check(mat_or_eigs, poly):
+def compactness_check(eigenvalues, poly):
     """Diagnostics that p(K) behaves like a compact operator power, for
-    the essential spectrum polynomial p, a SpectralPolynomial poly.
+    the real eigenvalues of K and the essential spectrum polynomial p,
+    a SpectralPolynomial poly.
 
-    Checks (i) spectral mapping, eig(p(K)) = p(eig(K)), when a matrix
-    of dimension <= _MAPPING_LIMIT is supplied; (ii) the decay rate of
-    sorted |p(lambda_j)| ~ j^(-1/2) over the _DECAY_RANGE index range;
-    (iii) the distance bound dist(lambda, roots) <= |p(lambda)| /
-    min |p'| over each cluster window.  Returns a report dict.
+    Checks (i) the decay rate of sorted |p(lambda_j)| ~ j^(-1/2) over
+    the _DECAY_RANGE index range; (ii) the distance bound
+    dist(lambda, roots) <= |p(lambda)| / min |p'| over each cluster
+    window.  Returns a report dict.
     """
-    mat = None
-    arr = np.asarray(mat_or_eigs)
-    if arr.ndim == 2:
-        mat = arr
-        eigs = spectrum(mat)
-    else:
-        eigs = np.sort(arr.astype(float))
-    pvals = poly(eigs)
-    report = {}
-    if mat is not None and mat.shape[0] <= _MAPPING_LIMIT:
-        pk = matrix_polynomial(poly.coefficients(), mat)
-        via_matrix = np.sort(np.linalg.eigvals(pk).real)
-        via_values = np.sort(pvals)
-        scale = max(np.abs(via_values).max(), 1e-30)
-        report["mapping_defect"] = float(
-            np.abs(via_matrix - via_values).max() / scale
-        )
-    mags = np.sort(np.abs(pvals))[::-1]
+    eigs = np.asarray(eigenvalues, dtype=float)
+    mags = np.sort(np.abs(poly(eigs)))[::-1]
     mags = mags[mags > 0]
     m = mags.size
     lo, hi = max(1, int(_DECAY_RANGE[0] * m)), max(2, int(_DECAY_RANGE[1] * m))
@@ -541,7 +492,6 @@ def compactness_check(mat_or_eigs, poly):
     lj, lm = np.log(js.astype(float)), np.log(mags[lo:hi])
     a = np.column_stack([np.ones_like(lj), lj])
     coef, *_ = np.linalg.lstsq(a, lm, rcond=None)
-    report["decay_slope"] = float(coef[1])
     om, wins = cluster_windows(poly.roots)
     worst = 0.0
     dpoly = np.polynomial.polynomial.Polynomial(poly.coefficients()).deriv()
@@ -558,6 +508,8 @@ def compactness_check(mat_or_eigs, poly):
         finite = ratio[np.isfinite(ratio)]
         if finite.size:
             worst = max(worst, float(finite.max()))
-    report["distance_ratio_max"] = worst
-    report["distance_bound_ok"] = bool(worst <= 1.0 + 1e-9)
-    return report
+    return {
+        "decay_slope": float(coef[1]),
+        "distance_ratio_max": worst,
+        "distance_bound_ok": bool(worst <= 1.0 + 1e-9),
+    }

@@ -22,6 +22,7 @@ grad F(0) = 0 and Hess F(0) = diag(kappa1, kappa2).
 """
 
 import math
+import numbers
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -147,19 +148,13 @@ class ParametrizedSurface:
             return _inverse_sqrt_jet(g, g_t, g_p, g_tt, g_tp, g_pp)
         if self.kind == "radial_graph":
             jet = [np.ones(theta.shape)] + [np.zeros(theta.shape) for _ in range(5)]
-            for (l, m), c in self._harmonics():
+            for l, m, c in self.params["harmonics"]:
                 for acc, y in zip(jet, _real_sph_harm_jet(l, m, theta, phi)):
                     acc += c * y
             if np.any(jet[0] <= 0.0):
                 raise ValueError("radial graph not star shaped at this point")
             return tuple(jet)
         raise ValueError("unknown surface kind: %r" % self.kind)
-
-    def _harmonics(self):
-        h = self.params.get("harmonics", {})
-        if isinstance(h, dict):
-            return [((int(l), int(m)), float(c)) for (l, m), c in h.items()]
-        return [((int(l), int(m)), float(c)) for l, m, c in h]
 
     def position(self, theta, phi):
         r = self.rho_jet(theta, phi)[0]
@@ -264,11 +259,29 @@ def _inverse_sqrt_jet(g, gt, gp, gtt, gtp, gpp):
     )
 
 
+def _harmonic_triples(harmonics):
+    """(l, m, coeff) triples from {(l, m): coeff} or [[l, m, coeff], ...];
+    an error names the first entry that is not three numbers with
+    integer l and m (2.0 and true are not integers) and |m| <= l."""
+    if isinstance(harmonics, dict):
+        harmonics = [k + (c,) if isinstance(k, tuple) else (k, c) for k, c in harmonics.items()]
+    for entry in harmonics:
+        if not (isinstance(entry, (list, tuple)) and len(entry) == 3 and all(
+            isinstance(v, numbers.Integral if j < 2 else numbers.Real) and not isinstance(v, bool)
+            for j, v in enumerate(entry)
+        )):
+            raise ValueError("harmonic %r is not [l, m, coeff] with integer l, m" % (entry,))
+        if abs(entry[1]) > entry[0]:
+            raise ValueError("harmonic (l, m) = (%d, %d) needs 0 <= |m| <= l" % tuple(entry[:2]))
+    return tuple((int(l), int(m), float(c)) for l, m, c in harmonics)
+
+
 def make_surface(kind, **params):
     """Factory for the supported surface kinds.
 
     sphere(radius=1), ellipsoid(a, b, c),
-    radial_graph(harmonics={(l, m): coeff} or [[l, m, coeff], ...]).
+    radial_graph(harmonics={(l, m): coeff} or [[l, m, coeff], ...]),
+    with the harmonics stored as checked (l, m, coeff) triples.
     """
     if kind == "sphere":
         params.setdefault("radius", 1.0)
@@ -281,10 +294,7 @@ def make_surface(kind, **params):
             if not params[k] > 0.0:
                 raise ValueError("ellipsoid semi-axis %s = %r is not positive" % (k, params[k]))
     elif kind == "radial_graph":
-        params.setdefault("harmonics", {})
-        for (l, m), _ in ParametrizedSurface(kind=kind, params=params)._harmonics():
-            if abs(m) > l:
-                raise ValueError("harmonic (l, m) = (%d, %d) needs 0 <= |m| <= l" % (l, m))
+        params["harmonics"] = _harmonic_triples(params.get("harmonics", ()))
     else:
         raise ValueError("unknown surface kind: %r" % kind)
     return ParametrizedSurface(kind=kind, params=params)

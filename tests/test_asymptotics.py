@@ -116,7 +116,6 @@ class TestCoefficientIntegral:
         assert cp == pytest.approx(0.16, rel=1e-12)
         assert cm == pytest.approx(0.09, rel=1e-12)
         assert info["angle_drift"][0] < 1e-13
-        assert info["angles"] == 64
 
     def test_angular_profile_moment(self):
         # m = cos^2(phi) e11: angular mean of cos^4 is 3/8, so C_+ = 3/8

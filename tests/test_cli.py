@@ -5,6 +5,7 @@ process (fast paths only) and check outputs, exit codes and the
 documented byte-determinism of reruns.
 """
 
+import importlib.util
 import json
 import os
 import subprocess
@@ -23,6 +24,23 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
     return code, out
+
+
+def _benchmark_checks():
+    """perfbench/checks.py, the benchmark's own checks of stage outputs."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "checks.py")
+    spec = importlib.util.spec_from_file_location("perfbench_checks", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+STAGE_CHECKS = _benchmark_checks().STAGE_CHECKS
+
+
+def assert_stage_checks(stage, outdir, nodes, lam=1.0, mu=1.0):
+    checks, _ = STAGE_CHECKS[stage](str(outdir), nodes, lam, mu)
+    assert checks and [c for c in checks if not c[1]] == []
 
 
 class TestConfig:
@@ -138,6 +156,7 @@ class TestPipeline:
         k_mat = npio.read_npmat(tmp_path / "np_matrix.npmat")
         s_mat = npio.read_npmat(tmp_path / "single_layer.npmat")
         assert k_mat.shape == (384, 384) and s_mat.shape == (384, 384)
+        assert_stage_checks("assemble", tmp_path, 128)
 
         code, out = run(capsys, "spectrum", *out_args)
         assert code == 0
@@ -151,17 +170,20 @@ class TestPipeline:
         assert vals.size == 384
         # head of the exact table: 0.5 with multiplicity 6
         assert abs(np.sort(vals)[-6:].mean() - 0.5) < 0.03
+        assert_stage_checks("spectrum", tmp_path, 128)
 
         code, out = run(capsys, "count", *out_args)
         assert code == 0
         recs = npio.read_counting_csv(tmp_path / "counting.csv")
         assert [round(r["root"], 4) for r in recs] == [-0.1667, 0.0, 0.1667]
+        assert_stage_checks("count", tmp_path, 128)
 
         code, out = run(capsys, "fit", *out_args)
         assert code == 0
         rep = json.loads((tmp_path / "fit.json").read_text())
         assert all(r["route"] == "counting" for r in rep["reports"])
         assert len(rep["reports"]) + len(rep["skipped"]) == 6
+        assert_stage_checks("fit", tmp_path, 128)
 
     def test_fit_records_skipped_sides(self, capsys, tmp_path):
         # n_plus has too few nonzero samples to fit; n_minus fits
@@ -251,6 +273,15 @@ class TestPipeline:
         assert code == 0
         assert (b / "eigenvalues.csv").read_bytes() == (a / "eigenvalues.csv").read_bytes()
 
+    @pytest.mark.parametrize(
+        "stage, missing, writer",
+        [("count", "eigenvalues.csv", "spectrum"), ("fit", "counting.csv", "count")],
+    )
+    def test_missing_input_names_its_stage(self, capsys, tmp_path, stage, missing, writer):
+        with pytest.raises(SystemExit, match="cannot read .*%s.*; run %s first" % (missing, writer)):
+            main([stage, "--out.dir", str(tmp_path)])
+        assert os.listdir(tmp_path) == []
+
     def test_spectrum_without_single_layer_rejected(self, capsys, tmp_path):
         code, _ = run(capsys, "assemble", "--out.dir", str(tmp_path), "--mesh.n", "4")
         assert code == 0
@@ -306,6 +337,14 @@ class TestCoeff:
             assert plus["C"] == pytest.approx(c_plus, rel=1e-6)
             assert abs(minus["C"]) < 1e-9
         assert (a / "coeff.json").read_bytes() == (b / "coeff.json").read_bytes()
+
+    def test_dent_passes_benchmark_checks(self, capsys, tmp_path):
+        code, _ = run(
+            capsys, "coeff", "--surface.kind", "radial_graph",
+            "--surface.harmonics", "[[2, 0, -0.6]]", "--mesh.n", "4", "--out.dir", str(tmp_path),
+        )
+        assert code == 0
+        assert_stage_checks("coeff", tmp_path, 32)
 
 
 class TestVerify:

@@ -40,7 +40,6 @@ from npspec.spectral import (
     fit_power_law,
     level_multiplicities,
     prune_counting_samples,
-    spectrum,
     symmetrize,
 )
 from npspec.surfaces import c_chart, make_surface, surface_quadrature
@@ -413,9 +412,18 @@ class TestAssembly:
         assert self._action_err(sphere16, u, -1.0 / 18.0) < 1e-1
 
     def test_single_layer_weight_frame_symmetry(self, sphere8):
+        # the assembled S is not symmetric in the sqrt-weight frame
+        # (2.6% at n = 8); symmetrize averages it there, so averaging
+        # first changes nothing but rounding
         sw = np.repeat(np.sqrt(sphere8.quad.weights), 3)
         t = sw[:, None] * sphere8.s / sw[None, :]
-        assert np.linalg.norm(t - t.T) / np.linalg.norm(t) < 1e-13
+        assert np.linalg.norm(t - t.T) / np.linalg.norm(t) > 1e-2
+        s_avg = 0.5 * (t + t.T) * sw[None, :] / sw[:, None]
+        a, info = symmetrize(sphere8.k, s_avg, sphere8.quad.weights)
+        ev = np.linalg.eigvalsh(a)
+        assert np.abs(ev - sphere8.ev).max() < 1e-13
+        assert info["clipped_modes"] == sphere8.info["clipped_modes"]
+        assert info["p_min_ratio"] == pytest.approx(sphere8.info["p_min_ratio"], rel=1e-12)
 
     def test_single_layer_scaling(self):
         # kernel degree -1: S on radius R equals R times S on radius 1
@@ -462,23 +470,11 @@ class TestAssembly:
 
 
 class TestSpectrum:
-    def test_sorted_real_output(self):
-        mat = np.diag([0.3, -0.1, 0.2]) + 1e-9 * np.ones((3, 3))
-        vals = spectrum(mat)
-        assert np.all(np.diff(vals) >= 0.0)
-
-    def test_rejects_complex_spectrum(self):
-        rot = np.array([[0.0, -1.0], [1.0, 0.0]])
-        with pytest.raises(ValueError):
-            spectrum(rot)
-        # tolerance override turns the rejection off
-        assert spectrum(rot, imag_tol=2.0).shape == (2,)
-
     def test_raw_sphere_matrix_is_rejected(self, sphere16):
         # unresolved accumulation-zone modes collide into complex pairs;
         # real spectra come from the symmetrized route
-        with pytest.raises(ValueError):
-            spectrum(sphere16.k, imag_tol=1e-4)
+        vals = np.linalg.eigvals(sphere16.k)
+        assert np.abs(vals.imag).max() > 1e-4 * np.abs(vals).max()
 
 
 class TestSymmetrize:
@@ -604,9 +600,14 @@ class TestSphereLevels:
         assert inw / sphere16.ev.size > 0.85
 
     def test_count_conservation(self, sphere16):
+        # each window's eigenvalues split into those above root + tau,
+        # below root - tau, and within tau of the root
         poly = essential_spectrum(P11)
-        recs = cluster_and_count(sphere16.ev, poly)
-        clustered = sum(r["total"] for r in recs)
+        ev = sphere16.ev
+        clustered = sum(
+            r["n_plus"][0] + r["n_minus"][0] + np.sum(np.abs(ev - r["root"]) <= r["tau"][0])
+            for r in cluster_and_count(ev, poly)
+        )
         om, wins = cluster_windows(poly.roots)
         outside = np.sum(
             ~np.any(
@@ -650,11 +651,10 @@ class TestClusterCounting:
         recs = cluster_and_count(ev, ROOTS, n_tau=12)
         rec = recs[1]
         assert rec["root"] == 0.0
-        zl, zr = rec["window"]
+        zl, zr = cluster_windows(ROOTS.roots)[1][1]  # the zero root's window
         for t, npl, nmi in zip(rec["tau"], rec["n_plus"], rec["n_minus"]):
             assert npl == np.sum((ev > t) & (ev <= zr))
             assert nmi == np.sum((ev < -t) & (ev >= zl))
-        assert rec["total"] == np.sum((ev >= zl) & (ev <= zr))
 
     def test_counts_monotone_in_tau(self):
         rng = np.random.default_rng(17)
@@ -770,11 +770,6 @@ class TestCompactness:
         rep = compactness_check(ev, ROOTS)
         assert abs(rep["decay_slope"] + 0.5) < 0.1
 
-    def test_matrix_spectral_mapping(self, sphere8):
-        poly = essential_spectrum(P11)
-        rep = compactness_check(sphere8.a, poly)
-        assert rep["mapping_defect"] < 1e-8
-
     def test_distance_bound(self, sphere16):
         poly = essential_spectrum(P11)
         rep = compactness_check(sphere16.ev, poly)
@@ -789,8 +784,3 @@ class TestCompactness:
         s16 = compactness_check(sphere16.ev, poly)["decay_slope"]
         assert s16 < s8 < 0.0
         assert -0.65 < s16 < -0.1
-
-    def test_diagonal_example(self):
-        mat = np.diag([0.4, KK + 0.01, -0.1])
-        rep = compactness_check(mat, ROOTS)
-        assert rep["mapping_defect"] < 1e-12

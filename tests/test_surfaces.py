@@ -82,8 +82,18 @@ class TestRadialJets:
             ("ellipsoid", {"a": 1.0, "b": 1.0, "c": -2.0}, "c = -2.0"),
             ("radial_graph", {"harmonics": [[2, 3, 0.1]]}, r"\(2, 3\)"),
             ("radial_graph", {"harmonics": {(-1, 0): 0.1}}, r"\(-1, 0\)"),
+            ("radial_graph", {"harmonics": [[2.5, 0, 0.1]]}, r"\[2.5, 0, 0.1\]"),
+            ("radial_graph", {"harmonics": [[2, 0.0, 0.1]]}, r"\[2, 0.0, 0.1\]"),
+            ("radial_graph", {"harmonics": [[True, 0, 0.1]]}, r"\[True, 0, 0.1\]"),
+            ("radial_graph", {"harmonics": {(2.0, 0): 0.1}}, r"\(2.0, 0, 0.1\)"),
+            ("radial_graph", {"harmonics": [[2, 0]]}, r"\[2, 0\]"),
+            ("radial_graph", {"harmonics": [[2, 0, "x"]]}, r"\[2, 0, 'x'\]"),
+            ("radial_graph", {"harmonics": [2, 0, 0.1]}, "harmonic 2 "),
         ],
-        ids=["radius<0", "radius=0", "b=0", "c<0", "m>l", "l<0"],
+        ids=[
+            "radius<0", "radius=0", "b=0", "c<0", "m>l", "l<0",
+            "l=2.5", "m=0.0", "l=true", "dict l=2.0", "two numbers", "coeff text", "flat list",
+        ],
     )
     def test_invalid_parameters_rejected(self, kind, params, named):
         # a negative radius would flip the normals inward, and |m| > l
