@@ -145,19 +145,20 @@ def cmd_assemble(cfg):
     d = _outdir(cfg)
     kp = os.path.join(d, "np_matrix.npmat")
     sp = os.path.join(d, "single_layer.npmat")
-    npio.write_npmat(kp, k_mat)
-    npio.write_npmat(sp, s_mat)
+    npio._map_forked(lambda job: npio.write_npmat(*job), [(kp, k_mat), (sp, s_mat)])
     print(json.dumps({"nodes": quad.size, "files": [kp, sp]}, sort_keys=True))
     return 0
 
 
 def _read_input(read, path, stage):
     """read(path), stopping with a message that names the file and the
-    stage that writes it when the file cannot be read."""
+    stage that writes it when the file cannot be read or is malformed."""
     try:
         return read(path)
     except OSError as exc:
         raise SystemExit("cannot read %s: %s; run %s first" % (path, exc.strerror, stage))
+    except ValueError as exc:
+        raise SystemExit("%s is malformed: %s; re-run %s" % (path, exc, stage))
 
 
 def _read_operator(path, dim):
@@ -179,8 +180,9 @@ def cmd_spectrum(cfg, matrix=None):
     k_path = matrix or os.path.join(d, "np_matrix.npmat")
     s_path = os.path.join(os.path.dirname(k_path), "single_layer.npmat")
     quad = surface_quadrature(_surface(cfg), cfg["mesh"]["n"])
-    k_mat = _read_operator(k_path, 3 * quad.size)
-    s_mat = _read_operator(s_path, 3 * quad.size)
+    k_mat, s_mat = npio._map_forked(
+        lambda p: _read_operator(p, 3 * quad.size), [k_path, s_path]
+    )
     sym, info = symmetrize(k_mat, s_mat, weights=quad.weights)
     vals = np.linalg.eigvalsh(sym)
     path = os.path.join(d, "eigenvalues.csv")
@@ -194,6 +196,8 @@ def cmd_count(cfg, eigenvalues_path=None):
     if eigenvalues_path is None:
         eigenvalues_path = os.path.join(d, "eigenvalues.csv")
     vals = _read_input(npio.read_eigenvalues_csv, eigenvalues_path, "spectrum")
+    if vals.size == 0:
+        raise SystemExit("%s holds no eigenvalues" % eigenvalues_path)
     poly = essential_spectrum(_material(cfg))
     win = cfg["windows"]
     records = cluster_and_count(vals, poly, n_tau=win["n_tau"], guard=win["guard"])

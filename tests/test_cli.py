@@ -257,6 +257,13 @@ class TestPipeline:
             main(["fit", "--counting", str(path), "--out.dir", str(tmp_path)])
         assert not (tmp_path / "fit.json").exists()
 
+    def test_count_rejects_eigenvalue_csv_without_values(self, capsys, tmp_path):
+        path = tmp_path / "eigenvalues.csv"
+        npio.write_eigenvalues_csv(path, [])
+        with pytest.raises(SystemExit, match="eigenvalues.csv holds no eigenvalues"):
+            main(["count", "--eigenvalues", str(path), "--out.dir", str(tmp_path)])
+        assert not (tmp_path / "counting.csv").exists()
+
     def test_spectrum_reads_assembled_matrices(self, capsys, tmp_path):
         # spectrum reads what assemble wrote; --matrix names K, and S is
         # read from beside it
@@ -296,6 +303,44 @@ class TestPipeline:
         with pytest.raises(SystemExit, match="96x96; the configured mesh needs 150x150"):
             main(["spectrum", "--out.dir", str(tmp_path), "--mesh.n", "5"])
         assert not (tmp_path / "eigenvalues.csv").exists()
+
+    def test_spectrum_rejects_truncated_single_layer(self, capsys, tmp_path):
+        code, _ = run(capsys, "assemble", "--out.dir", str(tmp_path), "--mesh.n", "4")
+        assert code == 0
+        path = tmp_path / "single_layer.npmat"
+        text = path.read_bytes()
+        path.write_bytes(text[: len(text) // 2])
+        with pytest.raises(SystemExit, match="single_layer.npmat is malformed: .*; re-run assemble"):
+            main(["spectrum", "--out.dir", str(tmp_path), "--mesh.n", "4"])
+        assert not (tmp_path / "eigenvalues.csv").exists()
+
+    def test_spectrum_rejects_non_finite_entry(self, capsys, tmp_path):
+        code, _ = run(capsys, "assemble", "--out.dir", str(tmp_path), "--mesh.n", "4")
+        assert code == 0
+        path = tmp_path / "np_matrix.npmat"
+        lines = path.read_text().splitlines(keepends=True)
+        row = lines[3].split()
+        row[5] = "nan"
+        lines[3] = " ".join(row) + "\n"
+        path.write_text("".join(lines))
+        with pytest.raises(
+            SystemExit, match="np_matrix.npmat is malformed: .*row 2, column 5 is nan"
+        ):
+            main(["spectrum", "--out.dir", str(tmp_path), "--mesh.n", "4"])
+        assert not (tmp_path / "eigenvalues.csv").exists()
+
+    def test_one_and_two_cores_write_identical_bytes(self, capsys, tmp_path, monkeypatch):
+        # assemble writes, and spectrum reads, K and S in two processes
+        # when a spare core exists
+        for ncores in (1, 2):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(ncores)))
+            out = ["--out.dir", str(tmp_path / str(ncores)), "--mesh.n", "6"]
+            assert run(capsys, "assemble", *out)[0] == 0
+            assert run(capsys, "spectrum", *out)[0] == 0
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        for name in ("np_matrix.npmat", "single_layer.npmat", "eigenvalues.csv"):
+            assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
 
     def test_rerun_bytes_identical(self, capsys, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"

@@ -1,12 +1,16 @@
 """File format roundtrips and header validation."""
 
 import json
+import os
+import signal
+import time
 
 import numpy as np
 import pytest
 
 from npspec.asymptotics import AsymptoticReport
 from npspec.io import (
+    _map_forked,
     read_counting_csv,
     read_eigenvalues_csv,
     read_npmat,
@@ -86,6 +90,107 @@ class TestNpmat:
         path.write_text("NPMAT v1 2 2 real\n1 0 0\n1\n")
         with pytest.raises(ValueError):
             read_npmat(path)
+
+    def test_writer_rejects_non_finite_entries(self, tmp_path):
+        path = tmp_path / "m.npmat"
+        for bad in (np.nan, np.inf, -np.inf):
+            mat = np.eye(3)
+            mat[2, 1] = bad
+            mat[2, 2] = np.nan
+            with pytest.raises(ValueError, match="row 2, column 1 is %r" % bad):
+                write_npmat(path, mat)
+            assert not path.exists()
+
+    def test_reader_rejects_non_finite_entries(self, tmp_path):
+        # "%.17g" writes nan and inf, and loadtxt parses them back
+        path = tmp_path / "m.npmat"
+        path.write_text("NPMAT v1 2 3 real\n1 0 0\n0 1 nan\n")
+        with pytest.raises(ValueError, match="row 1, column 2 is nan"):
+            read_npmat(path)
+        path.write_text("NPMAT v1 2 2 real\n1 -inf\ninf 1\n")
+        with pytest.raises(ValueError, match="row 0, column 1 is -inf"):
+            read_npmat(path)
+
+
+@pytest.fixture
+def cores(monkeypatch):
+    """Set the cores os.sched_getaffinity reports; after the test, no
+    child of this process may be left."""
+    yield lambda n: monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _square_and_pid(x):
+    return x * x, os.getpid()
+
+
+class TestMapForked:
+    def test_results_in_order_and_equal_to_serial(self, cores):
+        cores(3)
+        got = _map_forked(_square_and_pid, range(6))
+        assert [v for v, _ in got] == [x * x for x in range(6)]
+        # items 1 and 2 ran in two children; 0, 3, 4 and 5 in the caller
+        pids = [pid for _, pid in got]
+        assert pids[0] == pids[3] == pids[4] == pids[5] == os.getpid()
+        assert len({os.getpid(), pids[1], pids[2]}) == 3
+
+    @pytest.mark.parametrize(
+        "exc", [ValueError("NPMAT token count mismatch"), OSError(2, "No such file", "k.npmat")]
+    )
+    def test_child_exception_keeps_type_and_message(self, cores, exc):
+        cores(2)
+
+        def fn(x):
+            if x == 1:
+                raise exc
+            return x
+
+        with pytest.raises(type(exc)) as info:
+            _map_forked(fn, [0, 1])
+        assert str(info.value) == str(exc)
+
+    def test_killed_child_raises_and_does_not_hang(self, cores):
+        cores(2)
+
+        def fn(x):
+            if x == 1:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return x
+
+        start = time.monotonic()
+        with pytest.raises(ChildProcessError, match="item 1 ended with signal 9"):
+            _map_forked(fn, [0, 1])
+        assert time.monotonic() - start < 30.0
+
+    def test_child_exit_without_result_names_its_status(self, cores):
+        cores(2)
+        with pytest.raises(ChildProcessError, match="exit status 3 and sent no result"):
+            _map_forked(lambda x: os._exit(3) if x else x, [0, 1])
+
+    def test_child_reaped_when_callers_item_raises(self, cores):
+        # the child's result (8 MB) does not fit the pipe: it is blocked
+        # writing when the caller gives up, and must still be reaped
+        cores(2)
+
+        def fn(x):
+            if x == 0:
+                raise KeyError("caller's item")
+            return np.zeros(10**6)
+
+        with pytest.raises(KeyError, match="caller's item"):
+            _map_forked(fn, [0, 1])
+
+    def test_no_spare_core_never_forks(self, cores, monkeypatch):
+        def no_fork():
+            raise AssertionError("forked")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        cores(1)
+        assert _map_forked(_square_and_pid, [1, 2, 3]) == [(x * x, os.getpid()) for x in (1, 2, 3)]
+        cores(2)
+        assert _map_forked(_square_and_pid, [4]) == [(16, os.getpid())]
+        assert _map_forked(_square_and_pid, []) == []
 
 
 class TestEigenvalueCsv:
