@@ -66,11 +66,19 @@ def load_config(path=None, overrides=()):
     cfg = {section: dict(values) for section, values in DEFAULT_CONFIG.items()}
     pairs = []
     if path:
-        with open(path) as f:
-            for section, values in json.load(f).items():
-                if not isinstance(values, dict):
-                    raise SystemExit("config section %r is not an object" % section)
-                pairs.extend(("%s.%s" % (section, k), v) for k, v in values.items())
+        try:
+            with open(path) as f:
+                sections = json.load(f)
+        except OSError as exc:
+            raise SystemExit("cannot read config file %s: %s" % (path, exc.strerror))
+        except ValueError as exc:
+            raise SystemExit("config file %s is not JSON: %s" % (path, exc))
+        if not isinstance(sections, dict):
+            raise SystemExit("config file %s is not a JSON object" % path)
+        for section, values in sections.items():
+            if not isinstance(values, dict):
+                raise SystemExit("config section %r is not an object" % section)
+            pairs.extend(("%s.%s" % (section, k), v) for k, v in values.items())
     pairs.extend((key, _coerce(value)) for key, value in overrides)
     for key, value in pairs:
         section, _, name = key.partition(".")
@@ -98,21 +106,36 @@ def _split_overrides(rest):
     return pairs
 
 
+def _configured(keys, build, *args, **kwargs):
+    """build(*args, **kwargs) from the values of keys, stopping with the
+    keys and the library's reason when build rejects them."""
+    try:
+        return build(*args, **kwargs)
+    except ValueError as exc:
+        raise SystemExit("invalid %s: %s" % (keys, exc))
+
+
 def _material(cfg):
     m = cfg["material"]
-    return LameParams(lam=m["lambda"], mu=m["mu"])
+    return _configured("material.lambda, material.mu", LameParams, lam=m["lambda"], mu=m["mu"])
+
+
+_SURFACE_KEYS = {"sphere": ["radius"], "ellipsoid": ["a", "b", "c"], "radial_graph": ["harmonics"]}
 
 
 def _surface(cfg):
     s = cfg["surface"]
-    kind = s["kind"]
-    if kind == "sphere":
-        return make_surface("sphere", radius=s["radius"])
-    if kind == "ellipsoid":
-        return make_surface("ellipsoid", a=s["a"], b=s["b"], c=s["c"])
-    if kind == "radial_graph":
-        return make_surface("radial_graph", harmonics=s["harmonics"])
-    raise SystemExit("unknown surface kind %r" % kind)
+    for kind, keys in _SURFACE_KEYS.items():
+        if s["kind"] == kind:
+            where = ", ".join("surface." + k for k in keys)
+            return _configured(where, make_surface, kind, **{k: s[k] for k in keys})
+    raise SystemExit("unknown surface kind %r" % s["kind"])
+
+
+def _quadrature(cfg, surface):
+    # the rule is the first evaluation of the surface, so a radial graph
+    # that is not star shaped at a node is rejected here too
+    return _configured("mesh.n or surface", surface_quadrature, surface, cfg["mesh"]["n"])
 
 
 def _outdir(cfg):
@@ -128,7 +151,7 @@ def cmd_essential(cfg):
 
 
 def cmd_sphere_exact(cfg, k_max):
-    lam0, lam_m, lam_p = sphere_exact_eigenvalues(_material(cfg), k_max)
+    lam0, lam_m, lam_p = _configured("--kmax", sphere_exact_eigenvalues, _material(cfg), k_max)
     print("k,lam_zero,lam_minus,lam_plus")
     for i in range(k_max):
         print(
@@ -140,12 +163,12 @@ def cmd_sphere_exact(cfg, k_max):
 def cmd_assemble(cfg):
     surface = _surface(cfg)
     params = _material(cfg)
-    quad = surface_quadrature(surface, cfg["mesh"]["n"])
+    quad = _quadrature(cfg, surface)
     k_mat, s_mat = assemble_operators(surface, params, quad)
     d = _outdir(cfg)
     kp = os.path.join(d, "np_matrix.npmat")
     sp = os.path.join(d, "single_layer.npmat")
-    npio._map_forked(lambda job: npio.write_npmat(*job), [(kp, k_mat), (sp, s_mat)])
+    npio._fork_pair(lambda: npio.write_npmat(kp, k_mat), lambda: npio.write_npmat(sp, s_mat))
     print(json.dumps({"nodes": quad.size, "files": [kp, sp]}, sort_keys=True))
     return 0
 
@@ -179,9 +202,10 @@ def cmd_spectrum(cfg, matrix=None):
     d = _outdir(cfg)
     k_path = matrix or os.path.join(d, "np_matrix.npmat")
     s_path = os.path.join(os.path.dirname(k_path), "single_layer.npmat")
-    quad = surface_quadrature(_surface(cfg), cfg["mesh"]["n"])
-    k_mat, s_mat = npio._map_forked(
-        lambda p: _read_operator(p, 3 * quad.size), [k_path, s_path]
+    quad = _quadrature(cfg, _surface(cfg))
+    dim = 3 * quad.size
+    k_mat, s_mat = npio._fork_pair(
+        lambda: _read_operator(k_path, dim), lambda: _read_operator(s_path, dim)
     )
     sym, info = symmetrize(k_mat, s_mat, weights=quad.weights)
     vals = np.linalg.eigvalsh(sym)
@@ -244,7 +268,7 @@ def cmd_fit(cfg, counting_path=None, prune=True):
 def cmd_coeff(cfg):
     surface = _surface(cfg)
     params = _material(cfg)
-    quad = surface_quadrature(surface, cfg["mesh"]["n"])
+    quad = _quadrature(cfg, surface)
     field = np_symbol_field(surface, params, quad, angles=cfg["extract"]["angles"])
     cp, cm, info = coefficient_integral(
         params, field.charts.kappa1, field.charts.kappa2, quad.weights

@@ -7,15 +7,18 @@ NPMAT v1 container: a single header line
 followed by one line per matrix row holding that row's entries as
 whitespace-separated decimal literals.  The entry kind is always real;
 a complex matrix, a header of another kind, or an entry that is not
-finite, is an error.  Writers use fixed repr-precision formatting so a
-rerun with identical inputs produces identical bytes.
+finite, is an error, as is a CSV row with the wrong number of fields or
+a value that is not finite.  Writers use fixed repr-precision formatting
+so a rerun with identical inputs produces identical bytes.
 
-The CLI writes and reads its two operator files, K and S, in parallel
-when the process may run on a spare core (``_map_forked``); the bytes
-are identical either way.
+The CLI writes and reads its two operator files, K and S, in parallel,
+one of them in a forked child, when the process may run on a spare
+core (``_fork_pair``); the bytes are identical either way.
 """
 
+import itertools
 import json
+import math
 import os
 import pickle
 
@@ -65,54 +68,49 @@ def read_npmat(path):
     return vals
 
 
-def _map_forked(fn, items):
-    """[fn(x) for x in items], with later items on spare cores.
+def _fork_pair(first, second):
+    """(first(), second()), with second in a child process when the
+    process may run on a spare core.
 
-    The calling process runs items[0].  Each later item, one per spare
-    core in os.sched_getaffinity, runs in a child made by os.fork, which
-    sends back its result, or the exception it raised, pickled through
-    a pipe and then leaves by os._exit: it never returns into the
-    caller's stack, runs no atexit hook and flushes no inherited buffer.
-    Items beyond the spare cores run in the calling process too.  With
-    no spare core, or a single item, this is the plain comprehension
-    and nothing is forked.
+    The child, made by os.fork, sends back second's result, or the
+    exception it raised, pickled through a pipe and then leaves by
+    os._exit: it never returns into the caller's stack, runs no atexit
+    hook and flushes no inherited buffer.  With one core in
+    os.sched_getaffinity both run in the calling process and nothing is
+    forked.
 
-    The caller reads every pipe to its end and reaps every child, also
-    when its own items raise; a child's exception is re-raised with its
-    type and message, and a child that ends without a result (killed,
-    out of memory) raises ChildProcessError naming its exit status.
-    fn and the items are not pickled, so they may be closures.
+    The caller runs first, reads the pipe to its end and reaps the
+    child, also when first raises; the child's exception is re-raised
+    with its type and message, and a child that ends without a result
+    (killed, out of memory) raises ChildProcessError naming its exit
+    status.  first and second are not pickled, so they may be closures.
 
     os.fork copies only the calling thread.  On Python 3.12 and later it
     warns when the process has other threads (a threaded BLAS, say).
     """
-    items = list(items)
-    forked = items[1:len(os.sched_getaffinity(0))]
-    if not forked:
-        return [fn(x) for x in items]
-    children, statuses = [], []
+    if len(os.sched_getaffinity(0)) < 2:
+        return first(), second()
+    pid, reader = _fork_call(second)
     try:
-        for item in forked:
-            children.append(_fork_call(fn, item))
-        own = [fn(x) for x in items[:1] + items[1 + len(forked):]]
-        payloads = [_read_to_end(reader) for _, reader in children]
+        mine = first()
+        try:
+            payload = pickle.load(reader)
+        except (EOFError, pickle.UnpicklingError):
+            payload = None  # the child sent no whole result
+        reader.read()
     finally:
-        for pid, reader in children:
-            reader.close()
-            statuses.append(os.waitpid(pid, 0)[1])
-    for index, (payload, status) in enumerate(zip(payloads, statuses), start=1):
-        if payload is None:
-            raise ChildProcessError(
-                "the child forked for item %d ended with %s and sent no result"
-                % (index, _describe_exit(status))
-            )
-        if not payload[0]:
-            raise payload[1]
-    return own[:1] + [p[1] for p in payloads] + own[1:]
+        reader.close()
+        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if payload is None:
+        raise ChildProcessError("the forked child ended with %s and sent no result" % (
+            "signal %d" % -code if code < 0 else "exit status %d" % code))
+    if not payload[0]:
+        raise payload[1]
+    return mine, payload[1]
 
 
-def _fork_call(fn, item):
-    """(pid, reader) of a child that sends pickled (True, fn(item)) or
+def _fork_call(fn):
+    """(pid, reader) of a child that sends pickled (True, fn()) or
     (False, exception) down the pipe behind reader."""
     r, w = os.pipe()
     try:
@@ -126,7 +124,7 @@ def _fork_call(fn, item):
         try:
             os.close(r)
             try:
-                payload = (True, fn(item))
+                payload = (True, fn())
             except BaseException as exc:  # re-raised by the caller
                 payload = (False, exc)
             with open(w, "wb") as f:
@@ -138,21 +136,6 @@ def _fork_call(fn, item):
     return pid, open(r, "rb")
 
 
-def _read_to_end(reader):
-    """The child's unpickled payload, or None if it sent none whole."""
-    try:
-        payload = pickle.load(reader)
-    except (EOFError, pickle.UnpicklingError):
-        payload = None
-    reader.read()
-    return payload
-
-
-def _describe_exit(status):
-    code = os.waitstatus_to_exitcode(status)
-    return "signal %d" % -code if code < 0 else "exit status %d" % code
-
-
 def write_eigenvalues_csv(path, values):
     """CSV with header index,value; indices are 1-based."""
     with open(path, "w") as f:
@@ -161,12 +144,34 @@ def write_eigenvalues_csv(path, values):
             f.write("%d,%s\n" % (i, _FMT % v))
 
 
-def read_eigenvalues_csv(path):
+def _csv_rows(path, header, kind, types):
+    """Rows of the CSV at path, each field converted by its entry of
+    types, after a first line that must be header; blank lines are
+    skipped.  A ValueError names the line of a row with the wrong
+    number of fields, a field its type rejects or a value not finite."""
+    rows = []
     with open(path) as f:
-        header = f.readline().strip()
-        if header != "index,value":
-            raise ValueError("not an eigenvalue CSV")
-        return np.array([float(line.split(",")[1]) for line in f if line.strip()])
+        if f.readline().strip() != header:
+            raise ValueError("not %s CSV" % kind)
+        for number, line in enumerate(f, start=2):
+            fields = line.strip().split(",")
+            if fields == [""]:
+                continue
+            try:
+                if len(fields) != len(types):
+                    raise ValueError("%d fields, not %d" % (len(fields), len(types)))
+                row = [convert(v) for convert, v in zip(types, fields)]
+                if not all(math.isfinite(v) for v in row if isinstance(v, float)):
+                    raise ValueError("a value is not finite")
+            except ValueError as exc:
+                raise ValueError("line %d %r: %s" % (number, line.strip(), exc)) from None
+            rows.append(row)
+    return rows
+
+
+def read_eigenvalues_csv(path):
+    rows = _csv_rows(path, "index,value", "an eigenvalue", (int, float))
+    return np.array([value for _, value in rows])
 
 
 def write_counting_csv(path, records):
@@ -182,27 +187,12 @@ def write_counting_csv(path, records):
 
 
 def read_counting_csv(path):
-    """Counting records grouped by root, in file order."""
-    with open(path) as f:
-        header = f.readline().strip()
-        if header != "tau,n_plus,n_minus,root":
-            raise ValueError("not a counting CSV")
-        rows = [line.strip().split(",") for line in f if line.strip()]
-    records = []
-    current = None
-    for t, npl, nmi, root in rows:
-        root = float(root)
-        if current is None or current["root"] != root:
-            current = {"root": root, "tau": [], "n_plus": [], "n_minus": []}
-            records.append(current)
-        current["tau"].append(float(t))
-        current["n_plus"].append(int(npl))
-        current["n_minus"].append(int(nmi))
-    for rec in records:
-        rec["tau"] = np.array(rec["tau"])
-        rec["n_plus"] = np.array(rec["n_plus"])
-        rec["n_minus"] = np.array(rec["n_minus"])
-    return records
+    """Counting records grouped by consecutive equal roots, in file order."""
+    rows = _csv_rows(path, "tau,n_plus,n_minus,root", "a counting", (float, int, int, float))
+    return [
+        dict(zip(("tau", "n_plus", "n_minus"), map(np.array, zip(*group))), root=root)
+        for root, group in itertools.groupby(rows, key=lambda row: row[3])
+    ]
 
 
 def _write_json(path, payload):

@@ -16,8 +16,9 @@ factors of every patch point in its own node's chart
 (CCoordinateChart.geometry, shared with symbol extraction), the same
 path on every surface kind.  The near-field density is coupled back to
 grid values through a local tensor barycentric interpolation stencil
-(with pole reflection, latitude weights from a per-grid window table),
-applied in transpose so the result is a matrix acting on grid data.
+(latitude weights from a per-grid window table, pole reflection from
+its node table), applied in transpose so the result is a matrix acting
+on grid data.
 One pass over the node blocks serves the double and single layer.
 
 Downstream utilities: single layer symmetrization (the one route from
@@ -79,9 +80,11 @@ class _GridInfo:
     Latitudes run in ascending theta, extended past each pole by up to
     _INTERP_ORDER reflected rows (theta -> -theta or 2 pi - theta, phi +
     pi), which represent the same smooth function across the pole; a
-    grid has only n rows to reflect.  For every window of _INTERP_ORDER
-    consecutive extended latitudes, bary_t holds its barycentric weights
-    1 / prod_(l != k) (t_k - t_l).
+    grid has only n rows to reflect.  node[r, j] is the grid node behind
+    extended row r at longitude j: on 2n equispaced longitudes phi + pi
+    is n nodes on, so a reflected row reads its grid row there.  For
+    every window of _INTERP_ORDER consecutive extended latitudes, bary_t
+    holds its barycentric weights 1 / prod_(l != k) (t_k - t_l).
     """
 
     def __init__(self, quad):
@@ -98,15 +101,23 @@ class _GridInfo:
         ts = thetas[::-1]
         r = min(p, n)
         self.ext_t = np.concatenate([-ts[:r][::-1], ts, 2.0 * math.pi - ts[-r:][::-1]])
-        # grid row of each extended latitude, and whether it is reflected
-        self.ext_row = (n - 1) - np.concatenate(
-            [np.arange(r - 1, -1, -1), np.arange(n), np.arange(n - 1, n - r - 1, -1)]
-        )
-        self.ext_shift = np.concatenate([np.ones(r, int), np.zeros(n, int), np.ones(r, int)])
+        asc = np.arange(n2).reshape(n, self.n_phi)[::-1]
+        flip = np.roll(asc, -n, axis=1)  # longitude j reads j + n
+        self.node = np.concatenate([flip[:r][::-1], asc, flip[-r:][::-1]])
         tn = self.ext_t[np.arange(len(self.ext_t) - p + 1)[:, None] + np.arange(p)]
         diff = tn[:, :, None] - tn[:, None, :]
         np.einsum("mii->mi", diff)[...] = 1.0
         self.bary_t = 1.0 / diff.prod(axis=2)
+
+
+def _barycentric(w, d):
+    """Barycentric Lagrange weights over the last axis from node weights
+    w and target offsets d; a target within 1e-14 of a node takes it."""
+    hit = np.abs(d) < 1e-14
+    out = w / np.where(hit, 1.0, d)
+    return np.where(
+        hit.any(axis=-1, keepdims=True), hit.astype(float), out / out.sum(axis=-1, keepdims=True)
+    )
 
 
 def _batch_stencil(grid, thetas, phis):
@@ -114,44 +125,25 @@ def _batch_stencil(grid, thetas, phis):
 
     Tensor barycentric Lagrange on the _INTERP_ORDER nearest extended
     latitudes and longitudes; latitude weights come from the grid's
-    window table, and longitude weights are formed for the two targets
-    phi and phi + pi, the second serving reflected rows.  Returns
-    integer node indices and weights of shape (npts, _INTERP_ORDER**2).
+    window table, and longitude weights from the one target phi, which
+    grid.node turns into phi + pi on reflected rows.  Returns integer
+    node indices and weights of shape (npts, _INTERP_ORDER**2).
     """
     p = _INTERP_ORDER
     thetas = np.asarray(thetas, dtype=float)
     phis = np.asarray(phis, dtype=float)
-    m = len(thetas)
     lo = np.searchsorted(grid.ext_t, thetas) - p // 2
     lo = np.clip(lo, 0, len(grid.ext_t) - p)
     win = lo[:, None] + np.arange(p)[None, :]
-    dt = thetas[:, None] - grid.ext_t[win]
-    hit_t = np.abs(dt) < 1e-14
-    wt = grid.bary_t[lo] / np.where(hit_t, 1.0, dt)
-    wt = np.where(
-        hit_t.any(axis=1)[:, None], hit_t.astype(float), wt / wt.sum(axis=1)[:, None]
-    )
+    wt = _barycentric(grid.bary_t[lo], thetas[:, None] - grid.ext_t[win])
     dphi = 2.0 * math.pi / grid.n_phi
-    target = phis[:, None] + np.array([0.0, math.pi])[None, :]
-    j0 = np.rint(target / dphi).astype(int)
-    cols = j0[:, :, None] + (np.arange(p) - p // 2)[None, None, :]
-    dp = target[:, :, None] - cols * dphi
-    hit_p = np.abs(dp) < 1e-14
+    cols = np.rint(phis / dphi).astype(int)[:, None] + (np.arange(p) - p // 2)
     # uniform longitude nodes: barycentric weights are alternating binomials
     ub = np.array([(-1.0) ** b * math.comb(p - 1, b) for b in range(p)])
-    wp = ub[None, None, :] / np.where(hit_p, 1.0, dp)
-    wp = np.where(
-        hit_p.any(axis=2)[:, :, None],
-        hit_p.astype(float),
-        wp / wp.sum(axis=2)[:, :, None],
-    )
-    # each latitude row takes the longitude row of its target
-    sel = (2 * np.arange(m)[:, None] + grid.ext_shift[win]).ravel()
-    idx = np.mod(cols, grid.n_phi).reshape(-1, p)[sel].reshape(m, p, p)
-    idx += (grid.ext_row[win] * grid.n_phi)[:, :, None]
-    wgt = wp.reshape(-1, p)[sel].reshape(m, p, p)
-    wgt *= wt[:, :, None]
-    return idx.reshape(m, p * p), wgt.reshape(m, p * p)
+    wp = _barycentric(ub, phis[:, None] - cols * dphi)
+    idx = grid.node[win[:, :, None], np.mod(cols, grid.n_phi)[:, None, :]]
+    wgt = wt[:, :, None] * wp[:, None, :]
+    return idx.reshape(-1, p * p), wgt.reshape(-1, p * p)
 
 
 def _interp_matrix(idx, wgt, n_nodes):

@@ -18,7 +18,8 @@ Charts: a curvature-aligned tangent chart at a surface point carries
 an orthonormal frame (e1, e2, n) with e1, e2 principal directions
 (kappa1 <= kappa2) and n the outward normal; the surface is locally
 the graph q = origin + w1 e1 + w2 e2 + F(w) n with F(0) = 0,
-grad F(0) = 0 and Hess F(0) = diag(kappa1, kappa2).
+grad F(0) = 0 and Hess F(0) = diag(kappa1, kappa2).  F solves
+|p| - rho(p direction) = 0, one rho jet per Newton step (implicit).
 """
 
 import math
@@ -194,31 +195,23 @@ class ParametrizedSurface:
             "II": _form(_dot(normal, xtt), _dot(normal, xtp), _dot(normal, xpp)),
         }
 
-    def implicit_value(self, point):
-        """g(p) = |p| - rho(p direction); zero exactly on the surface."""
+    def implicit(self, point):
+        """g(p) = |p| - rho(p direction), zero exactly on the surface, and
+        its gradient, which points outward and normalizes to the unit
+        normal: (g, grad g) of shapes (...) and (..., 3), from one rho jet."""
         p = np.asarray(point, dtype=float)
         r = np.linalg.norm(p, axis=-1)
         if np.any(r == 0.0):
             raise ValueError("origin has no radial direction")
-        return r - self.rho_jet(*_angles(p, r))[0]
-
-    def implicit_gradient(self, point):
-        """Gradient of g; points outward, normalizes to the unit normal."""
-        p = np.asarray(point, dtype=float)
-        r = np.linalg.norm(p, axis=-1)
         theta, phi = _angles(p, r)
-        _, rt, rp, _, _, _ = self.rho_jet(theta, phi)
+        rho, rt, rp, _, _, _ = self.rho_jet(theta, phi)
         st = np.maximum(np.sin(theta), _POLE_EPS)
         ct, sp, cp = np.cos(theta), np.sin(phi), np.cos(phi)
         that = np.stack([ct * cp, ct * sp, -st], axis=-1)
         phat = np.stack([-sp, cp, np.zeros_like(sp)], axis=-1)
         grad_s2 = np.expand_dims(rt, -1) * that + np.expand_dims(rp / st, -1) * phat
-        r = np.expand_dims(r, -1)
-        return p / r - grad_s2 / r
-
-    def normal(self, point):
-        g = self.implicit_gradient(point)
-        return g / np.linalg.norm(g, axis=-1, keepdims=True)
+        r3 = np.expand_dims(r, -1)
+        return r - rho, p / r3 - grad_s2 / r3
 
 
 def _dot(a, b):
@@ -366,10 +359,10 @@ class CCoordinateChart:
         """F(w) for chart coordinates w of shape (..., 2).
 
         One Newton solve along n runs over all points at once, started
-        on the osculating quadric; a point stops after the step taken
-        from its first residual below 1e-14 max(1, |origin|), so heights
-        are at rounding level.  Points where it stalls or fails to
-        converge fall back to bracketed root finding.
+        on the osculating quadric, each step one surface.implicit call;
+        a point stops after the step taken from its first residual below
+        1e-14 max(1, |origin|), so heights are at rounding level.  Points
+        where it stalls or fails to converge fall back to bisection.
         """
         w = np.asarray(w, dtype=float)
         if np.any(np.linalg.norm(w, axis=-1) > self.radius):
@@ -389,9 +382,9 @@ class CCoordinateChart:
             if not todo.size:
                 break
             p = base[todo] + t[todo, None] * n[todo]
-            g = self.surface.implicit_value(p)
+            g, grad = self.surface.implicit(p)
             live = np.abs(g) >= tol[todo]
-            dg = _dot(self.surface.implicit_gradient(p), n[todo])
+            dg = _dot(grad, n[todo])
             ok = dg > 0.0
             stalled.append(todo[live & ~ok])
             # a point that passes the residual test still takes this step
@@ -407,7 +400,7 @@ class CCoordinateChart:
         points base (k, 3) with origin norms scale: one bisection over all
         of them, each stopping at width 1e-15 + 8.9e-16 |t|."""
         span = np.broadcast_to(0.9 * np.maximum(1.0, scale), len(base))
-        f = lambda t: self.surface.implicit_value(base + t[:, None] * n)
+        f = lambda t: self.surface.implicit(base + t[:, None] * n)[0]
         lo, hi = -span, span
         f_lo = f(lo)
         if np.any(f_lo * f(hi) > 0.0):
@@ -432,7 +425,7 @@ class CCoordinateChart:
         sqrt(1 + |grad F|^2); a point past the chart horizon, where the
         surface normal turns away from n, is a ValueError."""
         q = self.surface_point(w)
-        g = self.surface.implicit_gradient(q)
+        _, g = self.surface.implicit(q)
         gn = _dot(g, self.n)
         if np.any(gn <= 0.0):
             raise ValueError("chart point beyond the horizon of the chart")

@@ -8,6 +8,7 @@ documented byte-determinism of reruns.
 import importlib.util
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -97,6 +98,43 @@ class TestConfig:
         # float() would run true as 1 and fail on text without the key
         with pytest.raises(SystemExit, match="%r is not a number" % key):
             run(capsys, "essential", "--" + key, value)
+
+    @pytest.mark.parametrize(
+        "text, reason",
+        [
+            (None, "cannot read config file .*: No such file or directory"),
+            ('{"mesh": {"n": 6}', "config file .* is not JSON: Expecting"),
+            ("[1, 2]", "config file .* is not a JSON object"),
+        ],
+        ids=["missing", "malformed", "not_an_object"],
+    )
+    def test_config_file_errors_name_the_file(self, tmp_path, text, reason):
+        path = tmp_path / "cfg.json"
+        if text is not None:
+            path.write_text(text)
+        with pytest.raises(SystemExit, match=reason) as info:
+            load_config(str(path))
+        assert str(path) in str(info.value)
+
+    @pytest.mark.parametrize(
+        "argv, reason",
+        [
+            (["essential", "--material.mu", "-1"], "material.lambda, material.mu: inadmissible"),
+            (["coeff", "--mesh.n", "2"], "mesh.n or surface: need at least 4 latitude nodes"),
+            (
+                ["assemble", "--surface.kind", "ellipsoid", "--surface.a", "0"],
+                "surface.a, surface.b, surface.c: ellipsoid semi-axis a = 0 is not positive",
+            ),
+            (["sphere-exact", "--kmax", "0"], "--kmax: k_max must be >= 1"),
+        ],
+        ids=["material", "mesh", "surface", "kmax"],
+    )
+    def test_rejected_values_name_their_keys(self, capsys, tmp_path, argv, reason):
+        # the library's ValueError becomes a message, not a traceback
+        with pytest.raises(SystemExit, match="invalid " + re.escape(reason)):
+            run(capsys, *argv, "--out.dir", str(tmp_path))
+        assert os.listdir(tmp_path) == []
+        assert capsys.readouterr().out == ""
 
 
 class TestEssential:
@@ -256,6 +294,25 @@ class TestPipeline:
         with pytest.raises(SystemExit, match="counting.csv"):
             main(["fit", "--counting", str(path), "--out.dir", str(tmp_path)])
         assert not (tmp_path / "fit.json").exists()
+
+    @pytest.mark.parametrize(
+        "stage, name, text, writer",
+        [
+            ("count", "eigenvalues.csv", "index,value\n1,0.1\n2\n", "spectrum"),
+            ("count", "eigenvalues.csv", "index,value\n1,0.1\n2,inf\n", "spectrum"),
+            ("count", "eigenvalues.csv", "index,value\n1,0.1\n2,nan\n", "spectrum"),
+            ("fit", "counting.csv", "tau,n_plus,n_minus,root\n0.1,3,2,0\n0.2,1,0\n", "count"),
+            ("fit", "counting.csv", "tau,n_plus,n_minus,root\n0.1,3,2,0\ninf,1,0,0\n", "count"),
+            ("fit", "counting.csv", "tau,n_plus,n_minus,root\n0.1,3,2,0\n0.2,1,0,nan\n", "count"),
+        ],
+        ids=["no_comma", "inf", "nan", "three_fields", "inf_tau", "nan_root"],
+    )
+    def test_malformed_csv_rows_are_rejected(self, capsys, tmp_path, stage, name, text, writer):
+        # the bad row is line 3; nothing is counted or fitted from it
+        (tmp_path / name).write_text(text)
+        with pytest.raises(SystemExit, match="%s is malformed: line 3 .*; re-run %s" % (name, writer)):
+            main([stage, "--out.dir", str(tmp_path)])
+        assert os.listdir(tmp_path) == [name]
 
     def test_count_rejects_eigenvalue_csv_without_values(self, capsys, tmp_path):
         path = tmp_path / "eigenvalues.csv"

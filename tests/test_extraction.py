@@ -281,7 +281,7 @@ def _transported_x_derivative(params, surface, chart, xis):
     # offsets (step, sign, axis, 2)
     w = h[:, None, None, None] * np.array([1.0, -1.0])[:, None, None] * np.eye(2)
     q = chart.surface_point(w)
-    g = surface.implicit_gradient(q)
+    _, g = surface.implicit(q)
     n_q = g / np.linalg.norm(g, axis=-1, keepdims=True)
     frame = np.column_stack([chart.e1, chart.e2, chart.n])
     tangents = frame[:, :2]

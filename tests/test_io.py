@@ -10,7 +10,7 @@ import pytest
 
 from npspec.asymptotics import AsymptoticReport
 from npspec.io import (
-    _map_forked,
+    _fork_pair,
     read_counting_csv,
     read_eigenvalues_csv,
     read_npmat,
@@ -126,14 +126,14 @@ def _square_and_pid(x):
 
 
 class TestMapForked:
+    """_fork_pair: the second job in a child when a spare core exists."""
+
     def test_results_in_order_and_equal_to_serial(self, cores):
-        cores(3)
-        got = _map_forked(_square_and_pid, range(6))
-        assert [v for v, _ in got] == [x * x for x in range(6)]
-        # items 1 and 2 ran in two children; 0, 3, 4 and 5 in the caller
-        pids = [pid for _, pid in got]
-        assert pids[0] == pids[3] == pids[4] == pids[5] == os.getpid()
-        assert len({os.getpid(), pids[1], pids[2]}) == 3
+        cores(2)
+        got = _fork_pair(lambda: _square_and_pid(3), lambda: _square_and_pid(4))
+        assert [v for v, _ in got] == [9, 16]
+        # the first job ran in the caller, the second in a child
+        assert got[0][1] == os.getpid() != got[1][1]
 
     @pytest.mark.parametrize(
         "exc", [ValueError("NPMAT token count mismatch"), OSError(2, "No such file", "k.npmat")]
@@ -141,45 +141,35 @@ class TestMapForked:
     def test_child_exception_keeps_type_and_message(self, cores, exc):
         cores(2)
 
-        def fn(x):
-            if x == 1:
-                raise exc
-            return x
+        def fail():
+            raise exc
 
         with pytest.raises(type(exc)) as info:
-            _map_forked(fn, [0, 1])
+            _fork_pair(lambda: 0, fail)
         assert str(info.value) == str(exc)
 
     def test_killed_child_raises_and_does_not_hang(self, cores):
         cores(2)
-
-        def fn(x):
-            if x == 1:
-                os.kill(os.getpid(), signal.SIGKILL)
-            return x
-
         start = time.monotonic()
-        with pytest.raises(ChildProcessError, match="item 1 ended with signal 9"):
-            _map_forked(fn, [0, 1])
+        with pytest.raises(ChildProcessError, match="child ended with signal 9"):
+            _fork_pair(lambda: 0, lambda: os.kill(os.getpid(), signal.SIGKILL))
         assert time.monotonic() - start < 30.0
 
     def test_child_exit_without_result_names_its_status(self, cores):
         cores(2)
         with pytest.raises(ChildProcessError, match="exit status 3 and sent no result"):
-            _map_forked(lambda x: os._exit(3) if x else x, [0, 1])
+            _fork_pair(lambda: 0, lambda: os._exit(3))
 
     def test_child_reaped_when_callers_item_raises(self, cores):
         # the child's result (8 MB) does not fit the pipe: it is blocked
         # writing when the caller gives up, and must still be reaped
         cores(2)
 
-        def fn(x):
-            if x == 0:
-                raise KeyError("caller's item")
-            return np.zeros(10**6)
+        def fail():
+            raise KeyError("caller's job")
 
-        with pytest.raises(KeyError, match="caller's item"):
-            _map_forked(fn, [0, 1])
+        with pytest.raises(KeyError, match="caller's job"):
+            _fork_pair(fail, lambda: np.zeros(10**6))
 
     def test_no_spare_core_never_forks(self, cores, monkeypatch):
         def no_fork():
@@ -187,10 +177,8 @@ class TestMapForked:
 
         monkeypatch.setattr(os, "fork", no_fork)
         cores(1)
-        assert _map_forked(_square_and_pid, [1, 2, 3]) == [(x * x, os.getpid()) for x in (1, 2, 3)]
-        cores(2)
-        assert _map_forked(_square_and_pid, [4]) == [(16, os.getpid())]
-        assert _map_forked(_square_and_pid, []) == []
+        got = _fork_pair(lambda: _square_and_pid(1), lambda: _square_and_pid(2))
+        assert got == ((1, os.getpid()), (4, os.getpid()))
 
 
 class TestEigenvalueCsv:
@@ -207,6 +195,17 @@ class TestEigenvalueCsv:
         path = tmp_path / "other.csv"
         path.write_text("a,b\n1,2\n")
         with pytest.raises(ValueError):
+            read_eigenvalues_csv(path)
+
+    @pytest.mark.parametrize(
+        "row, reason",
+        [("2", "1 fields, not 2"), ("2,0.5,1", "3 fields, not 2"), ("2,x", "could not convert"),
+         ("2,inf", "not finite"), ("2,-inf", "not finite"), ("2,nan", "not finite")],
+    )
+    def test_rejects_malformed_rows_naming_the_line(self, tmp_path, row, reason):
+        path = tmp_path / "ev.csv"
+        path.write_text("index,value\n1,0.5\n\n%s\n3,0.25\n" % row)
+        with pytest.raises(ValueError, match="line 4 %r: .*%s" % (row, reason)):
             read_eigenvalues_csv(path)
 
 
@@ -241,6 +240,18 @@ class TestCountingCsv:
         path = tmp_path / "other.csv"
         path.write_text("index,value\n1,0.5\n")
         with pytest.raises(ValueError):
+            read_counting_csv(path)
+
+    @pytest.mark.parametrize(
+        "row, reason",
+        [("0.1,1,0", "3 fields, not 4"), ("0.1,1,0,0,0", "5 fields, not 4"),
+         ("0.1,1.5,0,0", "invalid literal"), ("inf,1,0,0", "not finite"),
+         ("0.1,1,0,nan", "not finite")],
+    )
+    def test_rejects_malformed_rows_naming_the_line(self, tmp_path, row, reason):
+        path = tmp_path / "counting.csv"
+        path.write_text("tau,n_plus,n_minus,root\n0.01,2,1,0\n%s\n" % row)
+        with pytest.raises(ValueError, match="line 3 %r: .*%s" % (row, reason)):
             read_counting_csv(path)
 
 

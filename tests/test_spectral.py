@@ -111,6 +111,22 @@ class TestGridInfo:
         with pytest.raises(ValueError):
             _GridInfo(fake)
 
+    @pytest.mark.parametrize("n", [4, 7, 10])
+    def test_node_table_reflects_rows_across_the_poles(self, n):
+        # extended row r at longitude j reads its grid row at j, or at
+        # j + n (phi + pi) when theta was reflected across a pole
+        quad = surface_quadrature(SPHERE, n)
+        grid = _GridInfo(quad)
+        thetas = quad.params[:: 2 * n, 0]
+        assert grid.node.shape == (len(grid.ext_t), 2 * n)
+        for r, t in enumerate(grid.ext_t):
+            reflected = not 0.0 < t < math.pi
+            lat = abs(t) if t < math.pi else 2.0 * math.pi - t
+            row = int(np.argmin(np.abs(thetas - lat)))
+            assert abs(thetas[row] - lat) < 1e-14
+            want = row * 2 * n + (np.arange(2 * n) + n * reflected) % (2 * n)
+            assert np.array_equal(grid.node[r], want)
+
 
 class TestInterpolationStencil:
     def test_exact_at_grid_nodes(self):

@@ -138,16 +138,17 @@ class TestImplicitForm:
     @pytest.mark.parametrize("surface", [SPHERE, ELLIPSOID, BUMPY])
     def test_sign_convention(self, surface):
         p = surface.position(1.2, 0.9)
-        assert abs(surface.implicit_value(p)) < 1e-14
-        assert surface.implicit_value(1.1 * p) > 0.0
-        assert surface.implicit_value(0.9 * p) < 0.0
+        assert abs(surface.implicit(p)[0]) < 1e-14
+        assert surface.implicit(1.1 * p)[0] > 0.0
+        assert surface.implicit(0.9 * p)[0] < 0.0
 
     def test_ellipsoid_normal_against_gradient(self):
         # outward normal of x^2/a^2 + y^2/b^2 + z^2/c^2 = 1
         p = ELLIPSOID.position(1.2, 0.9)
         g = np.array([p[0], p[1], p[2] / 4.0])
         g /= np.linalg.norm(g)
-        assert np.abs(ELLIPSOID.normal(p) - g).max() < 1e-12
+        grad = ELLIPSOID.implicit(p)[1]
+        assert np.abs(grad / np.linalg.norm(grad) - g).max() < 1e-12
 
 
 class TestPrincipalCurvatures:
@@ -233,9 +234,10 @@ class TestCharts:
         chart = c_chart(ELLIPSOID, 1.1, 0.7)
         for w in [(0.05, 0.0), (0.0, -0.08), (0.1, 0.1)]:
             q = chart.surface_point(w)
-            assert abs(ELLIPSOID.implicit_value(q)) < 1e-12
+            g, grad = ELLIPSOID.implicit(q)
+            assert abs(g) < 1e-12
             _, nq, _ = chart.geometry(w)
-            assert np.abs(nq - ELLIPSOID.normal(q)).max() < 1e-12
+            assert np.abs(nq - grad / np.linalg.norm(grad)).max() < 1e-12
 
     def test_outside_radius_rejected(self):
         chart = c_chart(SPHERE, 1.0, 2.0)
@@ -261,7 +263,7 @@ class TestCharts:
         for k in range(len(w)):
             assert abs(heights[k] - chart.height(w[k])) < 1e-13
             assert np.abs(points[k] - chart.surface_point(w[k])).max() < 1e-13
-        assert np.abs(surface.implicit_value(points)).max() < 1e-12
+        assert np.abs(surface.implicit(points)[0]).max() < 1e-12
         grid = w.reshape(5, 8, 2)
         assert np.abs(chart.surface_point(grid) - points.reshape(5, 8, 3)).max() == 0.0
 
@@ -344,27 +346,42 @@ class TestStackedCharts:
         for j in range(3):
             assert np.abs(heights[:, j] - charts[j].height(w[:, j])).max() < 1e-14
 
-    def test_newton_starts_on_the_osculating_quadric(self, monkeypatch):
-        # the dent4 extraction's ladder points in one stacked call: 32
-        # charts x 8 radii x 64 directions.  Started at F = (kappa1 w1^2
-        # + kappa2 w2^2) / 2, Newton takes 2.08 implicit_value evaluations
-        # per point (2.93 when started at -F)
+    @staticmethod
+    def _dent4_ladder():
+        """The dent4 extraction's ladder points in one stacked call: 32
+        charts x 8 radii x 64 directions."""
         quad = surface_quadrature(DENT, 4)
         charts = c_chart(DENT, quad.params[:, 0], quad.params[:, 1])
         thetas = 2.0 * np.pi * np.arange(64) / 64
         u = np.column_stack([np.cos(thetas), np.sin(thetas)])
-        w = np.geomspace(*_LADDER)[:, None, None] * u
+        return charts[:, None, None], np.geomspace(*_LADDER)[:, None, None] * u
+
+    def _points_per_height(self, monkeypatch, name, points):
+        """Points passed to the surface method name per ladder height."""
+        charts, w = self._dent4_ladder()
         evaluated = []
-        implicit_value = type(DENT).implicit_value
+        method = getattr(type(DENT), name)
 
-        def counted(surface, point):
-            evaluated.append(np.prod(np.shape(point)[:-1]))
-            return implicit_value(surface, point)
+        def counted(surface, *args):
+            evaluated.append(points(*args))
+            return method(surface, *args)
 
-        monkeypatch.setattr(type(DENT), "implicit_value", counted)
-        heights = charts[:, None, None].height(w)
+        monkeypatch.setattr(type(DENT), name, counted)
+        heights = charts.height(w)
         assert heights.shape == (32, 8, 64)
-        assert sum(evaluated) / heights.size <= 2.2
+        return sum(evaluated) / heights.size
+
+    def test_newton_starts_on_the_osculating_quadric(self, monkeypatch):
+        # started at F = (kappa1 w1^2 + kappa2 w2^2) / 2, Newton takes
+        # 2.08 implicit evaluations per point (2.93 when started at -F)
+        count = lambda point: np.prod(np.shape(point)[:-1])
+        assert self._points_per_height(monkeypatch, "implicit", count) <= 2.2
+
+    def test_one_rho_jet_per_newton_step(self, monkeypatch):
+        # each step reads g and grad g from one rho jet: 2.08 point
+        # evaluations per height (4.17 with one jet for each)
+        count = lambda theta, phi: np.broadcast(theta, phi).size
+        assert self._points_per_height(monkeypatch, "rho_jet", count) <= 2.2
 
     def test_off_radius_point_rejected_in_its_own_chart(self):
         charts = c_chart(TRIAXIAL, np.array([0.5, 1.2]), np.array([0.1, 4.0]))
@@ -424,8 +441,9 @@ class TestQuadrature:
         quad = surface_quadrature(BUMPY, 8)
         for i in range(0, quad.size, 17):
             p = quad.points[i]
-            assert abs(BUMPY.implicit_value(p)) < 1e-12
-            assert np.abs(quad.normals[i] - BUMPY.normal(p)).max() < 1e-12
+            g, grad = BUMPY.implicit(p)
+            assert abs(g) < 1e-12
+            assert np.abs(quad.normals[i] - grad / np.linalg.norm(grad)).max() < 1e-12
             assert quad.normals[i] @ p > 0.0
 
     def test_too_coarse_rejected(self):
