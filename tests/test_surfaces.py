@@ -346,19 +346,15 @@ class TestStackedCharts:
         for j in range(3):
             assert np.abs(heights[:, j] - charts[j].height(w[:, j])).max() < 1e-14
 
-    @staticmethod
-    def _dent4_ladder():
-        """The dent4 extraction's ladder points in one stacked call: 32
-        charts x 8 radii x 64 directions."""
+    def _points_per_height(self, monkeypatch, name, points):
+        """Points passed to the surface method name per height of the
+        dent4 extraction's ladder, solved in one stacked call: 32 charts
+        x 8 radii x 64 directions."""
         quad = surface_quadrature(DENT, 4)
         charts = c_chart(DENT, quad.params[:, 0], quad.params[:, 1])
         thetas = 2.0 * np.pi * np.arange(64) / 64
         u = np.column_stack([np.cos(thetas), np.sin(thetas)])
-        return charts[:, None, None], np.geomspace(*_LADDER)[:, None, None] * u
-
-    def _points_per_height(self, monkeypatch, name, points):
-        """Points passed to the surface method name per ladder height."""
-        charts, w = self._dent4_ladder()
+        w = np.geomspace(*_LADDER)[:, None, None] * u
         evaluated = []
         method = getattr(type(DENT), name)
 
@@ -367,7 +363,7 @@ class TestStackedCharts:
             return method(surface, *args)
 
         monkeypatch.setattr(type(DENT), name, counted)
-        heights = charts.height(w)
+        heights = charts[:, None, None].height(w)
         assert heights.shape == (32, 8, 64)
         return sum(evaluated) / heights.size
 
