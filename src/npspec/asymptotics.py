@@ -15,7 +15,8 @@ where (.)_pm are the positive/negative spectral parts and dcirc is
 arclength on the unit frequency circle.  At a point with principal
 curvatures (kappa1, kappa2), m = kappa1 M1 + kappa2 M2 at every
 root, so coefficient_integral needs of the surface only its curvatures
-and weights; it builds M1 and M2 once and computes all roots together.
+and weights; it builds M1 and M2 once, computes all roots together and
+takes each spectrum from trace tables and the trigonometric cubic.
 """
 
 from dataclasses import dataclass
@@ -23,46 +24,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .extraction import curvature_matrices
-from .surfaces import _node_blocks
 
-# largest accepted imaginary part of a cluster symbol eigenvalue,
-# relative to the node's magnitude reference
-_IMAG_TOL = 1e-4
 # boundary dimension d, the power of the signed traces
 _DIM = 2
-# eigenvalues within this fraction of the magnitude reference are zero
-_ZERO_TOL = 1e-12
+# largest accepted realness defect of a node's cubic (imaginary part of
+# a trace power, a negative tr b^2 or a negative discriminant), in
+# units of the node's magnitude reference
+_REAL_TOL = 1e-12
+# eigenvalues within this fraction of the magnitude reference are zero;
+# the cubic formula splits a double root at zero by about 3e-9 of it
+_ZERO_TOL = 1e-7
 # frequency directions of the coefficient integral (the drift check
 # halves them)
 _ANGLES = 64
-
-
-def _signed_traces(vals, scale, first_node):
-    """Signed power traces (plus, minus) from eigenvalues vals (..., N):
-    the sums of |lambda|^_DIM over the positive and over the negative
-    eigenvalues, one pair of traces per leading index.
-
-    Both tolerance tests are relative to max(spectral radius, scale),
-    scale broadcasting against vals.shape[:-1], so a spectrum negligible
-    against scale passes with a negligible contribution.  An imaginary
-    part beyond _IMAG_TOL of that reference is an error naming the node,
-    counted from first_node along vals' leading axis; eigenvalues within
-    _ZERO_TOL of it belong to neither part.
-    """
-    rho = np.abs(vals).max(axis=-1)
-    ref = np.maximum(np.maximum(rho, scale), 1e-300)
-    worst = np.abs(vals.imag).max(axis=-1)
-    bad = worst > _IMAG_TOL * ref
-    if np.any(bad):
-        k = np.argmax(bad)
-        raise ValueError(
-            "spectrum not real at node %d: max imaginary part %.3e vs radius %.3e"
-            % (first_node + k // bad[0].size, worst.flat[k], rho.flat[k])
-        )
-    re = vals.real
-    cut = _ZERO_TOL * ref[..., None]
-    power = np.abs(re) ** _DIM
-    return tuple(np.sum(np.where(keep, power, 0.0), axis=-1) for keep in (re > cut, re < -cut))
 
 
 def coefficient_integral(params, kappa1, kappa2, weights):
@@ -72,34 +46,59 @@ def coefficient_integral(params, kappa1, kappa2, weights):
     of a surface rule's nodes; C_plus and C_minus are arrays over the
     essential spectrum roots of the material params, in root order.  The
     frequency integral runs over _ANGLES equispaced unit directions.
-    Per block of at most surfaces._BLOCK_POINTS matrices, one eigensolve
-    of kappa1 M1 + kappa2 M2 serves all its nodes, roots, both signs and
-    the half grid; the sums add in node order, whatever the blocks.
-    Cluster spectra must be real to _IMAG_TOL relative; an error names
-    the node.  The info dict reports each root's drift when the angle
-    count is halved (every second direction, with its own magnitude
-    reference), an internal convergence check.
+    There is no eigensolve: tables of tr M_i and of the traces of
+    products of b_i = M_i - tr M_i / 3 give, at every node, q = tr m / 3
+    and tr b^2, tr b^3 of b = m - q I; the trigonometric cubic gives the
+    eigenvalues q + 2 p cos(phi - 2 pi k / 3), p = sqrt(tr b^2 / 6),
+    cos 3 phi = tr b^3 / (6 p^3).  Cluster spectra must be real: real
+    trace powers, nonnegative tr b^2 and discriminant, each to _REAL_TOL
+    of the node's magnitude reference; an error names the node.  The
+    info dict reports each root's drift when the angle count is halved
+    (every second direction), an internal convergence check.
     """
     thetas = 2.0 * np.pi * np.arange(_ANGLES) / _ANGLES
     xis = np.column_stack([np.cos(thetas), np.sin(thetas)])
-    # (2, roots, angles, N, N) in C order, so that a block's matrices
-    # are too and each root's angular sum is one contiguous pairwise sum
-    m12 = np.ascontiguousarray(np.moveaxis(curvature_matrices(params, xis), -3, 1))
+    m12 = curvature_matrices(params, xis)
+    mean = np.trace(m12, axis1=-2, axis2=-1) / 3.0
+    b = m12 - mean[..., None, None] * np.eye(3)
+    # q, tr b^2 and tr b^3 are forms in kappa (nodes, 2) of degree 1, 2
+    # and 3: contract the (angle, root) tables with it
+    kappa = np.column_stack([kappa1, kappa2])
+    q = np.einsum("ni,iar->nra", kappa, mean)
+    s = np.einsum("ni,nj,ijar->nra", kappa, kappa, np.einsum("iarwx,jarxw->ijar", b, b))
+    t = np.einsum(
+        "ni,nj,nk,ijkar->nra", kappa, kappa, kappa, np.einsum("iarwx,jarxy,karyw->ijkar", b, b, b)
+    )
+    # sqrt(3 q^2 + tr b^2) is sqrt Tr m^2 for a real spectrum; the cube
+    # root of tr b^3 sizes a nilpotent-like b
+    ref = np.maximum(np.sqrt(3.0 * abs(q) ** 2 + abs(s)), abs(t) ** (1.0 / 3.0)).max(axis=-1)
+    ref = np.where(ref > 0.0, ref, 1.0)[..., None]
+    q, s, t = q / ref, s / ref**2, t / ref**3
+    imag = [abs(x.imag).max(axis=(1, 2)) for x in (q, s, t)]
+    q, s, t = q.real, s.real, t.real
+    # (tr b^2 / 6)^3 - (tr b^3 / 6)^2, the discriminant over 108
+    disc = (s / 6.0) ** 3 - (t / 6.0) ** 2
+    defect = np.max(imag + [(-s).max(axis=(1, 2)), (-disc).max(axis=(1, 2))], axis=0)
+    if np.any(defect > _REAL_TOL):
+        node = int(np.argmax(defect > _REAL_TOL))
+        raise ValueError(
+            "spectrum not real at node %d: realness defect %.3e of magnitude %.3e"
+            % (node, defect[node], ref[node].max())
+        )
+    p = np.sqrt(np.maximum(s, 0.0) / 6.0)
+    phi = np.arctan2(np.sqrt(np.maximum(disc, 0.0)), t / 6.0) / 3.0
+    # weighted signed traces (plus, minus), (2, nodes, roots, angles)
+    traces = np.zeros((2,) + q.shape)
+    for k in range(3):
+        lam = q + 2.0 * p * np.cos(phi - 2.0 * np.pi * k / 3.0)
+        traces[0] += np.where(lam > _ZERO_TOL, lam**2, 0.0)
+        traces[1] += np.where(lam < -_ZERO_TOL, lam**2, 0.0)
+    traces *= weights[:, None, None] * ref**2
     # rows: full grid, half grid; columns: plus, minus; then roots
-    sums = np.zeros((2, 2, m12.shape[1]))
-    blocks = _node_blocks([m12.shape[1] * _ANGLES] * len(weights))
-    for b0, b1 in zip(blocks[:-1], blocks[1:]):
-        k1, k2 = (c[b0:b1, None, None, None, None] for c in (kappa1, kappa2))
-        mats = k1 * m12[0] + k2 * m12[1]
-        vals = np.linalg.eigvals(mats)
-        for k, step in enumerate((1, 2)):
-            ref = np.abs(mats[:, :, ::step]).max(axis=(-3, -2, -1))[..., None]
-            w = weights[b0:b1, None] * (2.0 * np.pi / (_ANGLES // step))
-            traces = _signed_traces(vals[:, :, ::step], ref, b0)
-            # node by node, so the sums add in node order
-            for node_sums in np.stack([w * t.sum(axis=-1) for t in traces], axis=1):
-                sums[k] += node_sums
-    (cp, cm), (cp_h, cm_h) = (2.0 * np.pi) ** (-_DIM) / _DIM * sums
+    sums = [
+        traces[..., ::step].sum(axis=(1, 3)) * (2.0 * np.pi * step / _ANGLES) for step in (1, 2)
+    ]
+    (cp, cm), (cp_h, cm_h) = (2.0 * np.pi) ** (-_DIM) / _DIM * np.array(sums)
     scale = np.maximum(np.maximum(abs(cp), abs(cm)), 1e-30)
     info = {"angle_drift": np.maximum(abs(cp - cp_h), abs(cm - cm_h)) / scale}
     return cp, cm, info

@@ -25,7 +25,7 @@ from .elasticity import (
     sphere_exact_eigenvalues,
     symmetrizer_symbols,
 )
-from .extraction import curvature_matrices, fourier_multiplier, np_symbol_field
+from .extraction import _check_angles, curvature_matrices, fourier_multiplier, np_symbol_field
 from .spectral import (
     assemble_operators,
     cluster_and_count,
@@ -47,7 +47,18 @@ DEFAULT_CONFIG = {
 }
 
 
-def _coerce(text):
+# a config value's allowed types and their name, by its default's type
+_KINDS = {
+    int: ((int,), "an integer"), float: ((int, float), "a number"), str: ((str,), "a string")
+}
+
+
+def _coerce(key, text):
+    """An override's value: its text for a string-valued key, else the
+    JSON that the text spells, or the text if it spells none."""
+    section, _, name = key.partition(".")
+    if isinstance(DEFAULT_CONFIG.get(section, {}).get(name), str):
+        return text
     try:
         return json.loads(text)
     except (ValueError, TypeError):
@@ -61,7 +72,8 @@ def load_config(path=None, overrides=()):
     key of DEFAULT_CONFIG; any other key exits with its name, as does a
     value of a numeric key that is not an integer where the default is
     one (int() would run 4.9 as 4), or else not a number (float() would
-    run true as 1, and fail on text without naming the key).
+    run true as 1, and fail on text without naming the key), and a value
+    of a string key that is not a string.
     """
     cfg = {section: dict(values) for section, values in DEFAULT_CONFIG.items()}
     pairs = []
@@ -79,7 +91,7 @@ def load_config(path=None, overrides=()):
             if not isinstance(values, dict):
                 raise SystemExit("config section %r is not an object" % section)
             pairs.extend(("%s.%s" % (section, k), v) for k, v in values.items())
-    pairs.extend((key, _coerce(value)) for key, value in overrides)
+    pairs.extend((key, _coerce(key, value)) for key, value in overrides)
     for key, value in pairs:
         section, _, name = key.partition(".")
         if name not in cfg.get(section, {}):
@@ -87,10 +99,11 @@ def load_config(path=None, overrides=()):
         cfg[section][name] = value
     for section, values in cfg.items():
         for name, value in values.items():
-            kind = type(DEFAULT_CONFIG[section][name])
-            if kind in (int, float) and type(value) not in (int, kind):
-                what = "an integer" if kind is int else "a number"
-                raise SystemExit("config key '%s.%s' is not %s: %r" % (section, name, what, value))
+            kind = _KINDS.get(type(DEFAULT_CONFIG[section][name]))
+            if kind and type(value) not in kind[0]:
+                raise SystemExit(
+                    "config key '%s.%s' is not %s: %r" % (section, name, kind[1], value)
+                )
     return cfg
 
 
@@ -139,8 +152,13 @@ def _quadrature(cfg, surface):
 
 
 def _outdir(cfg):
+    """The output directory, made if missing; every stage that writes
+    calls this first, so a bad out.dir stops it before any work."""
     d = cfg["out"]["dir"]
-    os.makedirs(d, exist_ok=True)
+    try:
+        os.makedirs(d, exist_ok=True)
+    except OSError as exc:
+        raise SystemExit("cannot create output directory %s: %s" % (d, exc.strerror))
     return d
 
 
@@ -161,11 +179,11 @@ def cmd_sphere_exact(cfg, k_max):
 
 
 def cmd_assemble(cfg):
+    d = _outdir(cfg)
     surface = _surface(cfg)
     params = _material(cfg)
     quad = _quadrature(cfg, surface)
     k_mat, s_mat = assemble_operators(surface, params, quad)
-    d = _outdir(cfg)
     kp = os.path.join(d, "np_matrix.npmat")
     sp = os.path.join(d, "single_layer.npmat")
     npio._fork_pair(lambda: npio.write_npmat(kp, k_mat), lambda: npio.write_npmat(sp, s_mat))
@@ -219,12 +237,15 @@ def cmd_count(cfg, eigenvalues_path=None):
     d = _outdir(cfg)
     if eigenvalues_path is None:
         eigenvalues_path = os.path.join(d, "eigenvalues.csv")
+    poly = essential_spectrum(_material(cfg))
+    win = cfg["windows"]
+    counting = dict(poly=poly, n_tau=win["n_tau"], guard=win["guard"])
+    # counting no eigenvalues checks the windows before the input is read
+    _configured("windows.guard, windows.n_tau", cluster_and_count, [], **counting)
     vals = _read_input(npio.read_eigenvalues_csv, eigenvalues_path, "spectrum")
     if vals.size == 0:
         raise SystemExit("%s holds no eigenvalues" % eigenvalues_path)
-    poly = essential_spectrum(_material(cfg))
-    win = cfg["windows"]
-    records = cluster_and_count(vals, poly, n_tau=win["n_tau"], guard=win["guard"])
+    records = cluster_and_count(vals, **counting)
     path = os.path.join(d, "counting.csv")
     npio.write_counting_csv(path, records)
     print(json.dumps({"roots": len(records), "file": path}, sort_keys=True))
@@ -266,10 +287,13 @@ def cmd_fit(cfg, counting_path=None, prune=True):
 
 
 def cmd_coeff(cfg):
+    d = _outdir(cfg)
+    angles = cfg["extract"]["angles"]
+    _configured("extract.angles", _check_angles, angles)
     surface = _surface(cfg)
     params = _material(cfg)
     quad = _quadrature(cfg, surface)
-    field = np_symbol_field(surface, params, quad, angles=cfg["extract"]["angles"])
+    field = np_symbol_field(surface, params, quad, angles=angles)
     cp, cm, info = coefficient_integral(
         params, field.charts.kappa1, field.charts.kappa2, quad.weights
     )
@@ -282,7 +306,6 @@ def cmd_coeff(cfg):
         for idx, root in enumerate(essential_spectrum(params).roots)
         for side, c in (("plus", cp), ("minus", cm))
     ]
-    d = _outdir(cfg)
     path = os.path.join(d, "coeff.json")
     npio.write_report_json(path, reports)
     summary = dict(

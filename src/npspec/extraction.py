@@ -69,6 +69,12 @@ def chart_kernel(params, chart, z):
     return area[..., None, None] * (np.swapaxes(frame, -1, -2) @ k_lab @ frame)
 
 
+def _check_angles(angles):
+    """Reject an extraction direction count that is odd or below 64."""
+    if angles < 64 or angles % 2:
+        raise ValueError("need an even direction count of at least 64")
+
+
 def homogeneous_parts(kernel_fn, angles=64, first_node=0):
     """Split chart kernels into degree -2 and -1 homogeneous parts.
 
@@ -87,8 +93,7 @@ def homogeneous_parts(kernel_fn, angles=64, first_node=0):
     kernels; samples[..., j, :, :] is the coefficient at the direction
     angle 2 pi j / angles, so the kernel part is samples(theta) |z|^degree.
     """
-    if angles < 64 or angles % 2:
-        raise ValueError("need an even direction count of at least 64")
+    _check_angles(angles)
     ladder = np.geomspace(*_LADDER)
     s = ladder[-1]
     design = np.vander(ladder / s, 5, increasing=True)

@@ -186,9 +186,25 @@ def write_counting_csv(path, records):
                 )
 
 
+def _tau(text):
+    value = float(text)
+    if not value > 0.0:
+        raise ValueError("tau %s is not positive" % text)
+    return value
+
+
+def _count(text):
+    value = int(text)
+    if value < 0:
+        raise ValueError("count %s is negative" % text)
+    return value
+
+
 def read_counting_csv(path):
-    """Counting records grouped by consecutive equal roots, in file order."""
-    rows = _csv_rows(path, "tau,n_plus,n_minus,root", "a counting", (float, int, int, float))
+    """Counting records grouped by consecutive equal roots, in file order;
+    tau must be positive and the counts nonnegative."""
+    types = (_tau, _count, _count, float)
+    rows = _csv_rows(path, "tau,n_plus,n_minus,root", "a counting", types)
     return [
         dict(zip(("tau", "n_plus", "n_minus"), map(np.array, zip(*group))), root=root)
         for root, group in itertools.groupby(rows, key=lambda row: row[3])

@@ -14,7 +14,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from npspec import asymptotics, surfaces
+from npspec import asymptotics
 from npspec.asymptotics import AsymptoticReport, coefficient_integral
 from npspec.elasticity import LameParams
 from npspec.extraction import curvature_matrices, np_symbol_field
@@ -22,15 +22,24 @@ from npspec.surfaces import make_surface, principal_curvatures, surface_quadratu
 
 RNG = np.random.default_rng(20240911)
 
+# an ellipsoid, a concave dent and a radial graph without rotational symmetry
+CURVED = {
+    "ellipsoid": make_surface("ellipsoid", a=1.0, b=1.2, c=0.8),
+    "dent": make_surface("radial_graph", harmonics=[[2, 0, -0.6]]),
+    "two-harmonic": make_surface("radial_graph", harmonics=[[2, 0, 0.3], [3, 1, 0.2]]),
+}
+SURFACES = {"sphere": make_surface("sphere"), **CURVED}
+
 
 class TestSignedPowerTrace:
-    """The signed power traces Tr[(m)_pm^2] of the coefficient integral:
-    _signed_traces on eigenvalue stacks, and the integral on constant
-    stand-in symbols of total weight 4 pi, where C_pm = Tr[(m)_pm^2]."""
+    """The signed power traces Tr[(m)_pm^2] of the coefficient integral,
+    on stand-in symbols of total weight 4 pi, where C_pm = Tr[(m)_pm^2]
+    for a symbol constant over the directions."""
 
     def test_diagonal_split(self):
-        plus, minus = asymptotics._signed_traces(np.array([[2.0, -3.0, 0.0]]), 0.0, 0)
-        assert (plus[0], minus[0]) == (4.0, 9.0)
+        (cp,), (cm,), _ = _constant_integral([lambda xi: np.diag([2.0, -3.0, 0.0])], [4.0 * np.pi])
+        assert cp == pytest.approx(4.0, rel=1e-12)
+        assert cm == pytest.approx(9.0, rel=1e-12)
 
     def test_similarity_invariance(self):
         # non-normal similarity keeps the (real) spectrum and both traces
@@ -41,44 +50,84 @@ class TestSignedPowerTrace:
         assert cm == pytest.approx(0.04, rel=1e-9)
 
     def test_zero_eigenvalues_belong_to_neither_part(self):
-        # within the 1e-12 relative zero cut, on either side of zero
-        vals = np.array([[1.0, 0.0, -0.0, 5e-13, -5e-13]])
-        plus, minus = asymptotics._signed_traces(vals, 0.0, 0)
-        assert (plus[0], minus[0]) == (1.0, 0.0)
+        # the zero cut is 1e-7 of the node's magnitude (here 1): +-5e-8
+        # fall inside it on either side of zero, +-2e-7 outside
+        (cp,), (cm,), _ = _constant_integral([lambda xi: np.diag([1.0, 5e-8, -5e-8])], [4.0 * np.pi])
+        assert cp == pytest.approx(1.0, rel=1e-12)
+        assert cm == 0.0
+        (cp,), (cm,), _ = _constant_integral([lambda xi: np.diag([1.0, 2e-7, -2e-7])], [4.0 * np.pi])
+        assert cp == pytest.approx(1.0 + 4e-14, rel=1e-12)
+        assert cm == pytest.approx(4e-14, rel=1e-6)
 
     def test_complex_spectrum_rejected(self):
         rot = np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 0.5]])
         with pytest.raises(ValueError, match="spectrum not real at node 0"):
             _constant_integral([lambda xi: rot], [4.0 * np.pi])
+        # a cyclic permutation, with tr b^2 = 0 and the cube roots of unity
+        # as spectrum, at any scale
+        cyclic = 1e-7 * np.roll(np.eye(3), 1, axis=0)
+        with pytest.raises(ValueError, match="spectrum not real at node 0"):
+            _constant_integral([lambda xi: cyclic], [4.0 * np.pi])
 
     def test_stack_gives_one_trace_per_matrix(self):
+        # symmetric M1, M2 keep every kappa1 M1 + kappa2 M2 real; each node
+        # adds its own weighted traces, including a zero symbol (kappa = 0)
+        # and one at 1e-3 of the others' scale
         rng = np.random.default_rng(5)
-        mats = []
-        for _ in range(6):
-            s = np.eye(3) + 0.4 * rng.normal(size=(3, 3))
-            lam = rng.uniform(-1.0, 1.0, 3)
-            mats.append(s @ np.diag(lam) @ np.linalg.inv(s))
-        mats.append(np.diag([1e-3, 0.0, -2e-3]))
-        vals = np.linalg.eigvals(np.array(mats))
-        got = asymptotics._signed_traces(vals, 0.0, 0)
-        for k, keep in enumerate((vals.real > 0.0, vals.real < 0.0)):
-            assert got[k].shape == (7,)
-            want = np.sum(np.where(keep, vals.real**2, 0.0), axis=-1)
-            assert np.allclose(got[k], want, rtol=1e-13, atol=0.0)
+        m1, m2 = (a + a.T for a in rng.normal(size=(2, 3, 3)))
+        kappa = rng.uniform(-1.0, 1.0, size=(7, 2))
+        kappa[5] = 0.0
+        kappa[6] *= 1e-3
+        weights = rng.uniform(0.5, 1.5, size=7)
+        cp, cm, _ = _curvature_integral([lambda xi: (m1, m2)], *kappa.T, weights)
+        vals = np.linalg.eigvalsh(kappa[:, 0, None, None] * m1 + kappa[:, 1, None, None] * m2)
+        for got, keep in ((cp[0], vals > 0.0), (cm[0], vals < 0.0)):
+            # the directions integrate to 2 pi: C = (4 pi)^-1 sum w Tr
+            want = (weights * np.sum(np.where(keep, vals**2, 0.0), axis=-1)).sum() / (4.0 * np.pi)
+            assert got == pytest.approx(want, rel=1e-13)
 
     def test_complex_matrix_in_a_stack_rejected(self):
-        # the error counts the stack's leading axis from first_node
-        rot = np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 0.5]])
-        vals = np.linalg.eigvals(np.array([np.diag([0.3, -0.2, 0.1]), rot, np.eye(3)]))
+        # a complex pair -1/3 +- 0.1i beside 2/3 in b: tr b^2 > 0, so the
+        # negative discriminant rejects it, at the one node that has it
+        m2 = np.array([[0.0, 0.1, 0.0], [-0.1, 0.0, 0.0], [0.0, 0.0, 1.0]])
+        b2 = m2 - np.trace(m2) / 3.0 * np.eye(3)
+        assert np.trace(b2 @ b2) > 0.1
+        kappa2 = np.zeros(10)
+        kappa2[8] = 1.0
         with pytest.raises(ValueError, match="spectrum not real at node 8:"):
-            asymptotics._signed_traces(vals, 0.0, 7)
+            _curvature_integral([lambda xi: (np.eye(3), m2)], np.ones(10), kappa2, np.ones(10))
 
     def test_external_scale_admits_negligible_matrices(self):
-        noise = np.array([[1e-14j, -1e-14j]])
-        with pytest.raises(ValueError):
-            asymptotics._signed_traces(noise, 0.0, 0)
-        plus, minus = asymptotics._signed_traces(noise, 1.0, 0)
-        assert plus[0] < 1e-27 and minus[0] < 1e-27
+        # a complex pair of size 1e-14 is rejected alone, and accepted
+        # beside x^2 e11, which sets the node's magnitude; it adds < 1e-27
+        rot = np.zeros((3, 3))
+        rot[1, 2], rot[2, 1] = 1e-14, -1e-14
+        with pytest.raises(ValueError, match="spectrum not real at node 0"):
+            _constant_integral([lambda xi: rot], [4.0 * np.pi])
+
+        def m_eval(xi):
+            out = np.zeros(xi.shape[:-1] + (3, 3)) + rot
+            out[..., 0, 0] = xi[..., 0] ** 2
+            return out
+
+        (cp,), (cm,), _ = _constant_integral([m_eval], [4.0 * np.pi])
+        assert cp == pytest.approx(3.0 / 8.0, rel=1e-12)
+        assert cm < 1e-27
+
+    def test_near_double_roots(self):
+        # the cubic formula loses digits in a split pair, not in its
+        # squares' sum: 0.7 and 0.7 + 1e-9 under a non-normal similarity,
+        # and a double zero beside 0.5 stays out of C- exactly
+        s = np.eye(3) + 0.4 * RNG.normal(size=(3, 3))
+        m = s @ np.diag([0.7, 0.7 + 1e-9, -0.4]) @ np.linalg.inv(s)
+        (cp,), (cm,), _ = _constant_integral([lambda xi: m], [4.0 * np.pi])
+        assert cp == pytest.approx(0.49 + (0.7 + 1e-9) ** 2, rel=1e-12)
+        assert cm == pytest.approx(0.16, rel=1e-12)
+        q, _ = np.linalg.qr(RNG.normal(size=(3, 3)))
+        m = q @ np.diag([0.5, 0.0, 0.0]) @ q.T
+        (cp,), (cm,), _ = _constant_integral([lambda xi: m], [4.0 * np.pi])
+        assert cp == pytest.approx(0.25, rel=1e-12)
+        assert cm == 0.0
 
 
 def _curvature_integral(m_funcs, kappa1, kappa2, weights):
@@ -163,52 +212,47 @@ class TestCoefficientIntegral:
         assert info["angle_drift"][0] < 1e-13
         assert info["angle_drift"][1] > 1e-7
 
-    def test_one_eigensolve_equals_four_trace_calls(self):
-        # reference, per root: eigvals on the full grid and on its even
-        # rows, each with its own magnitude reference, and numpy sums of
-        # the squared positive and negative eigenvalues beyond the zero cut
-        rng = np.random.default_rng(8)
-        m_evals = []
-        for _ in range(2):
-            q = rng.normal(size=(3, 3))
-            q_inv = np.linalg.inv(q)
-
-            def m_eval(xi, q=q, q_inv=q_inv):
-                x, y = xi[..., 0], xi[..., 1]
-                spec = np.stack([x, y * y - 0.3, 0.2 * x * y], axis=-1)
-                return q @ (spec[..., :, None] * q_inv)
-
-            m_evals.append(m_eval)
-        weights = rng.uniform(0.5, 1.5, size=5)
-        got_p, got_m, info = _constant_integral(m_evals, weights)
+    @pytest.mark.parametrize("lam, mu", [(1.0, 1.0), (2.3, 0.7)])
+    @pytest.mark.parametrize("surface", list(SURFACES.values()), ids=list(SURFACES))
+    def test_matches_an_eigensolver_reference(self, surface, lam, mu):
+        # reference: np.linalg.eigvals of kappa1 M1 + kappa2 M2 at every
+        # node, root and direction, squared positive and negative parts
+        # beyond a zero cut of 1e-12 of the node's largest entry, on the
+        # 64 directions and on their even half (measured <= 6.4e-14 of
+        # max(C+, C-) and <= 1.1e-13 in the drift)
+        params = LameParams(lam, mu)
+        quad = surface_quadrature(surface, 8)
+        k1, k2, _, _, _ = principal_curvatures(surface, quad.params[:, 0], quad.params[:, 1])
+        cp, cm, info = coefficient_integral(params, k1, k2, quad.weights)
         thetas = 2.0 * np.pi * np.arange(64) / 64
-        for r, m_eval in enumerate(m_evals):
-            mats = m_eval(np.column_stack([np.cos(thetas), np.sin(thetas)]))
-            sums = np.zeros((2, 2))
-            for w in weights:
-                for k, sub in enumerate((mats, mats[::2])):
-                    vals = np.linalg.eigvals(sub)
-                    assert np.abs(vals.imag).max() < 1e-12
-                    ref = np.maximum(np.abs(vals).max(axis=-1), np.abs(sub).max())
-                    cut = 1e-12 * ref[:, None]
-                    for s, keep in enumerate((vals.real > cut, vals.real < -cut)):
-                        tr = np.sum(np.where(keep, vals.real**2, 0.0), axis=-1)
-                        sums[k, s] += w * (2.0 * np.pi / len(sub)) * tr.sum()
-            (cp, cm), (cp_h, cm_h) = (2.0 * np.pi) ** -2 / 2 * sums
-            assert (got_p[r], got_m[r]) == (cp, cm)
-            assert info["angle_drift"][r] == max(abs(cp - cp_h), abs(cm - cm_h)) / max(cp, cm)
+        m1, m2 = curvature_matrices(params, np.column_stack([np.cos(thetas), np.sin(thetas)]))
+        mats = k1[:, None, None, None, None] * m1 + k2[:, None, None, None, None] * m2
+        vals = np.linalg.eigvals(mats)
+        assert np.abs(vals.imag).max() < 1e-6 * np.abs(vals).max()
+        cut = 1e-12 * np.abs(mats).max(axis=(1, 2, 3, 4))[:, None, None, None]
+        want = []
+        for step in (1, 2):
+            sums = [
+                np.einsum("n,narv->r", quad.weights, np.where(keep, vals.real**2, 0.0)[:, ::step])
+                for keep in (vals.real > cut, vals.real < -cut)
+            ]
+            want.append(np.array(sums) * (2.0 * np.pi * step / 64) / (8.0 * np.pi**2))
+        (want_p, want_m), (half_p, half_m) = want
+        scale = np.maximum(want_p, want_m)
+        assert np.all(np.abs(cp - want_p) <= 1e-12 * scale)
+        assert np.all(np.abs(cm - want_m) <= 1e-12 * scale)
+        assert np.array_equal(cm == 0.0, want_m == 0.0)
+        drift = np.maximum(abs(want_p - half_p), abs(want_m - half_m)) / scale
+        assert np.abs(info["angle_drift"] - drift).max() <= 1e-12
 
     def test_complex_cluster_spectrum_rejected(self):
         rot = 0.1 * np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
         with pytest.raises(ValueError):
             _constant_integral([lambda xi: np.eye(3), lambda xi: rot], [1.0])
 
-    def test_complex_spectrum_error_names_the_node(self, monkeypatch):
-        # blocks of two nodes (64 directions each); node 3, the only one
-        # with kappa2 on the rotation, sits second in the second block,
-        # and the error names its index in the field, not in the block
+    def test_complex_spectrum_error_names_the_node(self):
+        # node 3 is the only one with kappa2 on the rotation
         rot = 0.1 * np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
-        monkeypatch.setattr(surfaces, "_BLOCK_POINTS", 128)
         kappa2 = np.zeros(6)
         kappa2[3] = 1.0
         with pytest.raises(ValueError, match="spectrum not real at node 3:"):
@@ -243,15 +287,7 @@ class TestTraceIdentity:
     alpha = A11 / (2 pi^2), beta = (A12 - A11) / pi, at every root."""
 
     @pytest.mark.parametrize("lam, mu", [(1.0, 1.0), (2.3, 0.7)])
-    @pytest.mark.parametrize(
-        "surface",
-        [
-            make_surface("ellipsoid", a=1.0, b=1.2, c=0.8),
-            make_surface("radial_graph", harmonics=[[2, 0, -0.6]]),
-            make_surface("radial_graph", harmonics=[[2, 0, 0.3], [3, 1, 0.2]]),
-        ],
-        ids=["ellipsoid", "dent", "two-harmonic"],
-    )
+    @pytest.mark.parametrize("surface", list(CURVED.values()), ids=list(CURVED))
     def test_trace_form_and_willmore_relation(self, surface, lam, mu):
         params = LameParams(lam, mu)
         quad = surface_quadrature(surface, 16)

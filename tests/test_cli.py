@@ -126,14 +126,63 @@ class TestConfig:
                 "surface.a, surface.b, surface.c: ellipsoid semi-axis a = 0 is not positive",
             ),
             (["sphere-exact", "--kmax", "0"], "--kmax: k_max must be >= 1"),
+            (
+                ["count", "--windows.guard", "0.7"],
+                "windows.guard, windows.n_tau: guard 0.7 outside [0, 0.5)",
+            ),
+            (
+                ["count", "--windows.n_tau", "1"],
+                "windows.guard, windows.n_tau: n_tau 1 is not an integer >= 2",
+            ),
+            (
+                ["coeff", "--extract.angles", "62"],
+                "extract.angles: need an even direction count of at least 64",
+            ),
         ],
-        ids=["material", "mesh", "surface", "kmax"],
+        ids=["material", "mesh", "surface", "kmax", "guard", "n_tau", "angles"],
     )
     def test_rejected_values_name_their_keys(self, capsys, tmp_path, argv, reason):
         # the library's ValueError becomes a message, not a traceback
         with pytest.raises(SystemExit, match="invalid " + re.escape(reason)):
             run(capsys, *argv, "--out.dir", str(tmp_path))
         assert os.listdir(tmp_path) == []
+        assert capsys.readouterr().out == ""
+
+
+    def test_string_keys_take_override_text(self):
+        # "5" stays the directory name 5, and true the kind named true
+        cfg = load_config(None, [("out.dir", "5"), ("surface.kind", "true")])
+        assert cfg["out"]["dir"] == "5"
+        assert cfg["surface"]["kind"] == "true"
+
+    @pytest.mark.parametrize("key, value", [("out.dir", 5), ("surface.kind", None)])
+    def test_strings_in_a_config_file_must_be_strings(self, tmp_path, key, value):
+        section, name = key.split(".")
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({section: {name: value}}))
+        with pytest.raises(SystemExit, match="%r is not a string: %r" % (key, value)):
+            load_config(str(path))
+
+    @pytest.mark.parametrize("stage", ["assemble", "spectrum", "count", "fit", "coeff"])
+    @pytest.mark.parametrize("where, reason", [("", "File exists"), ("x", "Not a directory")])
+    def test_bad_output_directory_stops_before_any_work(
+        self, capsys, monkeypatch, tmp_path, stage, where, reason
+    ):
+        # out.dir is a file, or lies under one; the stage stops with the
+        # reason before it reads the surface, the material or any input
+        path = tmp_path / "file"
+        path.write_text("")
+        out = os.path.join(str(path), where) if where else str(path)
+
+        def no_work(*args):
+            raise AssertionError("work before the output directory")
+
+        for name in ("_surface", "_material", "_read_input"):
+            monkeypatch.setattr(cli, name, no_work)
+        message = "cannot create output directory %s: %s" % (re.escape(out), reason)
+        with pytest.raises(SystemExit, match=message):
+            run(capsys, stage, "--out.dir", out)
+        assert os.listdir(tmp_path) == ["file"]
         assert capsys.readouterr().out == ""
 
 
@@ -250,10 +299,11 @@ class TestPipeline:
         ]
 
     def test_count_rejects_guard_out_of_range(self, capsys, tmp_path):
-        # an inverted window has no taus to count at: stop, write nothing
+        # an inverted window has no taus to count at: stop naming the key,
+        # write nothing
         path = tmp_path / "eigenvalues.csv"
         npio.write_eigenvalues_csv(path, np.linspace(-0.3, 0.3, 301))
-        with pytest.raises(ValueError, match="guard"):
+        with pytest.raises(SystemExit, match=r"invalid windows\.guard.*: guard 0\.6 outside"):
             run(
                 capsys, "count", "--eigenvalues", str(path), "--windows.guard", "0.6",
                 "--out.dir", str(tmp_path),
@@ -278,10 +328,11 @@ class TestPipeline:
         assert os.listdir(tmp_path) == []
 
     def test_count_rejects_n_tau_below_two(self, capsys, tmp_path):
-        # with no taus every root is lost, and fit would have no rows
+        # with no taus every root is lost, and fit would have no rows:
+        # stop naming the key
         path = tmp_path / "eigenvalues.csv"
         npio.write_eigenvalues_csv(path, np.linspace(-0.3, 0.3, 301))
-        with pytest.raises(ValueError, match="n_tau"):
+        with pytest.raises(SystemExit, match=r"invalid windows\.guard, windows\.n_tau: n_tau 0"):
             run(
                 capsys, "count", "--eigenvalues", str(path), "--windows.n_tau", "0",
                 "--out.dir", str(tmp_path),
@@ -304,8 +355,11 @@ class TestPipeline:
             ("fit", "counting.csv", "tau,n_plus,n_minus,root\n0.1,3,2,0\n0.2,1,0\n", "count"),
             ("fit", "counting.csv", "tau,n_plus,n_minus,root\n0.1,3,2,0\ninf,1,0,0\n", "count"),
             ("fit", "counting.csv", "tau,n_plus,n_minus,root\n0.1,3,2,0\n0.2,1,0,nan\n", "count"),
+            ("fit", "counting.csv", "tau,n_plus,n_minus,root\n0.1,3,2,0\n0,1,0,0\n", "count"),
+            ("fit", "counting.csv", "tau,n_plus,n_minus,root\n0.1,3,2,0\n0.2,-100,0,0\n", "count"),
         ],
-        ids=["no_comma", "inf", "nan", "three_fields", "inf_tau", "nan_root"],
+        ids=["no_comma", "inf", "nan", "three_fields", "inf_tau", "nan_root", "zero_tau",
+             "negative_count"],
     )
     def test_malformed_csv_rows_are_rejected(self, capsys, tmp_path, stage, name, text, writer):
         # the bad row is line 3; nothing is counted or fitted from it

@@ -30,7 +30,6 @@ from npspec.extraction import (
     homogeneous_parts,
     np_symbol_field,
 )
-from npspec import surfaces
 from npspec.surfaces import c_chart, make_surface, surface_quadrature
 
 P11 = LameParams(1.0, 1.0)
@@ -417,11 +416,11 @@ class TestStackEvaluation:
 
 
 class TestNodeBlocks:
-    """Extraction and integral run over blocks of nodes; per-node checks
-    name the node by its index in the field."""
+    """Extraction runs over blocks of nodes; per-node checks name the
+    node by its index in the field."""
 
     @pytest.mark.parametrize("angles", [64, 128])
-    def test_blocked_field_matches_per_node_reference(self, angles, monkeypatch):
+    def test_blocked_field_matches_per_node_reference(self, angles):
         # n = 5: 50 nodes; 4 per block at 64 directions (the last block
         # holds 2) and 2 per block at 128
         surf = make_surface("radial_graph", harmonics=[[2, 0, -0.6]])
@@ -435,15 +434,8 @@ class TestNodeBlocks:
             for got, samples, degree in ((k0[i], p2, -2), (km1[i], p1, -1)):
                 want = angular_fourier_symbol(samples, degree)(xis)
                 assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
-        # the integral in blocks of ten nodes and with one node per block
-        args = (P11, field.charts.kappa1, field.charts.kappa2, quad.weights)
-        cp, cm, info = coefficient_integral(*args)
-        monkeypatch.setattr(surfaces, "_BLOCK_POINTS", 1)
-        cp1, cm1, info1 = coefficient_integral(*args)
-        assert np.array_equal(cp, cp1) and np.array_equal(cm, cm1)
-        assert np.array_equal(info["angle_drift"], info1["angle_drift"])
 
-    def test_one_kernel_call_and_one_eigensolve_per_block(self, monkeypatch):
+    def test_one_kernel_call_per_block_and_no_eigensolve(self, monkeypatch):
         calls = {"chart_kernel": 0, "eigvals": 0}
         eigvals = np.linalg.eigvals
 
@@ -463,7 +455,8 @@ class TestNodeBlocks:
         coefficient_integral(P11, field.charts.kappa1, field.charts.kappa2, quad.weights)
         assert field.charts.kappa1.size == 32
         assert calls["chart_kernel"] <= 8
-        assert calls["eigvals"] <= 8
+        # the integral takes its spectra from trace tables
+        assert calls["eigvals"] == 0
 
     @staticmethod
     def _spoiled_kernel(block, node, term):

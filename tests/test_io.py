@@ -246,7 +246,9 @@ class TestCountingCsv:
         "row, reason",
         [("0.1,1,0", "3 fields, not 4"), ("0.1,1,0,0,0", "5 fields, not 4"),
          ("0.1,1.5,0,0", "invalid literal"), ("inf,1,0,0", "not finite"),
-         ("0.1,1,0,nan", "not finite")],
+         ("0.1,1,0,nan", "not finite"), ("0,1,0,0", "tau 0 is not positive"),
+         ("-0.1,1,0,0", "tau -0.1 is not positive"), ("0.1,-100,0,0", "count -100 is negative"),
+         ("0.1,1,-1,0", "count -1 is negative")],
     )
     def test_rejects_malformed_rows_naming_the_line(self, tmp_path, row, reason):
         path = tmp_path / "counting.csv"
