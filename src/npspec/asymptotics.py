@@ -24,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .extraction import curvature_matrices
+from .surfaces import _node_blocks
 
 # boundary dimension d, the power of the signed traces
 _DIM = 2
@@ -54,21 +55,41 @@ def coefficient_integral(params, kappa1, kappa2, weights):
     trace powers, nonnegative tr b^2 and discriminant, each to _REAL_TOL
     of the node's magnitude reference; an error names the node.  The
     info dict reports each root's drift when the angle count is halved
-    (every second direction), an internal convergence check.
+    (every second direction), an internal convergence check.  Nodes go
+    in blocks of surfaces._node_blocks ((node, direction) pairs count as
+    points), so memory stays flat in the rule; the result does not
+    depend on the block size.
     """
     thetas = 2.0 * np.pi * np.arange(_ANGLES) / _ANGLES
     xis = np.column_stack([np.cos(thetas), np.sin(thetas)])
     m12 = curvature_matrices(params, xis)
     mean = np.trace(m12, axis1=-2, axis2=-1) / 3.0
     b = m12 - mean[..., None, None] * np.eye(3)
-    # q, tr b^2 and tr b^3 are forms in kappa (nodes, 2) of degree 1, 2
-    # and 3: contract the (angle, root) tables with it
-    kappa = np.column_stack([kappa1, kappa2])
+    bb = np.einsum("iarwx,jarxw->ijar", b, b)
+    bbb = np.einsum("iarwx,jarxy,karyw->ijkar", b, b, b)
+    # sums (full grid, half grid; plus, minus; root) of the weighted signed
+    # traces, node by node in node order: the same bits for any blocks
+    total = np.zeros((2, 2, 1, mean.shape[-1]))
+    bounds = _node_blocks(np.full(len(weights), _ANGLES))
+    for b0, b1 in zip(bounds[:-1], bounds[1:]):
+        kappa = np.column_stack([kappa1[b0:b1], kappa2[b0:b1]])
+        part = _signed_sums(kappa, weights[b0:b1], mean, bb, bbb, b0)
+        total = np.add.accumulate(np.concatenate([total, part], axis=2), axis=2)[:, :, -1:]
+    total = total[:, :, 0] * (2.0 * np.pi * np.array([1.0, 2.0])[:, None, None] / _ANGLES)
+    (cp, cm), (cp_h, cm_h) = (2.0 * np.pi) ** (-_DIM) / _DIM * total
+    scale = np.maximum(np.maximum(abs(cp), abs(cm)), 1e-30)
+    info = {"angle_drift": np.maximum(abs(cp - cp_h), abs(cm - cm_h)) / scale}
+    return cp, cm, info
+
+
+def _signed_sums(kappa, weights, mean, bb, bbb, first):
+    """Direction sums (full grid, half grid; plus, minus; node, root) of
+    the weighted signed traces on a block of nodes, from node first on."""
+    # q, tr b^2 and tr b^3 are forms in kappa of degree 1, 2 and 3:
+    # contract the (angle, root) tables with it
     q = np.einsum("ni,iar->nra", kappa, mean)
-    s = np.einsum("ni,nj,ijar->nra", kappa, kappa, np.einsum("iarwx,jarxw->ijar", b, b))
-    t = np.einsum(
-        "ni,nj,nk,ijkar->nra", kappa, kappa, kappa, np.einsum("iarwx,jarxy,karyw->ijkar", b, b, b)
-    )
+    s = np.einsum("ni,nj,ijar->nra", kappa, kappa, bb)
+    t = np.einsum("ni,nj,nk,ijkar->nra", kappa, kappa, kappa, bbb)
     # sqrt(3 q^2 + tr b^2) is sqrt Tr m^2 for a real spectrum; the cube
     # root of tr b^3 sizes a nilpotent-like b
     ref = np.maximum(np.sqrt(3.0 * abs(q) ** 2 + abs(s)), abs(t) ** (1.0 / 3.0)).max(axis=-1)
@@ -83,7 +104,7 @@ def coefficient_integral(params, kappa1, kappa2, weights):
         node = int(np.argmax(defect > _REAL_TOL))
         raise ValueError(
             "spectrum not real at node %d: realness defect %.3e of magnitude %.3e"
-            % (node, defect[node], ref[node].max())
+            % (first + node, defect[node], ref[node].max())
         )
     p = np.sqrt(np.maximum(s, 0.0) / 6.0)
     phi = np.arctan2(np.sqrt(np.maximum(disc, 0.0)), t / 6.0) / 3.0
@@ -94,14 +115,7 @@ def coefficient_integral(params, kappa1, kappa2, weights):
         traces[0] += np.where(lam > _ZERO_TOL, lam**2, 0.0)
         traces[1] += np.where(lam < -_ZERO_TOL, lam**2, 0.0)
     traces *= weights[:, None, None] * ref**2
-    # rows: full grid, half grid; columns: plus, minus; then roots
-    sums = [
-        traces[..., ::step].sum(axis=(1, 3)) * (2.0 * np.pi * step / _ANGLES) for step in (1, 2)
-    ]
-    (cp, cm), (cp_h, cm_h) = (2.0 * np.pi) ** (-_DIM) / _DIM * np.array(sums)
-    scale = np.maximum(np.maximum(abs(cp), abs(cm)), 1e-30)
-    info = {"angle_drift": np.maximum(abs(cp - cp_h), abs(cm - cm_h)) / scale}
-    return cp, cm, info
+    return np.array([traces[..., ::step].sum(axis=-1) for step in (1, 2)])
 
 
 @dataclass(frozen=True)

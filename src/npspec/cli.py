@@ -30,8 +30,10 @@ from .spectral import (
     assemble_operators,
     cluster_and_count,
     fit_power_law,
+    meridian_blocks,
     prune_counting_samples,
     symmetrize,
+    target_nodes,
 )
 from .surfaces import make_surface, surface_quadrature
 from .symbols import TwoTermSymbol, compose
@@ -187,7 +189,8 @@ def cmd_assemble(cfg):
     kp = os.path.join(d, "np_matrix.npmat")
     sp = os.path.join(d, "single_layer.npmat")
     npio._fork_pair(lambda: npio.write_npmat(kp, k_mat), lambda: npio.write_npmat(sp, s_mat))
-    print(json.dumps({"nodes": quad.size, "files": [kp, sp]}, sort_keys=True))
+    rows = len(target_nodes(surface, quad))
+    print(json.dumps(dict(nodes=quad.size, rows_assembled=rows, files=[kp, sp]), sort_keys=True))
     return 0
 
 
@@ -202,34 +205,43 @@ def _read_input(read, path, stage):
         raise SystemExit("%s is malformed: %s; re-run %s" % (path, exc, stage))
 
 
-def _read_operator(path, dim):
-    """An assembled dim x dim operator matrix from an NPMAT file."""
+def _read_operator(path, dim, nodes):
+    """(matrix, None) from an assembled dim x dim operator's NPMAT file,
+    or (meridian_blocks, defect) when nodes are an axisymmetric meridian."""
     mat = _read_input(npio.read_npmat, path, "assemble")
     if mat.shape != (dim, dim):
         raise SystemExit(
             "%s is %dx%d; the configured mesh needs %dx%d"
             % ((path,) + mat.shape + (dim, dim))
         )
-    return mat
+    if 3 * len(nodes) == dim:
+        return mat, None
+    return _read_input(lambda _: meridian_blocks(mat, nodes), path, "assemble")
 
 
 def cmd_spectrum(cfg, matrix=None):
     """Symmetrized spectrum of the K and S that assemble wrote: K from
     matrix (default <out.dir>/np_matrix.npmat), S from
-    single_layer.npmat in the same directory."""
+    single_layer.npmat in the same directory; one Fourier block at a
+    time on an axisymmetric surface, where both must be equivariant."""
     d = _outdir(cfg)
     k_path = matrix or os.path.join(d, "np_matrix.npmat")
     s_path = os.path.join(os.path.dirname(k_path), "single_layer.npmat")
-    quad = _quadrature(cfg, _surface(cfg))
+    surface = _surface(cfg)
+    quad = _quadrature(cfg, surface)
     dim = 3 * quad.size
-    k_mat, s_mat = npio._fork_pair(
-        lambda: _read_operator(k_path, dim), lambda: _read_operator(s_path, dim)
+    nodes = target_nodes(surface, quad)
+    (k_mat, k_defect), (s_mat, s_defect) = npio._fork_pair(
+        lambda: _read_operator(k_path, dim, nodes), lambda: _read_operator(s_path, dim, nodes)
     )
-    sym, info = symmetrize(k_mat, s_mat, weights=quad.weights)
-    vals = np.linalg.eigvalsh(sym)
+    sym, info = _configured("mesh.n", symmetrize, k_mat, s_mat, weights=quad.weights[nodes])
+    vals = np.sort(np.linalg.eigvalsh(sym), axis=None)
     path = os.path.join(d, "eigenvalues.csv")
     npio.write_eigenvalues_csv(path, vals)
-    print(json.dumps(dict(info, count=int(vals.size), file=path), sort_keys=True))
+    defect = None if k_defect is None else max(k_defect, s_defect)
+    info.update(count=int(vals.size), file=path, circulant_defect=defect,
+                fourier_blocks=len(sym) if sym.ndim == 3 else 1)
+    print(json.dumps(info, sort_keys=True))
     return 0
 
 

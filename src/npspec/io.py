@@ -50,7 +50,7 @@ def write_npmat(path, mat):
     with open(path, "w") as f:
         f.write("NPMAT v1 %d %d real\n" % mat.shape)
         for row in mat:
-            f.write(line % tuple(row))
+            f.write(line % tuple(row.tolist()))
 
 
 def read_npmat(path):

@@ -20,6 +20,10 @@ grid values through a local tensor barycentric interpolation stencil
 its node table), applied in transpose so the result is a matrix acting
 on grid data.
 One pass over the node blocks serves the double and single layer.
+On a surface symmetric about the z axis only the n meridian rows are
+assembled; the operators are block circulant in longitude there, so
+rotations give the other rows, and the spectrum splits into one
+Hermitian block per Fourier mode (fourier_blocks).
 
 Downstream utilities: single layer symmetrization (the one route from
 K and S to a real spectrum), cluster counting functions, power-law fits
@@ -35,7 +39,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .elasticity import kelvin_matrix, np_kernel
-from .surfaces import _angles, _node_blocks, c_chart
+from .surfaces import _angles, _node_blocks, axisymmetric, c_chart
 
 
 # Blended polar patch: radii are multiples of the local mesh size
@@ -60,6 +64,9 @@ _PRUNE_FRACTION = 1.0 / 3.0
 # the largest, and P is rejected below minus the second fraction of it
 _P_FLOOR = 1e-3
 _P_INDEFINITE = 1e-2
+# largest accepted deviation of an operator from its rotated meridian
+# rows, over its largest entry (a dense assembly reads up to 3e-12)
+_CIRCULANT_TOL = 1e-10
 # compactness_check: central index range (fractions of the count) of the
 # decay fit
 _DECAY_RANGE = (0.1, 0.5)
@@ -185,9 +192,10 @@ def _patch_points(r1, r2, n_radial, n_angular):
     return w12.reshape(-1, 2), wr, chi
 
 
-def _assemble(surface, quad, kernels):
-    """Nystrom matrices of kernel(x, y, nu_y) -> (..., 3, 3), one per
-    kernel, filled one node block at a time.
+def _assemble(surface, quad, kernels, targets):
+    """Nystrom rows of kernel(x, y, nu_y) -> (..., 3, 3) at the target
+    nodes, one (3 targets, 3 nodes) matrix per kernel, filled one block
+    of targets at a time.
 
     All target charts come from one array call.  Per block, one height
     solve gives every patch point's geometry (each point in its own
@@ -200,12 +208,10 @@ def _assemble(surface, quad, kernels):
     """
     grid = _GridInfo(quad)
     n_nodes = quad.size
-    mats = [np.zeros((3 * n_nodes, 3 * n_nodes)) for _ in kernels]
-    pts = quad.points
-    nrms = quad.normals
-    wts = quad.weights
-    charts = c_chart(surface, quad.params[:, 0], quad.params[:, 1])
-    h = np.sqrt(wts)
+    mats = [np.zeros((3 * len(targets), 3 * n_nodes)) for _ in kernels]
+    pts, nrms, wts, prm = quad.points, quad.normals, quad.weights, quad.params[targets]
+    charts = c_chart(surface, prm[:, 0], prm[:, 1])
+    h = np.sqrt(wts[targets])
     r2 = np.minimum(_PATCH_OUTER * h, _PATCH_CAP * charts.radius)
     r1 = np.minimum(_PATCH_INNER * h, 0.5 * r2)
     n_radial = np.maximum(10, np.ceil(1.6 * r2 / h).astype(int) + 2)
@@ -213,29 +219,31 @@ def _assemble(surface, quad, kernels):
     counts = 2 * n_radial * n_angular
     bounds = _node_blocks(counts)
     for b0, b1 in zip(bounds[:-1], bounds[1:]):
-        nodes = np.arange(b0, b1)
-        ends = np.cumsum(counts[nodes])  # the block's points are node-major
+        blk = slice(b0, b1)
+        nodes = targets[blk]
+        ends = np.cumsum(counts[blk])  # the block's points are node-major
         # far field: every other node, the plain rule less the cutoff
         d3 = pts[None, :, :] - pts[nodes, None, :]
         dist = np.linalg.norm(d3, axis=-1)
         wj = np.hypot(
-            np.einsum("bjk,bk->bj", d3, charts.e1[nodes]),
-            np.einsum("bjk,bk->bj", d3, charts.e2[nodes]),
+            np.einsum("bjk,bk->bj", d3, charts.e1[blk]),
+            np.einsum("bjk,bk->bj", d3, charts.e2[blk]),
         )
-        near = (dist < 1.5 * r2[nodes, None]) & (dist > 0.0)
+        near = (dist < 1.5 * r2[blk, None]) & (dist > 0.0)
         factors = wts * np.where(
-            near, 1.0 - _smoothstep(wj, r1[nodes, None], r2[nodes, None]), 1.0
+            near, 1.0 - _smoothstep(wj, r1[blk, None], r2[blk, None]), 1.0
         )
         row, col = np.nonzero(np.arange(n_nodes)[None, :] != nodes[:, None])
         # near field: the block's patch points, each in its node's chart
-        rules = [_patch_points(r1[i], r2[i], n_radial[i], n_angular[i]) for i in nodes]
+        rules = [_patch_points(r1[i], r2[i], n_radial[i], n_angular[i]) for i in range(b0, b1)]
         w12, wr, chi = (np.concatenate(parts) for parts in zip(*rules))
-        owner = np.repeat(nodes, counts[nodes])
+        owner = np.repeat(np.arange(b0, b1), counts[blk])
         q, nu, area = charts[owner].geometry(w12)
         idx, wgt = _batch_stencil(grid, *_angles(q, np.linalg.norm(q, axis=1)))
         qw = (wr * chi * area)[:, None, None]
         contrib = np.concatenate(
-            [(qw * kernel(pts[owner], q, nu)).reshape(-1, 9) for kernel in kernels], axis=1
+            [(qw * kernel(pts[targets[owner]], q, nu)).reshape(-1, 9) for kernel in kernels],
+            axis=1,
         )
         patch_part = np.empty((len(nodes), n_nodes, contrib.shape[1]))
         for j, end in enumerate(ends):
@@ -250,6 +258,69 @@ def _assemble(surface, quad, kernels):
     return mats
 
 
+def target_nodes(surface, quad):
+    """Nodes whose operator rows are assembled: on a surface symmetric
+    about the z axis (surfaces.axisymmetric) the n meridian nodes at
+    longitude 0, from which rotation gives every other row; else all."""
+    if not axisymmetric(surface):
+        return np.arange(quad.size)
+    return np.arange(0, quad.size, _GridInfo(quad).n_phi)
+
+
+def _rotations(n_phi):
+    """Rotations R_l about the z axis by the rule's longitudes 2 pi l / n_phi."""
+    phi = 2.0 * np.pi * np.arange(n_phi) / n_phi
+    c, s, zero, one = np.cos(phi), np.sin(phi), np.zeros(n_phi), np.ones(n_phi)
+    return np.stack([c, -s, zero, s, c, zero, zero, zero, one], axis=-1).reshape(-1, 3, 3)
+
+
+def _longitudes(rows):
+    """Rows (n_lat, 3, 3N) at each longitude j of a rotation-equivariant
+    matrix from its meridian rows: M_(i,j),(i',j') = R_j M_(i,0),(i',j'-j) R_j^T."""
+    n_lat = len(rows) // 3
+    m = rows.reshape(n_lat, 3, n_lat, -1, 3)
+    for j, r in enumerate(_rotations(m.shape[3])):
+        yield r @ (np.roll(m, j, axis=3) @ r.T).reshape(n_lat, 3, -1)
+
+
+def expand_meridian(rows):
+    """The full (3N, 3N) matrix, node-major, of a rotation-equivariant
+    operator from its meridian rows (3 n_lat, 3N)."""
+    full = np.empty((len(rows) // 3, rows.shape[1] // len(rows), 3, rows.shape[1]))
+    for j, part in enumerate(_longitudes(rows)):
+        full[:, j] = part
+    return full.reshape(rows.shape[1], -1)
+
+
+def fourier_blocks(rows):
+    """The n_phi Fourier blocks (3 n_lat, 3 n_lat) of a rotation-equivariant
+    matrix from its meridian rows (3 n_lat, 3N): block circulant in
+    longitude in cylindrical frames, it splits into one block per mode,
+    whose spectra together are its spectrum and whose squared Frobenius
+    norms sum to its own (Young, Hao and Martinsson, J. Comput. Phys. 2012)."""
+    n_lat = len(rows) // 3
+    rot = _rotations(rows.shape[1] // len(rows))
+    # each source block M_(i,0),(i',l) R_l, then the transform over l
+    cyl = np.einsum("icJld,lde->icJle", rows.reshape(n_lat, 3, n_lat, len(rot), 3), rot)
+    return np.moveaxis(np.fft.fft(cyl, axis=3), 3, 0).reshape(len(rot), 3 * n_lat, -1)
+
+
+def meridian_blocks(mat, nodes):
+    """(fourier_blocks, defect) of a full matrix from the rows of its
+    meridian nodes; the circulant defect, the largest deviation of mat
+    from its rotated meridian rows over max |mat|, is a ValueError
+    beyond _CIRCULANT_TOL."""
+    n_lat = len(nodes)
+    rows = mat.reshape(-1, 3, mat.shape[1])[nodes].reshape(3 * n_lat, -1)
+    by_lon = mat.reshape(n_lat, -1, 3, mat.shape[1])
+    worst = max(np.abs(by_lon[:, j] - part).max() for j, part in enumerate(_longitudes(rows)))
+    defect = worst / max(np.abs(mat).max(), 1e-300)
+    if not defect <= _CIRCULANT_TOL:
+        raise ValueError("not rotation-equivariant about the z axis: circulant defect %.3e "
+                         "of max |M| exceeds %.0e" % (defect, _CIRCULANT_TOL))
+    return fourier_blocks(rows), defect
+
+
 def assemble_operators(surface, params, quad):
     """Dense Nystrom matrices (K, S) of the double and single layer
     operators from one pass over the target nodes.
@@ -258,7 +329,9 @@ def assemble_operators(surface, params, quad):
     matrix, under which rigid motions are 1/2-eigenfunctions.  S is
     normalized so its flat-boundary symbol is single_layer_symbol
     (negative definite); it is returned as assembled, and symmetrize
-    averages it in the quadrature frame.
+    averages it in the quadrature frame.  On a surface symmetric about
+    the z axis only the meridian rows are assembled (target_nodes), and
+    expand_meridian rotates them into the full matrices.
     """
     def double_layer(x, y, nu):
         return np.swapaxes(np_kernel(params, x, y, nu), -1, -2)
@@ -266,13 +339,21 @@ def assemble_operators(surface, params, quad):
     def single_layer(x, y, nu):
         return -0.5 * kelvin_matrix(params, x, y)
 
-    return _assemble(surface, quad, (double_layer, single_layer))
+    targets = target_nodes(surface, quad)
+    mats = _assemble(surface, quad, (double_layer, single_layer), targets)
+    return mats if len(targets) == quad.size else [expand_meridian(m) for m in mats]
+
+
+def _adjoint(x):
+    return np.swapaxes(x, -1, -2).conj()
 
 
 def symmetrize(k_mat, s_mat, weights):
     """Similarity transform to a symmetric matrix via the single layer.
 
-    Both matrices are first conjugated by the square roots of the
+    k_mat and s_mat are matrices or stacks (blocks, 3m, 3m) from
+    meridian_blocks, each block on m nodes; transposes are adjoints.
+    Both are first conjugated by the square roots of the
     quadrature weights (one per node, three matrix rows each) into the
     frame where the transpose is the discrete L2 adjoint; the symmetry
     identity K S = S K^T only closes there.  Unit weights leave the
@@ -287,24 +368,26 @@ def symmetrize(k_mat, s_mat, weights):
     similarity preserves the spectrum of K exactly before the final
     averaging.
 
-    Eigenvalues of P below _P_FLOOR x max are clipped to that level
-    before taking square roots: on refinement the smallest discrete
-    single layer eigenvalues sit at the resolution edge and may dip
-    slightly negative.  Clipping touches only those unresolved modes;
-    the count is reported, not hidden.  P with eigenvalues below
-    -_P_INDEFINITE x max is rejected as genuinely indefinite.
+    Eigenvalues of P below _P_FLOOR x max (over all blocks) are clipped
+    to that level before taking square roots: on refinement the
+    smallest discrete single layer eigenvalues sit at the resolution
+    edge and may dip slightly negative.  Clipping touches only those
+    unresolved modes; the count is reported, not hidden.  P with
+    eigenvalues below -_P_INDEFINITE x max is rejected as genuinely
+    indefinite.
 
     info holds plemelj_residual |K P - P K^T| / (|K| |P|), measured as
     |B L - L B^T| / (|K| |L|) (Frobenius norms are invariant under V),
     the symmetry_defect of a before averaging, clipped_modes
-    and p_min_ratio (min/max eigenvalue of P).
+    and p_min_ratio (min/max eigenvalue of P).  Norms run over all
+    blocks, so by Parseval Fourier blocks report the full matrix's.
     """
     sw = np.repeat(np.sqrt(np.asarray(weights, dtype=float)), 3)
-    if sw.size != np.shape(k_mat)[0]:
+    if sw.size != np.shape(k_mat)[-1]:
         raise ValueError("weights do not match matrix size")
-    k = sw[:, None] * np.asarray(k_mat, dtype=float) / sw[None, :]
-    s = sw[:, None] * np.asarray(s_mat, dtype=float) / sw[None, :]
-    vals, vecs = np.linalg.eigh(-0.5 * (s + s.T))
+    k = sw[:, None] * np.asarray(k_mat) / sw
+    s = sw[:, None] * np.asarray(s_mat) / sw
+    vals, vecs = np.linalg.eigh(-0.5 * (s + _adjoint(s)))
     vmax = vals.max()
     if vmax <= 0.0 or vals.min() < -_P_INDEFINITE * vmax:
         raise ValueError(
@@ -312,14 +395,14 @@ def symmetrize(k_mat, s_mat, weights):
             "refine the grid" % (vals.min(), vmax)
         )
     clipped = int(np.sum(vals < _P_FLOOR * vmax))
-    root = np.sqrt(np.maximum(vals, _P_FLOOR * vmax))
-    b = vecs.T @ k @ vecs
-    plemelj = np.linalg.norm(b * vals - vals[:, None] * b.T) / max(
+    root = np.sqrt(np.maximum(vals, _P_FLOOR * vmax))[..., None, :]
+    b = _adjoint(vecs) @ k @ vecs
+    plemelj = np.linalg.norm(b * vals[..., None, :] - vals[..., None] * _adjoint(b)) / max(
         np.linalg.norm(k) * np.linalg.norm(vals), 1e-30
     )
-    a = b * root / root[:, None]
-    defect = np.linalg.norm(a - a.T) / max(np.linalg.norm(a), 1e-30)
-    return 0.5 * (a + a.T), {
+    a = b * root / np.swapaxes(root, -1, -2)
+    defect = np.linalg.norm(a - _adjoint(a)) / max(np.linalg.norm(a), 1e-30)
+    return 0.5 * (a + _adjoint(a)), {
         "symmetry_defect": defect,
         "plemelj_residual": plemelj,
         "clipped_modes": clipped,

@@ -32,9 +32,10 @@ from numpy.polynomial.legendre import leggauss
 _POLE_EPS = 1e-12
 # chart radius times the largest curvature scale at the chart origin
 _CHART_REACH = 0.45
-# chart points per node block of the assembly (patch points) and of the
-# symbol extraction (ladder x direction points): at about 2 KB of working
-# arrays per point this bounds the memory of either route
+# chart points per node block of the assembly (patch points), of the
+# symbol extraction (ladder x direction points) and of the coefficient
+# integral (direction points): at about 2 KB of working arrays per point
+# this bounds the memory of each
 _BLOCK_POINTS = 2048
 
 
@@ -291,6 +292,16 @@ def make_surface(kind, **params):
     else:
         raise ValueError("unknown surface kind: %r" % kind)
     return ParametrizedSurface(kind=kind, params=params)
+
+
+def axisymmetric(surface):
+    """Whether the parameters make the surface symmetric about the z axis:
+    a sphere, an ellipsoid with a = b, a radial graph with only m = 0."""
+    if surface.kind == "ellipsoid":
+        return float(surface.params["a"]) == float(surface.params["b"])
+    if surface.kind == "radial_graph":
+        return all(m == 0 for _, m, _ in surface.params["harmonics"])
+    return surface.kind == "sphere"
 
 
 def principal_curvatures(surface, theta, phi):

@@ -9,12 +9,13 @@ exact ball spectrum.
 """
 
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
 import pytest
 
-from npspec import asymptotics
+from npspec import asymptotics, surfaces
 from npspec.asymptotics import AsymptoticReport, coefficient_integral
 from npspec.elasticity import LameParams
 from npspec.extraction import curvature_matrices, np_symbol_field
@@ -257,6 +258,38 @@ class TestCoefficientIntegral:
         kappa2[3] = 1.0
         with pytest.raises(ValueError, match="spectrum not real at node 3:"):
             _curvature_integral([lambda xi: (np.eye(3), rot)], np.ones(6), kappa2, np.ones(6))
+
+    def test_error_counts_nodes_across_blocks(self, monkeypatch):
+        # one node per block: node 3 sits in the fourth block
+        monkeypatch.setattr(surfaces, "_BLOCK_POINTS", 1)
+        self.test_complex_spectrum_error_names_the_node()
+
+    @pytest.mark.parametrize("budget", [1, 200, 10**6])
+    def test_block_size_leaves_every_bit(self, monkeypatch, budget):
+        # 128 nodes: 4 blocks by default, 128, 43 or one with the budget
+        quad = surface_quadrature(CURVED["two-harmonic"], 8)
+        k1, k2, *_ = principal_curvatures(CURVED["two-harmonic"], *quad.params.T)
+        p = LameParams(2.3, 0.7)
+        cp, cm, info = coefficient_integral(p, k1, k2, quad.weights)
+        monkeypatch.setattr(surfaces, "_BLOCK_POINTS", budget)
+        cp_b, cm_b, info_b = coefficient_integral(p, k1, k2, quad.weights)
+        assert np.array_equal(cp_b, cp) and np.array_equal(cm_b, cm)
+        assert np.array_equal(info_b["angle_drift"], info["angle_drift"])
+
+    def test_memory_stays_flat_in_the_rule(self):
+        # 512 and 8192 nodes of the dent; arrays over all nodes at once
+        # would grow the peak 16-fold
+        def peak(n):
+            quad = surface_quadrature(CURVED["dent"], n)
+            k1, k2, *_ = principal_curvatures(CURVED["dent"], *quad.params.T)
+            tracemalloc.start()
+            try:
+                coefficient_integral(LameParams(1.0, 1.0), k1, k2, quad.weights)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(64) <= 1.5 * peak(16)
 
     def test_sphere_pipeline_matches_ball_spectrum(self):
         # C+(0) = 9/16 and C+(+-kk) = kk^2 are implied by the exact ball

@@ -453,6 +453,56 @@ class TestPipeline:
         for name in ("np_matrix.npmat", "single_layer.npmat", "eigenvalues.csv"):
             assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
 
+    def test_dent_pipeline_passes_benchmark_checks(self, capsys, tmp_path):
+        # an axisymmetric radial graph: 6 meridian rows, 12 Fourier blocks
+        out_args = ["--surface.kind", "radial_graph", "--surface.harmonics", "[[2, 0, -0.3]]",
+                    "--mesh.n", "6", "--out.dir", str(tmp_path)]
+        outputs = {}
+        for stage in ("assemble", "spectrum", "count", "fit", "coeff"):
+            code, outputs[stage] = run(capsys, stage, *out_args)
+            assert code == 0
+            assert_stage_checks(stage, tmp_path, 72)
+        assembled = json.loads(outputs["assemble"])
+        assert (assembled["nodes"], assembled["rows_assembled"]) == (72, 6)
+        summary = json.loads(outputs["spectrum"])
+        assert (summary["count"], summary["fourier_blocks"]) == (216, 12)
+        assert 0.0 <= summary["circulant_defect"] <= 1e-15
+
+    def test_general_surface_takes_one_block(self, capsys, tmp_path):
+        out_args = ["--surface.kind", "ellipsoid", "--surface.a", "1", "--surface.b", "1.2",
+                    "--surface.c", "0.8", "--mesh.n", "6", "--out.dir", str(tmp_path)]
+        code, out = run(capsys, "assemble", *out_args)
+        assert code == 0 and json.loads(out)["rows_assembled"] == 72
+        code, out = run(capsys, "spectrum", *out_args)
+        assert code == 0
+        summary = json.loads(out)
+        assert (summary["fourier_blocks"], summary["circulant_defect"]) == (1, None)
+        assert_stage_checks("spectrum", tmp_path, 72)
+
+    def test_spectrum_rejects_matrix_that_is_not_equivariant(self, capsys, tmp_path):
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert run(capsys, "assemble", "--out.dir", str(a), "--mesh.n", "6")[0] == 0
+        path = a / "np_matrix.npmat"
+        k_mat = npio.read_npmat(path)
+        k_mat[3 * 13 + 1, 40] += 1e-6  # a row of the node at latitude 1, longitude 1
+        npio.write_npmat(path, k_mat)
+        with pytest.raises(SystemExit) as exc:
+            main(["spectrum", "--matrix", str(path), "--out.dir", str(b), "--mesh.n", "6"])
+        defect = "%.3e" % (1e-6 / np.abs(k_mat).max())
+        assert str(exc.value.code).endswith(
+            "np_matrix.npmat is malformed: not rotation-equivariant about the z axis: "
+            "circulant defect %s of max |M| exceeds 1e-10; re-run assemble" % defect
+        )
+        assert not (b / "eigenvalues.csv").exists()
+
+    def test_spectrum_stops_on_indefinite_single_layer(self, capsys, tmp_path):
+        out_args = ["--surface.kind", "radial_graph", "--surface.harmonics",
+                    "[[2, 0, 0.3], [3, 1, 0.2]]", "--mesh.n", "6", "--out.dir", str(tmp_path)]
+        assert run(capsys, "assemble", *out_args)[0] == 0
+        with pytest.raises(SystemExit, match="invalid mesh.n: -S is not positive definite"):
+            main(["spectrum", *out_args])
+        assert not (tmp_path / "eigenvalues.csv").exists()
+
     def test_rerun_bytes_identical(self, capsys, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         for d in (a, b):

@@ -39,13 +39,16 @@ from npspec.spectral import (
     compactness_check,
     fit_power_law,
     level_multiplicities,
+    meridian_blocks,
     prune_counting_samples,
     symmetrize,
+    target_nodes,
 )
 from npspec.surfaces import c_chart, make_surface, surface_quadrature
 
 P11 = LameParams(1.0, 1.0)
 SPHERE = make_surface("sphere", radius=1.0)
+DENT = make_surface("radial_graph", harmonics=[[2, 0, -0.6]])
 KK = P11.kk
 ROOTS = essential_spectrum(P11)  # roots (-KK, 0, KK)
 
@@ -293,10 +296,90 @@ class TestFusedPass:
     def test_both_kernels_equal_each_alone(self, surface):
         quad = surface_quadrature(surface, 6)
         kernels = self._kernels()
-        both = _assemble(surface, quad, kernels)
+        targets = np.arange(quad.size)
+        both = _assemble(surface, quad, kernels, targets)
         for mat, kernel in zip(both, kernels):
-            (alone,) = _assemble(surface, quad, (kernel,))
+            (alone,) = _assemble(surface, quad, (kernel,), targets)
             assert np.array_equal(mat, alone)
+
+
+# axisymmetric surfaces and rule sizes of the Fourier block route
+FOURIER_CASES = {
+    "sphere10": (SPHERE, 10),
+    "dent10": (DENT, 10),
+    "spheroid10": (make_surface("ellipsoid", a=1.0, b=1.0, c=0.8), 10),
+    "dent16": (DENT, 16),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(FOURIER_CASES))
+def fourier_case(request):
+    """One surface's operators by dense assembly of every row and by the
+    meridian route, with the dense and the per-mode spectra."""
+    surface, n = FOURIER_CASES[request.param]
+    quad = surface_quadrature(surface, n)
+    dense = _assemble(surface, quad, TestFusedPass._kernels(), np.arange(quad.size))
+    a, info = symmetrize(*dense, quad.weights)
+    expanded = assemble_operators(surface, P11, quad)
+    nodes = target_nodes(surface, quad)
+    (k_blocks, k_defect), (s_blocks, s_defect) = (meridian_blocks(m, nodes) for m in expanded)
+    a_modes, info_modes = symmetrize(k_blocks, s_blocks, quad.weights[nodes])
+    return SimpleNamespace(
+        n=n, quad=quad, dense=dense, expanded=expanded, nodes=nodes, blocks=(k_blocks, s_blocks),
+        defects=(k_defect, s_defect), ev=np.linalg.eigvalsh(a), info=info,
+        ev_modes=np.sort(np.linalg.eigvalsh(a_modes), axis=None), info_modes=info_modes,
+    )
+
+
+class TestFourierBlocks:
+    def test_meridian_targets(self, fourier_case):
+        n = fourier_case.n
+        assert np.array_equal(fourier_case.nodes, 2 * n * np.arange(n))
+        assert fourier_case.blocks[0].shape == (2 * n, 3 * n, 3 * n)
+
+    def test_modes_match_dense_spectrum(self, fourier_case):
+        assert fourier_case.ev_modes.shape == fourier_case.ev.shape
+        assert np.abs(fourier_case.ev_modes - fourier_case.ev).max() <= 1e-12
+
+    def test_diagnostics_match_dense(self, fourier_case):
+        dense, modes = fourier_case.info, fourier_case.info_modes
+        assert modes["clipped_modes"] == dense["clipped_modes"]
+        for key in ("symmetry_defect", "plemelj_residual", "p_min_ratio"):
+            assert modes[key] == pytest.approx(dense[key], rel=1e-12, abs=0.0)
+
+    def test_expanded_rows_match_dense_assembly(self, fourier_case):
+        for full, dense in zip(fourier_case.expanded, fourier_case.dense):
+            assert np.abs(full - dense).max() <= 1e-11 * np.abs(dense).max()
+
+    def test_blocks_keep_frobenius_norms(self, fourier_case):
+        # Parseval: the unnormalized transform over 2n longitudes
+        for blocks, full in zip(fourier_case.blocks, fourier_case.expanded):
+            assert np.linalg.norm(blocks) == pytest.approx(np.linalg.norm(full), rel=1e-13)
+
+    def test_dense_assembly_passes_the_equivariance_check(self, fourier_case):
+        # expanded rows are equivariant to rounding; a dense assembly is
+        # not (about 1e-12), but well inside the accepted defect
+        assert max(fourier_case.defects) <= 1e-15
+        for dense in fourier_case.dense:
+            _, defect = meridian_blocks(dense, fourier_case.nodes)
+            assert 0.0 < defect <= 1e-11
+
+    def test_off_meridian_perturbation_rejected(self, fourier_case):
+        k = fourier_case.expanded[0].copy()
+        k[3 * (fourier_case.nodes[1] + 1) + 2, 7] += 1e-6
+        with pytest.raises(ValueError, match="not rotation-equivariant .* circulant defect"):
+            meridian_blocks(k, fourier_case.nodes)
+
+
+@pytest.mark.parametrize(
+    "surface",
+    [make_surface("ellipsoid", a=1.0, b=1.2, c=0.8),
+     make_surface("radial_graph", harmonics=[[2, 0, 0.3], [3, 1, 0.2]])],
+    ids=["triaxial", "two-harmonic"],
+)
+def test_general_surfaces_assemble_every_row(surface):
+    quad = surface_quadrature(surface, 6)
+    assert np.array_equal(target_nodes(surface, quad), np.arange(quad.size))
 
 
 class TestNodeBlocks:

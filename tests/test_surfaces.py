@@ -16,6 +16,7 @@ from npspec.extraction import _LADDER
 from npspec.surfaces import (
     _legendre,
     _real_sph_harm_jet,
+    axisymmetric,
     c_chart,
     make_surface,
     principal_curvatures,
@@ -415,6 +416,25 @@ class TestArrayJet:
                 assert np.abs(quad.normals[k] - jet["normal"]).max() < 1e-14
                 k += 1
         assert k == quad.size
+
+
+class TestAxisymmetric:
+    @pytest.mark.parametrize(
+        "surface, expected",
+        [
+            (SPHERE, True),
+            (make_surface("ellipsoid", a=1.0, b=1.0, c=0.8), True),
+            (ELLIPSOID, True),
+            (DENT, True),
+            (make_surface("radial_graph", harmonics=[[2, 0, -0.3], [4, 0, 0.1]]), True),
+            (TRIAXIAL, False),
+            (make_surface("radial_graph", harmonics=[[2, 0, 0.3], [3, 1, 0.2]]), False),
+            (BUMPY, False),
+        ],
+        ids=["sphere", "spheroid", "prolate", "dent", "zonal", "triaxial", "two-harmonic", "bumpy"],
+    )
+    def test_read_from_parameters(self, surface, expected):
+        assert axisymmetric(surface) is expected
 
 
 class TestQuadrature:
