@@ -5,6 +5,8 @@ eigenvalues, operator assembly, spectra, cluster counting, power-law
 fits, symbol-route coefficients, and a fast invariant verification
 suite.  Configuration comes from an optional JSON file plus
 ``--section.key value`` overrides; all outputs are deterministic.
+Each command imports the layers it runs, so a stage's process loads
+only those.
 """
 
 import argparse
@@ -14,29 +16,6 @@ import sys
 from dataclasses import astuple
 
 import numpy as np
-
-from . import io as npio
-from .asymptotics import AsymptoticReport, coefficient_integral
-from .elasticity import (
-    LameParams,
-    essential_spectrum,
-    np_principal_symbol,
-    single_layer_symbol,
-    sphere_exact_eigenvalues,
-    symmetrizer_symbols,
-)
-from .extraction import _check_angles, curvature_matrices, fourier_multiplier, np_symbol_field
-from .spectral import (
-    assemble_operators,
-    cluster_and_count,
-    fit_power_law,
-    meridian_blocks,
-    prune_counting_samples,
-    symmetrize,
-    target_nodes,
-)
-from .surfaces import make_surface, surface_quadrature
-from .symbols import TwoTermSymbol, compose
 
 DEFAULT_CONFIG = {
     "surface": {"kind": "sphere", "radius": 1.0, "a": 1.0, "b": 1.0, "c": 1.0,
@@ -131,6 +110,7 @@ def _configured(keys, build, *args, **kwargs):
 
 
 def _material(cfg):
+    from .elasticity import LameParams
     m = cfg["material"]
     return _configured("material.lambda, material.mu", LameParams, lam=m["lambda"], mu=m["mu"])
 
@@ -139,6 +119,7 @@ _SURFACE_KEYS = {"sphere": ["radius"], "ellipsoid": ["a", "b", "c"], "radial_gra
 
 
 def _surface(cfg):
+    from .surfaces import make_surface
     s = cfg["surface"]
     for kind, keys in _SURFACE_KEYS.items():
         if s["kind"] == kind:
@@ -150,6 +131,7 @@ def _surface(cfg):
 def _quadrature(cfg, surface):
     # the rule is the first evaluation of the surface, so a radial graph
     # that is not star shaped at a node is rejected here too
+    from .surfaces import surface_quadrature
     return _configured("mesh.n or surface", surface_quadrature, surface, cfg["mesh"]["n"])
 
 
@@ -165,12 +147,14 @@ def _outdir(cfg):
 
 
 def cmd_essential(cfg):
+    from .elasticity import essential_spectrum
     poly = essential_spectrum(_material(cfg))
     print(json.dumps({"roots": [round(r, 6) for r in poly.roots]}))
     return 0
 
 
 def cmd_sphere_exact(cfg, k_max):
+    from .elasticity import sphere_exact_eigenvalues
     lam0, lam_m, lam_p = _configured("--kmax", sphere_exact_eigenvalues, _material(cfg), k_max)
     print("k,lam_zero,lam_minus,lam_plus")
     for i in range(k_max):
@@ -181,6 +165,8 @@ def cmd_sphere_exact(cfg, k_max):
 
 
 def cmd_assemble(cfg):
+    from . import io as npio
+    from .spectral import assemble_operators, target_nodes
     d = _outdir(cfg)
     surface = _surface(cfg)
     params = _material(cfg)
@@ -208,6 +194,8 @@ def _read_input(read, path, stage):
 def _read_operator(path, dim, nodes):
     """(matrix, None) from an assembled dim x dim operator's NPMAT file,
     or (meridian_blocks, defect) when nodes are an axisymmetric meridian."""
+    from . import io as npio
+    from .spectral import meridian_blocks
     mat = _read_input(npio.read_npmat, path, "assemble")
     if mat.shape != (dim, dim):
         raise SystemExit(
@@ -224,6 +212,8 @@ def cmd_spectrum(cfg, matrix=None):
     matrix (default <out.dir>/np_matrix.npmat), S from
     single_layer.npmat in the same directory; one Fourier block at a
     time on an axisymmetric surface, where both must be equivariant."""
+    from . import io as npio
+    from .spectral import symmetrize, target_nodes
     d = _outdir(cfg)
     k_path = matrix or os.path.join(d, "np_matrix.npmat")
     s_path = os.path.join(os.path.dirname(k_path), "single_layer.npmat")
@@ -246,6 +236,9 @@ def cmd_spectrum(cfg, matrix=None):
 
 
 def cmd_count(cfg, eigenvalues_path=None):
+    from . import io as npio
+    from .elasticity import essential_spectrum
+    from .spectral import cluster_and_count
     d = _outdir(cfg)
     if eigenvalues_path is None:
         eigenvalues_path = os.path.join(d, "eigenvalues.csv")
@@ -265,6 +258,9 @@ def cmd_count(cfg, eigenvalues_path=None):
 
 
 def cmd_fit(cfg, counting_path=None, prune=True):
+    from . import io as npio
+    from .asymptotics import AsymptoticReport
+    from .spectral import fit_power_law, prune_counting_samples
     d = _outdir(cfg)
     if counting_path is None:
         counting_path = os.path.join(d, "counting.csv")
@@ -299,6 +295,10 @@ def cmd_fit(cfg, counting_path=None, prune=True):
 
 
 def cmd_coeff(cfg):
+    from . import io as npio
+    from .asymptotics import AsymptoticReport, coefficient_integral
+    from .elasticity import essential_spectrum
+    from .extraction import _check_angles, np_symbol_field
     d = _outdir(cfg)
     angles = cfg["extract"]["angles"]
     _configured("extract.angles", _check_angles, angles)
@@ -328,6 +328,10 @@ def cmd_coeff(cfg):
 
 
 def _verify_checks(cfg):
+    from .elasticity import (essential_spectrum, np_principal_symbol, single_layer_symbol,
+                             sphere_exact_eigenvalues, symmetrizer_symbols)
+    from .extraction import curvature_matrices, fourier_multiplier
+    from .symbols import TwoTermSymbol, compose
     params = _material(cfg)
     checks = []
 

@@ -18,7 +18,10 @@ path on every surface kind.  The near-field density is coupled back to
 grid values through a local tensor barycentric interpolation stencil
 (latitude weights from a per-grid window table, pole reflection from
 its node table), applied in transpose so the result is a matrix acting
-on grid data.
+on grid data; each node's stencil matrix spans only the grid columns
+it touches.  The stencil window is centred on the grid interval that
+holds its target, so it is mirror symmetric and the operators commute
+with the reflections of the surface.
 One pass over the node blocks serves the double and single layer.
 On a surface symmetric about the z axis only the n meridian rows are
 assembled; the operators are block circulant in longitude there, so
@@ -26,8 +29,9 @@ rotations give the other rows, and the spectrum splits into one
 Hermitian block per Fourier mode (fourier_blocks).
 
 Downstream utilities: single layer symmetrization (the one route from
-K and S to a real spectrum), cluster counting functions, power-law fits
-of counting data, and polynomial compactness diagnostics.
+K and S to a real spectrum, one block at a time), cluster counting
+functions, power-law fits of counting data, and polynomial compactness
+diagnostics.
 """
 
 import functools
@@ -130,11 +134,13 @@ def _barycentric(w, d):
 def _batch_stencil(grid, thetas, phis):
     """Nodes and weights interpolating grid data at many (theta, phi).
 
-    Tensor barycentric Lagrange on the _INTERP_ORDER nearest extended
-    latitudes and longitudes; latitude weights come from the grid's
-    window table, and longitude weights from the one target phi, which
-    grid.node turns into phi + pi on reflected rows.  Returns integer
-    node indices and weights of shape (npts, _INTERP_ORDER**2).
+    Tensor barycentric Lagrange on the _INTERP_ORDER extended latitudes
+    and longitudes centred on the grid interval that holds the target,
+    so a target's mirror image gets the mirror image of its window;
+    latitude weights come from the grid's window table, and longitude
+    weights from the one target phi, which grid.node turns into phi + pi
+    on reflected rows.  Returns integer node indices and weights of shape
+    (npts, _INTERP_ORDER**2).
     """
     p = _INTERP_ORDER
     thetas = np.asarray(thetas, dtype=float)
@@ -144,7 +150,7 @@ def _batch_stencil(grid, thetas, phis):
     win = lo[:, None] + np.arange(p)[None, :]
     wt = _barycentric(grid.bary_t[lo], thetas[:, None] - grid.ext_t[win])
     dphi = 2.0 * math.pi / grid.n_phi
-    cols = np.rint(phis / dphi).astype(int)[:, None] + (np.arange(p) - p // 2)
+    cols = np.floor(phis / dphi).astype(int)[:, None] + (np.arange(p) - p // 2 + 1)
     # uniform longitude nodes: barycentric weights are alternating binomials
     ub = np.array([(-1.0) ** b * math.comb(p - 1, b) for b in range(p)])
     wp = _barycentric(ub, phis[:, None] - cols * dphi)
@@ -158,6 +164,16 @@ def _interp_matrix(idx, wgt, n_nodes):
     npts = len(idx)
     flat = (np.arange(npts)[:, None] * n_nodes + idx).ravel()
     return np.bincount(flat, wgt.ravel(), npts * n_nodes).reshape(npts, n_nodes)
+
+
+def _touched_product(idx, wgt, values, n_nodes):
+    """(cols, product): the columns the stencils touch, and rows cols of
+    _interp_matrix(idx, wgt, n_nodes).T @ values, whose other rows are 0.
+    The matrix is built over cols only, and the product is the same bits."""
+    hits = np.bincount(idx.ravel(), minlength=n_nodes)
+    cols = np.flatnonzero(hits)
+    local = np.cumsum(hits > 0) - 1
+    return cols, _interp_matrix(local[idx], wgt, cols.size).T @ values
 
 
 @functools.lru_cache(maxsize=None)
@@ -202,9 +218,10 @@ def _assemble(surface, quad, kernels, targets):
     node's chart), one stencil call interpolates all of them, and each
     kernel is evaluated once on the far field (block x nodes) and once
     on the patch points.  The near field reaches the grid through each
-    node's dense interpolation matrix, built one node at a time so that
-    a block holds O(points) memory, not O(points x nodes), and shared
-    by the kernels.
+    node's interpolation matrix over the columns its stencils touch
+    (_touched_product), built one node at a time so that a block holds
+    O(points x touched columns) memory, not O(points x nodes), and
+    shared by the kernels.
     """
     grid = _GridInfo(quad)
     n_nodes = quad.size
@@ -245,10 +262,11 @@ def _assemble(surface, quad, kernels, targets):
             [(qw * kernel(pts[targets[owner]], q, nu)).reshape(-1, 9) for kernel in kernels],
             axis=1,
         )
-        patch_part = np.empty((len(nodes), n_nodes, contrib.shape[1]))
+        patch_part = np.zeros((len(nodes), n_nodes, contrib.shape[1]))
         for j, end in enumerate(ends):
             rows = slice(end - counts[b0 + j], end)
-            patch_part[j] = _interp_matrix(idx[rows], wgt[rows], n_nodes).T @ contrib[rows]
+            cols, part = _touched_product(idx[rows], wgt[rows], contrib[rows], n_nodes)
+            patch_part[j, cols] = part
         for k, (mat, kernel) in enumerate(zip(mats, kernels)):
             block = np.zeros((len(nodes), n_nodes, 3, 3))
             block[row, col] = kernel(pts[nodes[row]], pts[col], nrms[col])
@@ -381,31 +399,41 @@ def symmetrize(k_mat, s_mat, weights):
     the symmetry_defect of a before averaging, clipped_modes
     and p_min_ratio (min/max eigenvalue of P).  Norms run over all
     blocks, so by Parseval Fourier blocks report the full matrix's.
+    Blocks go one at a time, a pass of P's eigenpairs for the clip level
+    and then one transform each, so besides its inputs the call holds
+    about two stacks, the eigenvectors and the output.
     """
+    k_mat, s_mat = np.asarray(k_mat), np.asarray(s_mat)
     sw = np.repeat(np.sqrt(np.asarray(weights, dtype=float)), 3)
-    if sw.size != np.shape(k_mat)[-1]:
+    if sw.size != k_mat.shape[-1]:
         raise ValueError("weights do not match matrix size")
-    k = sw[:, None] * np.asarray(k_mat) / sw
-    s = sw[:, None] * np.asarray(s_mat) / sw
-    vals, vecs = np.linalg.eigh(-0.5 * (s + _adjoint(s)))
+    ks, ss = (k_mat, s_mat) if k_mat.ndim == 3 else (k_mat[None], s_mat[None])
+
+    def framed(stack):  # its blocks in the sqrt-weight frame, one at a time
+        return (sw[:, None] * m / sw for m in stack)
+
+    pairs = [np.linalg.eigh(-0.5 * (s + _adjoint(s))) for s in framed(ss)]
+    vals = np.stack([v for v, _ in pairs])
     vmax = vals.max()
     if vmax <= 0.0 or vals.min() < -_P_INDEFINITE * vmax:
         raise ValueError(
             "-S is not positive definite (eigenvalue range %.3e .. %.3e); "
             "refine the grid" % (vals.min(), vmax)
         )
-    clipped = int(np.sum(vals < _P_FLOOR * vmax))
-    root = np.sqrt(np.maximum(vals, _P_FLOOR * vmax))[..., None, :]
-    b = _adjoint(vecs) @ k @ vecs
-    plemelj = np.linalg.norm(b * vals[..., None, :] - vals[..., None] * _adjoint(b)) / max(
-        np.linalg.norm(k) * np.linalg.norm(vals), 1e-30
-    )
-    a = b * root / np.swapaxes(root, -1, -2)
-    defect = np.linalg.norm(a - _adjoint(a)) / max(np.linalg.norm(a), 1e-30)
-    return 0.5 * (a + _adjoint(a)), {
-        "symmetry_defect": defect,
-        "plemelj_residual": plemelj,
-        "clipped_modes": clipped,
+    out = np.empty(ks.shape, np.result_type(ks, ss, sw))
+    norms = np.empty((len(pairs), 4))  # |k|, |B L - L B^T|, |a|, |a - a^T| per block
+    for i, (k, (v, vecs)) in enumerate(zip(framed(ks), pairs)):
+        root = np.sqrt(np.maximum(v, _P_FLOOR * vmax))[None, :]
+        b = _adjoint(vecs) @ k @ vecs
+        a = b * root / root.T
+        commutator = b * v[None, :] - v[:, None] * _adjoint(b)
+        norms[i] = [np.linalg.norm(x) for x in (k, commutator, a, a - _adjoint(a))]
+        out[i] = 0.5 * (a + _adjoint(a))
+    k_norm, plemelj, a_norm, defect = np.linalg.norm(norms, axis=0)
+    return out if k_mat.ndim == 3 else out[0], {
+        "symmetry_defect": defect / max(a_norm, 1e-30),
+        "plemelj_residual": plemelj / max(k_norm * np.linalg.norm(vals), 1e-30),
+        "clipped_modes": int(np.sum(vals < _P_FLOOR * vmax)),
         "p_min_ratio": float(vals.min() / vmax),
     }
 

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import npspec
-from npspec import cli
+from npspec import cli, elasticity
 from npspec import io as npio
 from npspec.cli import load_config, main
 
@@ -217,6 +217,32 @@ class TestEssential:
         loaded, roots = proc.stdout.splitlines()
         assert loaded == "[]"
         assert json.loads(roots)["roots"] == [-0.166667, 0.0, 0.166667]
+
+    @staticmethod
+    def _stage_modules(tmp_path, stage):
+        """The npspec modules a fresh process holds after running stage."""
+        script = (
+            "import json, sys, npspec.cli\n"
+            "code = npspec.cli.main(sys.argv[1:])\n"
+            "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'npspec')))\n"
+            "sys.exit(code)\n"
+        )
+        src = os.path.dirname(os.path.dirname(os.path.abspath(npspec.__file__)))
+        proc = subprocess.run(
+            [sys.executable, "-c", script, stage, "--mesh.n", "4",
+             "--out.dir", str(tmp_path)],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        return json.loads(proc.stdout.splitlines()[-1])
+
+    def test_fresh_process_loads_only_the_stage_layers(self, tmp_path):
+        # each command imports the layers it runs, and every module a
+        # stage loads is compiled and run in that stage's process
+        assert self._stage_modules(tmp_path, "essential") == [
+            "npspec", "npspec.cli", "npspec.elasticity", "npspec.symbols"
+        ]
+        assert "npspec.spectral" not in self._stage_modules(tmp_path, "coeff")
 
 
 class TestSphereExact:
@@ -565,8 +591,8 @@ class TestVerify:
         def broken(params, xi):
             raise ValueError("inverse identity violated")
 
-        monkeypatch.setattr(cli, "symmetrizer_symbols", broken)
-        monkeypatch.setattr(cli, "sphere_exact_eigenvalues", lambda p, k: ([0.0] * 2,) * 3)
+        monkeypatch.setattr(elasticity, "symmetrizer_symbols", broken)
+        monkeypatch.setattr(elasticity, "sphere_exact_eigenvalues", lambda p, k: ([0.0] * 2,) * 3)
         code, out = run(capsys, "verify")
         assert code == 1
         lines = out.strip().splitlines()

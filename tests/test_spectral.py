@@ -12,6 +12,7 @@ exponents before they see operator data.
 """
 
 import math
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -32,12 +33,14 @@ from npspec.spectral import (
     _interp_matrix,
     _patch_points,
     _smoothstep,
+    _touched_product,
     assemble_operators,
     certified_multiplicities,
     cluster_and_count,
     cluster_windows,
     compactness_check,
     fit_power_law,
+    fourier_blocks,
     level_multiplicities,
     meridian_blocks,
     prune_counting_samples,
@@ -49,6 +52,7 @@ from npspec.surfaces import c_chart, make_surface, surface_quadrature
 P11 = LameParams(1.0, 1.0)
 SPHERE = make_surface("sphere", radius=1.0)
 DENT = make_surface("radial_graph", harmonics=[[2, 0, -0.6]])
+ELLIPSOID = make_surface("ellipsoid", a=1.0, b=1.2, c=0.8)
 KK = P11.kk
 ROOTS = essential_spectrum(P11)  # roots (-KK, 0, KK)
 
@@ -207,7 +211,8 @@ def _lagrange(x, nodes):
 def _reference_row(quad, theta, phi, p=8):
     """Dense interpolation row at (theta, phi), built point by point: the
     p consecutive extended latitudes around theta (rows reflected across
-    a pole read phi + pi) and the p longitudes around each row's target."""
+    a pole read phi + pi) and the p longitudes around the interval that
+    holds each row's target."""
     n = round(math.sqrt(quad.size / 2))
     asc = quad.params[:: 2 * n, 0][::-1]
     r = min(p, n)
@@ -222,7 +227,7 @@ def _reference_row(quad, theta, phi, p=8):
     dphi = math.pi / n
     for lat_w, (_, lat, shift) in zip(_lagrange(theta, [e[0] for e in window]), window):
         target = phi + shift
-        cols = round(target / dphi) + np.arange(p) - p // 2
+        cols = math.floor(target / dphi) + np.arange(p) - p // 2 + 1
         for col, lon_w in zip(cols, _lagrange(target, list(cols * dphi))):
             row[lat * 2 * n + col % (2 * n)] += lat_w * lon_w
     return row
@@ -275,6 +280,27 @@ class TestInterpolationMatrix:
         interp = _interp_matrix(idx, wgt, quad.size)
         got = (interp.T @ contrib.reshape(len(q), 9)).reshape(-1, 3, 3)
         assert np.abs(got - oracle).max() < 1e-15 * np.abs(oracle).max()
+
+    @pytest.mark.parametrize("surface, n", [(SPHERE, 10), (DENT, 16)], ids=["sphere10", "dent16"])
+    @pytest.mark.parametrize("row", ["pole", "equator"])
+    def test_touched_columns_give_the_full_width_product(self, surface, n, row):
+        # one node's patch stencil; the product over the columns it
+        # touches is the full-width product, bit for bit, and the other
+        # columns of the full-width product are zero
+        quad = surface_quadrature(surface, n)
+        node = 0 if row == "pole" else (n // 2) * 2 * n
+        chart = c_chart(surface, *quad.params[node])
+        r2 = 0.8 * chart.radius
+        q, _, _ = chart.geometry(_patch_points(0.5 * r2, r2, 10, 16)[0])
+        idx, wgt = _batch_stencil(
+            _GridInfo(quad), *surfaces._angles(q, np.linalg.norm(q, axis=1))
+        )
+        contrib = np.random.default_rng(n).normal(size=(len(q), 18))
+        cols, got = _touched_product(idx, wgt, contrib, quad.size)
+        full = _interp_matrix(idx, wgt, quad.size).T @ contrib
+        assert np.array_equal(cols, np.unique(idx))
+        assert np.array_equal(got, full[cols])
+        assert not np.delete(full, cols, axis=0).any()
 
 
 class TestFusedPass:
@@ -487,6 +513,24 @@ class TestPatchGeometry:
             assert np.abs(area - rq / (q_ref @ chart.n)).max() < 1e-13
 
 
+class TestReflections:
+    @pytest.mark.parametrize("axis", [0, 1, 2], ids=["x", "y", "z"])
+    def test_ellipsoid_operators_are_mirror_equivariant(self, axis):
+        # a reflection R maps the product rule onto itself by a node
+        # permutation s, and K and S commute with it: M_(s a, s b) =
+        # R M_(a, b) R; a longitude window not symmetric under
+        # phi -> -phi breaks this for x and y by 0.26 of max |K|
+        quad = surface_quadrature(ELLIPSOID, 8)
+        sign = np.where(np.arange(3) == axis, -1.0, 1.0)
+        gap = np.linalg.norm(quad.points[:, None] - sign * quad.points[None], axis=-1)
+        perm = gap.argmin(axis=0)
+        assert gap[perm, np.arange(quad.size)].max() < 1e-12
+        for mat, tol in zip(assemble_operators(ELLIPSOID, P11, quad), (1e-11, 1e-13)):
+            m = mat.reshape(quad.size, 3, quad.size, 3)
+            mirrored = sign[:, None, None] * m[perm][:, :, perm] * sign
+            assert np.abs(mirrored - m).max() <= tol * np.abs(m).max()
+
+
 class TestAssembly:
     def _action_err(self, bundle, u, lam):
         v = (bundle.k @ u.ravel()).reshape(-1, 3)
@@ -577,6 +621,21 @@ class TestSpectrum:
 
 
 class TestSymmetrize:
+    def test_fourier_blocks_in_bounded_memory(self):
+        # blocks go one at a time, so the traced peak stays near two
+        # block stacks (the eigenvectors and the output), not seven
+        quad = surface_quadrature(DENT, 24)
+        nodes = target_nodes(DENT, quad)
+        rows = _assemble(DENT, quad, TestFusedPass._kernels(), nodes)
+        k_blocks, s_blocks = (fourier_blocks(m) for m in rows)
+        tracemalloc.start()
+        try:
+            symmetrize(k_blocks, s_blocks, quad.weights[nodes])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.5 * k_blocks.nbytes
+
     def _commuting_pair(self, rng, n=42):
         # K = P^(1/2) A P^(-1/2) with A symmetric: exact Plemelj pair;
         # basis holds the eigenvectors of P in ascending eigenvalue order
