@@ -19,8 +19,6 @@ and weights; it builds M1 and M2 once, computes all roots together and
 takes each spectrum from trace tables and the trigonometric cubic.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .extraction import curvature_matrices
@@ -116,31 +114,3 @@ def _signed_sums(kappa, weights, mean, bb, bbb, first):
         traces[1] += np.where(lam < -_ZERO_TOL, lam**2, 0.0)
     traces *= weights[:, None, None] * ref**2
     return np.array([traces[..., ::step].sum(axis=-1) for step in (1, 2)])
-
-
-@dataclass(frozen=True)
-class AsymptoticReport:
-    """One counting-asymptotics record.
-
-    route is "symbol" (coefficient integral of the extracted symbol)
-    or "counting" (power-law fit of a measured or exact counting
-    function); err_estimate is the route's internal convergence
-    measure, not a rigorous bound.
-    """
-
-    root: float
-    side: str
-    c: float
-    d: float
-    route: str
-    err_estimate: float
-
-    def to_dict(self):
-        return {
-            "root": self.root,
-            "side": self.side,
-            "C": self.c,
-            "d": self.d,
-            "route": self.route,
-            "err_estimate": self.err_estimate,
-        }

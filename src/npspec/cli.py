@@ -257,9 +257,15 @@ def cmd_count(cfg, eigenvalues_path=None):
     return 0
 
 
+def _report(root, side, c, d, route, err_estimate):
+    """The record of n_side(tau) ~ C tau^(-d) at root, by route "symbol"
+    (coefficient integral) or "counting" (power-law fit); err_estimate is
+    the route's internal convergence measure, not a rigorous bound."""
+    return dict(root=root, side=side, C=c, d=d, route=route, err_estimate=err_estimate)
+
+
 def cmd_fit(cfg, counting_path=None, prune=True):
     from . import io as npio
-    from .asymptotics import AsymptoticReport
     from .spectral import fit_power_law, prune_counting_samples
     d = _outdir(cfg)
     if counting_path is None:
@@ -278,25 +284,16 @@ def cmd_fit(cfg, counting_path=None, prune=True):
             except ValueError as exc:
                 skipped.append({"root": rec["root"], "side": side, "reason": str(exc)})
                 continue
-            reports.append(
-                AsymptoticReport(
-                    root=rec["root"],
-                    side=side,
-                    c=fit.c,
-                    d=fit.h,
-                    route="counting",
-                    err_estimate=fit.residual,
-                )
-            )
+            reports.append(_report(rec["root"], side, fit.c, fit.h, "counting", fit.residual))
     path = os.path.join(d, "fit.json")
-    npio.write_fit_json(path, reports, skipped)
+    npio.write_json(path, {"reports": reports, "skipped": skipped})
     print(json.dumps({"reports": len(reports), "file": path}, sort_keys=True))
     return 0
 
 
 def cmd_coeff(cfg):
     from . import io as npio
-    from .asymptotics import AsymptoticReport, coefficient_integral
+    from .asymptotics import coefficient_integral
     from .elasticity import essential_spectrum
     from .extraction import _check_angles, np_symbol_field
     d = _outdir(cfg)
@@ -311,15 +308,12 @@ def cmd_coeff(cfg):
     )
     drift = info["angle_drift"]
     reports = [
-        AsymptoticReport(
-            root=float(root), side=side, c=float(c[idx]), d=2.0,
-            route="symbol", err_estimate=float(drift[idx]),
-        )
+        _report(float(root), side, float(c[idx]), 2.0, "symbol", float(drift[idx]))
         for idx, root in enumerate(essential_spectrum(params).roots)
         for side, c in (("plus", cp), ("minus", cm))
     ]
     path = os.path.join(d, "coeff.json")
-    npio.write_report_json(path, reports)
+    npio.write_json(path, {"reports": reports})
     summary = dict(
         field.diagnostics, reports=len(reports), file=path, angle_drift=float(drift.max())
     )

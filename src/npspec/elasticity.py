@@ -22,9 +22,9 @@ from .symbols import SpectralPolynomial
 class LameParams:
     """Lame constants with the derived material quantities.
 
-    Admissibility: mu > 0 and 3 lam + 2 mu > 0 (positive elastic
-    energy), which makes lam + 2 mu > 0 and all derived constants
-    finite.  Derived values:
+    Admissibility: finite lam and mu, mu > 0 and 3 lam + 2 mu > 0
+    (positive elastic energy), which makes lam + 2 mu > 0 and all
+    derived constants finite.  Derived values:
 
         lam' = (lam + 3 mu) / (4 pi mu (lam + 2 mu))
         mu'  = (lam + mu)   / (4 pi mu (lam + 2 mu))
@@ -36,9 +36,10 @@ class LameParams:
     mu: float
 
     def __post_init__(self):
-        if not (self.mu > 0.0 and 3.0 * self.lam + 2.0 * self.mu > 0.0):
+        if not (np.isfinite([self.lam, self.mu]).all() and self.mu > 0.0
+                and 3.0 * self.lam + 2.0 * self.mu > 0.0):
             raise ValueError(
-                "inadmissible material: need mu > 0 and 3 lam + 2 mu > 0"
+                "inadmissible material: need finite lam, mu with mu > 0 and 3 lam + 2 mu > 0"
             )
 
     @property

@@ -1,4 +1,4 @@
-"""File formats: matrix container, eigenvalue/counting CSV, reports.
+"""File formats: matrix container, eigenvalue/counting CSV, JSON reports.
 
 NPMAT v1 container: a single header line
 
@@ -211,21 +211,9 @@ def read_counting_csv(path):
     ]
 
 
-def _write_json(path, payload):
+def write_json(path, payload):
+    """payload as a deterministic JSON document: sorted keys, indent 2,
+    a trailing newline."""
     with open(path, "w") as f:
         json.dump(payload, f, indent=2, sort_keys=True)
         f.write("\n")
-
-
-def write_report_json(path, reports):
-    """Asymptotics reports as a deterministic JSON document."""
-    _write_json(path, {"reports": [r.to_dict() for r in reports]})
-
-
-def write_fit_json(path, reports, skipped):
-    """Counting-route fit reports plus the sides that could not be
-    fitted, each skipped entry a dict {root, side, reason}."""
-    _write_json(
-        path, {"reports": [r.to_dict() for r in reports], "skipped": list(skipped)}
-    )
-

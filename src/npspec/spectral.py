@@ -499,10 +499,10 @@ def fit_power_law(tau, counts):
     """Log-log least squares fit over the asymptotic subrange.
 
     Keeps strictly positive counts, requires at least _FIT_MIN_POINTS
-    samples spanning _FIT_MIN_DECADES in tau, and fits the largest-count
-    half of the data (the small-tau side, where the asymptotic law
-    dominates).  residual is the max |log n - log fit| over the points
-    used.
+    samples spanning _FIT_MIN_DECADES in tau, and fits the smallest-tau
+    half of the data (the largest counts, where the asymptotic law
+    dominates); samples with equal counts are chosen by tau too.
+    residual is the max |log n - log fit| over the points used.
     """
     tau = np.asarray(tau, dtype=float)
     counts = np.asarray(counts, dtype=float)
@@ -512,9 +512,8 @@ def fit_power_law(tau, counts):
         raise ValueError("too few nonzero counting samples: %d" % tau.size)
     if math.log10(tau.max() / tau.min()) < _FIT_MIN_DECADES:
         raise ValueError("counting samples span less than the required decades")
-    order = np.argsort(counts)[::-1]
-    m = max(_FIT_MIN_POINTS // 2, order.size // 2)
-    sel = np.sort(order[:m])
+    m = max(_FIT_MIN_POINTS // 2, tau.size // 2)
+    sel = np.sort(np.argsort(tau, kind="stable")[:m])
     lt, ln = np.log(tau[sel]), np.log(counts[sel])
     a = np.column_stack([np.ones_like(lt), -lt])
     coef, *_ = np.linalg.lstsq(a, ln, rcond=None)

@@ -256,15 +256,17 @@ def _inverse_sqrt_jet(g, gt, gp, gtt, gtp, gpp):
 def _harmonic_triples(harmonics):
     """(l, m, coeff) triples from {(l, m): coeff} or [[l, m, coeff], ...];
     an error names the first entry that is not three numbers with
-    integer l and m (2.0 and true are not integers) and |m| <= l."""
+    integer l and m (2.0 and true are not integers), a finite coeff and
+    |m| <= l."""
     if isinstance(harmonics, dict):
         harmonics = [k + (c,) if isinstance(k, tuple) else (k, c) for k, c in harmonics.items()]
     for entry in harmonics:
         if not (isinstance(entry, (list, tuple)) and len(entry) == 3 and all(
             isinstance(v, numbers.Integral if j < 2 else numbers.Real) and not isinstance(v, bool)
             for j, v in enumerate(entry)
-        )):
-            raise ValueError("harmonic %r is not [l, m, coeff] with integer l, m" % (entry,))
+        ) and math.isfinite(entry[2])):
+            raise ValueError(
+                "harmonic %r is not [l, m, coeff] with integer l, m and finite coeff" % (entry,))
         if abs(entry[1]) > entry[0]:
             raise ValueError("harmonic (l, m) = (%d, %d) needs 0 <= |m| <= l" % tuple(entry[:2]))
     return tuple((int(l), int(m), float(c)) for l, m, c in harmonics)
@@ -279,14 +281,15 @@ def make_surface(kind, **params):
     """
     if kind == "sphere":
         params.setdefault("radius", 1.0)
-        if not params["radius"] > 0.0:
-            raise ValueError("sphere radius %r is not positive" % params["radius"])
+        if not 0.0 < params["radius"] < math.inf:
+            raise ValueError("sphere radius %r is not positive and finite" % params["radius"])
     elif kind == "ellipsoid":
         for k in ("a", "b", "c"):
             if k not in params:
                 raise ValueError("ellipsoid needs semi-axes a, b, c")
-            if not params[k] > 0.0:
-                raise ValueError("ellipsoid semi-axis %s = %r is not positive" % (k, params[k]))
+            if not 0.0 < params[k] < math.inf:
+                raise ValueError(
+                    "ellipsoid semi-axis %s = %r is not positive and finite" % (k, params[k]))
     elif kind == "radial_graph":
         params["harmonics"] = _harmonic_triples(params.get("harmonics", ()))
     else:

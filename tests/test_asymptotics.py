@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from npspec import asymptotics, surfaces
-from npspec.asymptotics import AsymptoticReport, coefficient_integral
+from npspec.asymptotics import coefficient_integral
 from npspec.elasticity import LameParams
 from npspec.extraction import curvature_matrices, np_symbol_field
 from npspec.surfaces import make_surface, principal_curvatures, surface_quadrature
@@ -341,23 +341,3 @@ class TestTraceIdentity:
         willmore = a11 / (2.0 * np.pi**2) * (w * (0.5 * (k1 + k2)) ** 2).sum() + (a12 - a11) / np.pi
         # measured <= 2.2e-6: the n = 16 rule's own Gauss-Bonnet error
         assert (np.abs(total - willmore) / total).max() <= 1e-5
-
-
-class TestAsymptoticReport:
-    def test_dict_round_trip(self):
-        rep = AsymptoticReport(
-            root=1.0 / 6.0,
-            side="plus",
-            c=1.0 / 36.0,
-            d=2.0,
-            route="symbol",
-            err_estimate=3e-9,
-        )
-        d = rep.to_dict()
-        assert d["root"] == pytest.approx(1.0 / 6.0)
-        assert d["side"] == "plus"
-        assert d["C"] == pytest.approx(1.0 / 36.0)
-        assert d["d"] == 2.0
-        assert d["route"] == "symbol"
-        assert d["err_estimate"] == pytest.approx(3e-9)
-        assert len(d) == 6

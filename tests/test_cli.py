@@ -138,8 +138,30 @@ class TestConfig:
                 ["coeff", "--extract.angles", "62"],
                 "extract.angles: need an even direction count of at least 64",
             ),
+            *(
+                (argv, "material.lambda, material.mu: inadmissible")
+                for argv in (["essential", "--material.mu", "Infinity"],
+                             ["essential", "--material.lambda", "Infinity"],
+                             ["count", "--material.lambda", "Infinity"],
+                             ["coeff", "--material.mu", "Infinity"])
+            ),
+            (
+                ["assemble", "--surface.radius", "Infinity"],
+                "surface.radius: sphere radius inf is not positive",
+            ),
+            (
+                ["assemble", "--surface.kind", "radial_graph",
+                 "--surface.harmonics", "[[2,0,NaN]]"],
+                "surface.harmonics: harmonic [2, 0, nan] is not",
+            ),
+            (
+                ["assemble", "--surface.kind", "ellipsoid", "--surface.a", "Infinity"],
+                "surface.a, surface.b, surface.c: ellipsoid semi-axis a = inf is not positive",
+            ),
         ],
-        ids=["material", "mesh", "surface", "kmax", "guard", "n_tau", "angles"],
+        ids=["material", "mesh", "surface", "kmax", "guard", "n_tau", "angles", "mu=inf",
+             "lambda=inf", "count lambda=inf", "coeff mu=inf", "radius=inf", "coeff=nan",
+             "a=inf"],
     )
     def test_rejected_values_name_their_keys(self, capsys, tmp_path, argv, reason):
         # the library's ValueError becomes a message, not a traceback
@@ -243,6 +265,14 @@ class TestEssential:
             "npspec", "npspec.cli", "npspec.elasticity", "npspec.symbols"
         ]
         assert "npspec.spectral" not in self._stage_modules(tmp_path, "coeff")
+        # fit writes plain report records: no symbol-route layer
+        (tmp_path / "counting.csv").write_text(
+            "tau,n_plus,n_minus,root\n"
+            + "".join("%.17g,%d,0,0\n" % (t, 4.0 / t**2) for t in np.geomspace(0.01, 1.0, 12))
+        )
+        fit_modules = self._stage_modules(tmp_path, "fit")
+        assert "npspec.asymptotics" not in fit_modules
+        assert "npspec.extraction" not in fit_modules
 
 
 class TestSphereExact:

@@ -49,6 +49,9 @@ class TestLameParams:
             LameParams(lam=1.0, mu=-1.0)
         with pytest.raises(ValueError):
             LameParams(lam=-1.0, mu=1.0)
+        for lam, mu in [(1.0, np.inf), (np.inf, 1.0), (np.nan, 1.0), (1.0, np.nan)]:
+            with pytest.raises(ValueError, match="inadmissible"):
+                LameParams(lam=lam, mu=mu)
         LameParams(lam=-0.5, mu=1.0)
 
 

@@ -890,6 +890,17 @@ class TestPowerLawFit:
         with pytest.raises(ValueError):
             fit_power_law(tau, counts)
 
+    def test_tied_counts_fit_the_smallest_tau(self):
+        # the pruned plus side at root -1/6 of the sphere at n = 10: a run
+        # of equal counts crosses the half boundary, and the fit takes the
+        # 7 smallest tau, not the ties in whatever order a sort leaves them
+        counts = np.array([156.0] + [152.0] * 8 + [148.0, 134.0, 109.0, 75.0, 52.0, 29.0, 0.0])
+        tau = np.geomspace(0.0014, 0.075, counts.size)
+        slope, log_c = np.polyfit(np.log(tau[:7]), np.log(counts[:7]), 1)
+        fit = fit_power_law(tau, counts)
+        assert abs(fit.h + slope) < 1e-12
+        assert abs(fit.c - math.exp(log_c)) < 1e-10 * fit.c
+
     def test_prune_drops_smallest_tau(self):
         tau = np.array([0.5, 0.01, 0.1, 0.02, 0.3, 0.05])
         counts = np.arange(6.0)

@@ -90,10 +90,15 @@ class TestRadialJets:
             ("radial_graph", {"harmonics": [[2, 0]]}, r"\[2, 0\]"),
             ("radial_graph", {"harmonics": [[2, 0, "x"]]}, r"\[2, 0, 'x'\]"),
             ("radial_graph", {"harmonics": [2, 0, 0.1]}, "harmonic 2 "),
+            ("sphere", {"radius": math.inf}, "radius inf is not positive"),
+            ("ellipsoid", {"a": math.inf, "b": 1.0, "c": 1.0}, "a = inf is not positive"),
+            ("radial_graph", {"harmonics": [[2, 0, math.nan]]}, r"\[2, 0, nan\]"),
+            ("radial_graph", {"harmonics": {(2, 0): math.inf}}, r"\(2, 0, inf\)"),
         ],
         ids=[
             "radius<0", "radius=0", "b=0", "c<0", "m>l", "l<0",
             "l=2.5", "m=0.0", "l=true", "dict l=2.0", "two numbers", "coeff text", "flat list",
+            "radius=inf", "a=inf", "coeff=nan", "dict coeff=inf",
         ],
     )
     def test_invalid_parameters_rejected(self, kind, params, named):
