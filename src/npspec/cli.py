@@ -121,11 +121,11 @@ _SURFACE_KEYS = {"sphere": ["radius"], "ellipsoid": ["a", "b", "c"], "radial_gra
 def _surface(cfg):
     from .surfaces import make_surface
     s = cfg["surface"]
-    for kind, keys in _SURFACE_KEYS.items():
-        if s["kind"] == kind:
-            where = ", ".join("surface." + k for k in keys)
-            return _configured(where, make_surface, kind, **{k: s[k] for k in keys})
-    raise SystemExit("unknown surface kind %r" % s["kind"])
+    keys = _SURFACE_KEYS.get(s["kind"])
+    if keys is None:
+        raise SystemExit("unknown surface kind %r" % s["kind"])
+    where = ", ".join("surface." + k for k in keys)
+    return _configured(where, make_surface, s["kind"], **{k: s[k] for k in keys})
 
 
 def _quadrature(cfg, surface):
@@ -192,8 +192,8 @@ def _read_input(read, path, stage):
 
 
 def _read_operator(path, dim, nodes):
-    """(matrix, None) from an assembled dim x dim operator's NPMAT file,
-    or (meridian_blocks, defect) when nodes are an axisymmetric meridian."""
+    """(blocks, defect) of an assembled dim x dim operator's NPMAT file
+    from spectral.meridian_blocks at the nodes whose rows were assembled."""
     from . import io as npio
     from .spectral import meridian_blocks
     mat = _read_input(npio.read_npmat, path, "assemble")
@@ -202,8 +202,6 @@ def _read_operator(path, dim, nodes):
             "%s is %dx%d; the configured mesh needs %dx%d"
             % ((path,) + mat.shape + (dim, dim))
         )
-    if 3 * len(nodes) == dim:
-        return mat, None
     return _read_input(lambda _: meridian_blocks(mat, nodes), path, "assemble")
 
 
@@ -229,8 +227,7 @@ def cmd_spectrum(cfg, matrix=None):
     path = os.path.join(d, "eigenvalues.csv")
     npio.write_eigenvalues_csv(path, vals)
     defect = None if k_defect is None else max(k_defect, s_defect)
-    info.update(count=int(vals.size), file=path, circulant_defect=defect,
-                fourier_blocks=len(sym) if sym.ndim == 3 else 1)
+    info.update(count=int(vals.size), file=path, circulant_defect=defect, fourier_blocks=len(sym))
     print(json.dumps(info, sort_keys=True))
     return 0
 
@@ -322,49 +319,26 @@ def cmd_coeff(cfg):
 
 
 def _verify_checks(cfg):
+    """(name, check) pairs; a check returns True when its invariant holds."""
     from .elasticity import (essential_spectrum, np_principal_symbol, single_layer_symbol,
                              sphere_exact_eigenvalues, symmetrizer_symbols)
     from .extraction import curvature_matrices, fourier_multiplier
     from .symbols import TwoTermSymbol, compose
     params = _material(cfg)
-    checks = []
-
-    def check(name, fn):
-        try:
-            ok = bool(fn())
-            why = "" if ok else "returned False"
-        except Exception as exc:
-            ok, why = False, "%s: %s" % (type(exc).__name__, exc)
-        checks.append((name, ok, why))
-
     # literal jets at x = 0, xi = (1, 1) of a0 = sin(x1) xi1/|xi| and
     # b0 = xi2/|xi|: d_x a0 = (1, 0)/sqrt2, d_xi b0 = (-1, 1)/(2 sqrt2)
     s, zero, zder = np.sqrt(0.5), np.zeros((1, 1)), np.zeros((2, 1, 1))
     a = TwoTermSymbol(zero, zero, np.array([[[s]], [[0.0]]]), zder)
     b = TwoTermSymbol(np.full((1, 1), s), zero, zder, np.array([[[-s]], [[s]]]) / 2)
     eye = TwoTermSymbol(np.eye(1), zero, zder, zder)
-    check("compose_micro_value", lambda: abs(compose(b, a).a_m1[0, 0] - 0.25j) < 1e-6)
-    check(
-        "identity_neutral",
-        lambda: all(
-            np.abs(got - want).max() < 1e-14
-            for c in (compose(eye, b), compose(b, eye))
-            for got, want in zip(astuple(c), astuple(b))
-        ),
-    )
-    check(
-        "essential_symmetric",
-        lambda: abs(
-            essential_spectrum(params).roots[0]
-            + essential_spectrum(params).roots[2]
-        ) < 1e-14 and essential_spectrum(params).roots[1] == 0.0,
-    )
+
+    def essential_symmetric():
+        roots = essential_spectrum(params).roots
+        return abs(roots[0] + roots[2]) < 1e-14 and roots[1] == 0.0
 
     def sphere_modes():
-        lam0, lam_m, lam_p = sphere_exact_eigenvalues(params, 2)
+        lam0 = sphere_exact_eigenvalues(params, 2)[0]
         return abs(lam0[0] - 0.5) < 1e-14 and abs(lam0[1] - 0.3) < 1e-14
-
-    check("sphere_first_modes", sphere_modes)
 
     def principal_eigs():
         xi = np.array([0.3, -1.1])
@@ -372,40 +346,43 @@ def _verify_checks(cfg):
         k = params.kk
         return np.allclose(vals, [-k, 0.0, k], atol=1e-12)
 
-    check("principal_symbol_eigenvalues", principal_eigs)
-    check(
-        "symmetrizer_identities",
-        lambda: symmetrizer_symbols(params, np.array([0.7, 0.4])) is not None,
-    )
-    check(
-        "single_layer_negative",
-        lambda: np.linalg.eigvalsh(
-            single_layer_symbol(params, np.array([1.0, 0.0]))
-        ).max() < 0.0,
-    )
-    check(
-        "fourier_multiplier_values",
-        lambda: abs(fourier_multiplier(0, 1) - 2 * np.pi) < 1e-12
-        and abs(fourier_multiplier(1, 2) - 2j * np.pi) < 1e-12
-        and abs(fourier_multiplier(2, 1) + 2 * np.pi) < 1e-12,
-    )
-
     def ball_cluster_tops():
         # kappa = (-1, -1) is the unit ball, whose exact spectrum fixes the tops
         m = -curvature_matrices(params, np.array([0.6, -0.8])).sum(axis=0)
         tops = np.linalg.eigvals(m).real.max(axis=-1)
         return np.allclose(tops, [params.kk, 0.75, params.kk], atol=1e-12)
 
-    check("ball_cluster_tops", ball_cluster_tops)
-    return checks
+    return [
+        ("compose_micro_value", lambda: abs(compose(b, a).a_m1[0, 0] - 0.25j) < 1e-6),
+        ("identity_neutral", lambda: all(
+            np.abs(got - want).max() < 1e-14
+            for c in (compose(eye, b), compose(b, eye))
+            for got, want in zip(astuple(c), astuple(b)))),
+        ("essential_symmetric", essential_symmetric),
+        ("sphere_first_modes", sphere_modes),
+        ("principal_symbol_eigenvalues", principal_eigs),
+        ("symmetrizer_identities",
+         lambda: symmetrizer_symbols(params, np.array([0.7, 0.4])) is not None),
+        ("single_layer_negative", lambda: np.linalg.eigvalsh(
+            single_layer_symbol(params, np.array([1.0, 0.0]))).max() < 0.0),
+        ("fourier_multiplier_values",
+         lambda: abs(fourier_multiplier(0, 1) - 2 * np.pi) < 1e-12
+         and abs(fourier_multiplier(1, 2) - 2j * np.pi) < 1e-12
+         and abs(fourier_multiplier(2, 1) + 2 * np.pi) < 1e-12),
+        ("ball_cluster_tops", ball_cluster_tops),
+    ]
 
 
 def cmd_verify(cfg):
     checks = _verify_checks(cfg)
     failed = 0
-    for name, ok, why in checks:
-        print("ok %s" % name if ok else "FAIL %s: %s" % (name, why))
-        failed += 0 if ok else 1
+    for name, check in checks:
+        try:
+            why = "" if check() else "returned False"
+        except Exception as exc:
+            why = "%s: %s" % (type(exc).__name__, exc)
+        print("FAIL %s: %s" % (name, why) if why else "ok %s" % name)
+        failed += bool(why)
     print("%d/%d checks passed" % (len(checks) - failed, len(checks)))
     return 1 if failed else 0
 
@@ -417,41 +394,29 @@ def main(argv=None):
     )
     parser.add_argument("--config", help="JSON configuration file")
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("essential")
+    # each runner is looked up at call time, so a rebound cmd_* is the one run
+    sub.add_parser("essential").set_defaults(run=lambda cfg, a: cmd_essential(cfg))
     p = sub.add_parser("sphere-exact")
     p.add_argument("--kmax", type=int, default=10)
-    sub.add_parser("assemble")
+    p.set_defaults(run=lambda cfg, a: cmd_sphere_exact(cfg, a.kmax))
+    sub.add_parser("assemble").set_defaults(run=lambda cfg, a: cmd_assemble(cfg))
     p = sub.add_parser("spectrum")
     p.add_argument(
         "--matrix", help="K matrix file (default <out.dir>/np_matrix.npmat); "
         "S is read from single_layer.npmat beside it"
     )
+    p.set_defaults(run=lambda cfg, a: cmd_spectrum(cfg, a.matrix))
     p = sub.add_parser("count")
     p.add_argument("--eigenvalues", help="eigenvalue CSV path")
+    p.set_defaults(run=lambda cfg, a: cmd_count(cfg, a.eigenvalues))
     p = sub.add_parser("fit")
     p.add_argument("--counting", help="counting CSV path")
     p.add_argument("--no-prune", action="store_true")
-    sub.add_parser("coeff")
-    sub.add_parser("verify")
+    p.set_defaults(run=lambda cfg, a: cmd_fit(cfg, a.counting, prune=not a.no_prune))
+    sub.add_parser("coeff").set_defaults(run=lambda cfg, a: cmd_coeff(cfg))
+    sub.add_parser("verify").set_defaults(run=lambda cfg, a: cmd_verify(cfg))
     args, rest = parser.parse_known_args(argv)
-    cfg = load_config(args.config, _split_overrides(rest))
-    if args.command == "essential":
-        return cmd_essential(cfg)
-    if args.command == "sphere-exact":
-        return cmd_sphere_exact(cfg, args.kmax)
-    if args.command == "assemble":
-        return cmd_assemble(cfg)
-    if args.command == "spectrum":
-        return cmd_spectrum(cfg, args.matrix)
-    if args.command == "count":
-        return cmd_count(cfg, args.eigenvalues)
-    if args.command == "fit":
-        return cmd_fit(cfg, args.counting, prune=not args.no_prune)
-    if args.command == "coeff":
-        return cmd_coeff(cfg)
-    if args.command == "verify":
-        return cmd_verify(cfg)
-    raise SystemExit("unhandled command")
+    return args.run(load_config(args.config, _split_overrides(rest)), args)
 
 
 if __name__ == "__main__":

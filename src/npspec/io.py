@@ -201,14 +201,19 @@ def _count(text):
 
 
 def read_counting_csv(path):
-    """Counting records grouped by consecutive equal roots, in file order;
-    tau must be positive and the counts nonnegative."""
+    """Counting records, one per root in file order; each root's rows
+    must be consecutive, tau positive and the counts nonnegative."""
     types = (_tau, _count, _count, float)
     rows = _csv_rows(path, "tau,n_plus,n_minus,root", "a counting", types)
-    return [
+    records = [
         dict(zip(("tau", "n_plus", "n_minus"), map(np.array, zip(*group))), root=root)
         for root, group in itertools.groupby(rows, key=lambda row: row[3])
     ]
+    roots = [rec["root"] for rec in records]
+    for i, root in enumerate(roots):
+        if root in roots[:i]:
+            raise ValueError("the rows of root %s are not consecutive" % root)
+    return records
 
 
 def write_json(path, payload):

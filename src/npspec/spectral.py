@@ -324,11 +324,15 @@ def fourier_blocks(rows):
 
 
 def meridian_blocks(mat, nodes):
-    """(fourier_blocks, defect) of a full matrix from the rows of its
-    meridian nodes; the circulant defect, the largest deviation of mat
-    from its rotated meridian rows over max |mat|, is a ValueError
-    beyond _CIRCULANT_TOL."""
+    """(blocks, defect): the spectrum blocks of a full matrix whose rows
+    were assembled at nodes (target_nodes).  On a meridian these are its
+    fourier_blocks, and the circulant defect, the largest deviation of
+    mat from its rotated meridian rows over max |mat|, is a ValueError
+    beyond _CIRCULANT_TOL.  When nodes are every node (a general
+    surface), mat itself is the one block, a view, and the defect None."""
     n_lat = len(nodes)
+    if 3 * n_lat == len(mat):
+        return mat[None], None
     rows = mat.reshape(-1, 3, mat.shape[1])[nodes].reshape(3 * n_lat, -1)
     by_lon = mat.reshape(n_lat, -1, 3, mat.shape[1])
     worst = max(np.abs(by_lon[:, j] - part).max() for j, part in enumerate(_longitudes(rows)))

@@ -257,6 +257,13 @@ class TestCountingCsv:
         with pytest.raises(ValueError, match="line 3 %r: .*%s" % (row, reason)):
             read_counting_csv(path)
 
+    def test_rejects_a_root_whose_rows_are_split(self, tmp_path):
+        # two count runs' files concatenated: root 0 in two runs of rows
+        path = tmp_path / "counting.csv"
+        path.write_text("tau,n_plus,n_minus,root\n0.01,2,1,0\n0.01,5,0,-0.5\n0.02,1,0,0\n")
+        with pytest.raises(ValueError, match="the rows of root 0.0 are not consecutive"):
+            read_counting_csv(path)
+
 
 class TestReportJson:
     def test_roundtrip(self, tmp_path):

@@ -405,7 +405,14 @@ class TestFourierBlocks:
 )
 def test_general_surfaces_assemble_every_row(surface):
     quad = surface_quadrature(surface, 6)
-    assert np.array_equal(target_nodes(surface, quad), np.arange(quad.size))
+    nodes = target_nodes(surface, quad)
+    assert np.array_equal(nodes, np.arange(quad.size))
+    # the spectrum takes the whole matrix as its one block, uncopied
+    k, _ = assemble_operators(surface, P11, quad)
+    blocks, defect = meridian_blocks(k, nodes)
+    assert blocks.dtype == np.float64 and blocks.shape == (1, 3 * quad.size, 3 * quad.size)
+    assert np.shares_memory(blocks, k) and np.array_equal(blocks[0], k)
+    assert defect is None
 
 
 class TestNodeBlocks:
