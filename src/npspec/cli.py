@@ -129,8 +129,6 @@ def _surface(cfg):
 
 
 def _quadrature(cfg, surface):
-    # the rule is the first evaluation of the surface, so a radial graph
-    # that is not star shaped at a node is rejected here too
     from .surfaces import surface_quadrature
     return _configured("mesh.n or surface", surface_quadrature, surface, cfg["mesh"]["n"])
 
@@ -171,7 +169,7 @@ def cmd_assemble(cfg):
     surface = _surface(cfg)
     params = _material(cfg)
     quad = _quadrature(cfg, surface)
-    k_mat, s_mat = assemble_operators(surface, params, quad)
+    k_mat, s_mat = _configured("mesh.n or surface", assemble_operators, surface, params, quad)
     kp = os.path.join(d, "np_matrix.npmat")
     sp = os.path.join(d, "single_layer.npmat")
     npio._fork_pair(lambda: npio.write_npmat(kp, k_mat), lambda: npio.write_npmat(sp, s_mat))
@@ -299,10 +297,9 @@ def cmd_coeff(cfg):
     surface = _surface(cfg)
     params = _material(cfg)
     quad = _quadrature(cfg, surface)
-    field = np_symbol_field(surface, params, quad, angles=angles)
-    cp, cm, info = coefficient_integral(
-        params, field.charts.kappa1, field.charts.kappa2, quad.weights
-    )
+    field = _configured("mesh.n or surface", np_symbol_field, surface, params, quad, angles=angles)
+    cp, cm, info = _configured("mesh.n or surface", coefficient_integral, params,
+                               field.charts.kappa1, field.charts.kappa2, quad.weights)
     drift = info["angle_drift"]
     reports = [
         _report(float(root), side, float(c[idx]), 2.0, "symbol", float(drift[idx]))

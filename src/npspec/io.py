@@ -170,7 +170,16 @@ def _csv_rows(path, header, kind, types):
 
 
 def read_eigenvalues_csv(path):
-    rows = _csv_rows(path, "index,value", "an eigenvalue", (int, float))
+    """Eigenvalues in file order; the indices must run 1, 2, ..., N."""
+    expected = itertools.count(1)
+
+    def index(text):
+        want = next(expected)
+        if int(text) != want:
+            raise ValueError("index %s, not %d" % (text, want))
+        return want
+
+    rows = _csv_rows(path, "index,value", "an eigenvalue", (index, float))
     return np.array([value for _, value in rows])
 
 

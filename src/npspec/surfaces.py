@@ -277,7 +277,9 @@ def make_surface(kind, **params):
 
     sphere(radius=1), ellipsoid(a, b, c),
     radial_graph(harmonics={(l, m): coeff} or [[l, m, coeff], ...]),
-    with the harmonics stored as checked (l, m, coeff) triples.
+    with the harmonics stored as checked (l, m, coeff) triples and rho > 0
+    checked on a grid of 4 l_max + 1 latitudes, both poles among them,
+    and 8 l_max longitudes, whatever rule later samples the surface.
     """
     if kind == "sphere":
         params.setdefault("radius", 1.0)
@@ -294,7 +296,14 @@ def make_surface(kind, **params):
         params["harmonics"] = _harmonic_triples(params.get("harmonics", ()))
     else:
         raise ValueError("unknown surface kind: %r" % kind)
-    return ParametrizedSurface(kind=kind, params=params)
+    surface = ParametrizedSurface(kind=kind, params=params)
+    if kind == "radial_graph":
+        l_max = max([1] + [l for l, _, _ in params["harmonics"]])
+        theta = np.linspace(0.0, np.pi, 4 * l_max + 1)[:, None]
+        # the m != 0 derivatives are infinite at the poles; rho raises
+        with np.errstate(divide="ignore", invalid="ignore"):
+            surface.rho_jet(theta, np.arange(8 * l_max) * (np.pi / (4 * l_max)))
+    return surface
 
 
 def axisymmetric(surface):
@@ -375,8 +384,9 @@ class CCoordinateChart:
         One Newton solve along n runs over all points at once, started
         on the osculating quadric, each step one surface.implicit call;
         a point stops after the step taken from its first residual below
-        1e-14 max(1, |origin|), so heights are at rounding level.  Points
-        where it stalls or fails to converge fall back to bisection.
+        1e-14 max(1, |origin|), so heights are at rounding level.  A point
+        above that residual where grad g . n <= 0 (the normal line
+        stalls), or still above it after 60 steps, is a ValueError.
         """
         w = np.asarray(w, dtype=float)
         if np.any(np.linalg.norm(w, axis=-1) > self.radius):
@@ -391,7 +401,6 @@ class CCoordinateChart:
         scale = np.broadcast_to(_norm(self.origin), shape).reshape(-1)
         tol = 1e-14 * np.maximum(1.0, scale)
         todo = np.arange(t.size)
-        stalled = []
         for _ in range(60):
             if not todo.size:
                 break
@@ -400,33 +409,15 @@ class CCoordinateChart:
             live = np.abs(g) >= tol[todo]
             dg = _dot(grad, n[todo])
             ok = dg > 0.0
-            stalled.append(todo[live & ~ok])
+            stuck = np.count_nonzero(live & ~ok)
+            if stuck:
+                raise ValueError("chart height: grad g . n <= 0 at %d points" % stuck)
             # a point that passes the residual test still takes this step
             t[todo[ok]] -= g[ok] / dg[ok]
-            todo = todo[live & ok]
-        stalled = np.concatenate(stalled + [todo])
-        if stalled.size:
-            t[stalled] = self._height_bisect(base[stalled], n[stalled], scale[stalled])
+            todo = todo[live]
+        if todo.size:
+            raise ValueError("chart height: not converged in 60 steps at %d points" % todo.size)
         return t.reshape(shape)[()]
-
-    def _height_bisect(self, base, n, scale):
-        """Heights along the normals n (3,) or (k, 3) for chart-plane
-        points base (k, 3) with origin norms scale: one bisection over all
-        of them, each stopping at width 1e-15 + 8.9e-16 |t|."""
-        span = np.broadcast_to(0.9 * np.maximum(1.0, scale), len(base))
-        f = lambda t: self.surface.implicit(base + t[:, None] * n)[0]
-        lo, hi = -span, span
-        f_lo = f(lo)
-        if np.any(f_lo * f(hi) > 0.0):
-            raise ValueError("chart ray does not cross the surface")
-        while True:
-            mid = 0.5 * (lo + hi)
-            live = np.abs(hi - lo) > 1e-15 + 8.9e-16 * np.abs(mid)
-            if not live.any():
-                return mid
-            up = f(mid) * f_lo > 0.0
-            lo = np.where(live & up, mid, lo)
-            hi = np.where(live & ~up, mid, hi)
 
     def surface_point(self, w):
         w = np.asarray(w, dtype=float)

@@ -13,9 +13,8 @@ Composition convention.  The two-term product is
     (a # b)_{-1} = a0 b_m1 + a_m1 b0 - i sum_a d_{xi_a} a0 d_{x_a} b0,
 
 with first derivatives of (a # b)_0 by the product rule.  Both are
-written once, as array functions of the operands' jets; compose applies
-them to two jets and cluster_symbols folds them over the factors of
-p_iota(A), for every root at once on one jet of a.
+written once, in compose, and cluster_symbols is a fold of compose over
+the factors of p_iota(A), for every root at once on one jet of a.
 The sign of the derivative terms is tied to the kernel transform and
 chart frame conventions of the extraction module; it is pinned by the
 exact sphere spectrum (see the cluster symbol tests).
@@ -71,12 +70,6 @@ class SpectralPolynomial:
         return npoly.polyval(omega, self.coefficients())
 
 
-def _product_m1(a0, a_m1, dxi_a0, b0, b_m1, dx_b0):
-    """Order -1 term of a # b from the operands' jets: a0, a_m1, b0,
-    b_m1 of shape (..., N, N), dxi_a0 and dx_b0 of shape (..., 2, N, N)."""
-    return a0 @ b_m1 + a_m1 @ b0 - 1j * np.sum(dxi_a0 @ dx_b0, axis=-3)
-
-
 def _product_rule(da, a0, db, b0):
     """Derivative (..., 2, N, N) of a0 b0 from the factors and their
     derivatives da, db of shape (..., 2, N, N)."""
@@ -87,7 +80,7 @@ def compose(a, b):
     """Jet of the operator product a # b from the operands' jets."""
     return TwoTermSymbol(
         a0=a.a0 @ b.a0,
-        a_m1=_product_m1(a.a0, a.a_m1, a.dxi_a0, b.a0, b.a_m1, b.dx_a0),
+        a_m1=a.a0 @ b.a_m1 + a.a_m1 @ b.a0 - 1j * np.sum(a.dxi_a0 @ b.dx_a0, axis=-3),
         dx_a0=_product_rule(a.dx_a0, a.a0, b.dx_a0, b.a0),
         dxi_a0=_product_rule(a.dxi_a0, a.a0, b.dxi_a0, b.a0),
     )
@@ -109,13 +102,13 @@ def cluster_symbols(p, a):
 
     For each root w_iota of the SpectralPolynomial p, the two-term product
     (A - w_iota) # prod_{l != iota} (A - w_l) # (A - w_l) is folded from
-    the left through the composition formula on a's jet, a TwoTermSymbol
-    at any set of points.  The roots are folded side by side on a root
-    axis.  Each product's order 0 part p_iota(a0) must vanish; a
-    ValueError is raised when its norm exceeds _ORDER0_TOL at any point
-    for any root (a is then not polynomially compact with these roots).
-    Returns the order -1 terms divided by root_derivative_scale, stacked
-    as (..., L, N, N) in root order.
+    the left by compose on a's jet, a TwoTermSymbol at any set of points.
+    The roots are folded side by side on a root axis.  Each product's
+    order 0 part p_iota(a0) must vanish; a ValueError is raised when its
+    norm exceeds _ORDER0_TOL at any point for any root (a is then not
+    polynomially compact with these roots).  Returns the order -1 terms
+    divided by root_derivative_scale, stacked as (..., L, N, N) in root
+    order.
 
     The jet arrays broadcast: a0 and dxi_a0 may omit leading axes along
     which they do not vary, and their part of the fold and the order 0
@@ -128,20 +121,14 @@ def cluster_symbols(p, a):
     squared = np.array(
         [[w for l, w in enumerate(roots) if l != i for _ in range(2)] for i in range(len(roots))]
     )
-    a0 = np.asarray(a.a0, dtype=complex)[..., None, :, :]
-    am1 = np.asarray(a.a_m1, dtype=complex)[..., None, :, :]
-    dx, dxi = np.asarray(a.dx_a0)[..., None, :, :, :], np.asarray(a.dxi_a0)[..., None, :, :, :]
-    # the running product c = (a - w_iota) # ...; only its xi derivative
-    # is needed, since c always stands on the left
-    c0, c_m1, dxi_c0 = a0 - roots[:, None, None] * eye, am1, dxi
+    # a's jet on the root axis; shifted(w) is the jet of a - w, one w per root
+    a0, am1 = (np.asarray(v, dtype=complex)[..., None, :, :] for v in (a.a0, a.a_m1))
+    dx, dxi = (np.asarray(v)[..., None, :, :, :] for v in (a.dx_a0, a.dxi_a0))
+    shifted = lambda w: TwoTermSymbol(a0 - w[:, None, None] * eye, am1, dx, dxi)
+    c = shifted(roots)
     for w in squared.T:
-        q0 = a0 - w[:, None, None] * eye
-        c0, c_m1, dxi_c0 = (
-            c0 @ q0,
-            _product_m1(c0, c_m1, dxi_c0, q0, am1, dx),
-            _product_rule(dxi_c0, c0, dxi, q0),
-        )
-    res = np.linalg.norm(c0, 2, axis=(-2, -1))
+        c = compose(c, shifted(w))
+    res = np.linalg.norm(c.a0, 2, axis=(-2, -1))
     res = res.reshape(-1, len(roots)).max(axis=0)
     if res.max() > _ORDER0_TOL:
         i = int(np.argmax(res))
@@ -150,7 +137,7 @@ def cluster_symbols(p, a):
             "eigenvalues do not match the given roots" % (res[i], roots[i], _ORDER0_TOL)
         )
     scales = [root_derivative_scale(p, i) for i in range(len(roots))]
-    return c_m1 / np.array(scales)[:, None, None]
+    return c.a_m1 / np.array(scales)[:, None, None]
 
 
 def matrix_polynomial(coeffs, m):

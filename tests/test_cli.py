@@ -171,6 +171,33 @@ class TestConfig:
         assert capsys.readouterr().out == ""
 
 
+    @pytest.mark.parametrize("stage", ["assemble", "coeff"])
+    def test_negative_radius_between_nodes_rejected(self, capsys, tmp_path, stage):
+        # rho = -0.26 at both poles, where the n = 4 rule has no node
+        with pytest.raises(SystemExit, match="invalid surface.harmonics: radial graph not star"):
+            run(capsys, stage, "--surface.kind", "radial_graph", "--surface.harmonics",
+                "[[2,0,-2.0]]", "--mesh.n", "4", "--out.dir", str(tmp_path))
+        assert os.listdir(tmp_path) == []
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize(
+        "stage, name",
+        [("assemble", "npspec.spectral.assemble_operators"),
+         ("coeff", "npspec.extraction.np_symbol_field"),
+         ("coeff", "npspec.asymptotics.coefficient_integral")],
+    )
+    def test_failed_numerical_check_stops_the_stage(
+        self, capsys, monkeypatch, tmp_path, stage, name
+    ):
+        def failing(*args, **kwargs):
+            raise ValueError("check off at node 0")
+
+        monkeypatch.setattr(name, failing)
+        with pytest.raises(SystemExit, match="^invalid mesh.n or surface: check off at node 0$"):
+            run(capsys, stage, "--mesh.n", "4", "--out.dir", str(tmp_path))
+        assert os.listdir(tmp_path) == []
+        assert capsys.readouterr().out == ""
+
     def test_string_keys_take_override_text(self):
         # "5" stays the directory name 5, and true the kind named true
         cfg = load_config(None, [("out.dir", "5"), ("surface.kind", "true")])

@@ -201,7 +201,8 @@ class TestEigenvalueCsv:
     @pytest.mark.parametrize(
         "row, reason",
         [("2", "1 fields, not 2"), ("2,0.5,1", "3 fields, not 2"), ("2,x", "could not convert"),
-         ("2,inf", "not finite"), ("2,-inf", "not finite"), ("2,nan", "not finite")],
+         ("2,inf", "not finite"), ("2,-inf", "not finite"), ("2,nan", "not finite"),
+         ("1,0.5", "index 1, not 2"), ("3,0.25", "index 3, not 2")],
     )
     def test_rejects_malformed_rows_naming_the_line(self, tmp_path, row, reason):
         path = tmp_path / "ev.csv"

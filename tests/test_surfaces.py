@@ -14,6 +14,7 @@ import pytest
 
 from npspec.extraction import _LADDER
 from npspec.surfaces import (
+    ParametrizedSurface,
     _legendre,
     _real_sph_harm_jet,
     axisymmetric,
@@ -66,9 +67,22 @@ class TestRadialJets:
         assert alt.rho_jet(1.1, 0.4) == ref.rho_jet(1.1, 0.4)
 
     def test_non_star_shaped_rejected(self):
-        bad = make_surface("radial_graph", harmonics={(0, 0): -4.0})
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="not star shaped"):
+            make_surface("radial_graph", harmonics={(0, 0): -4.0})
+        # rho_jet keeps its own check on a surface that skipped the factory
+        bad = ParametrizedSurface("radial_graph", {"harmonics": ((0, 0, -4.0),)})
+        with pytest.raises(ValueError, match="not star shaped"):
             bad.rho_jet(1.0, 1.0)
+
+    def test_negative_radius_off_every_rule_rejected(self):
+        # rho = -0.26 at both poles, which no Gauss-Legendre rule samples
+        with pytest.raises(ValueError, match="not star shaped"):
+            make_surface("radial_graph", harmonics=[[2, 0, -2.0]])
+
+    @pytest.mark.parametrize("coeff", [-1.4, 2.0], ids=["poles 0.117", "equator 0.37"])
+    def test_thin_but_positive_radius_accepted(self, coeff):
+        surface = make_surface("radial_graph", harmonics=[[2, 0, coeff]])
+        assert surface.params["harmonics"] == ((2, 0, coeff),)
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
@@ -283,20 +297,44 @@ class TestCharts:
             chart.surface_point(w)
 
     @pytest.mark.parametrize("surface", [SPHERE, TRIAXIAL, DENT])
-    def test_bisection_matches_newton(self, surface):
+    def test_newton_heights_lie_on_the_surface(self, surface):
+        # the residual stop leaves |g| at rounding level (<= 2.2e-16 here)
         chart = c_chart(surface, 0.4, 1.3)
         rng = np.random.default_rng(5)
         w = rng.uniform(-0.6, 0.6, size=(30, 2)) * chart.radius
-        scale = np.linalg.norm(chart.origin)
-        got = chart._height_bisect(chart._plane_point(w), chart.n, scale)
-        assert np.abs(got - chart.height(w)).max() < 1e-14
+        g = surface.implicit(chart.surface_point(w))[0]
+        assert np.abs(g).max() <= 1e-14 * max(1.0, np.linalg.norm(chart.origin))
 
-    def test_bisection_ray_that_misses_rejected(self):
+    def _patched_newton(self, monkeypatch, change):
+        """Heights of five chart points of the dent, with change(g, grad)
+        applied to every implicit evaluation of the solve."""
         chart = c_chart(DENT, 0.4, 1.3)
-        base = chart._plane_point(np.zeros((4, 2)))
-        base[2] += 5.0 * chart.e1
-        with pytest.raises(ValueError, match="chart ray does not cross the surface"):
-            chart._height_bisect(base, chart.n, np.linalg.norm(chart.origin))
+        w = 0.5 * chart.radius * np.column_stack([np.cos(np.arange(5)), np.sin(np.arange(5))])
+        method = type(DENT).implicit
+
+        def changed(surface, point):
+            g, grad = method(surface, point)
+            change(g, grad)
+            return g, grad
+
+        monkeypatch.setattr(type(DENT), "implicit", changed)
+        return chart.height(w)
+
+    def test_stalled_normal_line_rejected(self, monkeypatch):
+        # grad g . n < 0 at two points still above the residual tolerance
+        def flip(g, grad):
+            grad[:2] *= -1.0
+        with pytest.raises(ValueError, match=r"^chart height: grad g \. n <= 0 at 2 points$"):
+            self._patched_newton(monkeypatch, flip)
+
+    def test_unconverged_newton_rejected(self, monkeypatch):
+        # a residual that never falls, with steps too short to leave the
+        # chart: three points still live after 60 steps
+        def stuck(g, grad):
+            g[:3] = 1.0
+            grad[:3] *= 1e6
+        with pytest.raises(ValueError, match=r"^chart height: not converged in 60 steps at 3 points$"):
+            self._patched_newton(monkeypatch, stuck)
 
     def test_frame(self):
         chart = c_chart(BUMPY, 1.4, 3.0)
