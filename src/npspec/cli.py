@@ -23,15 +23,13 @@ DEFAULT_CONFIG = {
     "material": {"lambda": 1.0, "mu": 1.0},
     "mesh": {"n": 12},
     "extract": {"angles": 64},
-    "windows": {"guard": 0.05, "n_tau": 24},
     "out": {"dir": "."},
 }
 
 
 # a config value's allowed types and their name, by its default's type
-_KINDS = {
-    int: ((int,), "an integer"), float: ((int, float), "a number"), str: ((str,), "a string")
-}
+_KINDS = {int: ((int,), "an integer"), float: ((int, float), "a number"),
+          str: ((str,), "a string"), list: ((list,), "a list")}
 
 
 def _coerce(key, text):
@@ -51,10 +49,10 @@ def load_config(path=None, overrides=()):
 
     Every key, from the file or an override, must name a section and
     key of DEFAULT_CONFIG; any other key exits with its name, as does a
-    value of a numeric key that is not an integer where the default is
-    one (int() would run 4.9 as 4), or else not a number (float() would
-    run true as 1, and fail on text without naming the key), and a value
-    of a string key that is not a string.
+    value, where it is set, not of its default's type (_KINDS): not an
+    integer where the default is one (int() would run 4.9 as 4), else
+    not a number (float() would run true as 1, and fail on text without
+    naming the key), or not a string or a list where the default is one.
     """
     cfg = {section: dict(values) for section, values in DEFAULT_CONFIG.items()}
     pairs = []
@@ -77,14 +75,10 @@ def load_config(path=None, overrides=()):
         section, _, name = key.partition(".")
         if name not in cfg.get(section, {}):
             raise SystemExit("unknown config key %r" % key)
+        types, what = _KINDS[type(DEFAULT_CONFIG[section][name])]
+        if type(value) not in types:
+            raise SystemExit("config key %r is not %s: %r" % (key, what, value))
         cfg[section][name] = value
-    for section, values in cfg.items():
-        for name, value in values.items():
-            kind = _KINDS.get(type(DEFAULT_CONFIG[section][name]))
-            if kind and type(value) not in kind[0]:
-                raise SystemExit(
-                    "config key '%s.%s' is not %s: %r" % (section, name, kind[1], value)
-                )
     return cfg
 
 
@@ -115,15 +109,16 @@ def _material(cfg):
     return _configured("material.lambda, material.mu", LameParams, lam=m["lambda"], mu=m["mu"])
 
 
-_SURFACE_KEYS = {"sphere": ["radius"], "ellipsoid": ["a", "b", "c"], "radial_graph": ["harmonics"]}
-
-
 def _surface(cfg):
-    from .surfaces import make_surface
+    """The configured surface; a key its kind does not read must keep its default."""
+    from .surfaces import SURFACE_PARAMS, make_surface
     s = cfg["surface"]
-    keys = _SURFACE_KEYS.get(s["kind"])
+    keys = SURFACE_PARAMS.get(s["kind"])
     if keys is None:
         raise SystemExit("unknown surface kind %r" % s["kind"])
+    for k, v in s.items():
+        if k != "kind" and k not in keys and v != DEFAULT_CONFIG["surface"][k]:
+            raise SystemExit("config key 'surface.%s' is not read by kind %r" % (k, s["kind"]))
     where = ", ".join("surface." + k for k in keys)
     return _configured(where, make_surface, s["kind"], **{k: s[k] for k in keys})
 
@@ -238,14 +233,10 @@ def cmd_count(cfg, eigenvalues_path=None):
     if eigenvalues_path is None:
         eigenvalues_path = os.path.join(d, "eigenvalues.csv")
     poly = essential_spectrum(_material(cfg))
-    win = cfg["windows"]
-    counting = dict(poly=poly, n_tau=win["n_tau"], guard=win["guard"])
-    # counting no eigenvalues checks the windows before the input is read
-    _configured("windows.guard, windows.n_tau", cluster_and_count, [], **counting)
     vals = _read_input(npio.read_eigenvalues_csv, eigenvalues_path, "spectrum")
     if vals.size == 0:
         raise SystemExit("%s holds no eigenvalues" % eigenvalues_path)
-    records = cluster_and_count(vals, **counting)
+    records = cluster_and_count(vals, poly)
     path = os.path.join(d, "counting.csv")
     npio.write_counting_csv(path, records)
     print(json.dumps({"roots": len(records), "file": path}, sort_keys=True))

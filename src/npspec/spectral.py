@@ -47,11 +47,12 @@ from .surfaces import _angles, _node_blocks, axisymmetric, c_chart
 
 
 # Blended polar patch: radii are multiples of the local mesh size
-# h = sqrt(node weight), capped at a fraction of the chart radius.  With
-# these multiples the cap binds at any practical resolution, so the
-# patch keeps a fixed physical size and the cutoff remains smooth on the
-# scale the global rule resolves; an h-scaled patch stalls the far field
-# at first order.  The polar rule grows with the patch-to-mesh ratio.
+# h = sqrt(node weight), capped at a fraction of the chart radius.  Up to
+# n = 64 the cap binds at every node, so the patch keeps a fixed size and
+# the cutoff stays smooth on the scale the rule resolves; an h-scaled patch
+# stalls the far field at first order.  From n = 96 the multiples bind by
+# the poles (sphere: 384 of 18,432 nodes; n = 128: 2,048 of 32,768), where
+# patches shrink with h.  The polar rule grows with the patch-to-mesh ratio.
 _PATCH_INNER = 24.0
 _PATCH_OUTER = 48.0
 _PATCH_CAP = 0.8
@@ -278,11 +279,11 @@ def _assemble(surface, quad, kernels, targets):
 
 def target_nodes(surface, quad):
     """Nodes whose operator rows are assembled: on a surface symmetric
-    about the z axis (surfaces.axisymmetric) the n meridian nodes at
-    longitude 0, from which rotation gives every other row; else all."""
+    about the z axis (surfaces.axisymmetric) the n meridian nodes, at
+    phi = 0.0 exactly, from which rotation gives every other row; else all."""
     if not axisymmetric(surface):
         return np.arange(quad.size)
-    return np.arange(0, quad.size, _GridInfo(quad).n_phi)
+    return np.flatnonzero(quad.params[:, 1] == 0.0)
 
 
 def _rotations(n_phi):

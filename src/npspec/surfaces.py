@@ -37,6 +37,10 @@ _CHART_REACH = 0.45
 # integral (direction points): at about 2 KB of working arrays per point
 # this bounds the memory of each
 _BLOCK_POINTS = 2048
+# the parameters each surface kind takes
+SURFACE_PARAMS = {
+    "sphere": ("radius",), "ellipsoid": ("a", "b", "c"), "radial_graph": ("harmonics",)
+}
 
 
 def _legendre(l, m, t):
@@ -254,12 +258,9 @@ def _inverse_sqrt_jet(g, gt, gp, gtt, gtp, gpp):
 
 
 def _harmonic_triples(harmonics):
-    """(l, m, coeff) triples from {(l, m): coeff} or [[l, m, coeff], ...];
-    an error names the first entry that is not three numbers with
-    integer l and m (2.0 and true are not integers), a finite coeff and
-    |m| <= l."""
-    if isinstance(harmonics, dict):
-        harmonics = [k + (c,) if isinstance(k, tuple) else (k, c) for k, c in harmonics.items()]
+    """(l, m, coeff) triples from [[l, m, coeff], ...]; an error names
+    the first entry that is not three numbers with integer l and m (2.0
+    and true are not integers), a finite coeff and |m| <= l."""
     for entry in harmonics:
         if not (isinstance(entry, (list, tuple)) and len(entry) == 3 and all(
             isinstance(v, numbers.Integral if j < 2 else numbers.Real) and not isinstance(v, bool)
@@ -273,14 +274,19 @@ def _harmonic_triples(harmonics):
 
 
 def make_surface(kind, **params):
-    """Factory for the supported surface kinds.
-
-    sphere(radius=1), ellipsoid(a, b, c),
-    radial_graph(harmonics={(l, m): coeff} or [[l, m, coeff], ...]),
-    with the harmonics stored as checked (l, m, coeff) triples and rho > 0
-    checked on a grid of 4 l_max + 1 latitudes, both poles among them,
-    and 8 l_max longitudes, whatever rule later samples the surface.
+    """Factory for the supported surface kinds, each taking only its
+    SURFACE_PARAMS: sphere(radius=1), ellipsoid(a, b, c) and
+    radial_graph(harmonics=[[l, m, coeff], ...]), the harmonics stored as
+    checked (l, m, coeff) triples and rho > 0 checked on a grid of
+    4 l_max + 1 latitudes, both poles among them, and 8 l_max longitudes,
+    whatever rule later samples the surface.  Any other kind or
+    parameter is a ValueError that names it.
     """
+    if kind not in SURFACE_PARAMS:
+        raise ValueError("unknown surface kind: %r" % kind)
+    for name in params:
+        if name not in SURFACE_PARAMS[kind]:
+            raise ValueError("surface kind %r takes no parameter %r" % (kind, name))
     if kind == "sphere":
         params.setdefault("radius", 1.0)
         if not 0.0 < params["radius"] < math.inf:
@@ -292,10 +298,8 @@ def make_surface(kind, **params):
             if not 0.0 < params[k] < math.inf:
                 raise ValueError(
                     "ellipsoid semi-axis %s = %r is not positive and finite" % (k, params[k]))
-    elif kind == "radial_graph":
-        params["harmonics"] = _harmonic_triples(params.get("harmonics", ()))
     else:
-        raise ValueError("unknown surface kind: %r" % kind)
+        params["harmonics"] = _harmonic_triples(params.get("harmonics", ()))
     surface = ParametrizedSurface(kind=kind, params=params)
     if kind == "radial_graph":
         l_max = max([1] + [l for l, _, _ in params["harmonics"]])

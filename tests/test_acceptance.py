@@ -253,7 +253,7 @@ def test_criterion_6_curvature_sign_law(anchor_field):
     # order (measured C- = 0 exactly, C+ = 9/16 and 1/36)
     assert np.all(cp > 0.0)
     assert np.all(cm < 1e-3 * cp)
-    dent = make_surface("radial_graph", harmonics={(2, 0): -0.6})
+    dent = make_surface("radial_graph", harmonics=[[2, 0, -0.6]])
     dquad = surface_quadrature(dent, 8)
     dfield = np_symbol_field(dent, P11, dquad, angles=64)
     cp, cm, _ = _coefficients(P11, dfield, dquad)
@@ -282,7 +282,7 @@ def test_criterion_8_structure_and_symmetry():
     surfaces = [
         SPHERE,
         make_surface("ellipsoid", a=1.0, b=1.15, c=0.9),
-        make_surface("radial_graph", harmonics={(2, 0): -0.25}),
+        make_surface("radial_graph", harmonics=[[2, 0, -0.25]]),
     ]
     # 8 directions, closed under the swap and sign reflections used below
     m_angle = 8

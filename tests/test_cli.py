@@ -81,6 +81,52 @@ class TestConfig:
         with pytest.raises(SystemExit, match="'mesh.N'"):
             main(["assemble", "--mesh.N", "16", "--out.dir", str(tmp_path)])
         assert not (tmp_path / "np_matrix.npmat").exists()
+        # counting windows are the library's; there is no windows section
+        with pytest.raises(SystemExit, match="^unknown config key 'windows.guard'$"):
+            main(["count", "--windows.guard", "0.1", "--out.dir", str(tmp_path)])
+        assert os.listdir(tmp_path) == ["cfg.json"]
+
+    def test_bad_file_value_stops_even_when_overridden(self, tmp_path):
+        # each value is checked where it is set, not only the last one
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"mesh": {"n": 4.5}}))
+        with pytest.raises(SystemExit, match="^config key 'mesh.n' is not an integer: 4.5$"):
+            load_config(str(path), [("mesh.n", "6")])
+
+    def test_every_default_type_is_checked(self):
+        # a key whose default's type had no entry would take any value
+        types = {type(v) for section in cli.DEFAULT_CONFIG.values() for v in section.values()}
+        assert types <= set(cli._KINDS)
+
+    @pytest.mark.parametrize("stage", ["assemble", "coeff"])
+    @pytest.mark.parametrize("value", ["5", "null", '{"2": 0.1}'])
+    def test_harmonics_must_be_a_list(self, capsys, tmp_path, stage, value):
+        # 5 and null would end in a TypeError traceback, not a message
+        with pytest.raises(SystemExit, match="^config key 'surface.harmonics' is not a list: "):
+            run(capsys, stage, "--surface.kind", "radial_graph", "--surface.harmonics", value,
+                "--mesh.n", "4", "--out.dir", str(tmp_path))
+        assert os.listdir(tmp_path) == []
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize(
+        "argv, key, kind",
+        [(["assemble", "--surface.kind", "sphere", "--surface.a", "3"], "a", "sphere"),
+         (["coeff", "--surface.kind", "radial_graph", "--surface.radius", "5"], "radius",
+          "radial_graph")],
+        ids=["sphere a", "radial_graph radius"],
+    )
+    def test_surface_key_the_kind_does_not_read_is_refused(
+        self, capsys, tmp_path, argv, key, kind
+    ):
+        # the sphere would run at radius 1 and ignore a = 3
+        with pytest.raises(SystemExit, match="^config key 'surface.%s' is not read by kind '%s'$"
+                           % (key, kind)):
+            run(capsys, *argv, "--mesh.n", "4", "--out.dir", str(tmp_path))
+        assert os.listdir(tmp_path) == []
+        assert capsys.readouterr().out == ""
+        # a key at its default changes nothing and is accepted
+        cfg = load_config(None, [("surface.a", "1"), ("surface.harmonics", "[]")])
+        assert cli._surface(cfg).params == {"radius": 1.0}
 
 
     @pytest.mark.parametrize(
@@ -91,7 +137,6 @@ class TestConfig:
             ("material.mu", "abc"),
             ("surface.radius", "[1]"),
             ("surface.c", '"0.8"'),
-            ("windows.guard", "null"),
         ],
     )
     def test_numbers_must_be_numbers(self, capsys, key, value):
@@ -127,14 +172,6 @@ class TestConfig:
             ),
             (["sphere-exact", "--kmax", "0"], "--kmax: k_max must be >= 1"),
             (
-                ["count", "--windows.guard", "0.7"],
-                "windows.guard, windows.n_tau: guard 0.7 outside [0, 0.5)",
-            ),
-            (
-                ["count", "--windows.n_tau", "1"],
-                "windows.guard, windows.n_tau: n_tau 1 is not an integer >= 2",
-            ),
-            (
                 ["coeff", "--extract.angles", "62"],
                 "extract.angles: need an even direction count of at least 64",
             ),
@@ -159,7 +196,7 @@ class TestConfig:
                 "surface.a, surface.b, surface.c: ellipsoid semi-axis a = inf is not positive",
             ),
         ],
-        ids=["material", "mesh", "surface", "kmax", "guard", "n_tau", "angles", "mu=inf",
+        ids=["material", "mesh", "surface", "kmax", "angles", "mu=inf",
              "lambda=inf", "count lambda=inf", "coeff mu=inf", "radius=inf", "coeff=nan",
              "a=inf"],
     )
@@ -381,18 +418,6 @@ class TestPipeline:
             }
         ]
 
-    def test_count_rejects_guard_out_of_range(self, capsys, tmp_path):
-        # an inverted window has no taus to count at: stop naming the key,
-        # write nothing
-        path = tmp_path / "eigenvalues.csv"
-        npio.write_eigenvalues_csv(path, np.linspace(-0.3, 0.3, 301))
-        with pytest.raises(SystemExit, match=r"invalid windows\.guard.*: guard 0\.6 outside"):
-            run(
-                capsys, "count", "--eigenvalues", str(path), "--windows.guard", "0.6",
-                "--out.dir", str(tmp_path),
-            )
-        assert not (tmp_path / "counting.csv").exists()
-
     @pytest.mark.parametrize(
         "stage, key, value",
         [
@@ -401,7 +426,6 @@ class TestPipeline:
             ("assemble", "mesh.n", "4.0"),
             ("coeff", "extract.angles", "64.9"),
             ("coeff", "extract.angles", "true"),
-            ("count", "windows.n_tau", "2.5"),
         ],
     )
     def test_sizes_must_be_integers(self, capsys, tmp_path, stage, key, value):
@@ -409,18 +433,6 @@ class TestPipeline:
         with pytest.raises(SystemExit, match="%r is not an integer" % key):
             run(capsys, stage, "--" + key, value, "--out.dir", str(tmp_path))
         assert os.listdir(tmp_path) == []
-
-    def test_count_rejects_n_tau_below_two(self, capsys, tmp_path):
-        # with no taus every root is lost, and fit would have no rows:
-        # stop naming the key
-        path = tmp_path / "eigenvalues.csv"
-        npio.write_eigenvalues_csv(path, np.linspace(-0.3, 0.3, 301))
-        with pytest.raises(SystemExit, match=r"invalid windows\.guard, windows\.n_tau: n_tau 0"):
-            run(
-                capsys, "count", "--eigenvalues", str(path), "--windows.n_tau", "0",
-                "--out.dir", str(tmp_path),
-            )
-        assert not (tmp_path / "counting.csv").exists()
 
     def test_fit_rejects_counting_csv_without_rows(self, capsys, tmp_path):
         path = tmp_path / "counting.csv"

@@ -27,7 +27,7 @@ from npspec.surfaces import (
 SPHERE = make_surface("sphere")
 ELLIPSOID = make_surface("ellipsoid", a=1.0, b=1.0, c=2.0)
 BUMPY = make_surface(
-    "radial_graph", harmonics={(2, 0): 0.1, (3, 2): 0.05, (2, -1): 0.03}
+    "radial_graph", harmonics=[[2, 0, 0.1], [3, 2, 0.05], [2, -1, 0.03]]
 )
 TRIAXIAL = make_surface("ellipsoid", a=1.0, b=1.2, c=0.8)
 DENT = make_surface("radial_graph", harmonics=[[2, 0, -0.6]])
@@ -61,14 +61,9 @@ class TestRadialJets:
         assert rtp == pytest.approx(fd[3], abs=1e-5)
         assert rpp == pytest.approx(fd[4], abs=1e-5)
 
-    def test_harmonic_list_form(self):
-        alt = make_surface("radial_graph", harmonics=[[2, 0, 0.1]])
-        ref = make_surface("radial_graph", harmonics={(2, 0): 0.1})
-        assert alt.rho_jet(1.1, 0.4) == ref.rho_jet(1.1, 0.4)
-
     def test_non_star_shaped_rejected(self):
         with pytest.raises(ValueError, match="not star shaped"):
-            make_surface("radial_graph", harmonics={(0, 0): -4.0})
+            make_surface("radial_graph", harmonics=[[0, 0, -4.0]])
         # rho_jet keeps its own check on a surface that skipped the factory
         bad = ParametrizedSurface("radial_graph", {"harmonics": ((0, 0, -4.0),)})
         with pytest.raises(ValueError, match="not star shaped"):
@@ -96,28 +91,31 @@ class TestRadialJets:
             ("ellipsoid", {"a": 1.0, "b": 0.0, "c": 1.0}, "b = 0.0"),
             ("ellipsoid", {"a": 1.0, "b": 1.0, "c": -2.0}, "c = -2.0"),
             ("radial_graph", {"harmonics": [[2, 3, 0.1]]}, r"\(2, 3\)"),
-            ("radial_graph", {"harmonics": {(-1, 0): 0.1}}, r"\(-1, 0\)"),
+            ("radial_graph", {"harmonics": [[-1, 0, 0.1]]}, r"\(-1, 0\)"),
             ("radial_graph", {"harmonics": [[2.5, 0, 0.1]]}, r"\[2.5, 0, 0.1\]"),
             ("radial_graph", {"harmonics": [[2, 0.0, 0.1]]}, r"\[2, 0.0, 0.1\]"),
             ("radial_graph", {"harmonics": [[True, 0, 0.1]]}, r"\[True, 0, 0.1\]"),
-            ("radial_graph", {"harmonics": {(2.0, 0): 0.1}}, r"\(2.0, 0, 0.1\)"),
+            ("radial_graph", {"harmonics": [[2.0, 0, 0.1]]}, r"\[2.0, 0, 0.1\]"),
             ("radial_graph", {"harmonics": [[2, 0]]}, r"\[2, 0\]"),
             ("radial_graph", {"harmonics": [[2, 0, "x"]]}, r"\[2, 0, 'x'\]"),
             ("radial_graph", {"harmonics": [2, 0, 0.1]}, "harmonic 2 "),
             ("sphere", {"radius": math.inf}, "radius inf is not positive"),
             ("ellipsoid", {"a": math.inf, "b": 1.0, "c": 1.0}, "a = inf is not positive"),
             ("radial_graph", {"harmonics": [[2, 0, math.nan]]}, r"\[2, 0, nan\]"),
-            ("radial_graph", {"harmonics": {(2, 0): math.inf}}, r"\(2, 0, inf\)"),
+            ("radial_graph", {"harmonics": [[2, 0, math.inf]]}, r"\[2, 0, inf\]"),
+            ("sphere", {"a": 2.0}, "takes no parameter 'a'"),
+            ("radial_graph", {"harmonics": [], "radius": 2.0}, "takes no parameter 'radius'"),
         ],
         ids=[
             "radius<0", "radius=0", "b=0", "c<0", "m>l", "l<0",
             "l=2.5", "m=0.0", "l=true", "dict l=2.0", "two numbers", "coeff text", "flat list",
-            "radius=inf", "a=inf", "coeff=nan", "dict coeff=inf",
+            "radius=inf", "a=inf", "coeff=nan", "dict coeff=inf", "sphere a", "graph radius",
         ],
     )
     def test_invalid_parameters_rejected(self, kind, params, named):
         # a negative radius would flip the normals inward, and |m| > l
-        # has no spherical harmonic; each error names the bad value
+        # has no spherical harmonic; each error names the bad value, and
+        # a parameter the kind does not take is refused, not ignored
         with pytest.raises(ValueError, match=named):
             make_surface(kind, **params)
 
