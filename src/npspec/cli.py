@@ -250,7 +250,7 @@ def _report(root, side, c, d, route, err_estimate):
     return dict(root=root, side=side, C=c, d=d, route=route, err_estimate=err_estimate)
 
 
-def cmd_fit(cfg, counting_path=None, prune=True):
+def cmd_fit(cfg, counting_path=None):
     from . import io as npio
     from .spectral import fit_power_law, prune_counting_samples
     d = _outdir(cfg)
@@ -262,11 +262,8 @@ def cmd_fit(cfg, counting_path=None, prune=True):
     reports, skipped = [], []
     for rec in records:
         for side, key in (("plus", "n_plus"), ("minus", "n_minus")):
-            tau, counts = rec["tau"], rec[key]
-            if prune:
-                tau, counts = prune_counting_samples(tau, counts)
             try:
-                fit = fit_power_law(tau, counts)
+                fit = fit_power_law(*prune_counting_samples(rec["tau"], rec[key]))
             except ValueError as exc:
                 skipped.append({"root": rec["root"], "side": side, "reason": str(exc)})
                 continue
@@ -399,8 +396,7 @@ def main(argv=None):
     p.set_defaults(run=lambda cfg, a: cmd_count(cfg, a.eigenvalues))
     p = sub.add_parser("fit")
     p.add_argument("--counting", help="counting CSV path")
-    p.add_argument("--no-prune", action="store_true")
-    p.set_defaults(run=lambda cfg, a: cmd_fit(cfg, a.counting, prune=not a.no_prune))
+    p.set_defaults(run=lambda cfg, a: cmd_fit(cfg, a.counting))
     sub.add_parser("coeff").set_defaults(run=lambda cfg, a: cmd_coeff(cfg))
     sub.add_parser("verify").set_defaults(run=lambda cfg, a: cmd_verify(cfg))
     args, rest = parser.parse_known_args(argv)

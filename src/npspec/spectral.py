@@ -36,7 +36,6 @@ diagnostics.
 
 import functools
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,7 +57,11 @@ _PATCH_OUTER = 48.0
 _PATCH_CAP = 0.8
 # points per direction of the tensor interpolation stencil
 _INTERP_ORDER = 8
-# counting grids start at this fraction of the root gap
+# counting windows stop this fraction of the root gap short of the
+# midpoint between roots; each holds a geometric grid of _N_TAU taus from
+# _TAU_FLOOR x gap up to the window half width
+_GUARD = 0.05
+_N_TAU = 24
 _TAU_FLOOR = 1e-3
 # power-law fits need this many nonzero counts spanning this many decades
 _FIT_MIN_POINTS = 8
@@ -374,8 +377,8 @@ def _adjoint(x):
 def symmetrize(k_mat, s_mat, weights):
     """Similarity transform to a symmetric matrix via the single layer.
 
-    k_mat and s_mat are matrices or stacks (blocks, 3m, 3m) from
-    meridian_blocks, each block on m nodes; transposes are adjoints.
+    k_mat and s_mat are stacks (blocks, 3m, 3m) from meridian_blocks,
+    each block on m nodes; transposes are adjoints.
     Both are first conjugated by the square roots of the
     quadrature weights (one per node, three matrix rows each) into the
     frame where the transpose is the discrete L2 adjoint; the symmetry
@@ -412,12 +415,11 @@ def symmetrize(k_mat, s_mat, weights):
     sw = np.repeat(np.sqrt(np.asarray(weights, dtype=float)), 3)
     if sw.size != k_mat.shape[-1]:
         raise ValueError("weights do not match matrix size")
-    ks, ss = (k_mat, s_mat) if k_mat.ndim == 3 else (k_mat[None], s_mat[None])
 
     def framed(stack):  # its blocks in the sqrt-weight frame, one at a time
         return (sw[:, None] * m / sw for m in stack)
 
-    pairs = [np.linalg.eigh(-0.5 * (s + _adjoint(s))) for s in framed(ss)]
+    pairs = [np.linalg.eigh(-0.5 * (s + _adjoint(s))) for s in framed(s_mat)]
     vals = np.stack([v for v, _ in pairs])
     vmax = vals.max()
     if vmax <= 0.0 or vals.min() < -_P_INDEFINITE * vmax:
@@ -425,9 +427,9 @@ def symmetrize(k_mat, s_mat, weights):
             "-S is not positive definite (eigenvalue range %.3e .. %.3e); "
             "refine the grid" % (vals.min(), vmax)
         )
-    out = np.empty(ks.shape, np.result_type(ks, ss, sw))
+    out = np.empty(k_mat.shape, np.result_type(k_mat, s_mat, sw))
     norms = np.empty((len(pairs), 4))  # |k|, |B L - L B^T|, |a|, |a - a^T| per block
-    for i, (k, (v, vecs)) in enumerate(zip(framed(ks), pairs)):
+    for i, (k, (v, vecs)) in enumerate(zip(framed(k_mat), pairs)):
         root = np.sqrt(np.maximum(v, _P_FLOOR * vmax))[None, :]
         b = _adjoint(vecs) @ k @ vecs
         a = b * root / root.T
@@ -435,7 +437,7 @@ def symmetrize(k_mat, s_mat, weights):
         norms[i] = [np.linalg.norm(x) for x in (k, commutator, a, a - _adjoint(a))]
         out[i] = 0.5 * (a + _adjoint(a))
     k_norm, plemelj, a_norm, defect = np.linalg.norm(norms, axis=0)
-    return out if k_mat.ndim == 3 else out[0], {
+    return out, {
         "symmetry_defect": defect / max(a_norm, 1e-30),
         "plemelj_residual": plemelj / max(k_norm * np.linalg.norm(vals), 1e-30),
         "clipped_modes": int(np.sum(vals < _P_FLOOR * vmax)),
@@ -443,16 +445,12 @@ def symmetrize(k_mat, s_mat, weights):
     }
 
 
-def cluster_windows(roots, guard=0.05):
+def cluster_windows(roots):
     """Counting windows (zeta_minus, zeta_plus) around each root.
 
     Edges sit at midpoints between consecutive roots, pulled inward by
-    guard x gap; extremal sides mirror the interior half width.  guard
-    must lie in [0, 0.5): at 0.5 a window is empty, beyond it inverted,
-    and below 0 windows overlap their neighbours.
+    _GUARD x gap; extremal sides mirror the interior half width.
     """
-    if not 0.0 <= guard < 0.5:
-        raise ValueError("guard %r outside [0, 0.5)" % guard)
     om = np.sort(np.asarray(roots, dtype=float))
     if om.size < 1:
         raise ValueError("no roots")
@@ -461,30 +459,28 @@ def cluster_windows(roots, guard=0.05):
     for i, w in enumerate(om):
         left_gap = gaps[i - 1] if i > 0 else gaps[0] if gaps.size else 1.0
         right_gap = gaps[i] if i < gaps.size else gaps[-1] if gaps.size else 1.0
-        half_l = (0.5 - guard) * left_gap
-        half_r = (0.5 - guard) * right_gap
+        half_l = (0.5 - _GUARD) * left_gap
+        half_r = (0.5 - _GUARD) * right_gap
         wins.append((w - half_l, w + half_r))
     return om, wins
 
 
-def cluster_and_count(eigenvalues, poly, n_tau=24, guard=0.05):
+def cluster_and_count(eigenvalues, poly):
     """Two-sided counting functions near each root of the essential
     spectrum, a SpectralPolynomial poly.
 
     Returns a list of records {root, tau, n_plus, n_minus} with tau on
-    a geometric grid of n_tau points, an integer of at least 2, from
-    _TAU_FLOOR x gap up to the window half width.
+    a geometric grid of _N_TAU points from _TAU_FLOOR x gap up to the
+    window half width.
     n_plus(tau) counts eigenvalues in (root + tau, zeta_plus], n_minus
     in [zeta_minus, root - tau).
     """
-    if not (isinstance(n_tau, numbers.Integral) and n_tau >= 2):
-        raise ValueError("n_tau %r is not an integer >= 2" % (n_tau,))
     ev = np.sort(np.asarray(eigenvalues, dtype=float))
-    om, wins = cluster_windows(poly.roots, guard=guard)
+    om, wins = cluster_windows(poly.roots)
     out = []
     for w, (zl, zr) in zip(om, wins):
         width = min(w - zl, zr - w)
-        taus = np.geomspace(_TAU_FLOOR * width / (0.5 - guard), width, n_tau)
+        taus = np.geomspace(_TAU_FLOOR * width / (0.5 - _GUARD), width, _N_TAU)
         npl = np.array([np.sum((ev > w + t) & (ev <= zr)) for t in taus])
         nmi = np.array([np.sum((ev < w - t) & (ev >= zl)) for t in taus])
         out.append({"root": float(w), "tau": taus, "n_plus": npl, "n_minus": nmi})

@@ -48,8 +48,8 @@ EXACT_TAUS = np.geomspace(1e-3, 5e-2, 32)
 def _sphere_pipeline(n):
     quad = surface_quadrature(SPHERE, n)
     k, s = assemble_operators(SPHERE, P11, quad)
-    a, _ = symmetrize(k, s, weights=quad.weights)
-    return quad, a
+    a, _ = symmetrize(k[None], s[None], weights=quad.weights)
+    return quad, a[0]
 
 
 def _plus_side_counts(values, root, taus):

@@ -5,7 +5,8 @@ profiles have counting integrals computable in closed form (the
 normalization collapses to surface area times an angular moment);
 those values are frozen here as oracles.  The real-pipeline values on
 the unit sphere are checked against the coefficients implied by the
-exact ball spectrum.
+exact ball spectrum, and on the ellipsoid against the convex law with
+its Willmore energy from the closed-form mean curvature.
 """
 
 import math
@@ -341,3 +342,109 @@ class TestTraceIdentity:
         willmore = a11 / (2.0 * np.pi**2) * (w * (0.5 * (k1 + k2)) ** 2).sum() + (a12 - a11) / np.pi
         # measured <= 2.2e-6: the n = 16 rule's own Gauss-Bonnet error
         assert (np.abs(total - willmore) / total).max() <= 1e-5
+
+
+# curvature points (cos a, sin a) at 36 angles, none on an axis, so each
+# quadrant's sign pattern is unambiguous
+_ALPHA = 2.0 * np.pi * (np.arange(36) + 0.5) / 36
+DENSITY_KAPPA = np.column_stack([np.cos(_ALPHA), np.sin(_ALPHA)])
+# admissible Lame pairs from near the 3 lam + 2 mu = 0 edge to nearly incompressible
+DENSITY_PAIRS = [(1.0, 1.0), (-0.2, 0.5), (10.0, 0.7), (2.3, 0.7), (0.0, 1.0), (0.5, 2.0)]
+
+
+def _densities(params, kappa):
+    """(C+, C-) of one node of weight 1 at each curvature pair: the
+    coefficient integral's density, shape (points, side, root)."""
+    ones = np.ones(1)
+    return np.array(
+        [coefficient_integral(params, k[:1], k[1:], ones)[:2] for k in kappa]
+    )
+
+
+@pytest.fixture(scope="module")
+def densities():
+    """Each pair's densities at DENSITY_KAPPA and at its mirror -DENSITY_KAPPA."""
+    return {
+        pair: (_densities(LameParams(*pair), DENSITY_KAPPA),
+               _densities(LameParams(*pair), -DENSITY_KAPPA))
+        for pair in DENSITY_PAIRS
+    }
+
+
+class TestDensityIdentities:
+    """Facts of the coefficient density on the unit circle of curvature
+    pairs, roots in the order (-k, 0, k); each bound sits a few times
+    above the value measured on these 36 angles and 6 pairs."""
+
+    def test_zero_root_is_lame_free(self, densities):
+        ref = densities[(1.0, 1.0)][0][:, :, 1]
+        for pair in DENSITY_PAIRS:
+            # measured <= 1.8e-17 against densities up to 2.2e-2
+            assert np.abs(densities[pair][0][:, :, 1] - ref).max() <= 1e-16
+
+    def test_outer_roots_scale_as_36_k_squared(self, densities):
+        ref = densities[(1.0, 1.0)][0][:, :, ::2]
+        for pair in DENSITY_PAIRS:
+            scaled = 36.0 * LameParams(*pair).kk ** 2 * ref
+            got = densities[pair][0][:, :, ::2]
+            assert np.array_equal(got == 0.0, ref == 0.0)
+            # measured <= 4.7e-15 of each (side, root) profile's largest value
+            assert np.all(np.abs(got - scaled) <= 5e-14 * np.abs(scaled).max(axis=0))
+
+    def test_minus_side_mirrors_plus(self, densities):
+        for at, mirrored in densities.values():
+            assert np.array_equal(at[:, 1], mirrored[:, 0])
+
+    def test_one_signed_nodes(self, densities):
+        # outward normal: convex points, like the unit sphere's
+        # kappa = (-1, -1), have both curvatures negative
+        a = 27.0 / (512.0 * np.pi)
+        k1, k2 = DENSITY_KAPPA.T
+        convex = (k1 < 0.0) & (k2 < 0.0)
+        concave = (k1 > 0.0) & (k2 > 0.0)
+        form = a * (k1**2 + k2**2) + (2.0 * a / 3.0) * k1 * k2
+        for at, _ in densities.values():
+            # measured misfit 1.0e-17 against values 1.8e-2 to 2.2e-2
+            assert np.abs(at[convex, 0, 1] - form[convex]).max() <= 1e-16
+            assert np.all(at[concave, 0] == 0.0)
+
+
+def _ellipsoid_willmore(a, b, c, n=48):
+    """W = int H^2 dS of the ellipsoid x^2/a^2 + y^2/b^2 + z^2/c^2 = 1
+    from its closed-form mean curvature, on an n x 2n Gauss-Legendre (cos
+    theta) x trapezoid rule of its own (within 4e-15 of n = 96 from n = 24)."""
+    u, wu = np.polynomial.legendre.leggauss(n)
+    phi = np.pi * np.arange(2 * n) / n
+    u, s = u[:, None], np.sqrt(1.0 - u[:, None] ** 2)
+    d = 1.0 / np.array([a, b, c]) ** 2
+    # p = grad F / 2 for F = sum d_i x_i^2 - 1
+    p = np.stack(np.broadcast_arrays(s * np.cos(phi) / a, s * np.sin(phi) / b, u / c))
+    pp = (p * p).sum(axis=0)
+    h = ((p * p * d[:, None, None]).sum(axis=0) - pp * d.sum()) / (2.0 * pp**1.5)
+    area = a * b * c * np.sqrt(pp)  # |x_u x x_phi| for u = cos theta
+    return float((wu[:, None] * h**2 * area).sum() * np.pi / n)
+
+
+class TestConvexLaw:
+    """On a convex surface every node is one-signed, so C- = 0 at every
+    root and C+ is the sphere's value times f = 3 W / (8 pi) - 1/2,
+    W = int H^2 dS: C+(0) = (9/16) f and C+(+-k) = k^2 f."""
+
+    def test_willmore_reference(self):
+        assert _ellipsoid_willmore(1.0, 1.0, 1.0) == pytest.approx(4.0 * np.pi, rel=1e-14)
+        assert _ellipsoid_willmore(1.0, 1.2, 0.8) == pytest.approx(13.4351959091245, rel=1e-13)
+
+    # measured relative errors 9.97e-7 at n = 16 and 3.9e-13 at n = 32
+    # (1.42e-3 at n = 8), the same at both pairs
+    @pytest.mark.parametrize("n, tol", [(16, 2e-6), (32, 1e-12)])
+    @pytest.mark.parametrize("lam, mu", [(1.0, 1.0), (0.0, 1.0)])
+    def test_ellipsoid_matches_closed_form(self, n, tol, lam, mu):
+        surface = CURVED["ellipsoid"]
+        params = LameParams(lam, mu)
+        f = 3.0 * _ellipsoid_willmore(1.0, 1.2, 0.8) / (8.0 * np.pi) - 0.5
+        quad = surface_quadrature(surface, n)
+        k1, k2, *_ = principal_curvatures(surface, *quad.params.T)
+        cp, cm, _ = coefficient_integral(params, k1, k2, quad.weights)
+        want = f * np.array([params.kk**2, 9.0 / 16.0, params.kk**2])
+        assert np.abs(cp / want - 1.0).max() <= tol
+        assert np.all(cm == 0.0)

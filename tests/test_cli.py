@@ -393,20 +393,18 @@ class TestPipeline:
         assert_stage_checks("fit", tmp_path, 128)
 
     def test_fit_records_skipped_sides(self, capsys, tmp_path):
-        # n_plus has too few nonzero samples to fit; n_minus fits
+        # fit drops the smallest-tau third (8 of 24 samples); n_plus then
+        # keeps 3 nonzero samples, too few to fit, and n_minus fits
         tau = np.geomspace(1e-3, 1e-1, 24)
         record = {
             "root": 0.0,
             "tau": tau,
-            "n_plus": np.where(np.arange(24) < 3, 5, 0),
+            "n_plus": np.where(np.arange(24) < 11, 5, 0),
             "n_minus": np.round(10.0 * tau**-2.0).astype(int),
         }
         path = tmp_path / "counting.csv"
         npio.write_counting_csv(path, [record])
-        code, out = run(
-            capsys, "fit", "--no-prune", "--counting", str(path),
-            "--out.dir", str(tmp_path),
-        )
+        code, out = run(capsys, "fit", "--counting", str(path), "--out.dir", str(tmp_path))
         assert code == 0
         rep = json.loads((tmp_path / "fit.json").read_text())
         assert [r["side"] for r in rep["reports"]] == ["minus"]
@@ -417,6 +415,13 @@ class TestPipeline:
                 "reason": "too few nonzero counting samples: 3",
             }
         ]
+
+    def test_fit_has_no_pruning_switch(self, capsys, tmp_path):
+        # fit always prunes; the removed --no-prune flag stops with a
+        # message before any work
+        with pytest.raises(SystemExit, match="^override arguments must come in --key value pairs$"):
+            main(["fit", "--no-prune", "--out.dir", str(tmp_path)])
+        assert os.listdir(tmp_path) == []
 
     @pytest.mark.parametrize(
         "stage, key, value",
