@@ -3,8 +3,9 @@
 Subcommands cover the full pipeline: essential spectrum, exact sphere
 eigenvalues, operator assembly, spectra, cluster counting, power-law
 fits, symbol-route coefficients, and a fast invariant verification
-suite.  Configuration comes from an optional JSON file plus
-``--section.key value`` overrides; all outputs are deterministic.
+suite.  Configuration comes from an optional JSON file plus one
+``--section.key value`` option per config key on every stage (``npspec
+<stage> --help`` lists them); all outputs are deterministic.
 Each command imports the layers it runs, so a stage's process loads
 only those.
 """
@@ -80,18 +81,6 @@ def load_config(path=None, overrides=()):
             raise SystemExit("config key %r is not %s: %r" % (key, what, value))
         cfg[section][name] = value
     return cfg
-
-
-def _split_overrides(rest):
-    if len(rest) % 2:
-        raise SystemExit("override arguments must come in --key value pairs")
-    pairs = []
-    for i in range(0, len(rest), 2):
-        key = rest[i]
-        if not key.startswith("--"):
-            raise SystemExit("unexpected argument %r" % key)
-        pairs.append((key[2:], rest[i + 1]))
-    return pairs
 
 
 def _configured(keys, build, *args, **kwargs):
@@ -212,9 +201,8 @@ def cmd_spectrum(cfg, matrix=None):
     quad = _quadrature(cfg, surface)
     dim = 3 * quad.size
     nodes = target_nodes(surface, quad)
-    (k_mat, k_defect), (s_mat, s_defect) = npio._fork_pair(
-        lambda: _read_operator(k_path, dim, nodes), lambda: _read_operator(s_path, dim, nodes)
-    )
+    k_mat, k_defect = _read_operator(k_path, dim, nodes)
+    s_mat, s_defect = _read_operator(s_path, dim, nodes)
     sym, info = _configured("mesh.n", symmetrize, k_mat, s_mat, weights=quad.weights[nodes])
     vals = np.sort(np.linalg.eigvalsh(sym), axis=None)
     path = os.path.join(d, "eigenvalues.csv")
@@ -372,35 +360,44 @@ def cmd_verify(cfg):
     return 1 if failed else 0
 
 
-def main(argv=None):
-    parser = argparse.ArgumentParser(
-        prog="npspec",
-        description="Spectral asymptotics of the elastic double layer operator",
-    )
+def _parser():
+    """npspec's parser, one --section.key option per config key on each stage,
+    unset unless given; main drops it before the stage runs."""
+    overrides = argparse.ArgumentParser(add_help=False, allow_abbrev=False)
+    for section, values in DEFAULT_CONFIG.items():
+        for name, value in values.items():
+            overrides.add_argument("--%s.%s" % (section, name), default=argparse.SUPPRESS,
+                                   metavar=name.upper(), help="default %s" % json.dumps(value))
+    parser = argparse.ArgumentParser(prog="npspec", allow_abbrev=False, description=(
+        "Spectral asymptotics of the elastic double layer operator"))
     parser.add_argument("--config", help="JSON configuration file")
     sub = parser.add_subparsers(dest="command", required=True)
+    stage = lambda name: sub.add_parser(name, parents=[overrides], allow_abbrev=False)
     # each runner is looked up at call time, so a rebound cmd_* is the one run
-    sub.add_parser("essential").set_defaults(run=lambda cfg, a: cmd_essential(cfg))
-    p = sub.add_parser("sphere-exact")
+    stage("essential").set_defaults(run=lambda cfg, a: cmd_essential(cfg))
+    p = stage("sphere-exact")
     p.add_argument("--kmax", type=int, default=10)
     p.set_defaults(run=lambda cfg, a: cmd_sphere_exact(cfg, a.kmax))
-    sub.add_parser("assemble").set_defaults(run=lambda cfg, a: cmd_assemble(cfg))
-    p = sub.add_parser("spectrum")
-    p.add_argument(
-        "--matrix", help="K matrix file (default <out.dir>/np_matrix.npmat); "
-        "S is read from single_layer.npmat beside it"
-    )
+    stage("assemble").set_defaults(run=lambda cfg, a: cmd_assemble(cfg))
+    p = stage("spectrum")
+    p.add_argument("--matrix", help="K matrix file (default <out.dir>/np_matrix.npmat); "
+                   "S is read from single_layer.npmat beside it")
     p.set_defaults(run=lambda cfg, a: cmd_spectrum(cfg, a.matrix))
-    p = sub.add_parser("count")
+    p = stage("count")
     p.add_argument("--eigenvalues", help="eigenvalue CSV path")
     p.set_defaults(run=lambda cfg, a: cmd_count(cfg, a.eigenvalues))
-    p = sub.add_parser("fit")
+    p = stage("fit")
     p.add_argument("--counting", help="counting CSV path")
     p.set_defaults(run=lambda cfg, a: cmd_fit(cfg, a.counting))
-    sub.add_parser("coeff").set_defaults(run=lambda cfg, a: cmd_coeff(cfg))
-    sub.add_parser("verify").set_defaults(run=lambda cfg, a: cmd_verify(cfg))
-    args, rest = parser.parse_known_args(argv)
-    return args.run(load_config(args.config, _split_overrides(rest)), args)
+    stage("coeff").set_defaults(run=lambda cfg, a: cmd_coeff(cfg))
+    stage("verify").set_defaults(run=lambda cfg, a: cmd_verify(cfg))
+    return parser
+
+
+def main(argv=None):
+    args = _parser().parse_args(argv)
+    given = [(key, text) for key, text in vars(args).items() if "." in key]
+    return args.run(load_config(args.config, given), args)
 
 
 if __name__ == "__main__":

@@ -83,7 +83,7 @@ def homogeneous_parts(kernel_fn, angles=64, first_node=0):
     leading axes stack kernels (one per node).  Along each of `angles`
     equispaced directions the scaled values eps^2 kernel_fn(eps u) are
     fitted by a polynomial in eps over the extrapolation ladder _LADDER,
-    all kernels in one solve; the constant and linear coefficients are
+    all kernels in one product; the constant and linear coefficients are
     the degree -2 and -1 angular samples.  Each degree -2 part must be
     odd under u -> -u to the tolerance _ODD_TOL relative to its largest
     sample; an error names the node, counting from first_node.
@@ -102,13 +102,14 @@ def homogeneous_parts(kernel_fn, angles=64, first_node=0):
     vals = ladder[:, None, None, None] ** 2 * kernel_fn(ladder[:, None, None] * u)
     shape = vals.shape[:-4] + (angles, 3, 3)
     flat = np.moveaxis(vals, -4, 0).reshape(ladder.size, -1)
-    coef, res, _, _ = np.linalg.lstsq(design, flat, rcond=None)
-    short = np.linalg.lstsq(design[:-2], flat[:-2], rcond=None)[0]
+    # the design is fixed and of full rank: its pseudo-inverses are the fits
+    coef = np.linalg.pinv(design) @ flat
+    short = np.linalg.pinv(design[:-2])[0] @ flat[:-2]
     per_node = lambda a: a.reshape(shape[:-3] + (-1,)).max(axis=-1)
     k0 = coef[0].reshape(shape)
     k1 = (coef[1] / s).reshape(shape)
-    resid = np.sqrt(per_node(res) / ladder.size) if res.size else np.zeros(shape[:-3])
-    drift = per_node(np.abs(short[0] - coef[0]))
+    resid = np.sqrt(per_node(((design @ coef - flat) ** 2).sum(axis=0)) / ladder.size)
+    drift = per_node(np.abs(short - coef[0]))
     scale = np.maximum(np.abs(k0).max(axis=(-3, -2, -1)), 1e-30)
     half = angles // 2
     odd_defect = np.abs(k0 + np.roll(k0, half, axis=-3)).max(axis=(-3, -2, -1))

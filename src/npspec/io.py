@@ -8,12 +8,13 @@ followed by one line per matrix row holding that row's entries as
 whitespace-separated decimal literals.  The entry kind is always real;
 a complex matrix, a header of another kind, or an entry that is not
 finite, is an error, as is a CSV row with the wrong number of fields or
-a value that is not finite.  Writers use fixed repr-precision formatting
-so a rerun with identical inputs produces identical bytes.
+a value that is not finite.  Writers format every float as ``%.17g``,
+17 significant digits, which round-trips each double exactly, so a
+rerun with identical inputs produces identical bytes.
 
-The CLI writes and reads its two operator files, K and S, in parallel,
-one of them in a forked child, when the process may run on a spare
-core (``_fork_pair``); the bytes are identical either way.
+The CLI's ``assemble`` writes its two operator files, K and S, in
+parallel, one of them in a forked child, when the process may run on a
+spare core (``_fork_pair``); the bytes are identical either way.
 """
 
 import itertools
