@@ -156,7 +156,8 @@ def cmd_assemble(cfg):
     k_mat, s_mat = _configured("mesh.n or surface", assemble_operators, surface, params, quad)
     kp = os.path.join(d, "np_matrix.npmat")
     sp = os.path.join(d, "single_layer.npmat")
-    npio._fork_pair(lambda: npio.write_npmat(kp, k_mat), lambda: npio.write_npmat(sp, s_mat))
+    npio._fork_pair(lambda: _write_output(npio.write_npmat, kp, k_mat),
+                    lambda: _write_output(npio.write_npmat, sp, s_mat))
     rows = len(target_nodes(surface, quad))
     print(json.dumps(dict(nodes=quad.size, rows_assembled=rows, files=[kp, sp]), sort_keys=True))
     return 0
@@ -171,6 +172,15 @@ def _read_input(read, path, stage):
         raise SystemExit("cannot read %s: %s; run %s first" % (path, exc.strerror, stage))
     except ValueError as exc:
         raise SystemExit("%s is malformed: %s; re-run %s" % (path, exc, stage))
+
+
+def _write_output(write, path, payload):
+    """write(path, payload), stopping with a message that names the file
+    when it cannot be written."""
+    try:
+        write(path, payload)
+    except OSError as exc:
+        raise SystemExit("cannot write %s: %s" % (path, exc.strerror))
 
 
 def _read_operator(path, dim, nodes):
@@ -206,7 +216,7 @@ def cmd_spectrum(cfg, matrix=None):
     sym, info = _configured("mesh.n", symmetrize, k_mat, s_mat, weights=quad.weights[nodes])
     vals = np.sort(np.linalg.eigvalsh(sym), axis=None)
     path = os.path.join(d, "eigenvalues.csv")
-    npio.write_eigenvalues_csv(path, vals)
+    _write_output(npio.write_eigenvalues_csv, path, vals)
     defect = None if k_defect is None else max(k_defect, s_defect)
     info.update(count=int(vals.size), file=path, circulant_defect=defect, fourier_blocks=len(sym))
     print(json.dumps(info, sort_keys=True))
@@ -226,7 +236,7 @@ def cmd_count(cfg, eigenvalues_path=None):
         raise SystemExit("%s holds no eigenvalues" % eigenvalues_path)
     records = cluster_and_count(vals, poly)
     path = os.path.join(d, "counting.csv")
-    npio.write_counting_csv(path, records)
+    _write_output(npio.write_counting_csv, path, records)
     print(json.dumps({"roots": len(records), "file": path}, sort_keys=True))
     return 0
 
@@ -257,9 +267,27 @@ def cmd_fit(cfg, counting_path=None):
                 continue
             reports.append(_report(rec["root"], side, fit.c, fit.h, "counting", fit.residual))
     path = os.path.join(d, "fit.json")
-    npio.write_json(path, {"reports": reports, "skipped": skipped})
+    _write_output(npio.write_json, path, {"reports": reports, "skipped": skipped})
     print(json.dumps({"reports": len(reports), "file": path}, sort_keys=True))
     return 0
+
+
+def _curvature_record(roots, k1, k2, weights, cp, cm):
+    """willmore (W, the integral of H^2), gauss_bonnet_err (the integral
+    of K, less 4 pi, over 4 pi) and convex (K >= 0 at every node); on a
+    convex surface also convex_law_err, the largest difference of C+-
+    from the convex law C+(0) = (9/16) f, C+(+-k) = k^2 f, C- = 0, with
+    f = 3 W / (8 pi) - 1/2, over the largest C+."""
+    willmore = float(weights @ ((k1 + k2) / 2.0) ** 2)
+    gauss = k1 * k2
+    record = dict(willmore=willmore, convex=bool((gauss >= 0.0).all()),
+                  gauss_bonnet_err=float((weights @ gauss - 4.0 * np.pi) / (4.0 * np.pi)))
+    if record["convex"]:
+        roots = np.array(roots)
+        law = (3.0 * willmore / (8.0 * np.pi) - 0.5) * np.where(roots == 0.0, 9.0 / 16.0, roots**2)
+        err = max(np.abs(cp - law).max(), np.abs(cm).max())
+        record["convex_law_err"] = float(err / np.abs(cp).max())
+    return record
 
 
 def cmd_coeff(cfg):
@@ -274,18 +302,21 @@ def cmd_coeff(cfg):
     params = _material(cfg)
     quad = _quadrature(cfg, surface)
     field = _configured("mesh.n or surface", np_symbol_field, surface, params, quad, angles=angles)
+    k1, k2 = field.charts.kappa1, field.charts.kappa2
     cp, cm, info = _configured("mesh.n or surface", coefficient_integral, params,
-                               field.charts.kappa1, field.charts.kappa2, quad.weights)
+                               k1, k2, quad.weights)
     drift = info["angle_drift"]
+    roots = essential_spectrum(params).roots
     reports = [
         _report(float(root), side, float(c[idx]), 2.0, "symbol", float(drift[idx]))
-        for idx, root in enumerate(essential_spectrum(params).roots)
+        for idx, root in enumerate(roots)
         for side, c in (("plus", cp), ("minus", cm))
     ]
     path = os.path.join(d, "coeff.json")
-    npio.write_json(path, {"reports": reports})
+    _write_output(npio.write_json, path, {"reports": reports})
     summary = dict(
-        field.diagnostics, reports=len(reports), file=path, angle_drift=float(drift.max())
+        field.diagnostics, reports=len(reports), file=path, angle_drift=float(drift.max()),
+        **_curvature_record(roots, k1, k2, quad.weights, cp, cm)
     )
     print(json.dumps(summary, sort_keys=True))
     return 0
@@ -395,6 +426,13 @@ def _parser():
 
 
 def main(argv=None):
+    # argparse takes a value such as -1e-3 for a flag; joined to its
+    # --section.key flag, the token after the flag is its value
+    keys = {"--%s.%s" % (s, k) for s, values in DEFAULT_CONFIG.items() for k in values}
+    tokens, argv = iter(sys.argv[1:] if argv is None else argv), []
+    for token in tokens:
+        value = next(tokens, None) if token in keys else None
+        argv.append(token if value is None else "%s=%s" % (token, value))
     args = _parser().parse_args(argv)
     given = [(key, text) for key, text in vars(args).items() if "." in key]
     return args.run(load_config(args.config, given), args)

@@ -13,15 +13,16 @@ a value that is not finite.  Writers format every float as ``%.17g``,
 rerun with identical inputs produces identical bytes.
 
 The CLI's ``assemble`` writes its two operator files, K and S, in
-parallel, one of them in a forked child, when the process may run on a
-spare core (``_fork_pair``); the bytes are identical either way.
+parallel, S in a forked child, when the process may run on a spare core
+(``_fork_pair``).  The child reports only its exit status; when it did
+not finish, the caller writes S again itself, so the bytes, and any
+error, are those of the one-core path.
 """
 
 import itertools
 import json
 import math
 import os
-import pickle
 
 import numpy as np
 
@@ -70,71 +71,40 @@ def read_npmat(path):
 
 
 def _fork_pair(first, second):
-    """(first(), second()), with second in a child process when the
-    process may run on a spare core.
+    """Run first() and second(), second in a child process when the
+    process may run on a spare core; return nothing.
 
-    The child, made by os.fork, sends back second's result, or the
-    exception it raised, pickled through a pipe and then leaves by
-    os._exit: it never returns into the caller's stack, runs no atexit
-    hook and flushes no inherited buffer.  With one core in
-    os.sched_getaffinity both run in the calling process and nothing is
-    forked.
-
-    The caller runs first, reads the pipe to its end and reaps the
-    child, also when first raises; the child's exception is re-raised
-    with its type and message, and a child that ends without a result
-    (killed, out of memory) raises ChildProcessError naming its exit
-    status.  first and second are not pickled, so they may be closures.
+    second must write a whole file and be safe to run twice.  The child,
+    made by os.fork, runs it and leaves by os._exit(0), or os._exit(1)
+    when it raises: it never returns into the caller's stack, runs no
+    atexit hook and flushes no inherited buffer.  The caller runs first
+    and reaps the child, also when first raises.  When the child's wait
+    status is not 0 (it raised, exited early or was killed) the caller
+    runs second itself, which completes the write or raises what the
+    one-core path raises.  With one core in os.sched_getaffinity both
+    run in the calling process and nothing is forked.
 
     os.fork copies only the calling thread.  On Python 3.12 and later it
     warns when the process has other threads (a threaded BLAS, say).
     """
     if len(os.sched_getaffinity(0)) < 2:
-        return first(), second()
-    pid, reader = _fork_call(second)
-    try:
-        mine = first()
-        try:
-            payload = pickle.load(reader)
-        except (EOFError, pickle.UnpicklingError):
-            payload = None  # the child sent no whole result
-        reader.read()
-    finally:
-        reader.close()
-        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-    if payload is None:
-        raise ChildProcessError("the forked child ended with %s and sent no result" % (
-            "signal %d" % -code if code < 0 else "exit status %d" % code))
-    if not payload[0]:
-        raise payload[1]
-    return mine, payload[1]
-
-
-def _fork_call(fn):
-    """(pid, reader) of a child that sends pickled (True, fn()) or
-    (False, exception) down the pipe behind reader."""
-    r, w = os.pipe()
-    try:
-        pid = os.fork()
-    except BaseException:
-        os.close(r)
-        os.close(w)
-        raise
+        first()
+        second()
+        return
+    pid = os.fork()
     if pid == 0:
         code = 1
         try:
-            os.close(r)
-            try:
-                payload = (True, fn())
-            except BaseException as exc:  # re-raised by the caller
-                payload = (False, exc)
-            with open(w, "wb") as f:
-                pickle.dump(payload, f, protocol=pickle.HIGHEST_PROTOCOL)
+            second()
             code = 0
         finally:
             os._exit(code)
-    os.close(w)
-    return pid, open(r, "rb")
+    try:
+        first()
+    finally:
+        status = os.waitpid(pid, 0)[1]
+    if status != 0:
+        second()
 
 
 def write_eigenvalues_csv(path, values):

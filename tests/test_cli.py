@@ -66,6 +66,13 @@ class TestConfig:
         with pytest.raises(SystemExit):
             main(["essential", "--material.mu"])
 
+    def test_negative_value_in_exponent_form(self, capsys):
+        # the token after a --section.key flag is its value, whatever its
+        # first character (-Infinity: test_rejected_values_name_their_keys)
+        code, out = run(capsys, "essential", "--material.lambda", "-1e-3")
+        assert code == 0
+        assert json.loads(out) == {"roots": [-0.250125, 0.0, 0.250125]}
+
     def test_unknown_keys_rejected(self, tmp_path, capsys):
         # a misspelt key must not run with the default it meant to replace
         for key in ("mesh.N", "matrial.mu", "extract.eps_ladder", "mesh", "mesh.n.x"):
@@ -186,6 +193,7 @@ class TestConfig:
             *(
                 (argv, "material.lambda, material.mu: inadmissible")
                 for argv in (["essential", "--material.mu", "Infinity"],
+                             ["essential", "--material.mu", "-Infinity"],
                              ["essential", "--material.lambda", "Infinity"],
                              ["count", "--material.lambda", "Infinity"],
                              ["coeff", "--material.mu", "Infinity"])
@@ -204,7 +212,7 @@ class TestConfig:
                 "surface.a, surface.b, surface.c: ellipsoid semi-axis a = inf is not positive",
             ),
         ],
-        ids=["material", "mesh", "surface", "kmax", "angles", "mu=inf",
+        ids=["material", "mesh", "surface", "kmax", "angles", "mu=inf", "mu=-inf",
              "lambda=inf", "count lambda=inf", "coeff mu=inf", "radius=inf", "coeff=nan",
              "a=inf"],
     )
@@ -550,6 +558,25 @@ class TestPipeline:
             main(["spectrum", "--out.dir", str(tmp_path), "--mesh.n", "4"])
         assert not (tmp_path / "eigenvalues.csv").exists()
 
+    @pytest.mark.parametrize(
+        "stage, name",
+        [("assemble", "np_matrix.npmat"), ("assemble", "single_layer.npmat"),
+         ("spectrum", "eigenvalues.csv"), ("count", "counting.csv"), ("fit", "fit.json"),
+         ("coeff", "coeff.json")],
+    )
+    def test_failed_write_stops_the_stage(self, capsys, tmp_path, stage, name):
+        # a directory where the output goes: a message, not a traceback,
+        # also when the forked child's write of S failed
+        out_args = ["--out.dir", str(tmp_path), "--mesh.n", "4"]
+        stages = ["assemble", "spectrum", "count", "fit"]
+        for before in stages[:stages.index(stage)] if stage in stages else ():
+            assert run(capsys, before, *out_args)[0] == 0
+        (tmp_path / name).mkdir()
+        path = re.escape(str(tmp_path / name))
+        with pytest.raises(SystemExit, match="^cannot write %s: Is a directory$" % path):
+            main([stage, *out_args])
+        assert capsys.readouterr().out == ""
+
     def test_one_and_two_cores_write_identical_bytes(self, capsys, tmp_path, monkeypatch):
         # assemble writes K and S in two processes when a spare core
         # exists; spectrum reads both in its own process
@@ -668,12 +695,39 @@ class TestCoeff:
         assert (a / "coeff.json").read_bytes() == (b / "coeff.json").read_bytes()
 
     def test_dent_passes_benchmark_checks(self, capsys, tmp_path):
-        code, _ = run(
+        code, out = run(
             capsys, "coeff", "--surface.kind", "radial_graph",
             "--surface.harmonics", "[[2, 0, -0.6]]", "--mesh.n", "4", "--out.dir", str(tmp_path),
         )
         assert code == 0
         assert_stage_checks("coeff", tmp_path, 32)
+        # the dent has nodes with K < 0: no convex law to compare
+        summary = json.loads(out)
+        assert summary["convex"] is False and "convex_law_err" not in summary
+
+    @pytest.mark.parametrize(
+        "argv, willmore, rel_w, law_err",
+        [
+            # measured: W exact to the last bit, law error 6.2e-18
+            (["--mesh.n", "8"], 4.0 * np.pi, 1e-15, 1e-16),
+            # measured: W off TestConvexLaw's reference by 2.9e-13, law
+            # error 4.0e-14
+            (["--surface.kind", "ellipsoid", "--surface.a", "1", "--surface.b", "1.2",
+              "--surface.c", "0.8", "--mesh.n", "32"], 13.4351959091245, 3e-12, 4e-13),
+        ],
+        ids=["sphere8", "ellipsoid32"],
+    )
+    def test_convex_surface_reports_the_convex_law(
+        self, capsys, tmp_path, argv, willmore, rel_w, law_err
+    ):
+        code, out = run(capsys, "coeff", *argv, "--out.dir", str(tmp_path))
+        assert code == 0
+        summary = json.loads(out)
+        assert summary["convex"] is True
+        assert summary["willmore"] == pytest.approx(willmore, rel=rel_w)
+        assert 0.0 <= summary["convex_law_err"] <= law_err
+        # measured 1.4e-16 on the sphere and 9.2e-14 on the ellipsoid
+        assert abs(summary["gauss_bonnet_err"]) <= 1e-12
 
 
 class TestVerify:

@@ -122,64 +122,97 @@ def cores(monkeypatch):
         os.waitpid(-1, os.WNOHANG)
 
 
-def _square_and_pid(x):
-    return x * x, os.getpid()
+def _record_pid(path):
+    """A job that appends its process id to the file at path."""
+    def job():
+        with open(path, "a") as f:
+            f.write("%d\n" % os.getpid())
+    return job
+
+
+def _pids(path):
+    return [int(line) for line in path.read_text().split()]
+
+
+def _write_unless_child(path, caller, die):
+    """A whole-file write of path whose first try, in a child of caller,
+    dies by die() after half the file."""
+    def write():
+        with open(path, "w") as f:
+            f.write("head\n")
+            f.flush()
+            if os.getpid() != caller:
+                die()
+            f.write("tail\n")
+    return write
 
 
 class TestMapForked:
-    """_fork_pair: the second job in a child when a spare core exists."""
+    """_fork_pair: the second job in a child when a spare core exists,
+    and again in the caller when the child does not exit 0."""
 
-    def test_results_in_order_and_equal_to_serial(self, cores):
+    def test_second_in_child_first_in_caller(self, cores, tmp_path):
         cores(2)
-        got = _fork_pair(lambda: _square_and_pid(3), lambda: _square_and_pid(4))
-        assert [v for v, _ in got] == [9, 16]
-        # the first job ran in the caller, the second in a child
-        assert got[0][1] == os.getpid() != got[1][1]
+        first, second = tmp_path / "first", tmp_path / "second"
+        assert _fork_pair(_record_pid(first), _record_pid(second)) is None
+        assert _pids(first) == [os.getpid()]
+        (child,) = _pids(second)
+        assert child != os.getpid()
 
     @pytest.mark.parametrize(
         "exc", [ValueError("NPMAT token count mismatch"), OSError(2, "No such file", "k.npmat")]
     )
-    def test_child_exception_keeps_type_and_message(self, cores, exc):
-        cores(2)
+    def test_child_exception_keeps_type_and_message(self, cores, tmp_path, exc):
+        # the child's failure is rerun in the caller, which raises what
+        # the one-core path raises
+        tries = tmp_path / "tries"
 
         def fail():
+            _record_pid(tries)()
             raise exc
 
-        with pytest.raises(type(exc)) as info:
-            _fork_pair(lambda: 0, fail)
-        assert str(info.value) == str(exc)
+        for n in (1, 2):
+            cores(n)
+            with pytest.raises(type(exc)) as info:
+                _fork_pair(lambda: None, fail)
+            assert str(info.value) == str(exc)
+        pids = _pids(tries)
+        assert pids[0] == pids[2] == os.getpid() != pids[1] and len(pids) == 3
 
-    def test_killed_child_raises_and_does_not_hang(self, cores):
+    @pytest.mark.parametrize(
+        "die", [lambda: os.kill(os.getpid(), signal.SIGKILL), lambda: os._exit(3)],
+        ids=["sigkill", "exit3"],
+    )
+    def test_dead_child_leaves_a_complete_file(self, cores, tmp_path, die):
         cores(2)
+        path = tmp_path / "s.npmat"
         start = time.monotonic()
-        with pytest.raises(ChildProcessError, match="child ended with signal 9"):
-            _fork_pair(lambda: 0, lambda: os.kill(os.getpid(), signal.SIGKILL))
+        _fork_pair(lambda: None, _write_unless_child(path, os.getpid(), die))
         assert time.monotonic() - start < 30.0
+        assert path.read_text() == "head\ntail\n"
 
-    def test_child_exit_without_result_names_its_status(self, cores):
+    def test_child_reaped_when_callers_item_raises(self, cores, tmp_path):
+        # the caller's error propagates once its child has written and
+        # been reaped
         cores(2)
-        with pytest.raises(ChildProcessError, match="exit status 3 and sent no result"):
-            _fork_pair(lambda: 0, lambda: os._exit(3))
-
-    def test_child_reaped_when_callers_item_raises(self, cores):
-        # the child's result (8 MB) does not fit the pipe: it is blocked
-        # writing when the caller gives up, and must still be reaped
-        cores(2)
+        path = tmp_path / "s.npmat"
 
         def fail():
             raise KeyError("caller's job")
 
         with pytest.raises(KeyError, match="caller's job"):
-            _fork_pair(fail, lambda: np.zeros(10**6))
+            _fork_pair(fail, lambda: write_npmat(path, np.eye(300)))
+        assert np.array_equal(read_npmat(path), np.eye(300))
 
-    def test_no_spare_core_never_forks(self, cores, monkeypatch):
+    def test_no_spare_core_never_forks(self, cores, monkeypatch, tmp_path):
         def no_fork():
             raise AssertionError("forked")
 
         monkeypatch.setattr(os, "fork", no_fork)
         cores(1)
-        got = _fork_pair(lambda: _square_and_pid(1), lambda: _square_and_pid(2))
-        assert got == ((1, os.getpid()), (4, os.getpid()))
+        jobs = tmp_path / "jobs"
+        assert _fork_pair(_record_pid(jobs), _record_pid(jobs)) is None
+        assert _pids(jobs) == [os.getpid()] * 2
 
 
 class TestEigenvalueCsv:
