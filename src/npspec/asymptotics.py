@@ -21,7 +21,7 @@ takes each spectrum from trace tables and the trigonometric cubic.
 
 import numpy as np
 
-from .extraction import curvature_matrices
+from .extraction import _directions, curvature_matrices
 from .surfaces import _node_blocks
 
 # boundary dimension d, the power of the signed traces
@@ -58,9 +58,7 @@ def coefficient_integral(params, kappa1, kappa2, weights):
     points), so memory stays flat in the rule; the result does not
     depend on the block size.
     """
-    thetas = 2.0 * np.pi * np.arange(_ANGLES) / _ANGLES
-    xis = np.column_stack([np.cos(thetas), np.sin(thetas)])
-    m12 = curvature_matrices(params, xis)
+    m12 = curvature_matrices(params, _directions(_ANGLES))
     mean = np.trace(m12, axis1=-2, axis2=-1) / 3.0
     b = m12 - mean[..., None, None] * np.eye(3)
     bb = np.einsum("iarwx,jarxw->ijar", b, b)

@@ -223,17 +223,16 @@ def cmd_spectrum(cfg, matrix=None):
     return 0
 
 
-def cmd_count(cfg, eigenvalues_path=None):
+def cmd_count(cfg):
     from . import io as npio
     from .elasticity import essential_spectrum
     from .spectral import cluster_and_count
     d = _outdir(cfg)
-    if eigenvalues_path is None:
-        eigenvalues_path = os.path.join(d, "eigenvalues.csv")
+    source = os.path.join(d, "eigenvalues.csv")
     poly = essential_spectrum(_material(cfg))
-    vals = _read_input(npio.read_eigenvalues_csv, eigenvalues_path, "spectrum")
+    vals = _read_input(npio.read_eigenvalues_csv, source, "spectrum")
     if vals.size == 0:
-        raise SystemExit("%s holds no eigenvalues" % eigenvalues_path)
+        raise SystemExit("%s holds no eigenvalues" % source)
     records = cluster_and_count(vals, poly)
     path = os.path.join(d, "counting.csv")
     _write_output(npio.write_counting_csv, path, records)
@@ -248,15 +247,14 @@ def _report(root, side, c, d, route, err_estimate):
     return dict(root=root, side=side, C=c, d=d, route=route, err_estimate=err_estimate)
 
 
-def cmd_fit(cfg, counting_path=None):
+def cmd_fit(cfg):
     from . import io as npio
     from .spectral import fit_power_law, prune_counting_samples
     d = _outdir(cfg)
-    if counting_path is None:
-        counting_path = os.path.join(d, "counting.csv")
-    records = _read_input(npio.read_counting_csv, counting_path, "count")
+    source = os.path.join(d, "counting.csv")
+    records = _read_input(npio.read_counting_csv, source, "count")
     if not records:
-        raise SystemExit("%s holds no counting rows" % counting_path)
+        raise SystemExit("%s holds no counting rows" % source)
     reports, skipped = [], []
     for rec in records:
         for side, key in (("plus", "n_plus"), ("minus", "n_minus")):
@@ -414,12 +412,8 @@ def _parser():
     p.add_argument("--matrix", help="K matrix file (default <out.dir>/np_matrix.npmat); "
                    "S is read from single_layer.npmat beside it")
     p.set_defaults(run=lambda cfg, a: cmd_spectrum(cfg, a.matrix))
-    p = stage("count")
-    p.add_argument("--eigenvalues", help="eigenvalue CSV path")
-    p.set_defaults(run=lambda cfg, a: cmd_count(cfg, a.eigenvalues))
-    p = stage("fit")
-    p.add_argument("--counting", help="counting CSV path")
-    p.set_defaults(run=lambda cfg, a: cmd_fit(cfg, a.counting))
+    stage("count").set_defaults(run=lambda cfg, a: cmd_count(cfg))
+    stage("fit").set_defaults(run=lambda cfg, a: cmd_fit(cfg))
     stage("coeff").set_defaults(run=lambda cfg, a: cmd_coeff(cfg))
     stage("verify").set_defaults(run=lambda cfg, a: cmd_verify(cfg))
     return parser

@@ -75,6 +75,14 @@ def _check_angles(angles):
         raise ValueError("need an even direction count of at least 64")
 
 
+def _directions(m):
+    """The m unit directions (m, 2) at angles 2 pi j / m, j = 0, ..., m - 1:
+    the sample order that angular_fourier_symbol's FFT reads, whose even
+    samples are the m / 2 grid of the half-grid drift."""
+    thetas = 2.0 * np.pi * np.arange(m) / m
+    return np.column_stack([np.cos(thetas), np.sin(thetas)])
+
+
 def homogeneous_parts(kernel_fn, angles=64, first_node=0):
     """Split chart kernels into degree -2 and -1 homogeneous parts.
 
@@ -97,8 +105,7 @@ def homogeneous_parts(kernel_fn, angles=64, first_node=0):
     ladder = np.geomspace(*_LADDER)
     s = ladder[-1]
     design = np.vander(ladder / s, 5, increasing=True)
-    thetas = 2.0 * np.pi * np.arange(angles) / angles
-    u = np.column_stack([np.cos(thetas), np.sin(thetas)])
+    u = _directions(angles)
     vals = ladder[:, None, None, None] ** 2 * kernel_fn(ladder[:, None, None] * u)
     shape = vals.shape[:-4] + (angles, 3, 3)
     flat = np.moveaxis(vals, -4, 0).reshape(ladder.size, -1)
@@ -262,8 +269,7 @@ def curvature_matrices(params, xi):
     The closed-form degree -1 part has angular modes |n| <= 4, which 16
     samples carry exactly.
     """
-    thetas = 2.0 * np.pi * np.arange(16) / 16
-    u = np.column_stack([np.cos(thetas), np.sin(thetas)])
+    u = _directions(16)
     unit = np.eye(2)  # (kappa1, kappa2) stacks: (1, 0) and (0, 1)
     km1 = angular_fourier_symbol(_km1_closed_form(params, *unit, u), -1)
     return cluster_symbols(essential_spectrum(params), TwoTermSymbol(
@@ -312,8 +318,7 @@ def np_symbol_field(surface, params, quad, angles=64):
     ]
     samples_m2, samples_m1 = (np.concatenate([fit[j] for fit in fits]) for j in (0, 1))
     k0 = angular_fourier_symbol(samples_m2, -2)
-    thetas = 2.0 * np.pi * np.arange(angles) / angles
-    xis = np.column_stack([np.cos(thetas), np.sin(thetas)])
+    xis = _directions(angles)
     err = np.abs(k0(xis) - np_principal_symbol(params, xis)).max(axis=(-3, -2, -1))
     _raise_at_node(err > _K0_TOL, 0, "extracted degree 0 symbol off closed form by %.3e", err)
     want = _km1_closed_form(params, charts.kappa1, charts.kappa2, xis)

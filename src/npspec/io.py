@@ -13,10 +13,9 @@ a value that is not finite.  Writers format every float as ``%.17g``,
 rerun with identical inputs produces identical bytes.
 
 The CLI's ``assemble`` writes its two operator files, K and S, in
-parallel, S in a forked child, when the process may run on a spare core
-(``_fork_pair``).  The child reports only its exit status; when it did
-not finish, the caller writes S again itself, so the bytes, and any
-error, are those of the one-core path.
+parallel, S in a forked child (``_fork_pair``).  The child reports only
+its exit status; when it did not finish, the caller writes S again
+itself, so the bytes, and any error, are those of a direct write.
 """
 
 import itertools
@@ -63,6 +62,12 @@ def read_npmat(path):
         rows, cols, kind = int(header[2]), int(header[3]), header[4]
         if kind != "real":
             raise ValueError("NPMAT entry kind %r is not 'real'" % kind)
+        # an empty first row, as a write cut off after the header leaves,
+        # is refused before loadtxt can warn that it read no data
+        body = f.tell()
+        if not f.readline().strip():
+            raise ValueError("NPMAT token count mismatch")
+        f.seek(body)
         vals = np.loadtxt(f, dtype=float, ndmin=2)
     if vals.shape != (rows, cols):
         raise ValueError("NPMAT token count mismatch")
@@ -71,8 +76,8 @@ def read_npmat(path):
 
 
 def _fork_pair(first, second):
-    """Run first() and second(), second in a child process when the
-    process may run on a spare core; return nothing.
+    """Run first() in the calling process and second() in a child
+    process; return nothing.
 
     second must write a whole file and be safe to run twice.  The child,
     made by os.fork, runs it and leaves by os._exit(0), or os._exit(1)
@@ -80,17 +85,12 @@ def _fork_pair(first, second):
     atexit hook and flushes no inherited buffer.  The caller runs first
     and reaps the child, also when first raises.  When the child's wait
     status is not 0 (it raised, exited early or was killed) the caller
-    runs second itself, which completes the write or raises what the
-    one-core path raises.  With one core in os.sched_getaffinity both
-    run in the calling process and nothing is forked.
+    runs second itself, which completes the write or raises what a
+    direct call raises.
 
     os.fork copies only the calling thread.  On Python 3.12 and later it
     warns when the process has other threads (a threaded BLAS, say).
     """
-    if len(os.sched_getaffinity(0)) < 2:
-        first()
-        second()
-        return
     pid = os.fork()
     if pid == 0:
         code = 1

@@ -85,9 +85,11 @@ class TestConfig:
         path.write_text(json.dumps({"mesh": 6}))
         with pytest.raises(SystemExit, match="'mesh'"):
             load_config(str(path))
-        # counting windows are the library's; there is no windows section.
-        # On the command line argparse stops an unknown flag by name
-        for argv in (["assemble", "--mesh.N", "16"], ["count", "--windows.guard", "0.1"]):
+        # counting windows are the library's; there is no windows section,
+        # and count and fit read only out.dir.  On the command line
+        # argparse stops an unknown flag by name
+        for argv in (["assemble", "--mesh.N", "16"], ["count", "--windows.guard", "0.1"],
+                     ["count", "--eigenvalues", "x"], ["fit", "--counting", "x"]):
             with pytest.raises(SystemExit):
                 main([*argv, "--out.dir", str(tmp_path)])
             assert "unrecognized arguments: %s %s" % tuple(argv[1:]) in capsys.readouterr().err
@@ -124,19 +126,20 @@ class TestConfig:
         assert capsys.readouterr().out == ""
 
     @pytest.mark.parametrize(
-        "argv, key, kind",
-        [(["assemble", "--surface.kind", "sphere", "--surface.a", "3"], "a", "sphere"),
-         (["coeff", "--surface.kind", "radial_graph", "--surface.radius", "5"], "radius",
-          "radial_graph")],
-        ids=["sphere a", "radial_graph radius"],
+        "argv, message",
+        [(["assemble", "--surface.kind", "sphere", "--surface.a", "3"],
+          "config key 'surface.a' is not read by kind 'sphere'"),
+         (["coeff", "--surface.kind", "radial_graph", "--surface.radius", "5"],
+          "config key 'surface.radius' is not read by kind 'radial_graph'"),
+         (["coeff", "--surface.kind", "torus"], "unknown surface kind 'torus'")],
+        ids=["sphere a", "radial_graph radius", "torus kind"],
     )
-    def test_surface_key_the_kind_does_not_read_is_refused(
-        self, capsys, tmp_path, argv, key, kind
-    ):
-        # the sphere would run at radius 1 and ignore a = 3
-        with pytest.raises(SystemExit, match="^config key 'surface.%s' is not read by kind '%s'$"
-                           % (key, kind)):
+    def test_surface_key_the_kind_does_not_read_is_refused(self, capsys, tmp_path, argv, message):
+        # the sphere would run at radius 1 and ignore a = 3; a kind with no
+        # parameter table stops before any key is read
+        with pytest.raises(SystemExit, match="^%s$" % message) as exc:
             run(capsys, *argv, "--mesh.n", "4", "--out.dir", str(tmp_path))
+        assert exc.value.code == message  # a text exit code: printed, and status 1
         assert os.listdir(tmp_path) == []
         assert capsys.readouterr().out == ""
         # a key at its default changes nothing and is accepted
@@ -420,7 +423,7 @@ class TestPipeline:
         }
         path = tmp_path / "counting.csv"
         npio.write_counting_csv(path, [record])
-        code, out = run(capsys, "fit", "--counting", str(path), "--out.dir", str(tmp_path))
+        code, out = run(capsys, "fit", "--out.dir", str(tmp_path))
         assert code == 0
         rep = json.loads((tmp_path / "fit.json").read_text())
         assert [r["side"] for r in rep["reports"]] == ["minus"]
@@ -461,7 +464,7 @@ class TestPipeline:
         path = tmp_path / "counting.csv"
         npio.write_counting_csv(path, [])
         with pytest.raises(SystemExit, match="counting.csv"):
-            main(["fit", "--counting", str(path), "--out.dir", str(tmp_path)])
+            main(["fit", "--out.dir", str(tmp_path)])
         assert not (tmp_path / "fit.json").exists()
 
     @pytest.mark.parametrize(
@@ -490,7 +493,7 @@ class TestPipeline:
         path = tmp_path / "eigenvalues.csv"
         npio.write_eigenvalues_csv(path, [])
         with pytest.raises(SystemExit, match="eigenvalues.csv holds no eigenvalues"):
-            main(["count", "--eigenvalues", str(path), "--out.dir", str(tmp_path)])
+            main(["count", "--out.dir", str(tmp_path)])
         assert not (tmp_path / "counting.csv").exists()
 
     def test_spectrum_reads_assembled_matrices(self, capsys, tmp_path):
@@ -578,8 +581,9 @@ class TestPipeline:
         assert capsys.readouterr().out == ""
 
     def test_one_and_two_cores_write_identical_bytes(self, capsys, tmp_path, monkeypatch):
-        # assemble writes K and S in two processes when a spare core
-        # exists; spectrum reads both in its own process
+        # assemble writes K and S in two processes whatever cores the
+        # process may run on, and where os has no sched_getaffinity
+        # (macOS); spectrum reads both in its own process
         real_fork, forks = os.fork, []
 
         def counted_fork():
@@ -589,19 +593,24 @@ class TestPipeline:
         def no_fork():
             raise AssertionError("spectrum forked")
 
-        for ncores in (1, 2):
-            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(ncores)))
-            out = ["--out.dir", str(tmp_path / str(ncores)), "--mesh.n", "6"]
+        for cores in ("1", "2", "unknown"):
+            if cores == "unknown":
+                monkeypatch.delattr(os, "sched_getaffinity")
+            else:
+                monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(int(cores))))
+            out = ["--out.dir", str(tmp_path / cores), "--mesh.n", "6"]
             monkeypatch.setattr(os, "fork", counted_fork)
             assert run(capsys, "assemble", *out)[0] == 0
-            assert len(forks) == ncores - 1
+            assert len(forks) == 1
+            forks.clear()
             monkeypatch.setattr(os, "fork", no_fork)
             assert run(capsys, "spectrum", *out)[0] == 0
-        # the one child was reaped
+        # each child was reaped
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
         for name in ("np_matrix.npmat", "single_layer.npmat", "eigenvalues.csv"):
-            assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
+            want = (tmp_path / "1" / name).read_bytes()
+            assert all((tmp_path / cores / name).read_bytes() == want for cores in ("2", "unknown"))
 
     def test_dent_pipeline_passes_benchmark_checks(self, capsys, tmp_path):
         # an axisymmetric radial graph: 6 meridian rows, 12 Fourier blocks

@@ -86,6 +86,14 @@ class TestNpmat:
         with pytest.raises(ValueError):
             read_npmat(path)
 
+    def test_rejects_header_without_rows(self, tmp_path):
+        # what a write cut off after its first line leaves: a plain
+        # ValueError, not loadtxt's no-data warning
+        path = tmp_path / "cut.npmat"
+        path.write_text("NPMAT v1 600 600 real\n")
+        with pytest.raises(ValueError, match="NPMAT token count mismatch"):
+            read_npmat(path)
+
     def test_rejects_ragged_rows(self, tmp_path):
         path = tmp_path / "ragged.npmat"
         path.write_text("NPMAT v1 2 2 real\n1 0 0\n1\n")
@@ -114,10 +122,9 @@ class TestNpmat:
 
 
 @pytest.fixture
-def cores(monkeypatch):
-    """Set the cores os.sched_getaffinity reports; after the test, no
-    child of this process may be left."""
-    yield lambda n: monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+def reaped():
+    """After the test, no child of this process may be left."""
+    yield
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
@@ -147,12 +154,12 @@ def _write_unless_child(path, caller, die):
     return write
 
 
-class TestMapForked:
-    """_fork_pair: the second job in a child when a spare core exists,
-    and again in the caller when the child does not exit 0."""
+@pytest.mark.usefixtures("reaped")
+class TestForkPair:
+    """_fork_pair: the second job in a child, and again in the caller
+    when the child does not exit 0."""
 
-    def test_second_in_child_first_in_caller(self, cores, tmp_path):
-        cores(2)
+    def test_second_in_child_first_in_caller(self, tmp_path):
         first, second = tmp_path / "first", tmp_path / "second"
         assert _fork_pair(_record_pid(first), _record_pid(second)) is None
         assert _pids(first) == [os.getpid()]
@@ -162,19 +169,18 @@ class TestMapForked:
     @pytest.mark.parametrize(
         "exc", [ValueError("NPMAT token count mismatch"), OSError(2, "No such file", "k.npmat")]
     )
-    def test_child_exception_keeps_type_and_message(self, cores, tmp_path, exc):
+    def test_child_exception_keeps_type_and_message(self, tmp_path, exc):
         # the child's failure is rerun in the caller, which raises what
-        # the one-core path raises
+        # a direct call of the job raises
         tries = tmp_path / "tries"
 
         def fail():
             _record_pid(tries)()
             raise exc
 
-        for n in (1, 2):
-            cores(n)
+        for call in (fail, lambda: _fork_pair(lambda: None, fail)):
             with pytest.raises(type(exc)) as info:
-                _fork_pair(lambda: None, fail)
+                call()
             assert str(info.value) == str(exc)
         pids = _pids(tries)
         assert pids[0] == pids[2] == os.getpid() != pids[1] and len(pids) == 3
@@ -183,18 +189,16 @@ class TestMapForked:
         "die", [lambda: os.kill(os.getpid(), signal.SIGKILL), lambda: os._exit(3)],
         ids=["sigkill", "exit3"],
     )
-    def test_dead_child_leaves_a_complete_file(self, cores, tmp_path, die):
-        cores(2)
+    def test_dead_child_leaves_a_complete_file(self, tmp_path, die):
         path = tmp_path / "s.npmat"
         start = time.monotonic()
         _fork_pair(lambda: None, _write_unless_child(path, os.getpid(), die))
         assert time.monotonic() - start < 30.0
         assert path.read_text() == "head\ntail\n"
 
-    def test_child_reaped_when_callers_item_raises(self, cores, tmp_path):
+    def test_child_reaped_when_callers_item_raises(self, tmp_path):
         # the caller's error propagates once its child has written and
         # been reaped
-        cores(2)
         path = tmp_path / "s.npmat"
 
         def fail():
@@ -203,16 +207,6 @@ class TestMapForked:
         with pytest.raises(KeyError, match="caller's job"):
             _fork_pair(fail, lambda: write_npmat(path, np.eye(300)))
         assert np.array_equal(read_npmat(path), np.eye(300))
-
-    def test_no_spare_core_never_forks(self, cores, monkeypatch, tmp_path):
-        def no_fork():
-            raise AssertionError("forked")
-
-        monkeypatch.setattr(os, "fork", no_fork)
-        cores(1)
-        jobs = tmp_path / "jobs"
-        assert _fork_pair(_record_pid(jobs), _record_pid(jobs)) is None
-        assert _pids(jobs) == [os.getpid()] * 2
 
 
 class TestEigenvalueCsv:

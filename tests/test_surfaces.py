@@ -105,11 +105,13 @@ class TestRadialJets:
             ("radial_graph", {"harmonics": [[2, 0, math.inf]]}, r"\[2, 0, inf\]"),
             ("sphere", {"a": 2.0}, "takes no parameter 'a'"),
             ("radial_graph", {"harmonics": [], "radius": 2.0}, "takes no parameter 'radius'"),
+            ("ellipsoid", {"a": 1.0}, "ellipsoid needs semi-axes a, b, c"),
         ],
         ids=[
             "radius<0", "radius=0", "b=0", "c<0", "m>l", "l<0",
             "l=2.5", "m=0.0", "l=true", "dict l=2.0", "two numbers", "coeff text", "flat list",
             "radius=inf", "a=inf", "coeff=nan", "dict coeff=inf", "sphere a", "graph radius",
+            "ellipsoid a only",
         ],
     )
     def test_invalid_parameters_rejected(self, kind, params, named):
