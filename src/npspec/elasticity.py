@@ -156,8 +156,6 @@ def single_layer_symbol(params, xi):
     """
     xi = np.asarray(xi, dtype=float)
     r = np.linalg.norm(xi)
-    if r == 0.0:
-        raise ValueError("xi = 0 rejected")
     return (params.m * _block_projector(xi) - np.eye(3)) / (2.0 * params.mu * r)
 
 
@@ -175,8 +173,6 @@ def symmetrizer_symbols(params, xi):
     """
     xi = np.asarray(xi, dtype=float)
     r = np.linalg.norm(xi)
-    if r == 0.0:
-        raise ValueError("xi = 0 rejected")
     m = params.m
     mu = params.mu
     p = _block_projector(xi)

@@ -6,11 +6,11 @@ NPMAT v1 container: a single header line
 
 followed by one line per matrix row holding that row's entries as
 whitespace-separated decimal literals.  The entry kind is always real;
-a complex matrix, a header of another kind, or an entry that is not
-finite, is an error, as is a CSV row with the wrong number of fields or
-a value that is not finite.  Writers format every float as ``%.17g``,
-17 significant digits, which round-trips each double exactly, so a
-rerun with identical inputs produces identical bytes.
+a complex or empty matrix, a header of another kind, or an entry that
+is not finite, is an error, as is a CSV row with the wrong number of
+fields or a value that is not finite.  Writers format every float as
+``%.17g``, 17 significant digits, which round-trips each double
+exactly, so a rerun with identical inputs produces identical bytes.
 
 The CLI's ``assemble`` writes its two operator files, K and S, in
 parallel, S in a forked child (``_fork_pair``).  The child reports only
@@ -31,7 +31,7 @@ _FMT = "%.17g"
 def _require_finite(mat):
     """Raise if mat has an entry that is not finite, naming the first."""
     # min and max propagate NaN, so only a failing matrix pays for a mask
-    if mat.size == 0 or np.isfinite([mat.min(), mat.max()]).all():
+    if np.isfinite([mat.min(), mat.max()]).all():
         return
     i, j = np.argwhere(~np.isfinite(mat))[0]
     raise ValueError(
@@ -46,6 +46,8 @@ def write_npmat(path, mat):
         raise ValueError("NPMAT stores matrices only")
     if np.iscomplexobj(mat):
         raise ValueError("NPMAT stores real entries only, not complex")
+    if 0 in mat.shape:
+        raise ValueError("NPMAT stores no empty matrix: shape %s" % (mat.shape,))
     _require_finite(mat)
     line = " ".join([_FMT] * mat.shape[1]) + "\n"
     with open(path, "w") as f:

@@ -103,20 +103,14 @@ class _GridInfo:
     """
 
     def __init__(self, quad):
-        n2 = quad.size
-        n = round(math.sqrt(n2 / 2.0))
-        if 2 * n * n != n2:
-            raise ValueError("quadrature is not an n x 2n product rule")
+        n = quad.n
         self.n_lat = n
         self.n_phi = 2 * n
-        thetas = quad.params[:: self.n_phi, 0]
-        if not np.all(np.diff(thetas) < 0):
-            raise ValueError("latitudes not monotone in the expected row order")
         p = _INTERP_ORDER
-        ts = thetas[::-1]
+        ts = quad.params[:: self.n_phi, 0][::-1]
         r = min(p, n)
         self.ext_t = np.concatenate([-ts[:r][::-1], ts, 2.0 * math.pi - ts[-r:][::-1]])
-        asc = np.arange(n2).reshape(n, self.n_phi)[::-1]
+        asc = np.arange(quad.size).reshape(n, self.n_phi)[::-1]
         flip = np.roll(asc, -n, axis=1)  # longitude j reads j + n
         self.node = np.concatenate([flip[:r][::-1], asc, flip[-r:][::-1]])
         tn = self.ext_t[np.arange(len(self.ext_t) - p + 1)[:, None] + np.arange(p)]
@@ -283,10 +277,10 @@ def _assemble(surface, quad, kernels, targets):
 def target_nodes(surface, quad):
     """Nodes whose operator rows are assembled: on a surface symmetric
     about the z axis (surfaces.axisymmetric) the n meridian nodes, at
-    phi = 0.0 exactly, from which rotation gives every other row; else all."""
+    phi = 0, from which rotation gives every other row; else all."""
     if not axisymmetric(surface):
         return np.arange(quad.size)
-    return np.flatnonzero(quad.params[:, 1] == 0.0)
+    return np.arange(quad.n) * (2 * quad.n)
 
 
 def _rotations(n_phi):

@@ -6,13 +6,16 @@ direction, so points, normals, fundamental forms and ray intersections
 all reduce to the scalar field rho and its first two angular
 derivatives.  Supported kinds:
 
-    sphere        rho = R
+    sphere        rho = R, the radial graph of base R with no harmonics
     ellipsoid     rho = (sum_i (u_i / a_i)^2)^(-1/2)
     radial_graph  rho = 1 + sum c_lm Y_lm(theta, phi)
 
 The geometry is array native: angles, points (..., 3) and chart
 coordinates (..., 2) may carry any leading shape, and a single point is
-the case with no leading axes.  Every surface kind takes the same path.
+the case with no leading axes.  Every surface kind takes the same path:
+one jet (ParametrizedSurface.jet) gives the points, normals and the
+fundamental forms that principal_curvatures reads.  The surface rule
+(surface_quadrature) is an n x 2n product grid and carries its n.
 
 Charts: a curvature-aligned tangent chart at a surface point carries
 an orthonormal frame (e1, e2, n) with e1, e2 principal directions
@@ -134,9 +137,8 @@ class ParametrizedSurface:
         """rho and its angular derivatives (r, rt, rp, rtt, rtp, rpp),
         each broadcast over theta and phi."""
         theta, phi = np.broadcast_arrays(np.asarray(theta, float), np.asarray(phi, float))
-        if self.kind == "sphere":
-            zero = np.zeros(theta.shape)
-            return zero + float(self.params.get("radius", 1.0)), zero, zero, zero, zero, zero
+        if self.kind not in SURFACE_PARAMS:
+            raise ValueError("unknown surface kind: %r" % self.kind)
         if self.kind == "ellipsoid":
             a, b, c = (float(self.params[k]) for k in ("a", "b", "c"))
             st, ct = np.sin(theta), np.cos(theta)
@@ -152,20 +154,15 @@ class ParametrizedSurface:
             g_tp = np.sin(2.0 * theta) * aa_p
             g_pp = st * st * aa_pp
             return _inverse_sqrt_jet(g, g_t, g_p, g_tt, g_tp, g_pp)
-        if self.kind == "radial_graph":
-            jet = [np.ones(theta.shape)] + [np.zeros(theta.shape) for _ in range(5)]
-            for l, m, c in self.params["harmonics"]:
-                for acc, y in zip(jet, _real_sph_harm_jet(l, m, theta, phi)):
-                    acc += c * y
-            if np.any(jet[0] <= 0.0):
-                raise ValueError("radial graph not star shaped at this point")
-            return tuple(jet)
-        raise ValueError("unknown surface kind: %r" % self.kind)
-
-    def position(self, theta, phi):
-        r = self.rho_jet(theta, phi)[0]
-        u = _radial_direction_jet(theta, phi)[0]
-        return np.expand_dims(r, -1) * u
+        # a radial graph over the base radius; a sphere has no harmonics
+        jet = [np.full(theta.shape, float(self.params.get("radius", 1.0)))]
+        jet += [np.zeros(theta.shape) for _ in range(5)]
+        for l, m, c in self.params.get("harmonics", ()):
+            for acc, y in zip(jet, _real_sph_harm_jet(l, m, theta, phi)):
+                acc += c * y
+        if np.any(jet[0] <= 0.0):
+            raise ValueError("radial graph not star shaped at this point")
+        return tuple(jet)
 
     def jet(self, theta, phi):
         """Position, tangent and second derivative vectors, normal, I, II.
@@ -312,26 +309,25 @@ def make_surface(kind, **params):
 
 def axisymmetric(surface):
     """Whether the parameters make the surface symmetric about the z axis:
-    a sphere, an ellipsoid with a = b, a radial graph with only m = 0."""
+    an ellipsoid with a = b, a radial graph (a sphere among them) whose
+    harmonics all have m = 0."""
     if surface.kind == "ellipsoid":
         return float(surface.params["a"]) == float(surface.params["b"])
-    if surface.kind == "radial_graph":
-        return all(m == 0 for _, m, _ in surface.params["harmonics"])
-    return surface.kind == "sphere"
+    return all(m == 0 for _, m, _ in surface.params.get("harmonics", ()))
 
 
-def principal_curvatures(surface, theta, phi):
-    """Principal curvatures and directions at parameter points.
+def principal_curvatures(jet):
+    """Principal curvatures and directions from a surface jet
+    (ParametrizedSurface.jet) at parameter points.
 
-    Returns (kappa1, kappa2, e1, e2, normal) over the broadcast shape of
-    theta and phi, with kappa1 <= kappa2, e1, e2 orthonormal tangent
-    vectors (..., 3) along the principal directions and (e1, e2, normal)
-    right handed.  Curvature sign follows the outward normal: the unit
-    sphere gives kappa = -1.  At umbilic points (kappa1 = kappa2) e1 is
-    the unit theta tangent.  Each point of a stacked call equals the
+    Returns (kappa1, kappa2, e1, e2, normal) over the jet's point shape,
+    with kappa1 <= kappa2, e1, e2 orthonormal tangent vectors (..., 3)
+    along the principal directions and (e1, e2, normal) right handed.
+    Curvature sign follows the outward normal: the unit sphere gives
+    kappa = -1.  At umbilic points (kappa1 = kappa2) e1 is the unit
+    theta tangent.  Each point of a stacked call equals the
     call at that point alone, bit for bit.
     """
-    jet = surface.jet(theta, phi)
     # II v = kappa I v with I = L L^T: W = L^-1 II L^-T, v = L^-T y
     inv = np.linalg.inv(np.linalg.cholesky(jet["I"]))
     inv_t = np.swapaxes(inv, -1, -2)
@@ -448,8 +444,9 @@ def c_chart(surface, theta, phi):
     the largest of |kappa1|, |kappa2| and 1 / |origin|.  One height
     solve checks every origin, and each chart of a stacked call equals
     the call at its point alone, bit for bit."""
-    k1, k2, e1, e2, n = principal_curvatures(surface, theta, phi)
-    origin = surface.position(theta, phi)
+    jet = surface.jet(theta, phi)
+    k1, k2, e1, e2, n = principal_curvatures(jet)
+    origin = jet["x"]
     r_origin = _norm(origin)
     kmax = np.maximum(np.maximum(np.abs(k1), np.abs(k2)), 1.0 / np.maximum(r_origin, 1e-12))
     chart = CCoordinateChart(
@@ -482,12 +479,15 @@ def _node_blocks(counts):
 
 @dataclass(frozen=True)
 class SurfaceQuadrature:
-    """Nodes, weights, normals and parameters of a product rule."""
+    """Nodes, weights, normals and parameters (theta, phi) of the n x 2n
+    product rule of surface_quadrature: node i * 2n + j sits at the i-th
+    latitude in descending theta and at longitude phi = 2 pi j / 2n."""
 
     points: np.ndarray
     weights: np.ndarray
     normals: np.ndarray
     params: np.ndarray
+    n: int
 
     @property
     def size(self):
@@ -519,4 +519,5 @@ def surface_quadrature(surface, n):
         weights=wts.ravel(),
         normals=jet["normal"].reshape(-1, 3),
         params=prms.reshape(-1, 2),
+        n=n,
     )

@@ -224,7 +224,7 @@ class TestCoefficientIntegral:
         # max(C+, C-) and <= 1.1e-13 in the drift)
         params = LameParams(lam, mu)
         quad = surface_quadrature(surface, 8)
-        k1, k2, _, _, _ = principal_curvatures(surface, quad.params[:, 0], quad.params[:, 1])
+        k1, k2, _, _, _ = principal_curvatures(surface.jet(*quad.params.T))
         cp, cm, info = coefficient_integral(params, k1, k2, quad.weights)
         thetas = 2.0 * np.pi * np.arange(64) / 64
         m1, m2 = curvature_matrices(params, np.column_stack([np.cos(thetas), np.sin(thetas)]))
@@ -269,7 +269,7 @@ class TestCoefficientIntegral:
     def test_block_size_leaves_every_bit(self, monkeypatch, budget):
         # 128 nodes: 4 blocks by default, 128, 43 or one with the budget
         quad = surface_quadrature(CURVED["two-harmonic"], 8)
-        k1, k2, *_ = principal_curvatures(CURVED["two-harmonic"], *quad.params.T)
+        k1, k2, *_ = principal_curvatures(CURVED["two-harmonic"].jet(*quad.params.T))
         p = LameParams(2.3, 0.7)
         cp, cm, info = coefficient_integral(p, k1, k2, quad.weights)
         monkeypatch.setattr(surfaces, "_BLOCK_POINTS", budget)
@@ -282,7 +282,7 @@ class TestCoefficientIntegral:
         # would grow the peak 16-fold
         def peak(n):
             quad = surface_quadrature(CURVED["dent"], n)
-            k1, k2, *_ = principal_curvatures(CURVED["dent"], *quad.params.T)
+            k1, k2, *_ = principal_curvatures(CURVED["dent"].jet(*quad.params.T))
             tracemalloc.start()
             try:
                 coefficient_integral(LameParams(1.0, 1.0), k1, k2, quad.weights)
@@ -325,7 +325,7 @@ class TestTraceIdentity:
     def test_trace_form_and_willmore_relation(self, surface, lam, mu):
         params = LameParams(lam, mu)
         quad = surface_quadrature(surface, 16)
-        k1, k2, _, _, _ = principal_curvatures(surface, quad.params[:, 0], quad.params[:, 1])
+        k1, k2, _, _, _ = principal_curvatures(surface.jet(*quad.params.T))
         cp, cm, _ = coefficient_integral(params, k1, k2, quad.weights)
         thetas = 2.0 * np.pi * np.arange(64) / 64
         m1, m2 = curvature_matrices(params, np.column_stack([np.cos(thetas), np.sin(thetas)]))
@@ -443,7 +443,7 @@ class TestConvexLaw:
         params = LameParams(lam, mu)
         f = 3.0 * _ellipsoid_willmore(1.0, 1.2, 0.8) / (8.0 * np.pi) - 0.5
         quad = surface_quadrature(surface, n)
-        k1, k2, *_ = principal_curvatures(surface, *quad.params.T)
+        k1, k2, *_ = principal_curvatures(surface.jet(*quad.params.T))
         cp, cm, _ = coefficient_integral(params, k1, k2, quad.weights)
         want = f * np.array([params.kk**2, 9.0 / 16.0, params.kk**2])
         assert np.abs(cp / want - 1.0).max() <= tol

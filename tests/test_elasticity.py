@@ -163,6 +163,18 @@ class TestFlatSymbols:
         assert np.linalg.matrix_rank(lp) == 1
         assert np.allclose(lp @ xi, xi)
 
+    @pytest.mark.parametrize("symbol", [
+        lambda_projector,
+        lambda xi: single_layer_symbol(P11, xi),
+        lambda xi: symmetrizer_symbols(P11, xi),
+    ], ids=["lambda_projector", "single_layer_symbol", "symmetrizer_symbols"])
+    @pytest.mark.parametrize("xi", [(0.0, 0.0), (1e-170, 0.0)])
+    def test_zero_xi_rejected(self, symbol, xi):
+        # |xi|^2 underflows to 0 at 1e-170 although |xi| does not; the
+        # projector every symbol reads refuses both
+        with pytest.raises(ValueError, match="xi = 0 rejected"):
+            symbol(np.array(xi))
+
     def test_symmetrizer_identities(self):
         for r in (0.5, 1.0, 3.0):
             xi = r * np.array([0.28, -0.96])

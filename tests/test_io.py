@@ -43,6 +43,15 @@ class TestNpmat:
         with pytest.raises(ValueError, match="'complex'"):
             read_npmat(path)
 
+    @pytest.mark.parametrize("shape", [(0, 3), (0, 0), (3, 0)], ids=["0x3", "0x0", "3x0"])
+    def test_empty_matrix_rejected(self, tmp_path, shape):
+        # a header alone (or blank rows) would not read back, so the
+        # writer refuses the matrix before it opens the file
+        path = tmp_path / "m.npmat"
+        with pytest.raises(ValueError, match="empty matrix"):
+            write_npmat(path, np.zeros(shape))
+        assert not path.exists()
+
     def test_deterministic_bytes(self, tmp_path):
         mat = np.linspace(-1.0, 1.0, 12).reshape(3, 4)
         p1, p2 = tmp_path / "a.npmat", tmp_path / "b.npmat"

@@ -157,14 +157,14 @@ class TestLegendre:
 class TestImplicitForm:
     @pytest.mark.parametrize("surface", [SPHERE, ELLIPSOID, BUMPY])
     def test_sign_convention(self, surface):
-        p = surface.position(1.2, 0.9)
+        p = surface.jet(1.2, 0.9)["x"]
         assert abs(surface.implicit(p)[0]) < 1e-14
         assert surface.implicit(1.1 * p)[0] > 0.0
         assert surface.implicit(0.9 * p)[0] < 0.0
 
     def test_ellipsoid_normal_against_gradient(self):
         # outward normal of x^2/a^2 + y^2/b^2 + z^2/c^2 = 1
-        p = ELLIPSOID.position(1.2, 0.9)
+        p = ELLIPSOID.jet(1.2, 0.9)["x"]
         g = np.array([p[0], p[1], p[2] / 4.0])
         g /= np.linalg.norm(g)
         grad = ELLIPSOID.implicit(p)[1]
@@ -175,7 +175,7 @@ class TestPrincipalCurvatures:
     def test_sphere(self):
         for radius in (1.0, 2.5):
             s = make_surface("sphere", radius=radius)
-            k1, k2, e1, e2, n = principal_curvatures(s, 1.0, 2.0)
+            k1, k2, e1, e2, n = principal_curvatures(s.jet(1.0, 2.0))
             assert k1 == pytest.approx(-1.0 / radius, rel=1e-12)
             assert k2 == pytest.approx(-1.0 / radius, rel=1e-12)
             assert np.linalg.det(np.column_stack([e1, e2, n])) == pytest.approx(1.0)
@@ -183,14 +183,14 @@ class TestPrincipalCurvatures:
     def test_ellipsoid_equator(self):
         # prolate (1, 1, 2) at (1, 0, 0): curvature radii b^2/a = 1 and
         # c^2/a = 4, outward convention makes both negative
-        k1, k2, e1, e2, n = principal_curvatures(ELLIPSOID, math.pi / 2, 0.0)
+        k1, k2, e1, e2, n = principal_curvatures(ELLIPSOID.jet(math.pi / 2, 0.0))
         assert k1 == pytest.approx(-1.0, rel=1e-10)
         assert k2 == pytest.approx(-0.25, rel=1e-10)
         assert abs(e1 @ np.array([0.0, 1.0, 0.0])) == pytest.approx(1.0, abs=1e-10)
         assert np.abs(n - np.array([1.0, 0.0, 0.0])).max() < 1e-12
 
     def test_frame_orthonormal(self):
-        k1, k2, e1, e2, n = principal_curvatures(BUMPY, 1.3, 0.8)
+        k1, k2, e1, e2, n = principal_curvatures(BUMPY.jet(1.3, 0.8))
         frame = np.column_stack([e1, e2, n])
         assert np.abs(frame.T @ frame - np.eye(3)).max() < 1e-12
         assert k1 <= k2
@@ -199,19 +199,19 @@ class TestPrincipalCurvatures:
         # every sphere point is umbilic: e1 is the theta tangent, not
         # whatever direction eigensolver rounding would pick
         for theta, phi in surface_quadrature(SPHERE, 10).params:
-            k1, k2, e1, e2, n = principal_curvatures(SPHERE, theta, phi)
+            k1, k2, e1, e2, n = principal_curvatures(SPHERE.jet(theta, phi))
             xt = SPHERE.jet(theta, phi)["xt"]
             assert np.array_equal(e1, xt / np.linalg.norm(xt))
             assert k1 == pytest.approx(-1.0, abs=1e-14)
             assert k2 == pytest.approx(-1.0, abs=1e-14)
-            again = principal_curvatures(SPHERE, theta, phi)
+            again = principal_curvatures(SPHERE.jet(theta, phi))
             for a, b in zip((k1, k2, e1, e2, n), again):
                 assert np.array_equal(a, b)
 
     @pytest.mark.parametrize("surface", [TRIAXIAL, DENT])
     def test_generalized_eigen_equation(self, surface):
         for theta, phi in surface_quadrature(surface, 10).params:
-            k1, k2, e1, e2, n = principal_curvatures(surface, theta, phi)
+            k1, k2, e1, e2, n = principal_curvatures(surface.jet(theta, phi))
             jet = surface.jet(theta, phi)
             tangents = np.column_stack([jet["xt"], jet["xp"]])
             assert np.linalg.norm(e1) == pytest.approx(1.0, abs=1e-14)
@@ -524,6 +524,23 @@ class TestQuadrature:
         # a closed genus-0 surface has total Gauss curvature 4 pi; this
         # ties the curvatures to the weights (measured <= 4.9e-15 relative)
         quad = surface_quadrature(surface, 48)
-        k1, k2, _, _, _ = principal_curvatures(surface, quad.params[:, 0], quad.params[:, 1])
+        k1, k2, _, _, _ = principal_curvatures(surface.jet(*quad.params.T))
         total = quad.weights @ (k1 * k2)
         assert abs(total - 4.0 * np.pi) < 1e-12 * 4.0 * np.pi
+
+    @pytest.mark.parametrize(
+        "harmonics",
+        [[[2, 0, -0.6]], [[2, 0, 0.3], [3, 1, 0.2]]],
+        ids=["dent", "two_harmonics"],
+    )
+    def test_gauss_bonnet_error_falls_with_n(self, harmonics):
+        # the coeff stage's gauss_bonnet_err, (int K dS - 4 pi) / 4 pi, at
+        # n = 4, 8, 16 measured -3.68e-2, -2.43e-3, -5.50e-6 on the dent
+        # and 2.87e-2, 8.57e-4, 2.14e-6 on the two harmonics
+        surface = make_surface("radial_graph", harmonics=harmonics)
+        errs = []
+        for n in (4, 8, 16):
+            quad = surface_quadrature(surface, n)
+            k1, k2, _, _, _ = principal_curvatures(surface.jet(*quad.params.T))
+            errs.append(abs(quad.weights @ (k1 * k2) - 4.0 * np.pi) / (4.0 * np.pi))
+        assert errs[1] < errs[0] / 10.0 and errs[2] < errs[1] / 10.0
